@@ -10,14 +10,13 @@ underlying store.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import logging
 import os
 import re
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import cached_property, partial
 from pathlib import Path
 
 from . import __version__
@@ -45,7 +44,7 @@ from .serialize import (
     series_to_json,
     write_text_atomic,
 )
-from .store import load_store, save_store
+from .store import CorpusStore, load_store, save_store
 from .svgchart import bar_chart, line_chart
 from .synth import PRESETS, generate_corpus, synth_config_from_dict
 from .windows import (
@@ -103,49 +102,70 @@ def _parse_years(text: str) -> range:
     return range(int(m.group(1)), int(m.group(2)) + 1)
 
 
-def _outdir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+class _Run:
+    """The run protocol shared by every command, one instance per invocation.
 
+    It takes the ``created`` timestamp, loads ``--store`` on first use and
+    records the store's digest, creates ``--out`` on first use, and writes
+    csv-or-json outputs.  A command takes ``(args, run)`` and returns its
+    own params and output paths; :meth:`finish` adds the shared params,
+    writes the manifest and prints the paths.
+    """
 
-def _sha256_file(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+    def __init__(self, args) -> None:
+        self.args = args
+        self.created = _utcnow()
+        self.inputs: list[str] = [args.store] if "store" in args else []
+        self.store_hash: str | None = None
 
+    @cached_property
+    def store(self) -> CorpusStore:
+        store = load_store(_resolve_input(self.args.store))
+        self.store_hash = store.digest
+        return store
 
-@dataclass
-class RunManifest:
-    subcommand: str
-    params: dict
-    inputs: list[str]
-    output_dir: str
-    store_hash: str | None
-    created_utc: str
+    @cached_property
+    def years(self) -> range:
+        """``--years``, defaulting to the store's year range."""
+        return _parse_years(self.args.years) if self.args.years else self.store.years
 
-    def write(self, out_dir: Path) -> None:
+    @cached_property
+    def out(self) -> Path:
+        out = Path(self.args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        return out
+
+    def write(self, stem: str, result, to_csv, to_json) -> Path:
+        """Write ``result`` to ``stem.csv`` or ``stem.json``, as ``--format`` says."""
+        if self.args.format == "json":
+            path, text = self.out / f"{stem}.json", dump_json(to_json(result))
+        else:
+            path, text = self.out / f"{stem}.csv", to_csv(result)
+        write_text_atomic(path, text)
+        return path
+
+    def finish(self, params: dict, paths: list[Path]) -> int:
+        args = self.args
+        shared = {key: getattr(args, key) for key in ("store", "k", "threshold", "format") if key in args}
+        if "years" in args:
+            shared["years"] = [min(self.years), max(self.years)]
+        params = {**shared, **params}
         doc = {
             "schema": "lexcore.manifest/1",
-            "subcommand": self.subcommand,
-            "params": self.params,
-            "params_hash": params_hash(self.params),
+            "subcommand": args.subcommand,
+            "params": params,
+            "params_hash": params_hash(params),
             "inputs": self.inputs,
-            "output_dir": self.output_dir,
+            "output_dir": str(self.out),
             "store_hash": self.store_hash,
             "tool_version": __version__,
-            "created_utc": self.created_utc,
+            "created_utc": self.created,
             "completed_utc": _utcnow(),
         }
-        write_text_atomic(out_dir / MANIFEST_NAME, dump_json(doc))
-
-
-def _load_store_arg(args) -> tuple:
-    path = _resolve_input(args.store)
-    store = load_store(path)
-    return store, _sha256_file(path)
+        write_text_atomic(self.out / MANIFEST_NAME, dump_json(doc))
+        for p in paths:
+            print(p)
+        return 0
 
 
 def _extract_core(table, args):
@@ -162,55 +182,30 @@ def _extract_core(table, args):
     raise _UsageError("one of --k or --threshold is required")
 
 
-def _write_series(out: Path, stem: str, series, fmt_kind: str) -> Path:
-    if fmt_kind == "json":
-        path = out / f"{stem}.json"
-        write_text_atomic(path, dump_json(series_to_json(series)))
-    else:
-        path = out / f"{stem}.csv"
-        write_text_atomic(path, series_to_csv(series))
-    return path
-
-
-def _write_mapping(out: Path, stem: str, kind: str, items: dict, fmt_kind: str) -> Path:
-    if fmt_kind == "json":
-        path = out / f"{stem}.json"
-        write_text_atomic(path, dump_json(mapping_to_json(kind, items)))
-    else:
-        path = out / f"{stem}.csv"
-        write_text_atomic(path, mapping_to_csv(items))
-    return path
-
-
 # ---------------------------------------------------------------- commands
 
 
-def cmd_ingest(args) -> int:
+def cmd_ingest(args, run: _Run):
     config = load_config(_resolve_input(args.config))
     shards = [_resolve_input(p) for p in args.shards]
     missing = [str(p) for p in shards if not p.exists()]
     if missing:
         raise FileNotFoundError(f"shard(s) not found: {', '.join(missing)}")
     volumes = _resolve_input(args.volumes) if args.volumes else None
-    created = _utcnow()
     store, stats = build_store(shards, config, volume_sidecar=volumes, threads=args.threads)
-    out = _outdir(args)
-    store_path = out / "store.lxst"
-    save_store(store, store_path)
-    write_text_atomic(out / "ingest_stats.json", dump_json(stats.to_dict()))
+    store_path = run.out / "store.lxst"
+    run.store_hash = save_store(store, store_path)
+    write_text_atomic(run.out / "ingest_stats.json", dump_json(stats.to_dict()))
+    run.inputs = [str(p) for p in shards]
     params = {
         "config": config.to_dict(),
         "threads": args.threads,
         "volumes": str(volumes) if volumes else None,
     }
-    RunManifest(
-        "ingest", params, [str(p) for p in shards], str(out), _sha256_file(store_path), created
-    ).write(out)
-    print(store_path)
-    return 0
+    return params, [store_path]
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args, run: _Run):
     if bool(args.preset) == bool(args.config):
         raise _UsageError("exactly one of --preset or --config is required")
     if args.preset:
@@ -220,41 +215,25 @@ def cmd_synth(args) -> int:
             raise _UsageError(f"unknown preset {args.preset!r} (known: {', '.join(sorted(PRESETS))})") from None
     else:
         config = synth_config_from_dict(json.loads(Path(_resolve_input(args.config)).read_text()))
-    created = _utcnow()
-    out = _outdir(args)
-    result = generate_corpus(config, out, shard_years=args.shard_years, gzip_output=args.gzip)
+    result = generate_corpus(config, run.out, shard_years=args.shard_years, gzip_output=args.gzip)
     params = {"synth_config": config.to_dict(), "gzip": args.gzip, "shard_years": args.shard_years}
-    RunManifest("synth", params, [], str(out), None, created).write(out)
-    for p in result.shard_paths:
-        print(p)
-    return 0
+    return params, result.shard_paths
 
 
-def cmd_core(args) -> int:
-    created = _utcnow()
-    store, store_hash = _load_store_arg(args)
+def cmd_core(args, run: _Run):
+    store = run.store
     window = _parse_window(args.window)
     table = aggregate_window(store, window)
     core = _extract_core(table, args)
-    out = _outdir(args)
-    path = out / f"core_{core.method}_{core.param:g}_{window.label}.tsv"
+    path = run.out / f"core_{core.method}_{core.param:g}_{window.label}.tsv"
     write_core(core, path)
-    params = {
-        "store": str(args.store),
-        "window": window.label,
-        "k": args.k,
-        "threshold": args.threshold,
-    }
-    RunManifest("core", params, [str(args.store)], str(out), store_hash, created).write(out)
-    print(path)
-    return 0
+    return {"window": window.label}, [path]
 
 
-def cmd_turnover(args) -> int:
-    created = _utcnow()
+def cmd_turnover(args, run: _Run):
     if args.width < 1:
         raise _UsageError("--width must be >= 1")
-    store, store_hash = _load_store_arg(args)
+    store = run.store
     if args.windows == "standard":
         specs = standard_windows(store.year_start, store.year_end, width=args.width)
     else:
@@ -262,183 +241,84 @@ def cmd_turnover(args) -> int:
         if len(specs) < 2:
             raise _UsageError("--windows needs at least two windows")
     cores = [_extract_core(aggregate_window(store, spec), args) for spec in specs]
-    series = turnover_series(cores)
-    out = _outdir(args)
-    path = _write_series(out, "turnover", series, args.format)
-    params = {
-        "store": str(args.store),
-        "windows": [s.label for s in specs],
-        "k": args.k,
-        "threshold": args.threshold,
-        "format": args.format,
-    }
-    RunManifest("turnover", params, [str(args.store)], str(out), store_hash, created).write(out)
-    print(path)
-    return 0
+    path = run.write("turnover", turnover_series(cores), series_to_csv, series_to_json)
+    return {"windows": [s.label for s in specs]}, [path]
 
 
-def cmd_coverage(args) -> int:
-    created = _utcnow()
-    store, store_hash = _load_store_arg(args)
+def cmd_coverage(args, run: _Run):
+    store = run.store
     window = _parse_window(args.window)
     core = _extract_core(aggregate_window(store, window), args)
-    years = _parse_years(args.years) if args.years else store.years
-    series = coverage_series(core, store, years, name=f"coverage_{window.label}")
-    out = _outdir(args)
-    path = _write_series(out, f"coverage_{window.label}", series, args.format)
-    params = {
-        "store": str(args.store),
-        "window": window.label,
-        "k": args.k,
-        "threshold": args.threshold,
-        "years": [min(years), max(years)],
-        "format": args.format,
-    }
-    RunManifest("coverage", params, [str(args.store)], str(out), store_hash, created).write(out)
-    print(path)
-    return 0
+    stem = f"coverage_{window.label}"
+    series = coverage_series(core, store, run.years, name=stem)
+    return {"window": window.label}, [run.write(stem, series, series_to_csv, series_to_json)]
 
 
-def cmd_overlap(args) -> int:
-    created = _utcnow()
-    store, store_hash = _load_store_arg(args)
+def cmd_overlap(args, run: _Run):
+    store = run.store
     window = _parse_window(args.window)
     table = aggregate_window(store, window)
     share_core = bookshare_core(table, args.threshold)
     k = args.k if args.k is not None else max(len(share_core), 1)
     freq_core_ = frequency_core(table, k)
     report = overlap_report(freq_core_, share_core)
-    out = _outdir(args)
-    if args.format == "json":
-        path = out / "overlap.json"
-        write_text_atomic(path, dump_json(overlap_to_json(report)))
-    else:
-        path = out / "overlap.csv"
-        write_text_atomic(path, overlap_to_csv(report))
-    params = {
-        "store": str(args.store),
-        "window": window.label,
-        "k": k,
-        "threshold": args.threshold,
-        "format": args.format,
-    }
-    RunManifest("overlap", params, [str(args.store)], str(out), store_hash, created).write(out)
-    print(path)
-    return 0
+    path = run.write("overlap", report, overlap_to_csv, overlap_to_json)
+    return {"window": window.label, "k": k}, [path]
 
 
-def cmd_correlate(args) -> int:
-    created = _utcnow()
-    store, store_hash = _load_store_arg(args)
+def cmd_correlate(args, run: _Run):
+    store = run.store
     window = _parse_window(args.window)
     table = aggregate_window(store, window)
-    if args.k is not None:
-        idx = table.rank_order[: args.k]
-        xs = table.rel_freq[idx].tolist()
-        ys = table.volume_share[idx].tolist()
-    else:
-        xs = table.rel_freq.tolist()
-        ys = table.volume_share.tolist()
-    r = pearson_correlation(xs, ys)
-    out = _outdir(args)
-    path = _write_mapping(
-        out, "correlation", "correlation", {"pearson_r": r, "n_words": len(xs)}, args.format
-    )
-    params = {
-        "store": str(args.store),
-        "window": window.label,
-        "k": args.k,
-        "format": args.format,
-    }
-    RunManifest("correlate", params, [str(args.store)], str(out), store_hash, created).write(out)
-    print(path)
-    return 0
+    idx = table.rank_order[: args.k] if args.k is not None else slice(None)
+    xs = table.rel_freq[idx].tolist()
+    ys = table.volume_share[idx].tolist()
+    items = {"pearson_r": pearson_correlation(xs, ys), "n_words": len(xs)}
+    path = run.write("correlation", items, mapping_to_csv, partial(mapping_to_json, "correlation"))
+    return {"window": window.label}, [path]
 
 
-def cmd_pos(args) -> int:
-    created = _utcnow()
-    store, store_hash = _load_store_arg(args)
+def cmd_pos(args, run: _Run):
+    store = run.store
     window = _parse_window(args.window)
     core = _extract_core(aggregate_window(store, window), args)
-    out = _outdir(args)
     comp = {tag.name: share for tag, share in pos_composition(core).items()}
-    paths = [_write_mapping(out, "pos_composition", "pos_composition", comp, args.format)]
+    paths = [run.write("pos_composition", comp, mapping_to_csv, partial(mapping_to_json, "pos_composition"))]
     if args.window2:
         window2 = _parse_window(args.window2)
         core2 = _extract_core(aggregate_window(store, window2), args)
         drop = {tag.name: v for tag, v in pos_dropout(core, core2).items()}
-        paths.append(_write_mapping(out, "pos_dropout", "pos_dropout", drop, args.format))
-    params = {
-        "store": str(args.store),
-        "window": window.label,
-        "window2": args.window2,
-        "k": args.k,
-        "threshold": args.threshold,
-        "format": args.format,
-    }
-    RunManifest("pos", params, [str(args.store)], str(out), store_hash, created).write(out)
-    for p in paths:
-        print(p)
-    return 0
+        paths.append(run.write("pos_dropout", drop, mapping_to_csv, partial(mapping_to_json, "pos_dropout")))
+    return {"window": window.label, "window2": args.window2}, paths
 
 
-def cmd_transition(args) -> int:
-    created = _utcnow()
-    store, store_hash = _load_store_arg(args)
+def cmd_transition(args, run: _Run):
+    store = run.store
     w_old = _parse_window(args.window)
     w_new = _parse_window(args.window2)
     old = _extract_core(aggregate_window(store, w_old), args)
     new = _extract_core(aggregate_window(store, w_new), args)
     partition = partition_core_transition(old, new)
-    years = _parse_years(args.years) if args.years else store.years
-    out = _outdir(args)
-    write_text_atomic(out / "transition.json", dump_json(partition_to_json(partition)))
-    paths = [out / "transition.json"]
-    for name, words in (
-        ("both", partition.both),
-        ("only_old", partition.only_old),
-        ("only_new", partition.only_new),
-    ):
-        series = coverage_series(words, store, years, name=name)
-        paths.append(_write_series(out, f"coverage_{name}", series, args.format))
-    params = {
-        "store": str(args.store),
-        "window": w_old.label,
-        "window2": w_new.label,
-        "k": args.k,
-        "threshold": args.threshold,
-        "years": [min(years), max(years)],
-        "format": args.format,
-    }
-    RunManifest("transition", params, [str(args.store)], str(out), store_hash, created).write(out)
-    for p in paths:
-        print(p)
-    return 0
+    years = run.years
+    path = run.out / "transition.json"
+    write_text_atomic(path, dump_json(partition_to_json(partition)))
+    paths = [path]
+    for name in ("both", "only_old", "only_new"):
+        series = coverage_series(getattr(partition, name), store, years, name=name)
+        paths.append(run.write(f"coverage_{name}", series, series_to_csv, series_to_json))
+    return {"window": w_old.label, "window2": w_new.label}, paths
 
 
-def cmd_group(args) -> int:
-    created = _utcnow()
-    store, store_hash = _load_store_arg(args)
-    words_path = _resolve_input(args.words)
+def cmd_group(args, run: _Run):
+    store = run.store
     words = [
         line.strip()
-        for line in words_path.read_text(encoding="utf-8").splitlines()
+        for line in _resolve_input(args.words).read_text(encoding="utf-8").splitlines()
         if line.strip() and not line.startswith("#")
     ]
-    years = _parse_years(args.years) if args.years else store.years
-    series = group_frequency_series(words, store, years, name=args.name)
-    out = _outdir(args)
-    path = _write_series(out, f"group_{args.name}", series, args.format)
-    params = {
-        "store": str(args.store),
-        "words": str(args.words),
-        "name": args.name,
-        "years": [min(years), max(years)],
-        "format": args.format,
-    }
-    RunManifest("group", params, [str(args.store)], str(out), store_hash, created).write(out)
-    print(path)
-    return 0
+    series = group_frequency_series(words, store, run.years, name=args.name)
+    path = run.write(f"group_{args.name}", series, series_to_csv, series_to_json)
+    return {"words": str(args.words), "name": args.name}, [path]
 
 
 def _read_series_csv(path: Path) -> list[tuple[float, float]]:
@@ -461,8 +341,7 @@ def _read_mapping_csv(path: Path) -> dict[str, float]:
     return items
 
 
-def cmd_report(args) -> int:
-    created = _utcnow()
+def cmd_report(args, run: _Run):
     run_dirs = [_resolve_input(d) for d in args.runs]
     manifests = []
     for d in run_dirs:
@@ -475,9 +354,12 @@ def cmd_report(args) -> int:
         raise LexcoreError(
             "mismatched manifests: run directories were produced from different stores"
         )
+    (run.store_hash,) = hashes
+    run.inputs = [str(d) for d in run_dirs]
     timestamp = None if args.no_timestamp else _utcnow()
-    out = Path(args.out) if args.out else Path(run_dirs[0])
-    out.mkdir(parents=True, exist_ok=True)
+    # Figures go beside the first run unless --out says otherwise.
+    args.out = args.out or str(run_dirs[0])
+    out = run.out
 
     # Collect chartable CSVs; labels get a run-dir prefix when the same
     # stem occurs in several runs (e.g. two pos_composition runs).
@@ -538,13 +420,7 @@ def cmd_report(args) -> int:
 
     if not written:
         raise LexcoreError("no chartable CSV outputs found in the given run directories")
-    params = {"runs": [str(d) for d in run_dirs], "no_timestamp": args.no_timestamp}
-    RunManifest(
-        "report", params, [str(d) for d in run_dirs], str(out), hashes.pop() if hashes else None, created
-    ).write(out)
-    for p in written:
-        print(p)
-    return 0
+    return {"runs": run.inputs, "no_timestamp": args.no_timestamp}, written
 
 
 # ---------------------------------------------------------------- parser
@@ -653,7 +529,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        run = _Run(args)
+        return run.finish(*args.func(args, run))
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

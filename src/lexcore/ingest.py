@@ -21,19 +21,20 @@ from __future__ import annotations
 
 import gzip
 import logging
+import zlib
 from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .alphabets import APOSTROPHE, APOSTROPHE_VARIANTS, AlphabetSpec
 from .config import RunConfig
-from .errors import MalformedLine, WildcardToken
+from .errors import LexcoreError, MalformedLine, WildcardToken
 from .postags import POS_COUNT, SUFFIX_TAGS, PosTag
-from .store import CorpusStore, read_volume_sidecar
+from .store import CorpusStore, group_sum, read_volume_sidecar
 
 log = logging.getLogger(__name__)
 
@@ -47,7 +48,6 @@ __all__ = [
     "normalize_apostrophes",
     "pos_variant_filter",
     "yearly_totals",
-    "iter_shard_records",
     "build_store",
 ]
 
@@ -207,18 +207,6 @@ def _open_text(path: Path):
     return open(path, "rt", encoding="utf-8")
 
 
-def iter_shard_records(path: str | Path, stats: IngestStats | None = None) -> Iterator[RawRecord]:
-    """Stream RawRecords from one shard, counting and skipping bad lines."""
-    stats = stats if stats is not None else IngestStats()
-    with _open_text(Path(path)) as fh:
-        for line in fh:
-            stats.lines += 1
-            try:
-                yield parse_ngram_line(line)
-            except MalformedLine:
-                stats.malformed += 1
-
-
 @dataclass
 class _ShardPartial:
     tokens: dict[str, int]
@@ -242,33 +230,37 @@ def _parse_shard(path: Path, year_start: int, year_end: int) -> _ShardPartial:
     volumes = array("q")
     stats = IngestStats()
     get = tokens.get
-    with _open_text(path) as fh:
-        for line in fh:
-            stats.lines += 1
-            parts = line.rstrip("\r\n").split("\t")
-            if len(parts) != 4:
-                stats.malformed += 1
-                continue
-            token, year_s, match_s, vol_s = parts
-            if not token or not (year_s.isdigit() and match_s.isdigit() and vol_s.isdigit()):
-                stats.malformed += 1
-                continue
-            year = int(year_s)
-            if year < year_start or year > year_end:
-                stats.out_of_range += 1
-                continue
-            match = int(match_s)
-            vol = int(vol_s)
-            if match >= 1 and vol < 1:
-                stats.invalid_counts += 1
-                continue
-            tid = get(token)
-            if tid is None:
-                tokens[token] = tid = len(tokens)
-            tids.append(tid)
-            years.append(year)
-            matches.append(match)
-            volumes.append(vol)
+    try:
+        with _open_text(path) as fh:
+            for line in fh:
+                stats.lines += 1
+                parts = line.rstrip("\r\n").split("\t")
+                if len(parts) != 4:
+                    stats.malformed += 1
+                    continue
+                token, year_s, match_s, vol_s = parts
+                if not token or not (year_s.isdigit() and match_s.isdigit() and vol_s.isdigit()):
+                    stats.malformed += 1
+                    continue
+                year = int(year_s)
+                if year < year_start or year > year_end:
+                    stats.out_of_range += 1
+                    continue
+                match = int(match_s)
+                vol = int(vol_s)
+                if match >= 1 and vol < 1:
+                    stats.invalid_counts += 1
+                    continue
+                tid = get(token)
+                if tid is None:
+                    tokens[token] = tid = len(tokens)
+                tids.append(tid)
+                years.append(year)
+                matches.append(match)
+                volumes.append(vol)
+    except (EOFError, OverflowError, zlib.error) as exc:
+        # A truncated or corrupt gzip stream, or a count beyond int64.
+        raise LexcoreError(f"{path}: unreadable shard: {exc}") from None
     return _ShardPartial(tokens, tids, years, matches, volumes, stats)
 
 
@@ -309,19 +301,6 @@ def _classify_tokens(
         count=n,
     )
     return vocabulary, wid_of_token, pos_of_token
-
-
-def _group_sum(key: np.ndarray, *values: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Sum parallel arrays over equal keys; returns (unique_keys, sums...)."""
-    if len(key) == 0:
-        return (key,) + tuple(v[:0] for v in values)
-    order = np.argsort(key, kind="stable")
-    skey = key[order]
-    boundary = np.empty(len(skey), dtype=bool)
-    boundary[0] = True
-    np.not_equal(skey[1:], skey[:-1], out=boundary[1:])
-    starts = np.flatnonzero(boundary)
-    return (skey[starts],) + tuple(np.add.reduceat(v[order], starts) for v in values)
 
 
 def build_store(
@@ -400,14 +379,14 @@ def build_store(
     # Collapse duplicates (same word, pos, year) from shard overlap,
     # case folding or apostrophe normalization.
     key = (wid * POS_COUNT + pid) * span + (year - config.year_start)
-    key, match, vol = _group_sum(key, match, vol)
+    key, match, vol = group_sum(key, match, vol)
     pair_key = key // span
     year = key % span + config.year_start
     wid = pair_key // POS_COUNT
     pid = pair_key % POS_COUNT
 
     # POS-variant 1% rule on corpus-wide counts per (word, pos).
-    pair_ids, pair_totals = _group_sum(pair_key, match)
+    pair_ids, pair_totals = group_sum(pair_key, match)
     n_words = len(vocabulary)
     word_totals = np.zeros(n_words, dtype=np.int64)
     pair_words = pair_ids // POS_COUNT

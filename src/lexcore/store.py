@@ -12,7 +12,9 @@ On-disk layout (little-endian)::
 
 The whole file except the trailing digest is checksummed; truncation or
 corruption raises :class:`ChecksumMismatch`, an unknown magic/version
-raises :class:`FormatVersionMismatch`.
+raises :class:`FormatVersionMismatch`.  That trailing SHA-256 digest is
+the store's identity: :func:`save_store` returns it and
+:func:`load_store` records it as :attr:`CorpusStore.digest` (hex).
 """
 
 from __future__ import annotations
@@ -74,6 +76,7 @@ class CorpusStore:
     volume_count: np.ndarray
     lexical_totals: np.ndarray
     volume_totals: np.ndarray
+    digest: str | None = None
     word_index: dict[str, int] = field(init=False, repr=False)
     word_offsets: np.ndarray = field(init=False, repr=False)
 
@@ -151,8 +154,8 @@ def relative_frequency(store: CorpusStore, word: str, year: int) -> float:
     return count / total
 
 
-def save_store(store: CorpusStore, path: str | Path) -> None:
-    """Write the store atomically with a whole-file checksum."""
+def save_store(store: CorpusStore, path: str | Path) -> str:
+    """Write the store atomically with a whole-file checksum; returns its digest."""
     path = Path(path)
     words_blob = "\n".join(store.words).encode("utf-8")
     header = {
@@ -175,6 +178,7 @@ def save_store(store: CorpusStore, path: str | Path) -> None:
     tmp = path.with_suffix(path.suffix + ".tmp")
     tmp.write_bytes(payload + digest)
     os.replace(tmp, path)
+    return digest.hex()
 
 
 def load_store(path: str | Path) -> CorpusStore:
@@ -226,7 +230,21 @@ def load_store(path: str | Path) -> CorpusStore:
         volume_count=columns["volume_count"],
         lexical_totals=lexical_totals,
         volume_totals=volume_totals,
+        digest=digest.hex(),
     )
+
+
+def group_sum(key: np.ndarray, *values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Sum parallel arrays over equal keys; returns (unique_keys, sums...)."""
+    if len(key) == 0:
+        return (key,) + tuple(v[:0] for v in values)
+    order = np.argsort(key, kind="stable")
+    skey = key[order]
+    boundary = np.empty(len(skey), dtype=bool)
+    boundary[0] = True
+    np.not_equal(skey[1:], skey[:-1], out=boundary[1:])
+    starts = np.flatnonzero(boundary)
+    return (skey[starts],) + tuple(np.add.reduceat(v[order], starts) for v in values)
 
 
 def read_volume_sidecar(path: str | Path) -> dict[int, int]:

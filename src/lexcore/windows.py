@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import EmptyWindow, SpanTooShort
 from .postags import POS_COUNT, PosTag
-from .store import CorpusStore
+from .store import CorpusStore, group_sum
 
 RANK_K = "rank_k"
 BOOK_SHARE = "book_share"
@@ -142,27 +142,14 @@ def aggregate_window(store: CorpusStore, spec: WindowSpec) -> WindowTable:
     vol = store.volume_count[mask]
 
     # Per-(word, pos) sums first, for the dominant-tag assignment.
-    pair = wid * POS_COUNT + pid
-    order = np.argsort(pair, kind="stable")
-    pair_s = pair[order]
-    boundary = np.empty(len(pair_s), dtype=bool)
-    boundary[0] = True
-    np.not_equal(pair_s[1:], pair_s[:-1], out=boundary[1:])
-    starts = np.flatnonzero(boundary)
-    pair_ids = pair_s[starts]
-    pair_match = np.add.reduceat(match[order], starts)
-    pair_vol = np.add.reduceat(vol[order], starts)
+    pair_ids, pair_match, pair_vol = group_sum(wid * POS_COUNT + pid, match, vol)
     pair_wid = pair_ids // POS_COUNT
     pair_pid = pair_ids % POS_COUNT
 
     # Collapse to word level; dominant tag = largest window count,
     # ties broken by the smaller pos id.
-    word_ids, inverse = np.unique(pair_wid, return_inverse=True)
+    word_ids, word_match, word_vol = group_sum(pair_wid, pair_match, pair_vol)
     n = len(word_ids)
-    word_match = np.zeros(n, dtype=np.int64)
-    word_vol = np.zeros(n, dtype=np.int64)
-    np.add.at(word_match, inverse, pair_match)
-    np.add.at(word_vol, inverse, pair_vol)
     dom_order = np.lexsort((pair_pid, -pair_match, pair_wid))
     dom_wid = pair_wid[dom_order]
     group_first = np.flatnonzero(np.r_[True, dom_wid[1:] != dom_wid[:-1]])

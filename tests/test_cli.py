@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import gzip
 import json
 from pathlib import Path
 
 import pytest
 
 from lexcore.cli import main
+from lexcore.config import params_hash
+from lexcore.store import load_store
+from lexcore.synth import PRESETS
+
+GOOD_LINES = "".join(f"word{chr(97 + i % 26)}\t{1800 + i % 200}\t{i + 1}\t1\n" for i in range(300))
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +57,13 @@ def pipeline(tmp_path_factory):
         "corpus": corpus,
         "store": store_dir / "store.lxst",
     }
+
+
+def _corrupt_gzip(data: bytes) -> bytes:
+    """A gzip stream whose deflate data is damaged after the header."""
+    blob = bytearray(gzip.compress(data, mtime=0))
+    blob[40:60] = bytes(b ^ 0xFF for b in blob[40:60])
+    return bytes(blob)
 
 
 def _manifest(run_dir: Path) -> dict:
@@ -123,6 +136,27 @@ class TestIngestAndSynth:
             ]
         )
         assert rc == 1
+
+
+    @pytest.mark.parametrize(
+        "name, data",
+        [
+            ("bad.tsv.gz", gzip.compress(GOOD_LINES.encode() * 8, mtime=0)[:-200]),
+            ("bad.tsv.gz", _corrupt_gzip(GOOD_LINES.encode() * 8)),
+            ("bad.tsv", (GOOD_LINES + f"word\t1850\t{2 ** 63}\t1\n").encode()),
+        ],
+        ids=["truncated-gzip", "corrupt-gzip", "count-overflow"],
+    )
+    def test_unreadable_shard_is_data_error(self, pipeline, tmp_path, capsys, name, data):
+        good = tmp_path / "good.tsv"
+        good.write_text(GOOD_LINES, encoding="utf-8")
+        bad = tmp_path / name
+        bad.write_bytes(data)
+        argv = ["ingest", str(good), str(bad), "--config", str(pipeline["config"])]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad) in err
+        assert "Traceback" not in err
 
 
 class TestCoreCommand:
@@ -571,6 +605,123 @@ class TestReport:
             == 0
         )
         assert main(["report", str(t_dir), str(other_run), "--out", str(tmp_path / "o")]) == 1
+
+
+class TestManifests:
+    """Every command's manifest: exact params and inputs, one store identity."""
+
+    @pytest.fixture(scope="class")
+    def runs(self, pipeline, tmp_path_factory):
+        base = tmp_path_factory.mktemp("manifests")
+        store = str(pipeline["store"])
+        words = base / "words.txt"
+        words.write_text("\n".join(load_store(store).words[:3]) + "\n", encoding="utf-8")
+        cases = {
+            "core": (
+                ["--window", "1800:1849", "--k", "10"],
+                {"window": "1800-1849", "k": 10, "threshold": None},
+            ),
+            "turnover": (
+                ["--k", "50", "--windows", "1800:1899,1900:1999"],
+                {"windows": ["1800-1899", "1900-1999"], "k": 50, "threshold": None, "format": "csv"},
+            ),
+            "coverage": (
+                ["--window", "1800:1849", "--threshold", "0.5", "--years", "1800:1810", "--format", "json"],
+                {"window": "1800-1849", "k": None, "threshold": 0.5, "years": [1800, 1810], "format": "json"},
+            ),
+            "overlap": (
+                ["--window", "1950:1999", "--threshold", "0.5", "--k", "20"],
+                {"window": "1950-1999", "k": 20, "threshold": 0.5, "format": "csv"},
+            ),
+            "correlate": (
+                ["--window", "1950:1999", "--k", "30"],
+                {"window": "1950-1999", "k": 30, "format": "csv"},
+            ),
+            "pos": (
+                ["--window", "1800:1849", "--window2", "1850:1899", "--k", "40"],
+                {"window": "1800-1849", "window2": "1850:1899", "k": 40, "threshold": None, "format": "csv"},
+            ),
+            "transition": (
+                ["--window", "1800:1849", "--window2", "1950:1999", "--k", "40"],
+                {
+                    "window": "1800-1849",
+                    "window2": "1950-1999",
+                    "k": 40,
+                    "threshold": None,
+                    "years": [1800, 1999],
+                    "format": "csv",
+                },
+            ),
+            "group": (
+                ["--words", str(words), "--name", "trio"],
+                {"words": str(words), "name": "trio", "years": [1800, 1999], "format": "csv"},
+            ),
+        }
+        runs = {}
+        for name, (argv, params) in cases.items():
+            out = base / name
+            assert main([name, "--store", store, *argv, "--out", str(out)]) == 0
+            runs[name] = (out, {"store": store, **params}, [store])
+        dirs = [str(base / "turnover"), str(base / "coverage")]
+        out = base / "report"
+        assert main(["report", *dirs, "--out", str(out), "--no-timestamp"]) == 0
+        runs["report"] = (out, {"runs": dirs, "no_timestamp": True}, dirs)
+        return runs
+
+    def test_ingest_manifest(self, pipeline):
+        store_dir = pipeline["store"].parent
+        manifest = _manifest(store_dir)
+        assert manifest["params"] == {
+            "config": {
+                "version": 1,
+                "language": "english",
+                "alphabet": {
+                    "language": "english",
+                    "letters": "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz",
+                    "apostrophe_allowed": True,
+                    "max_apostrophes": 1,
+                },
+                "year_start": 1800,
+                "year_end": 1999,
+                "fold_case": False,
+            },
+            "threads": 1,
+            "volumes": str(pipeline["corpus"] / "volumes.tsv"),
+        }
+        assert manifest["inputs"] == sorted(str(p) for p in pipeline["corpus"].glob("synth-*.tsv"))
+        assert manifest["output_dir"] == str(store_dir)
+        assert manifest["store_hash"] == pipeline["store"].read_bytes()[-32:].hex()
+
+    def test_synth_manifest(self, pipeline):
+        manifest = _manifest(pipeline["corpus"])
+        assert manifest["params"] == {
+            "synth_config": PRESETS["churn15-small"].to_dict(),
+            "gzip": False,
+            "shard_years": 25,
+        }
+        assert manifest["inputs"] == []
+        assert manifest["store_hash"] is None
+
+    @pytest.mark.parametrize(
+        "name",
+        ["core", "turnover", "coverage", "overlap", "correlate", "pos", "transition", "group", "report"],
+    )
+    def test_query_manifest(self, pipeline, runs, name):
+        out, params, inputs = runs[name]
+        manifest = _manifest(out)
+        assert manifest["subcommand"] == name
+        assert manifest["params"] == params
+        assert manifest["params_hash"] == params_hash(params)
+        assert manifest["inputs"] == inputs
+        assert manifest["output_dir"] == str(out)
+        digest = pipeline["store"].read_bytes()[-32:].hex()
+        assert manifest["store_hash"] == digest == _manifest(pipeline["store"].parent)["store_hash"]
+
+    def test_overlap_default_k_is_bookshare_size(self, pipeline, tmp_path):
+        argv = ["overlap", "--store", str(pipeline["store"]), "--window", "1950:1999"]
+        assert main(argv + ["--threshold", "0.5", "--out", str(tmp_path)]) == 0
+        rows = dict(line.split(",") for line in (tmp_path / "overlap.csv").read_text().splitlines()[1:])
+        assert _manifest(tmp_path)["params"]["k"] == max(int(rows["size_b"]), 1)
 
 
 class TestEnvDataDir:

@@ -105,6 +105,14 @@ class TestPersistence:
                     store, word, year
                 )
 
+    def test_digest_is_the_store_identity(self, hand_store, tmp_path):
+        store, _ = hand_store
+        path = tmp_path / "fixture.lxst"
+        digest = save_store(store, path)
+        assert digest == path.read_bytes()[-32:].hex()
+        assert load_store(path).digest == digest
+        assert store.digest is None
+
     def test_truncated_file(self, hand_store, tmp_path):
         store, _ = hand_store
         path = tmp_path / "fixture.lxst"
