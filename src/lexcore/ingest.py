@@ -22,7 +22,6 @@ from __future__ import annotations
 import gzip
 import logging
 import zlib
-from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -96,22 +95,17 @@ class IngestStats:
 def parse_ngram_line(line: str) -> RawRecord:
     """Parse one physical shard line into a :class:`RawRecord`.
 
-    Raises :class:`MalformedLine` on wrong arity, a non-integer numeric
-    field, an empty token, or a record claiming occurrences in zero books.
+    Raises :class:`MalformedLine` where ingest counts the line as
+    malformed (see :func:`_fields`) and on a record claiming occurrences
+    in zero books.
     """
-    parts = line.rstrip("\r\n").split("\t")
-    if len(parts) != 4:
-        raise MalformedLine(f"expected 4 tab-separated fields, got {len(parts)}")
-    token, year_s, match_s, vol_s = parts
-    if not token:
-        raise MalformedLine("empty token field")
-    if not (year_s.isdigit() and match_s.isdigit() and vol_s.isdigit()):
-        raise MalformedLine(f"non-integer numeric field in {parts[1:]!r}")
-    match = int(match_s)
-    volumes = int(vol_s)
+    fields = _fields(line.rstrip("\r\n").encode("utf-8"))
+    if fields is None:
+        raise MalformedLine(f"expected token<TAB>year<TAB>match<TAB>volumes, got {line!r}")
+    token, year, match, volumes = fields
     if match >= 1 and volumes < 1:
         raise MalformedLine("match_count >= 1 requires volume_count >= 1")
-    return RawRecord(token=token, year=int(year_s), match_count=match, volume_count=volumes)
+    return RawRecord(token=token.decode("utf-8"), year=year, match_count=match, volume_count=volumes)
 
 
 def split_pos(token: str) -> tuple[str, PosTag]:
@@ -201,67 +195,229 @@ def yearly_totals(
     return totals, empty
 
 
-def _open_text(path: Path):
-    if path.suffix == ".gz":
-        return gzip.open(path, "rt", encoding="utf-8")
-    return open(path, "rt", encoding="utf-8")
+_CHUNK_BYTES = 1 << 20
+_TOKEN_BYTES = 32  # longest token the kernel groups; longer ones take the per-line path
+_DIGITS = 18  # longest numeric field the kernel parses: 10**18 - 1 < 2**63
+_COUNT_LIMIT = 1 << 63
+_MIX = np.uint64(0x9E3779B97F4A7C15)  # odd multiplier that mixes the words of a token
+# _LOW_BYTES[r] keeps the first r bytes of a little-endian uint64 word.
+_LOW_BYTES = np.array([(1 << (8 * r)) - 1 for r in range(9)], dtype=np.uint64)
+
+
+def _number(field: bytes) -> int:
+    """Value of an ASCII-digit field, capped at 2**63 (anything larger)."""
+    digits = field.lstrip(b"0")
+    return int(digits or b"0") if len(digits) <= 19 else _COUNT_LIMIT
+
+
+def _fields(line: bytes) -> tuple[bytes, int, int, int] | None:
+    """Split one line into (token, year, match, volumes); None if malformed.
+
+    A line is well formed iff it has four tab-separated fields, a
+    non-empty token, numeric fields made of ASCII digits only and counts
+    below 2**63.  Whether the token is UTF-8 is left to the caller.  A
+    year past int64 comes back as 2**63 - 1, outside any year range.
+    """
+    parts = line.split(b"\t")
+    if len(parts) != 4:
+        return None
+    token, year_s, match_s, vol_s = parts
+    if not token or not (year_s.isdigit() and match_s.isdigit() and vol_s.isdigit()):
+        return None
+    match, vol = _number(match_s), _number(vol_s)
+    if match >= _COUNT_LIMIT or vol >= _COUNT_LIMIT:
+        return None
+    return token, min(_number(year_s), _COUNT_LIMIT - 1), match, vol
 
 
 @dataclass
 class _ShardPartial:
-    tokens: dict[str, int]
-    tids: array
-    years: array
-    matches: array
-    volumes: array
+    tokens: list[str]
+    tid: np.ndarray  # int32 index into tokens, one per kept row
+    year: np.ndarray  # int32
+    match: np.ndarray  # int64
+    volume: np.ndarray  # int64
     stats: IngestStats
 
 
-def _parse_shard(path: Path, year_start: int, year_end: int) -> _ShardPartial:
-    """Aggregate one shard into raw (token, year, match, volume) rows.
+class _ShardParser:
+    """Accumulates the kept rows of one shard, chunk by chunk.
 
-    Mirrors :func:`parse_ngram_line` semantics but avoids per-line object
-    construction; shards routinely run to millions of lines.
+    Both line paths feed :meth:`keep`, which applies the counters in a
+    fixed order: malformed (including tokens that are not UTF-8), then
+    out_of_range, then invalid_counts.
     """
-    tokens: dict[str, int] = {}
-    tids = array("i")
-    years = array("i")
-    matches = array("q")
-    volumes = array("q")
-    stats = IngestStats()
-    get = tokens.get
+
+    def __init__(self, year_start: int, year_end: int) -> None:
+        self.year_start = year_start
+        self.year_end = year_end
+        self.ids: dict[bytes, int] = {}  # token bytes -> local id, -1 if not UTF-8
+        self.tokens: list[str] = []
+        self.stats = IngestStats()
+        self.rows: list[tuple[np.ndarray, ...]] = []
+
+    def token_ids(self, raw_tokens: Sequence[bytes]) -> list[int]:
+        """Local id of each token; -1 for a token that is not UTF-8."""
+        ids, tokens = self.ids, self.tokens
+        for raw in raw_tokens:
+            if raw not in ids:
+                try:
+                    tokens.append(raw.decode("utf-8"))
+                    ids[raw] = len(tokens) - 1
+                except UnicodeDecodeError:
+                    ids[raw] = -1
+        return list(map(ids.__getitem__, raw_tokens))
+
+    def keep(self, tid: np.ndarray, year: np.ndarray, match: np.ndarray, vol: np.ndarray) -> None:
+        """Count and drop the rejected rows of well-formed lines; keep the rest."""
+        stats = self.stats
+        valid = tid >= 0
+        stats.malformed += len(tid) - int(np.count_nonzero(valid))
+        in_range = valid & (year >= self.year_start) & (year <= self.year_end)
+        stats.out_of_range += int(np.count_nonzero(valid)) - int(np.count_nonzero(in_range))
+        kept = in_range & ((match < 1) | (vol >= 1))
+        stats.invalid_counts += int(np.count_nonzero(in_range)) - int(np.count_nonzero(kept))
+        self.rows.append(
+            (tid[kept].astype(np.int32), year[kept].astype(np.int32), match[kept], vol[kept])
+        )
+
+    def exact(self, lines: Sequence[bytes]) -> None:
+        """The per-line path: every line the kernel does not take."""
+        self.stats.lines += len(lines)
+        parsed = [_fields(line) for line in lines]
+        good = [f for f in parsed if f is not None]
+        self.stats.malformed += len(parsed) - len(good)
+        if good:
+            tokens, years, matches, vols = zip(*good)
+            self.keep(
+                np.array(self.token_ids(tokens), dtype=np.int64),
+                np.array(years, dtype=np.int64),
+                np.array(matches, dtype=np.int64),
+                np.array(vols, dtype=np.int64),
+            )
+
+    def finish(self) -> _ShardPartial:
+        """Concatenate the kept rows; tokens without a kept row are left out."""
+        if self.rows:
+            tid, year, match, vol = (np.concatenate(c) for c in zip(*self.rows))
+        else:
+            tid = year = np.zeros(0, dtype=np.int32)
+            match = vol = np.zeros(0, dtype=np.int64)
+        used = np.bincount(tid, minlength=len(self.tokens)) > 0
+        tokens = self.tokens
+        if not used.all():
+            tokens = [t for t, u in zip(tokens, used.tolist()) if u]
+            tid = (np.cumsum(used, dtype=np.int32) - 1)[tid]
+        return _ShardPartial(tokens, tid, year, match, vol, self.stats)
+
+
+def _digits(buf: np.ndarray, begin: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Parse the fields ``buf[begin:end]``, one vectorised pass per digit.
+
+    Returns (values, ok); ok is False for empty fields and for any byte
+    outside ``0``-``9``.  Fields are at most :data:`_DIGITS` long.
+    """
+    length = end - begin
+    value = np.zeros(len(end), dtype=np.int64)
+    ok = length > 0
+    shortest = int(length.min(initial=0))
+    for k in range(int(length.max(initial=0))):
+        digit = buf.take(end - 1 - k, mode="clip").astype(np.int64) - 48
+        if k >= shortest:
+            digit[length <= k] = 0
+        ok &= (digit >= 0) & (digit <= 9)
+        value += digit * 10**k
+    return value, ok
+
+
+def _group_tokens(padded: bytes, start: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group rows with equal tokens: (group of each row, first row of each group).
+
+    Each token of at most :data:`_TOKEN_BYTES` bytes is read as uint64
+    words straight from the buffer (``padded`` carries that many spare
+    bytes at its end) and masked to its length; the words plus the
+    length are the token's keys.  Rows are sorted on a mix of the keys
+    and a new group starts wherever a key changes, so a group never
+    holds two different tokens.  Tokens whose mixes collide may be split
+    over several groups, which the token lookup merges again.
+    """
+    words = np.ndarray((len(padded) - 7,), dtype="<u8", buffer=padded, strides=(1,))
+    keys = [length.astype(np.uint64)]
+    for w in range(0, int(length.max()), 8):
+        keys.append(words[start + w] & _LOW_BYTES[np.clip(length - w, 0, 8)])
+    mixed = keys[0]
+    for key in keys[1:]:
+        mixed = mixed * _MIX ^ key
+    order = np.argsort(mixed)
+    new_group = np.zeros(len(order), dtype=bool)
+    new_group[0] = True
+    for key in keys:
+        ordered = key[order]
+        new_group[1:] |= ordered[1:] != ordered[:-1]
+    group = np.empty(len(order), dtype=np.int64)
+    group[order] = np.cumsum(new_group) - 1
+    return group, order[new_group]
+
+
+def _parse_chunk(parser: _ShardParser, chunk: bytes) -> None:
+    """The byte-level kernel for one chunk of whole lines, split at LF only.
+
+    Lines with a token longer than :data:`_TOKEN_BYTES` or a numeric
+    field longer than :data:`_DIGITS` go to :meth:`_ShardParser.exact`.
+    """
+    buf = np.frombuffer(chunk, dtype=np.uint8)
+    ends = np.flatnonzero(buf == 10)
+    if buf[-1] != 10:
+        ends = np.append(ends, len(buf))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    tabs = np.flatnonzero(buf == 9)
+    tabs_before_end = np.searchsorted(tabs, ends)
+    first_tab = np.concatenate(([0], tabs_before_end[:-1]))
+    four_fields = tabs_before_end - first_tab == 3
+    first_tab = first_tab[four_fields]
+    t0, t1, t2 = tabs[first_tab], tabs[first_tab + 1], tabs[first_tab + 2]
+    start, end = starts[four_fields], ends[four_fields]
+    long = (t0 - start > _TOKEN_BYTES) | (np.maximum(np.maximum(t1 - t0, t2 - t1), end - t2) > _DIGITS + 1)
+    if long.any():
+        parser.exact([chunk[s:e] for s, e in zip(start[long].tolist(), end[long].tolist())])
+        start, t0, t1, t2, end = (a[~long] for a in (start, t0, t1, t2, end))
+    year, ok = _digits(buf, t0 + 1, t1)
+    match, ok_match = _digits(buf, t1 + 1, t2)
+    vol, ok_vol = _digits(buf, t2 + 1, end)
+    ok &= ok_match & ok_vol & (t0 > start)
+    stats = parser.stats
+    stats.lines += len(ends) - int(np.count_nonzero(long))
+    stats.malformed += len(ends) - len(long) + len(ok) - int(np.count_nonzero(ok))
+    start, tok_len, year, match, vol = start[ok], (t0 - start)[ok], year[ok], match[ok], vol[ok]
+    if len(start):
+        group, first = _group_tokens(chunk + bytes(_TOKEN_BYTES), start, tok_len)
+        raw = [chunk[s : s + n] for s, n in zip(start[first].tolist(), tok_len[first].tolist())]
+        tid = np.array(parser.token_ids(raw), dtype=np.int64)[group]
+        parser.keep(tid, year, match, vol)
+
+
+def _parse_shard(path: Path, year_start: int, year_end: int) -> _ShardPartial:
+    """Parse one shard into its kept rows and counters.
+
+    The shard is read in binary chunks of whole lines.  A chunk holding a
+    CR takes the per-line path, which splits at LF, CRLF and CR as text
+    mode would; all others go to the numpy kernel.
+    """
+    parser = _ShardParser(year_start, year_end)
+    opener = gzip.open if path.suffix == ".gz" else open
     try:
-        with _open_text(path) as fh:
-            for line in fh:
-                stats.lines += 1
-                parts = line.rstrip("\r\n").split("\t")
-                if len(parts) != 4:
-                    stats.malformed += 1
-                    continue
-                token, year_s, match_s, vol_s = parts
-                if not token or not (year_s.isdigit() and match_s.isdigit() and vol_s.isdigit()):
-                    stats.malformed += 1
-                    continue
-                year = int(year_s)
-                if year < year_start or year > year_end:
-                    stats.out_of_range += 1
-                    continue
-                match = int(match_s)
-                vol = int(vol_s)
-                if match >= 1 and vol < 1:
-                    stats.invalid_counts += 1
-                    continue
-                tid = get(token)
-                if tid is None:
-                    tokens[token] = tid = len(tokens)
-                tids.append(tid)
-                years.append(year)
-                matches.append(match)
-                volumes.append(vol)
-    except (EOFError, OverflowError, zlib.error) as exc:
-        # A truncated or corrupt gzip stream, or a count beyond int64.
+        with opener(path, "rb") as fh:
+            while chunk := fh.read(_CHUNK_BYTES):
+                if chunk[-1:] != b"\n":
+                    chunk += fh.readline()
+                if b"\r" in chunk:
+                    parser.exact(chunk.splitlines())
+                else:
+                    _parse_chunk(parser, chunk)
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        # A truncated or corrupt gzip stream.
         raise LexcoreError(f"{path}: unreadable shard: {exc}") from None
-    return _ShardPartial(tokens, tids, years, matches, volumes, stats)
+    return parser.finish()
 
 
 def _classify_tokens(
@@ -334,31 +490,21 @@ def build_store(
     for part in partials:
         for k in ("lines", "malformed", "out_of_range", "invalid_counts"):
             setattr(stats, k, getattr(stats, k) + getattr(part.stats, k))
-        remap = np.empty(max(len(part.tokens), 1), dtype=np.int64)
-        for token, local_id in part.tokens.items():
-            gid = global_tokens.get(token)
-            if gid is None:
-                global_tokens[token] = gid = len(global_tokens)
-            remap[local_id] = gid
-        tid_chunks.append(remap[np.frombuffer(part.tids, dtype=np.int32)])
-
-    span = config.year_end - config.year_start + 1
-    if global_tokens:
-        tid = np.concatenate(tid_chunks)
-        year = np.concatenate(
-            [np.frombuffer(p.years, dtype=np.int32) for p in partials]
-        ).astype(np.int64)
-        match = np.concatenate([np.frombuffer(p.matches, dtype=np.int64) for p in partials])
-        vol = np.concatenate([np.frombuffer(p.volumes, dtype=np.int64) for p in partials])
-    else:
-        tid = np.zeros(0, dtype=np.int64)
-        year = np.zeros(0, dtype=np.int64)
-        match = np.zeros(0, dtype=np.int64)
-        vol = np.zeros(0, dtype=np.int64)
+        remap = np.array(
+            [global_tokens.setdefault(t, len(global_tokens)) for t in part.tokens], dtype=np.int64
+        )
+        tid_chunks.append(remap[part.tid])
+    tid = np.concatenate(tid_chunks)
+    year = np.concatenate([p.year for p in partials]).astype(np.int64)
+    match = np.concatenate([p.match for p in partials])
+    vol = np.concatenate([p.volume for p in partials])
+    del partials, tid_chunks
 
     # Re-ingested (token, year) rows are summed but worth a warning count.
-    raw_key = tid * span + (year - config.year_start)
-    stats.duplicate_rows = int(len(raw_key) - np.unique(raw_key).size)
+    span = config.year_end - config.year_start + 1
+    raw_key = np.sort(tid * span + (year - config.year_start))
+    stats.duplicate_rows = int(np.count_nonzero(raw_key[1:] == raw_key[:-1]))
+    del raw_key
 
     token_list = list(global_tokens)
     rows_per_token = np.bincount(tid, minlength=len(token_list))
@@ -372,6 +518,7 @@ def build_store(
     kept = wid >= 0
     wid = wid[kept]
     pid = pos_of_token[tid[kept]].astype(np.int64)
+    del tid
     year = year[kept]
     match = match[kept]
     vol = vol[kept]
@@ -379,6 +526,7 @@ def build_store(
     # Collapse duplicates (same word, pos, year) from shard overlap,
     # case folding or apostrophe normalization.
     key = (wid * POS_COUNT + pid) * span + (year - config.year_start)
+    del wid, pid, year
     key, match, vol = group_sum(key, match, vol)
     pair_key = key // span
     year = key % span + config.year_start
@@ -412,8 +560,9 @@ def build_store(
         vol[row_keep],
     )
 
-    # Final word-major layout: (word id, year, pos id).
-    final_order = np.lexsort((pid, year, wid))
+    # Final word-major layout: (word id, year, pos id).  The combined key
+    # is unique per row, and rows already run in word order.
+    final_order = np.argsort((wid * span + (year - config.year_start)) * POS_COUNT + pid, kind="stable")
     wid = wid[final_order].astype(np.int32)
     pid = pid[final_order].astype(np.uint8)
     year = year[final_order].astype(np.int32)
@@ -421,10 +570,7 @@ def build_store(
     vol = vol[final_order]
 
     lexical_totals = np.zeros(span, dtype=np.int64)
-    if len(year):
-        lexical_totals = np.bincount(
-            (year.astype(np.int64) - config.year_start), weights=match, minlength=span
-        ).astype(np.int64)
+    np.add.at(lexical_totals, year - config.year_start, match)
     stats.empty_years = {
         config.year_start + i for i in range(span) if lexical_totals[i] == 0
     }

@@ -170,13 +170,19 @@ def save_store(store: CorpusStore, path: str | Path) -> str:
     header_blob = json.dumps(header, sort_keys=True).encode("utf-8")
     parts = [MAGIC, struct.pack("<I", FORMAT_VERSION), struct.pack("<I", len(header_blob)), header_blob, words_blob]
     for name, dtype in _COLUMNS:
-        parts.append(np.ascontiguousarray(getattr(store, name), dtype=dtype).tobytes())
-    parts.append(np.ascontiguousarray(store.lexical_totals, dtype="<i8").tobytes())
-    parts.append(np.ascontiguousarray(store.volume_totals, dtype="<i8").tobytes())
-    payload = b"".join(parts)
-    digest = hashlib.sha256(payload).digest()
+        parts.append(np.ascontiguousarray(getattr(store, name), dtype=dtype))
+    parts.append(np.ascontiguousarray(store.lexical_totals, dtype="<i8"))
+    parts.append(np.ascontiguousarray(store.volume_totals, dtype="<i8"))
+    # Stream each part to disk and into the checksum; no joined copy.
+    sha = hashlib.sha256()
     tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(payload + digest)
+    with open(tmp, "wb") as fh:
+        for part in parts:
+            data = memoryview(part).cast("B")
+            sha.update(data)
+            fh.write(data)
+        digest = sha.digest()
+        fh.write(digest)
     os.replace(tmp, path)
     return digest.hex()
 

@@ -143,9 +143,8 @@ class TestIngestAndSynth:
         [
             ("bad.tsv.gz", gzip.compress(GOOD_LINES.encode() * 8, mtime=0)[:-200]),
             ("bad.tsv.gz", _corrupt_gzip(GOOD_LINES.encode() * 8)),
-            ("bad.tsv", (GOOD_LINES + f"word\t1850\t{2 ** 63}\t1\n").encode()),
         ],
-        ids=["truncated-gzip", "corrupt-gzip", "count-overflow"],
+        ids=["truncated-gzip", "corrupt-gzip"],
     )
     def test_unreadable_shard_is_data_error(self, pipeline, tmp_path, capsys, name, data):
         good = tmp_path / "good.tsv"
@@ -157,6 +156,33 @@ class TestIngestAndSynth:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(bad) in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "bad_line",
+        [
+            b"caf\xe9\t1850\t3\t1\n",
+            "word\t190\u00b2\t5\t2\n".encode(),
+            "word\t\u0661\u0669\u0660\u0660\t5\t2\n".encode(),
+            f"word\t1850\t{2 ** 63}\t1\n".encode(),
+            f"word\t1850\t5\t{2 ** 63}\n".encode(),
+        ],
+        ids=["non-utf8", "superscript-year", "arabic-indic-year", "count-overflow", "volume-overflow"],
+    )
+    def test_hostile_line_is_malformed_not_fatal(self, pipeline, tmp_path, capsys, bad_line):
+        good = tmp_path / "good.tsv"
+        good.write_text(GOOD_LINES, encoding="utf-8")
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(GOOD_LINES.encode() + bad_line)
+        out = tmp_path / "out"
+        argv = ["ingest", str(good), str(bad), "--config", str(pipeline["config"])]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        stats = json.loads((out / "ingest_stats.json").read_text(encoding="utf-8"))
+        assert stats["lines"] == 601 and stats["malformed"] == 1
+        assert stats["duplicate_rows"] == 300
+        store = load_store(out / "store.lxst")
+        assert sorted(store.words) == sorted({line.split("\t")[0] for line in GOOD_LINES.splitlines()})
+        assert int(store.match_count.sum()) == 2 * sum(range(1, 301))
 
 
 class TestCoreCommand:

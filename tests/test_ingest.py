@@ -3,10 +3,19 @@
 from __future__ import annotations
 
 import gzip
+import io
+import sys
+import tempfile
+import threading
+from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from lexcore import ingest
 
 from lexcore.alphabets import alphabet_preset
 from lexcore.errors import MalformedLine, WildcardToken
@@ -19,7 +28,8 @@ from lexcore.ingest import (
     split_pos,
     yearly_totals,
 )
-from lexcore.postags import PosTag
+from lexcore.postags import SUFFIX_TAGS, PosTag
+from lexcore.store import save_store
 
 from conftest import HAND_LINES, english_config, write_shards
 
@@ -316,3 +326,213 @@ class TestBuildStore:
         assert stats.malformed == 1
         assert stats.nonlexical_rows == 1
         assert stats.wildcard_rows == 1
+
+
+# ------------------------------------------------- byte-level shard parser
+
+_TAGS = sorted(SUFFIX_TAGS)
+_LETTERS = st.text(alphabet="abcdeéß", min_size=1, max_size=10)
+_GRAMMAR_TOKENS = st.one_of(
+    _LETTERS,
+    st.builds(lambda w, t: f"{w}_{t}", _LETTERS, st.sampled_from(_TAGS)),
+    st.sampled_from(_TAGS).map(lambda t: f"_{t}_"),
+    st.builds(lambda a, b: f"{a}’{b}", _LETTERS, _LETTERS),
+).map(lambda t: t.encode("utf-8"))
+_HOSTILE_TOKENS = st.one_of(
+    st.builds(lambda w, n: w * n, _GRAMMAR_TOKENS, st.integers(3, 12)),  # often > 32 bytes
+    st.sampled_from([b"", b"\x00", b"caf\xe9", b"\xff\xfe", b"\xe2\x80", b"x" * 32, b"y" * 33]),
+    st.binary(max_size=6),
+)
+# Variants of a pooled token: equal up to a trailing NUL, the first
+# 8-byte word, a shared prefix, or 32 bytes.
+_VARIANTS = [
+    lambda t: t,
+    lambda t: t + b"\x00",
+    lambda t: t + b"_NOUN",
+    lambda t: t + b"_VERB",
+    lambda t: b"prefix__" + t,
+    lambda t: t[:-1] or t,
+    lambda t: (t * 33)[:32],
+    lambda t: (t * 33)[:33],
+]
+_HOSTILE_NUMBERS = st.one_of(
+    st.builds(lambda z, v: "0" * z + str(v), st.integers(0, 24), st.integers(0, 2**65)),
+    st.sampled_from(
+        [str(2**63 - 1), str(2**63), "0" * 5 + str(2**63), "", "-4", "x", "1.0", " 12", "1_0",
+         "190²", "١٩٠٠", "19:0", "1/0", "9" * 18, "9" * 19, "0" * 30]
+    ),
+).map(lambda n: n.encode("utf-8"))
+
+
+@st.composite
+def _shards(draw) -> bytes:
+    """A shard from the token grammar, with hostile tokens, fields and line ends.
+
+    Most lines are well formed, with tokens drawn from a small pool and
+    varied, so that near-equal tokens meet in one chunk.  Half the
+    shards have no CR: any CR sends its chunk to the per-line path.
+    """
+    pool = draw(st.lists(st.one_of(_GRAMMAR_TOKENS, _GRAMMAR_TOKENS, _HOSTILE_TOKENS), min_size=1, max_size=4))
+    with_cr = draw(st.booleans())
+
+    def mostly(good, bad=_HOSTILE_NUMBERS):
+        return draw(bad) if draw(st.integers(0, 7)) == 0 else draw(good)
+
+    lines = []
+    for _ in range(draw(st.integers(0, 60))):
+        kind = draw(st.integers(0, 9))
+        if kind < 7:
+            token = draw(st.sampled_from(_VARIANTS))(draw(st.sampled_from(pool)))
+            year = mostly(st.integers(1896, 1904).map(lambda y: str(y).encode()))
+            counts = [mostly(st.integers(0, 30).map(lambda c: str(c).encode())) for _ in "mv"]
+            line = b"\t".join([token, year, *counts])
+        elif kind == 7:
+            line = b"\t".join(draw(st.lists(st.sampled_from(pool) | _HOSTILE_NUMBERS, max_size=6)))
+        elif kind == 8:
+            line = b""
+        else:
+            line = draw(st.binary(max_size=12))
+        end = draw(st.sampled_from([b"\n"] * 18 + [b"\r\n", b"\r"])) if with_cr else b"\n"
+        lines.append(line + end)
+    data = b"".join(lines)
+    return data[:-1] if draw(st.booleans()) else data
+
+
+def _oracle(data: bytes, year_start: int, year_end: int) -> tuple[list, dict]:
+    """Record-at-a-time reading of one shard, splitting lines as text mode does."""
+    stats = dict.fromkeys(("lines", "malformed", "out_of_range", "invalid_counts"), 0)
+    rows = []
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="latin-1", newline=None)
+    for line in text:
+        stats["lines"] += 1
+        try:
+            fields = line.rstrip("\n").encode("latin-1").decode("utf-8").split("\t")
+        except UnicodeDecodeError:
+            stats["malformed"] += 1
+            continue
+        numeric = fields[1:]
+        if len(fields) != 4 or not fields[0] or not all(f.isascii() and f.isdigit() for f in numeric):
+            stats["malformed"] += 1
+            continue
+        year, match, vol = (int(f) for f in numeric)
+        if match >= 2**63 or vol >= 2**63:
+            stats["malformed"] += 1
+        elif not year_start <= year <= year_end:
+            stats["out_of_range"] += 1
+        elif match >= 1 and vol < 1:
+            stats["invalid_counts"] += 1
+        else:
+            rows.append((fields[0], year, match, vol))
+    return sorted(rows), stats
+
+
+def _rows(part) -> list:
+    tokens = [part.tokens[i] for i in part.tid.tolist()]
+    return sorted(zip(tokens, part.year.tolist(), part.match.tolist(), part.volume.tolist()))
+
+
+def _exact_only(parser, chunk):
+    parser.exact(chunk.splitlines())
+
+
+def _same_store(a, b) -> bool:
+    columns = ("word_id", "pos_id", "year", "match_count", "volume_count", "lexical_totals")
+    return a.words == b.words and all(np.array_equal(getattr(a, c), getattr(b, c)) for c in columns)
+
+
+class TestShardParser:
+    @settings(max_examples=300, deadline=None)
+    @given(_shards(), st.sampled_from([1, 7, 64, 256, 1 << 20]), st.sampled_from([ingest._MIX, np.uint64(0)]))
+    def test_kernel_matches_per_line_path_and_oracle(self, data, chunk_bytes, mix):
+        """A zero mix makes tokens that share their last word collide."""
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "shard.tsv"
+            path.write_bytes(data)
+            config = english_config(1898, 1902)
+            with mock.patch.object(ingest, "_CHUNK_BYTES", chunk_bytes), mock.patch.object(ingest, "_MIX", mix):
+                kernel = ingest._parse_shard(path, 1898, 1902)
+                store, stats = build_store([path], config)
+                with mock.patch.object(ingest, "_parse_chunk", _exact_only):
+                    exact = ingest._parse_shard(path, 1898, 1902)
+                    exact_store, exact_stats = build_store([path], config)
+        assert _rows(kernel) == _rows(exact)
+        assert kernel.stats == exact.stats
+        assert stats == exact_stats
+        assert _same_store(store, exact_store)
+        rows, counters = _oracle(data, 1898, 1902)
+        assert _rows(kernel) == rows
+        assert {k: getattr(kernel.stats, k) for k in counters} == counters
+        assert set(kernel.tokens) == {row[0] for row in rows}
+
+    def test_hostile_lines_are_malformed(self, tmp_path):
+        lines = [
+            b"good\t1900\t5\t2",
+            b"caf\xe9\t1900\t3\t1",
+            "word\t190²\t5\t2".encode(),
+            "word\t١٩٠٠\t5\t2".encode(),
+            f"word\t1900\t{2 ** 63}\t1".encode(),
+            f"word\t1900\t1\t{2 ** 63}".encode(),
+            f"word\t{'0' * 30}1900\t{2 ** 62}\t1".encode(),
+        ]
+        path = tmp_path / "shard.tsv"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        store, stats = build_store([path], english_config(1900, 1900))
+        assert (stats.lines, stats.malformed) == (7, 5)
+        assert store.words == ["good", "word"]
+        assert store.lexical_total(1900) == 5 + 2**62
+
+    def test_universal_newlines_kept(self, tmp_path):
+        path = tmp_path / "shard.tsv"
+        path.write_bytes(b"a\t1900\t1\t1\rb\t1900\t2\t1\r\nc\t1900\t4\t1\r\r\nd\t1900\t8\t1")
+        store, stats = build_store([path], english_config(1900, 1900))
+        assert (stats.lines, stats.malformed) == (5, 1)
+        assert store.words == ["a", "b", "c", "d"]
+        assert store.lexical_total(1900) == 15
+
+    def test_yearly_totals_are_exact_int64(self, tmp_path):
+        lines = [f"a\t1900\t{2 ** 53 + 1}\t1", "b\t1900\t1\t1"]
+        store, _ = build_store(write_shards(tmp_path, lines), english_config(1900, 1900))
+        assert int(store.match_count.sum()) == 2**53 + 2
+        assert store.lexical_total(1900) == 2**53 + 2
+
+    def test_gzip_shard_matches_plain(self, tmp_path):
+        lines = [f"w{i % 97}_NOUN\t{1900 + i % 3}\t{i + 1}\t1" for i in range(5000)]
+        plain = write_shards(tmp_path, lines)
+        gz = tmp_path / "shard.tsv.gz"
+        gz.write_bytes(gzip.compress(plain[0].read_bytes(), mtime=0))
+        with mock.patch.object(ingest, "_CHUNK_BYTES", 1000):
+            a, sa = build_store(plain, english_config(1900, 1902))
+            b, sb = build_store([gz], english_config(1900, 1902))
+        assert sa == sb and _same_store(a, b)
+
+    def test_eight_threads_give_the_single_thread_store(self, tmp_path):
+        rng = np.random.default_rng(11)
+        tokens = [f"w{i}" + ("_NOUN" if i % 3 else "") for i in range(400)] + ["_VERB_", "vol.", "caf\xe9"]
+        paths = []
+        for s in range(16):
+            n = 4000
+            tid, year = rng.integers(0, len(tokens), n), rng.integers(1895, 1906, n)
+            match, vol = rng.integers(0, 10**6, n), rng.integers(0, 50, n)
+            text = "".join(f"{tokens[t]}\t{y}\t{m}\t{v}\n" for t, y, m, v in zip(tid, year, match, vol))
+            path = tmp_path / f"shard-{s:02d}.tsv"
+            path.write_bytes(text.encode("utf-8") + b"bad\xff\t1900\t1\t1\n" + (b"x\r\n" if s % 4 == 0 else b""))
+            paths.append(path)
+        config = english_config(1898, 1903)
+        built = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(ingest, "_CHUNK_BYTES", 4096):
+                for threads in (1, 8):
+                    worker = threading.Thread(
+                        target=lambda n=threads: built.setdefault(n, build_store(paths, config, threads=n))
+                    )
+                    worker.start()
+                    worker.join(timeout=120)
+                    assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        (one, one_stats), (eight, eight_stats) = built[1], built[8]
+        assert one_stats == eight_stats
+        assert save_store(one, tmp_path / "one.lxst") == save_store(eight, tmp_path / "eight.lxst")
+        assert (tmp_path / "one.lxst").read_bytes() == (tmp_path / "eight.lxst").read_bytes()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import struct
 
 import pytest
@@ -112,6 +113,37 @@ class TestPersistence:
         assert digest == path.read_bytes()[-32:].hex()
         assert load_store(path).digest == digest
         assert store.digest is None
+
+    def test_file_layout_is_payload_then_its_digest(self, hand_store, tmp_path):
+        """The streamed file is byte for byte the documented layout."""
+        store, _ = hand_store
+        path = tmp_path / "fixture.lxst"
+        save_store(store, path)
+        blob = path.read_bytes()
+        words = "\n".join(store.words).encode("utf-8")
+        (header_len,) = struct.unpack_from("<I", blob, 8)
+        columns = [
+            store.word_id.astype("<i4"),
+            store.pos_id.astype("u1"),
+            store.year.astype("<i4"),
+            store.match_count.astype("<i8"),
+            store.volume_count.astype("<i8"),
+            store.lexical_totals.astype("<i8"),
+            store.volume_totals.astype("<i8"),
+        ]
+        payload = blob[: 12 + header_len] + words + b"".join(c.tobytes() for c in columns)
+        assert blob[:4] == b"LXST"
+        assert blob == payload + hashlib.sha256(payload).digest()
+        assert not path.with_suffix(".lxst.tmp").exists()
+
+    def test_empty_store_round_trip(self, tmp_path):
+        shards = write_shards(tmp_path, ["not a record"])
+        store, _ = build_store(shards, english_config(1900, 1901))
+        path = tmp_path / "empty.lxst"
+        digest = save_store(store, path)
+        loaded = load_store(path)
+        assert loaded.digest == digest
+        assert loaded.words == [] and len(loaded.word_id) == 0
 
     def test_truncated_file(self, hand_store, tmp_path):
         store, _ = hand_store
