@@ -15,6 +15,7 @@ from .config import RunConfig, config_from_dict, load_config
 from .errors import (
     ChecksumMismatch,
     ConfigInvalid,
+    CountOverflow,
     DegenerateVariance,
     EmptyGroup,
     EmptyWindow,

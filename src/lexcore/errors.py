@@ -25,6 +25,10 @@ class ChecksumMismatch(LexcoreError):
     """Store file is truncated or its checksum does not verify."""
 
 
+class CountOverflow(LexcoreError):
+    """A sum of counts reaches 2**63, beyond the int64 counts a store holds."""
+
+
 class SpanTooShort(LexcoreError):
     """The year span yields fewer than two analysis windows."""
 

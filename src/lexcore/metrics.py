@@ -21,7 +21,7 @@ from .errors import (
     TargetUnreachable,
 )
 from .postags import PosTag
-from .store import CorpusStore
+from .store import CorpusStore, index_sum
 from .windows import Core, WindowTable
 
 __all__ = [
@@ -129,16 +129,13 @@ def _frequency_sum_series(
         if store.lexical_totals[y - store.year_start] == 0:
             raise EmptyYearError(f"year {y} has no lexical tokens")
 
-    ids = [store.word_index[w] for w in set(words) if w in store.word_index]
-    span = store.year_end - store.year_start + 1
-    sums = np.zeros(span, dtype=np.int64)
-    if ids:
-        chunks = [
-            np.arange(store.word_offsets[i], store.word_offsets[i + 1]) for i in sorted(ids)
-        ]
-        rows = np.concatenate(chunks)
-        idx = store.year[rows].astype(np.int64) - store.year_start
-        sums = np.bincount(idx, weights=store.match_count[rows], minlength=span).astype(np.int64)
+    index = store.word_index
+    ids = np.array([index[w] for w in set(words) if w in index], dtype=np.int64)
+    # Row index of the whole word set: each word's rows are one slice.
+    starts = store.word_offsets[ids]
+    lengths = store.word_offsets[ids + 1] - starts
+    rows = np.arange(int(lengths.sum())) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    sums = index_sum(store.year[rows] - store.year_start, store.match_count[rows], len(store.lexical_totals))
     points = tuple(
         (y, int(sums[y - store.year_start]) / int(store.lexical_totals[y - store.year_start]))
         for y in year_list

@@ -29,7 +29,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ChecksumMismatch, ConfigInvalid, EmptyYearError, FormatVersionMismatch
+from .errors import ChecksumMismatch, ConfigInvalid, CountOverflow, EmptyYearError, FormatVersionMismatch
 from .postags import PosTag
 
 MAGIC = b"LXST"
@@ -192,7 +192,8 @@ def load_store(path: str | Path) -> CorpusStore:
     blob = Path(path).read_bytes()
     if len(blob) < len(MAGIC) + 8 + 32:
         raise ChecksumMismatch(f"{path}: file truncated")
-    payload, digest = blob[:-32], blob[-32:]
+    # Hash and parse a view of the file: no copy of the payload.
+    payload, digest = memoryview(blob)[:-32], blob[-32:]
     if hashlib.sha256(payload).digest() != digest:
         raise ChecksumMismatch(f"{path}: checksum does not verify (truncated or corrupt)")
     if payload[:4] != MAGIC:
@@ -202,11 +203,11 @@ def load_store(path: str | Path) -> CorpusStore:
         raise FormatVersionMismatch(f"{path}: format version {version}, expected {FORMAT_VERSION}")
     (header_len,) = struct.unpack_from("<I", payload, 8)
     pos = 12
-    header = json.loads(payload[pos : pos + header_len].decode("utf-8"))
+    header = json.loads(str(payload[pos : pos + header_len], "utf-8"))
     pos += header_len
     words_blob = payload[pos : pos + header["words_bytes"]]
     pos += header["words_bytes"]
-    words = words_blob.decode("utf-8").split("\n") if words_blob else []
+    words = str(words_blob, "utf-8").split("\n") if words_blob else []
     n_rows = header["n_rows"]
     if len(words) != header["n_words"]:
         raise ChecksumMismatch(f"{path}: dictionary size mismatch")
@@ -240,8 +241,27 @@ def load_store(path: str | Path) -> CorpusStore:
     )
 
 
+def _exact(sum_groups, counts: np.ndarray) -> np.ndarray:
+    """``sum_groups(counts)``, raising :class:`CountOverflow` where a sum reaches 2**63.
+
+    ``sum_groups`` adds non-negative int64 counts per group.  No sum can
+    wrap when ``max(counts) * len(counts) < 2**63``; otherwise the groups
+    are summed again over each count's 32-bit halves, which cannot wrap,
+    to find any sum of 2**63 or more.
+    """
+    sums = sum_groups(counts)
+    if len(counts) and int(counts.max()) * len(counts) >= 2**63:
+        high = sum_groups(counts >> 32) + (sum_groups(counts & 0xFFFFFFFF) >> 32)
+        if np.any(high >= 2**31):
+            raise CountOverflow("a sum of counts reaches 2**63, beyond the int64 counts a store holds")
+    return sums
+
+
 def group_sum(key: np.ndarray, *values: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Sum parallel arrays over equal keys; returns (unique_keys, sums...)."""
+    """Sum parallel count arrays over equal keys; returns (unique_keys, sums...).
+
+    Sums are exact: one that reaches 2**63 raises :class:`CountOverflow`.
+    """
     if len(key) == 0:
         return (key,) + tuple(v[:0] for v in values)
     order = np.argsort(key, kind="stable")
@@ -250,7 +270,18 @@ def group_sum(key: np.ndarray, *values: np.ndarray) -> tuple[np.ndarray, ...]:
     boundary[0] = True
     np.not_equal(skey[1:], skey[:-1], out=boundary[1:])
     starts = np.flatnonzero(boundary)
-    return (skey[starts],) + tuple(np.add.reduceat(v[order], starts) for v in values)
+    return (skey[starts],) + tuple(_exact(lambda c: np.add.reduceat(c, starts), v[order]) for v in values)
+
+
+def index_sum(index: np.ndarray, counts: np.ndarray, length: int) -> np.ndarray:
+    """Sum counts per index in ``range(length)`` without sorting; exact as :func:`group_sum`."""
+
+    def sum_groups(c: np.ndarray) -> np.ndarray:
+        sums = np.zeros(length, dtype=np.int64)
+        np.add.at(sums, index, c)
+        return sums
+
+    return _exact(sum_groups, counts)
 
 
 def read_volume_sidecar(path: str | Path) -> dict[int, int]:

@@ -17,7 +17,10 @@ import numpy as np
 
 from .errors import EmptyWindow, SpanTooShort
 from .postags import POS_COUNT, PosTag
-from .store import CorpusStore, group_sum
+from .store import CorpusStore, group_sum, index_sum
+
+# PosTag by value: tag values run 0..POS_COUNT-1.
+_POS_TAGS = tuple(PosTag)
 
 RANK_K = "rank_k"
 BOOK_SHARE = "book_share"
@@ -130,19 +133,20 @@ def aggregate_window(store: CorpusStore, spec: WindowSpec) -> WindowTable:
         raise ValueError(f"window {spec.label} outside store range {store.year_start}..{store.year_end}")
     lo = spec.start_year - store.year_start
     hi = spec.end_year - store.year_start + 1
-    lexical_total = int(store.lexical_totals[lo:hi].sum())
+    one_group = np.zeros(hi - lo, dtype=np.intp)
+    lexical_total = int(index_sum(one_group, store.lexical_totals[lo:hi], 1)[0])
     if lexical_total == 0:
         raise EmptyWindow(f"window {spec.label} has no lexical tokens")
-    volume_total = int(store.volume_totals[lo:hi].sum())
+    volume_total = int(index_sum(one_group, store.volume_totals[lo:hi], 1)[0])
 
-    mask = (store.year >= spec.start_year) & (store.year <= spec.end_year)
-    wid = store.word_id[mask].astype(np.int64)
-    pid = store.pos_id[mask].astype(np.int64)
-    match = store.match_count[mask]
-    vol = store.volume_count[mask]
+    rows = np.flatnonzero((store.year >= spec.start_year) & (store.year <= spec.end_year))
+    match = store.match_count[rows]
+    vol = store.volume_count[rows]
 
     # Per-(word, pos) sums first, for the dominant-tag assignment.
-    pair_ids, pair_match, pair_vol = group_sum(wid * POS_COUNT + pid, match, vol)
+    pair_ids, pair_match, pair_vol = group_sum(
+        store.word_id[rows].astype(np.int64) * POS_COUNT + store.pos_id[rows], match, vol
+    )
     pair_wid = pair_ids // POS_COUNT
     pair_pid = pair_ids % POS_COUNT
 
@@ -155,7 +159,7 @@ def aggregate_window(store: CorpusStore, spec: WindowSpec) -> WindowTable:
     group_first = np.flatnonzero(np.r_[True, dom_wid[1:] != dom_wid[:-1]])
     dominant = pair_pid[dom_order][group_first].astype(np.uint8)
 
-    words = [store.words[int(i)] for i in word_ids]
+    words = [store.words[i] for i in word_ids.tolist()]
     rel_freq = word_match / lexical_total
     volume_share = (
         word_vol / volume_total if volume_total > 0 else np.zeros(n, dtype=np.float64)
@@ -205,10 +209,10 @@ def _build_core(table: WindowTable, idx: np.ndarray, method: str, param: float) 
         source=table.spec,
         method=method,
         param=param,
-        words=tuple(table.words[int(i)] for i in idx),
-        rel_freq=tuple(float(table.rel_freq[int(i)]) for i in idx),
-        volume_share=tuple(float(table.volume_share[int(i)]) for i in idx),
-        pos=tuple(PosTag(int(table.dominant_pos[int(i)])) for i in idx),
+        words=tuple(table._word_array[idx].tolist()),
+        rel_freq=tuple(table.rel_freq[idx].tolist()),
+        volume_share=tuple(table.volume_share[idx].tolist()),
+        pos=tuple(map(_POS_TAGS.__getitem__, table.dominant_pos[idx].tolist())),
     )
 
 

@@ -184,6 +184,17 @@ class TestIngestAndSynth:
         assert sorted(store.words) == sorted({line.split("\t")[0] for line in GOOD_LINES.splitlines()})
         assert int(store.match_count.sum()) == 2 * sum(range(1, 301))
 
+    def test_count_sum_overflow_is_data_error(self, pipeline, tmp_path, capsys):
+        """Counts that each fit int64 but whose 1900 total reaches 2**63."""
+        shard = tmp_path / "big.tsv"
+        shard.write_text(f"good\t1900\t5\t2\nword\t1900\t{2**63 - 1}\t1\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["ingest", str(shard), "--config", str(pipeline["config"]), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "2**63" in err
+        assert "Traceback" not in err
+        assert not (out / "store.lxst").exists()
+
 
 class TestCoreCommand:
     def test_core_file(self, pipeline, tmp_path):

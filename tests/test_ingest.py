@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from lexcore import ingest
 
 from lexcore.alphabets import alphabet_preset
-from lexcore.errors import MalformedLine, WildcardToken
+from lexcore.errors import CountOverflow, MalformedLine, WildcardToken
 from lexcore.ingest import (
     CleanRecord,
     build_store,
@@ -253,6 +253,18 @@ class TestBuildStore:
         assert s1.words == s2.words
         assert (s1.match_count == s2.match_count).all()
 
+    def test_store_same_without_malloc_trim(self, tmp_path):
+        """Handing freed pages back is skipped where the C library has no malloc_trim."""
+        config = english_config(1900, 1904)
+        shards = write_shards(tmp_path, HAND_LINES, n_shards=2)
+        calls = []
+        with mock.patch.object(ingest, "_malloc_trim", return_value=lambda pad: calls.append(pad)):
+            s1, _ = build_store(shards, config)
+        with mock.patch.object(ingest, "_malloc_trim", return_value=None):
+            s2, _ = build_store(shards, config)
+        assert calls == [0, 0, 0]
+        assert _same_store(s1, s2)
+
     def test_conservation_per_year(self, hand_store):
         store, _ = hand_store
         for year in store.years:
@@ -278,6 +290,14 @@ class TestBuildStore:
         )
         assert stats.duplicate_rows == 1
         assert store.lexical_total(1900) == 12
+
+    @pytest.mark.parametrize("verb, kept", [(2**57, True), (2**62 // 100, False)])
+    def test_one_percent_rule_on_counts_near_int64(self, tmp_path, verb, kept):
+        """100 x a variant's count passes 2**63; the rule must still hold."""
+        lines = [f"word_NOUN\t1900\t{2**62}\t1", f"word_VERB\t1900\t{verb}\t1"]
+        store, stats = build_store(write_shards(tmp_path, lines), english_config(1900, 1900))
+        assert stats.dropped_pos_variants == (0 if kept else 1)
+        assert store.lexical_total(1900) == 2**62 + (verb if kept else 0)
 
     def test_out_of_range_years_skipped(self, tmp_path):
         lines = ["a\t1900\t5\t2", "a\t1880\t9\t3", "a\t1950\t9\t3"]
@@ -431,6 +451,14 @@ def _rows(part) -> list:
     return sorted(zip(tokens, part.year.tolist(), part.match.tolist(), part.volume.tolist()))
 
 
+def _build_or_overflow(paths, config):
+    """build_store's (store, stats), or None when a sum of counts reaches 2**63."""
+    try:
+        return build_store(paths, config)
+    except CountOverflow:
+        return None
+
+
 def _exact_only(parser, chunk):
     parser.exact(chunk.splitlines())
 
@@ -451,15 +479,21 @@ class TestShardParser:
             config = english_config(1898, 1902)
             with mock.patch.object(ingest, "_CHUNK_BYTES", chunk_bytes), mock.patch.object(ingest, "_MIX", mix):
                 kernel = ingest._parse_shard(path, 1898, 1902)
-                store, stats = build_store([path], config)
+                built = _build_or_overflow([path], config)
                 with mock.patch.object(ingest, "_parse_chunk", _exact_only):
                     exact = ingest._parse_shard(path, 1898, 1902)
-                    exact_store, exact_stats = build_store([path], config)
+                    exact_built = _build_or_overflow([path], config)
         assert _rows(kernel) == _rows(exact)
         assert kernel.stats == exact.stats
-        assert stats == exact_stats
-        assert _same_store(store, exact_store)
         rows, counters = _oracle(data, 1898, 1902)
+        # Both paths overflow alike, and only when the kept counts can.
+        assert (built is None) == (exact_built is None)
+        if built is None:
+            assert sum(r[2] for r in rows) >= 2**63 or sum(r[3] for r in rows) >= 2**63
+        else:
+            (store, stats), (exact_store, exact_stats) = built, exact_built
+            assert stats == exact_stats
+            assert _same_store(store, exact_store)
         assert _rows(kernel) == rows
         assert {k: getattr(kernel.stats, k) for k in counters} == counters
         assert set(kernel.tokens) == {row[0] for row in rows}

@@ -3,16 +3,25 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import struct
 
+import numpy as np
 import pytest
 
-from lexcore.errors import ChecksumMismatch, EmptyYearError, FormatVersionMismatch
+from lexcore.errors import ChecksumMismatch, CountOverflow, EmptyYearError, FormatVersionMismatch
 from lexcore.ingest import build_store
 from lexcore.metrics import coverage_series, turnover_series
 from lexcore.postags import PosTag
-from lexcore.store import load_store, read_volume_sidecar, relative_frequency, save_store
-from lexcore.windows import aggregate_window, frequency_core, standard_windows
+from lexcore.store import (
+    group_sum,
+    index_sum,
+    load_store,
+    read_volume_sidecar,
+    relative_frequency,
+    save_store,
+)
+from lexcore.windows import WindowSpec, aggregate_window, frequency_core, standard_windows
 
 from conftest import english_config, write_shards
 
@@ -190,6 +199,17 @@ class TestPersistence:
         with pytest.raises(FormatVersionMismatch):
             load_store(path)
 
+    def test_loaded_columns_are_aligned_writable_copies(self, hand_store, tmp_path):
+        store, _ = hand_store
+        path = tmp_path / "fixture.lxst"
+        save_store(store, path)
+        loaded = load_store(path)
+        for name in ("word_id", "pos_id", "year", "match_count", "volume_count", "lexical_totals", "volume_totals"):
+            column = getattr(loaded, name)
+            assert column.flags.c_contiguous and column.flags.aligned, name
+            assert column.flags.writeable and column.flags.owndata, name
+            assert (column == getattr(store, name)).all(), name
+
     def test_round_trip_preserves_downstream_metrics(self, small_store, tmp_path):
         """Dropout and coverage series are unchanged after save/load."""
         path = tmp_path / "small.lxst"
@@ -202,6 +222,116 @@ class TestPersistence:
             return turnover_series(cores), coverage_series(cores[0], store, store.years)
 
         assert downstream(small_store) == downstream(loaded)
+
+
+REGIONS = [
+    "magic", "version", "header", "words", "word_id", "pos_id", "year",
+    "match_count", "volume_count", "lexical_totals", "volume_totals", "digest",
+]
+
+
+def _regions(path) -> dict[str, tuple[int, int]]:
+    """(offset, length) of every region of a store file, from its header."""
+    blob = path.read_bytes()
+    (header_len,) = struct.unpack_from("<I", blob, 8)
+    header = json.loads(blob[12 : 12 + header_len])
+    n, span = header["n_rows"], header["year_end"] - header["year_start"] + 1
+    sizes = [4, 4, 4 + header_len, header["words_bytes"], 4 * n, n, 4 * n, 8 * n, 8 * n, 8 * span, 8 * span, 32]
+    regions, pos = {}, 0
+    for name, size in zip(REGIONS, sizes):
+        regions[name] = (pos, size)
+        pos += size
+    assert pos == len(blob)
+    return regions
+
+
+class TestCorruption:
+    """Any damaged byte or cut is caught by the checksum over the file view."""
+
+    @pytest.mark.parametrize("region", REGIONS)
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_flipped_byte_in_each_region(self, hand_store, tmp_path, region, where):
+        store, _ = hand_store
+        path = tmp_path / "fixture.lxst"
+        save_store(store, path)
+        offset, size = _regions(path)[region]
+        blob = bytearray(path.read_bytes())
+        blob[offset if where == "first" else offset + size - 1] ^= 0x5A
+        path.write_bytes(bytes(blob))
+        with pytest.raises((ChecksumMismatch, FormatVersionMismatch)):
+            load_store(path)
+
+    @pytest.mark.parametrize("region", REGIONS)
+    def test_truncated_in_each_region(self, hand_store, tmp_path, region):
+        store, _ = hand_store
+        path = tmp_path / "fixture.lxst"
+        save_store(store, path)
+        offset, size = _regions(path)[region]
+        blob = path.read_bytes()
+        for cut in {offset, offset + size // 2, offset + size - 1}:
+            path.write_bytes(blob[:cut])
+            with pytest.raises((ChecksumMismatch, FormatVersionMismatch)):
+                load_store(path)
+
+
+class TestGroupSum:
+    def test_large_sums_are_exact(self):
+        """Counts large enough to take the exact check, sums still below 2**63."""
+        rng = np.random.default_rng(3)
+        key = rng.integers(0, 50, 2_000)
+        counts = rng.integers(0, 2**55, 2_000)
+        assert int(counts.max()) * len(counts) >= 2**63
+        expected: dict[int, int] = {}
+        for k, c in zip(key.tolist(), counts.tolist()):
+            expected[k] = expected.get(k, 0) + c
+        keys, sums = group_sum(key, counts)
+        assert dict(zip(keys.tolist(), sums.tolist())) == expected
+        assert index_sum(key, counts, 50).tolist() == [expected.get(k, 0) for k in range(50)]
+
+    @pytest.mark.parametrize(
+        "counts, overflows",
+        [
+            ([2**63 - 1, 0], False),
+            ([2**63 - 1, 1], True),
+            ([2**62, 2**62 - 1], False),
+            ([2**62, 2**62], True),
+            ([2**63 - 1] * 3, True),  # wraps twice: back to a positive int64
+            ([2**32 - 1] * 5, False),
+        ],
+    )
+    def test_overflow_at_exactly_two_to_the_63(self, counts, overflows):
+        """The counts form one group, beside a small second group."""
+        key = np.array([7] * len(counts) + [9], dtype=np.int64)
+        values = np.array(counts + [5], dtype=np.int64)
+        dense = np.array([0] * len(counts) + [1])
+        if overflows:
+            with pytest.raises(CountOverflow):
+                group_sum(key, values)
+            with pytest.raises(CountOverflow):
+                index_sum(dense, values, 2)
+        else:
+            keys, sums = group_sum(key, values)
+            assert keys.tolist() == [7, 9] and sums.tolist() == [sum(counts), 5]
+            assert index_sum(dense, values, 2).tolist() == [sum(counts), 5]
+
+    def test_yearly_total_overflow_is_rejected_at_ingest(self, tmp_path):
+        """Two words that each fit int64 but whose year total does not."""
+        shards = write_shards(tmp_path, ["good\t1900\t5\t2", f"word\t1900\t{2**63 - 1}\t1"])
+        with pytest.raises(CountOverflow):
+            build_store(shards, english_config(1900, 1900))
+
+    @pytest.mark.parametrize("big", ["lexical", "volume"])
+    def test_window_total_overflow_is_rejected(self, tmp_path, big):
+        """Year totals that fit int64 but whose window total does not."""
+        count = 2**62 if big == "lexical" else 5
+        shards = write_shards(tmp_path, [f"aa\t1900\t{count}\t1", f"bb\t1901\t{count}\t1"])
+        sidecar = tmp_path / "volumes.tsv"
+        volumes = 2**62 if big == "volume" else 10
+        sidecar.write_text(f"1900\t{volumes}\n1901\t{volumes}\n", encoding="utf-8")
+        store, _ = build_store(shards, english_config(1900, 1901), volume_sidecar=sidecar)
+        aggregate_window(store, WindowSpec(1900, 1900))
+        with pytest.raises(CountOverflow):
+            aggregate_window(store, WindowSpec(1900, 1901))
 
 
 class TestVolumeSidecar:

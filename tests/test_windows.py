@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+from collections import defaultdict
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexcore.errors import EmptyWindow, SpanTooShort, WildcardToken
+from lexcore.errors import EmptyWindow, EmptyYearError, SpanTooShort, WildcardToken
 from lexcore.ingest import build_store, is_lexical, parse_ngram_line, split_pos
+from lexcore.metrics import coverage_series
 from lexcore.postags import PosTag
-from lexcore.store import relative_frequency
+from lexcore.store import CorpusStore, relative_frequency
 from lexcore.windows import (
     CORE_1800_WINDOW,
     CORE_2000_WINDOW,
@@ -244,3 +248,169 @@ class TestCoreExport:
         for row, freq, share in zip(rows, core.rel_freq, core.volume_share):
             assert float(row[2]) == freq
             assert float(row[3]) == share
+
+
+# ---------------------------------------------------------------- oracle
+# Rows are {(word, pos, year): (match, volumes)}; every sum below is over
+# Python ints, so the oracle cannot wrap or round a count.
+
+Y0 = 1900
+STORE_WORDS = ("ant", "bee", "cat", "cow", "dog", "eel", "elk")
+ABSENT_WORDS = ("yak", "zebu")  # never in any store dictionary
+
+
+def store_of(rows, vocabulary, lexical_totals, volume_totals) -> CorpusStore:
+    """A store holding exactly ``rows``, in the (word id, year, pos id) row order."""
+    wid = {w: i for i, w in enumerate(vocabulary)}
+    keys = sorted(rows, key=lambda k: (wid[k[0]], k[2], k[1]))
+    return CorpusStore(
+        language="english",
+        year_start=Y0,
+        year_end=Y0 + len(lexical_totals) - 1,
+        words=list(vocabulary),
+        word_id=np.array([wid[w] for w, _, _ in keys], dtype=np.int32),
+        pos_id=np.array([p for _, p, _ in keys], dtype=np.uint8),
+        year=np.array([y for _, _, y in keys], dtype=np.int32),
+        match_count=np.array([rows[k][0] for k in keys], dtype=np.int64),
+        volume_count=np.array([rows[k][1] for k in keys], dtype=np.int64),
+        lexical_totals=np.array(lexical_totals, dtype=np.int64),
+        volume_totals=np.array(volume_totals, dtype=np.int64),
+    )
+
+
+def oracle_window(rows, lexical_totals, volume_totals, lo, hi):
+    match, vol = defaultdict(int), defaultdict(int)
+    by_pos = defaultdict(lambda: defaultdict(int))
+    for (w, p, y), (m, v) in rows.items():
+        if lo <= y <= hi:
+            match[w] += m
+            vol[w] += v
+            by_pos[w][p] += m
+    lexical = sum(lexical_totals[lo - Y0 : hi - Y0 + 1])
+    volume = sum(volume_totals[lo - Y0 : hi - Y0 + 1])
+    if lexical == 0:
+        return {}, lexical, volume  # the library raises EmptyWindow
+    return {
+        w: {
+            "match": match[w],
+            "volume": vol[w],
+            "rel_freq": match[w] / lexical,
+            "volume_share": vol[w] / volume if volume > 0 else 0.0,
+            # Largest window count; ties go to the smaller pos id.
+            "pos": min(by_pos[w], key=lambda p: (-by_pos[w][p], p)),
+        }
+        for w in match
+    }, lexical, volume
+
+
+def oracle_coverage(rows, lexical_totals, words, years):
+    points = []
+    for y in sorted(set(years)):
+        total = lexical_totals[y - Y0]
+        if total == 0:
+            return None  # the library raises EmptyYearError
+        covered = sum(m for (w, _, yy), (m, _) in rows.items() if yy == y and w in words)
+        points.append((y, covered / total))
+    return tuple(points)
+
+
+@st.composite
+def window_stores(draw):
+    """Small stores rich in ties: shared counts, multi-POS words, gaps."""
+    span = draw(st.integers(1, 6))
+    count = st.integers(0, 4) | st.integers(0, 2**40)
+    rows = draw(
+        st.dictionaries(
+            st.tuples(
+                st.sampled_from(STORE_WORDS),
+                st.sampled_from([0, 1, 2, int(PosTag.UNTAGGED)]),
+                st.integers(Y0, Y0 + span - 1),
+            ),
+            st.tuples(count, count),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    present = sorted({w for w, _, _ in rows})
+    vocabulary = draw(st.permutations(present))  # ids need not follow word order
+    lexical_totals = [sum(m for (_, _, y), (m, _) in rows.items() if y == Y0 + i) for i in range(span)]
+    volume_totals = draw(st.lists(st.integers(0, 2**41), min_size=span, max_size=span))
+    lo = draw(st.integers(Y0, Y0 + span - 1))
+    hi = draw(st.integers(lo, Y0 + span - 1))
+    k = draw(st.integers(1, len(STORE_WORDS) + 2))  # may exceed the vocabulary
+    threshold = draw(st.sampled_from([1e-12, 0.1, 0.25, 0.5, 1.0]))
+    extra = draw(st.lists(st.sampled_from(STORE_WORDS + ABSENT_WORDS), max_size=4))
+    years = draw(st.lists(st.integers(Y0, Y0 + span - 1), min_size=1, max_size=span + 1))
+    return rows, vocabulary, lexical_totals, volume_totals, lo, hi, k, threshold, extra, years
+
+
+class TestWindowOracle:
+    """aggregate_window, both cores and coverage_series against dict-of-int sums."""
+
+    @given(window_stores())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dict_oracle(self, case):
+        rows, vocabulary, lexical_totals, volume_totals, lo, hi, k, threshold, extra, years = case
+        store = store_of(rows, vocabulary, lexical_totals, volume_totals)
+        expected, lexical, volume = oracle_window(rows, lexical_totals, volume_totals, lo, hi)
+        spec = WindowSpec(lo, hi)
+        if lexical == 0:
+            with pytest.raises(EmptyWindow):
+                aggregate_window(store, spec)
+            return
+        table = aggregate_window(store, spec)
+        assert (table.lexical_total, table.volume_total) == (lexical, volume)
+        got = {
+            w: {"match": m, "volume": v, "rel_freq": f, "volume_share": s, "pos": p}
+            for w, m, v, f, s, p in zip(
+                table.words,
+                table.match_count.tolist(),
+                table.volume_count.tolist(),
+                table.rel_freq.tolist(),
+                table.volume_share.tolist(),
+                table.dominant_pos.tolist(),
+            )
+        }
+        assert got == expected
+
+        def check_core(core, words):
+            assert core.words == tuple(words)
+            assert core.rel_freq == tuple(expected[w]["rel_freq"] for w in words)
+            assert core.volume_share == tuple(expected[w]["volume_share"] for w in words)
+            assert core.pos == tuple(PosTag(expected[w]["pos"]) for w in words)
+            assert all(type(t) is PosTag for t in core.pos)
+
+        by_count = sorted(expected, key=lambda w: (-expected[w]["match"], w))
+        check_core(frequency_core(table, k), by_count[:k])
+        if volume <= 0:
+            with pytest.raises(EmptyWindow):
+                bookshare_core(table, threshold)
+        else:
+            by_share = sorted(expected, key=lambda w: (-expected[w]["volume_share"], w))
+            check_core(
+                bookshare_core(table, threshold),
+                [w for w in by_share if expected[w]["volume_share"] >= threshold],
+            )
+
+        words = set(frequency_core(table, k).words) | set(extra)
+        want = oracle_coverage(rows, lexical_totals, words, years)
+        if want is None:
+            with pytest.raises(EmptyYearError):
+                coverage_series(words, store, years)
+        else:
+            assert coverage_series(words, store, years).points == want
+
+    def test_coverage_sums_beyond_float_precision(self):
+        """Per-year sums above 2**53 are exact: one big count then 1001 ones."""
+        ones = [f"w{i:04d}" for i in range(1001)]
+        rows = {("a", 0, Y0): (2**54, 1), ("zz", 0, Y0): (2**54, 1)}
+        rows.update({(w, 0, Y0): (1, 1) for w in ones})
+        lexical_totals = [sum(m for m, _ in rows.values())]
+        store = store_of(rows, ["a", *ones, "zz"], lexical_totals, [10])
+        words = {"a", *ones}
+        series = coverage_series(words, store, [Y0])
+        assert series.points == ((Y0, (2**54 + 1001) / lexical_totals[0]),)
+        assert series.points == oracle_coverage(rows, lexical_totals, words, [Y0])
+        table = aggregate_window(store, WindowSpec(Y0, Y0))
+        assert table.lexical_total == lexical_totals[0]
+        assert dict(zip(table.words, table.match_count.tolist()))["a"] == 2**54
