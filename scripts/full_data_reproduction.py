@@ -30,6 +30,7 @@ from pathlib import Path
 
 from lexcore.alphabets import alphabet_preset
 from lexcore.config import RunConfig
+from lexcore.errors import FormatVersionMismatch
 from lexcore.ingest import build_store
 from lexcore.metrics import (
     core_size_for_coverage,
@@ -69,10 +70,14 @@ def main(argv: list[str] | None = None) -> int:
     args.work_dir.mkdir(parents=True, exist_ok=True)
     store_path = args.work_dir / "english.lxst"
 
+    store = None
     if store_path.exists():
-        print(f"reusing store {store_path}")
-        store = load_store(store_path)
-    else:
+        try:
+            store = load_store(store_path)
+            print(f"reusing store {store_path}")
+        except FormatVersionMismatch as exc:
+            print(f"{exc}; rebuilding it from {args.data_dir}")
+    if store is None:
         shards = sorted(args.data_dir.glob("googlebooks-eng-all-1gram-*.gz"))
         totals = args.data_dir / "googlebooks-eng-all-totalcounts-20120701.txt"
         if not shards or not totals.exists():

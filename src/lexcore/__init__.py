@@ -55,7 +55,7 @@ from .metrics import (
     turnover_series,
 )
 from .postags import PosTag
-from .store import CorpusStore, YearSlice, load_store, relative_frequency, save_store
+from .store import CorpusStore, load_store, save_store
 from .synth import PRESETS as SYNTH_PRESETS
 from .synth import SynthConfig, generate_corpus
 from .windows import (

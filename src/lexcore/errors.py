@@ -18,7 +18,7 @@ class EmptyYearError(LexcoreError):
 
 
 class FormatVersionMismatch(LexcoreError):
-    """Store file has an unknown magic number or format version."""
+    """Store file has an unknown magic number, format version or header layout."""
 
 
 class ChecksumMismatch(LexcoreError):

@@ -34,7 +34,7 @@ from .alphabets import APOSTROPHE, APOSTROPHE_VARIANTS, AlphabetSpec
 from .config import RunConfig
 from .errors import LexcoreError, MalformedLine, WildcardToken
 from .postags import POS_COUNT, SUFFIX_TAGS, PosTag
-from .store import CorpusStore, group_sum, index_sum, read_volume_sidecar
+from .store import CorpusStore, dominant_variant, group_sum, index_sum, read_volume_sidecar
 
 log = logging.getLogger(__name__)
 
@@ -559,6 +559,9 @@ def build_store(
     _release_freed_memory()
     pair_key = key // span
     year = key % span + config.year_start
+    # Spent row-length temporaries are dropped at once (here, and below),
+    # so the later phases stay under the merge phase's peak RSS.
+    del key
     wid = pair_key // POS_COUNT
     pid = pair_key % POS_COUNT
 
@@ -569,18 +572,14 @@ def build_store(
     word_totals = index_sum(pair_words, pair_totals, n_words)
     # pair > word / 100, in a form that cannot wrap.
     retain = pair_totals > word_totals[pair_words] // 100
-    # Always retain each word's largest variant (smallest pos id on ties).
-    best_idx: dict[int, int] = {}
-    for idx, (w, t) in enumerate(zip(pair_words.tolist(), pair_totals.tolist())):
-        cur = best_idx.get(w)
-        if cur is None or t > pair_totals[cur]:
-            best_idx[w] = idx
-    retain[list(best_idx.values())] = True
+    # Always retain each word's dominant variant.
+    retain[dominant_variant(pair_words, pair_ids % POS_COUNT, pair_totals)] = True
     stats.dropped_pos_variants = int(len(pair_ids) - int(retain.sum()))
 
     retain_lookup = np.zeros(n_words * POS_COUNT, dtype=bool)
     retain_lookup[pair_ids[retain]] = True
     row_keep = retain_lookup[pair_key]
+    del pair_key
     wid, pid, year, match, vol = (
         wid[row_keep],
         pid[row_keep],
@@ -588,16 +587,18 @@ def build_store(
         match[row_keep],
         vol[row_keep],
     )
+    del row_keep
     _release_freed_memory()
 
     # Final word-major layout: (word id, year, pos id).  The combined key
     # is unique per row, and rows already run in word order.
     final_order = np.argsort((wid * span + (year - config.year_start)) * POS_COUNT + pid, kind="stable")
-    wid = wid[final_order].astype(np.int32)
-    pid = pid[final_order].astype(np.uint8)
-    year = year[final_order].astype(np.int32)
+    wid = wid[final_order]
+    pid = pid[final_order]
+    year = year[final_order]
     match = match[final_order]
     vol = vol[final_order]
+    del final_order
 
     lexical_totals = index_sum(year - config.year_start, match, span)
     stats.empty_years = {
@@ -610,7 +611,7 @@ def build_store(
             if config.year_start <= y <= config.year_end:
                 volume_totals[y - config.year_start] = total
 
-    store = CorpusStore(
+    store = CorpusStore.from_rows(
         language=config.language,
         year_start=config.year_start,
         year_end=config.year_end,
@@ -627,7 +628,7 @@ def build_store(
         "ingested %d lines from %d shard(s): %d rows, %d words, %d malformed",
         stats.lines,
         len(paths),
-        len(store.word_id),
+        len(store.pos_id),
         len(vocabulary),
         stats.malformed,
     )

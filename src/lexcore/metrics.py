@@ -135,7 +135,7 @@ def _frequency_sum_series(
     starts = store.word_offsets[ids]
     lengths = store.word_offsets[ids + 1] - starts
     rows = np.arange(int(lengths.sum())) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-    sums = index_sum(store.year[rows] - store.year_start, store.match_count[rows], len(store.lexical_totals))
+    sums = index_sum(store.year_offset[rows], store.match_count[rows], len(store.lexical_totals))
     points = tuple(
         (y, int(sums[y - store.year_start]) / int(store.lexical_totals[y - store.year_start]))
         for y in year_list

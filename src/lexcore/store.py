@@ -1,91 +1,158 @@
 """Compact year-by-word count store with checksummed persistence.
 
 The store is immutable after construction and safe for unrestricted
-concurrent reads.  Rows are kept in five parallel columns sorted by
-(word id, year, pos id), so all rows of one word are a contiguous slice
-and a per-word query costs O(years), independent of vocabulary size.
+concurrent reads.  Rows are sorted by (word id, year, pos id), so all
+rows of one word are a contiguous slice, ``word_offsets[i]`` to
+``word_offsets[i + 1]``, and a per-word query costs O(years),
+independent of vocabulary size.  Each row holds a pos id, its year as
+an offset from ``year_start``, and its match and volume counts; the
+year and count columns are held at the narrowest width that fits them,
+and every sum widens them to int64 first.
 
-On-disk layout (little-endian)::
+On-disk layout, format version 2 (little-endian)::
 
     magic "LXST" | u32 version | u32 header_len | header JSON
-    | words blob (utf-8, newline-joined) | column blobs | sha256 digest
+    | words blob (utf-8, newline-joined)
+    | for each column: zero padding to a 4096-byte boundary, the column
+    | sha256 digest
 
-The whole file except the trailing digest is checksummed; truncation or
-corruption raises :class:`ChecksumMismatch`, an unknown magic/version
-raises :class:`FormatVersionMismatch`.  That trailing SHA-256 digest is
-the store's identity: :func:`save_store` returns it and
-:func:`load_store` records it as :attr:`CorpusStore.digest` (hex).
+The columns, in file order: ``word_offsets`` (i8, words + 1),
+``pos_id`` (u1), ``year_offset`` (u1 under 256 years of span, u2 under
+65,536, else u4), ``match_count`` and ``volume_count`` (the narrowest of
+u1, u2, u4 and i8 that holds the column's maximum), then
+``lexical_totals`` and ``volume_totals`` (i8, one per year).  The header
+records each column's dtype and offset.
+
+:func:`load_store` maps the file and returns read-only views of it, with
+no copy.  The whole file except the trailing digest is checksummed;
+truncation or corruption raises :class:`ChecksumMismatch`, and an unknown
+magic or version, such as a version-1 file, raises
+:class:`FormatVersionMismatch`.  That trailing SHA-256 digest is the
+store's identity: :func:`save_store` returns it and :func:`load_store`
+records it as :attr:`CorpusStore.digest` (hex).  Files are replaced, never
+rewritten in place, so a mapped file never changes under its reader.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import mmap
 import os
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
-from .errors import ChecksumMismatch, ConfigInvalid, CountOverflow, EmptyYearError, FormatVersionMismatch
-from .postags import PosTag
+from .errors import ChecksumMismatch, ConfigInvalid, CountOverflow, FormatVersionMismatch
 
 MAGIC = b"LXST"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+_PREAMBLE = len(MAGIC) + 8  # magic, version, header length
+_DIGEST = 32
+_PAGE = 4096
 
-_COLUMNS = (
-    ("word_id", "<i4"),
-    ("pos_id", "u1"),
-    ("year", "<i4"),
-    ("match_count", "<i8"),
-    ("volume_count", "<i8"),
-)
+# Narrow widths, narrowest first; each dtype is its little-endian ``str``.
+_WIDTHS = ("|u1", "<u2", "<u4", "<i8")
+# Every column in file order, with the dtypes it may be stored at.
+_COLUMNS = {
+    "word_offsets": ("<i8",),
+    "pos_id": ("|u1",),
+    "year_offset": _WIDTHS[:3],
+    "match_count": _WIDTHS,
+    "volume_count": _WIDTHS,
+    "lexical_totals": ("<i8",),
+    "volume_totals": ("<i8",),
+}
 
 __all__ = [
-    "YearSlice",
     "CorpusStore",
-    "relative_frequency",
     "save_store",
     "load_store",
     "read_volume_sidecar",
 ]
 
 
-@dataclass(frozen=True)
-class YearSlice:
-    """One year's cleaned counts: (word, pos) -> (match, volumes)."""
-
-    year: int
-    entries: dict[tuple[str, PosTag], tuple[int, int]]
-    lexical_total: int
-    volume_total: int
+def _narrowest(bound: int) -> np.dtype:
+    """The first of u1, u2, u4 and i8 that holds ``bound`` (at most 2**63 - 1)."""
+    return next(np.dtype(width) for width in _WIDTHS if bound <= np.iinfo(width).max)
 
 
 @dataclass(eq=False)
 class CorpusStore:
+    """Word-major rows in narrow columns; build one with :meth:`from_rows`.
+
+    ``word_id`` and the absolute ``year`` of each row are derived on
+    first use, for callers outside the query path.
+    """
+
     language: str
     year_start: int
     year_end: int
     words: list[str]
-    word_id: np.ndarray
+    word_offsets: np.ndarray
     pos_id: np.ndarray
-    year: np.ndarray
+    year_offset: np.ndarray
     match_count: np.ndarray
     volume_count: np.ndarray
     lexical_totals: np.ndarray
     volume_totals: np.ndarray
     digest: str | None = None
     word_index: dict[str, int] = field(init=False, repr=False)
-    word_offsets: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.word_index = {w: i for i, w in enumerate(self.words)}
-        counts = np.bincount(self.word_id, minlength=len(self.words)) if len(self.word_id) else np.zeros(len(self.words), dtype=np.int64)
-        offsets = np.zeros(len(self.words) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        self.word_offsets = offsets
+
+    @classmethod
+    def from_rows(
+        cls,
+        language: str,
+        year_start: int,
+        year_end: int,
+        words: list[str],
+        word_id: np.ndarray,
+        pos_id: np.ndarray,
+        year: np.ndarray,
+        match_count: np.ndarray,
+        volume_count: np.ndarray,
+        lexical_totals: np.ndarray,
+        volume_totals: np.ndarray,
+    ) -> CorpusStore:
+        """A store of rows given in (word id, year, pos id) order, with non-negative counts."""
+        offsets = np.zeros(len(words) + 1, dtype="<i8")
+        np.cumsum(np.bincount(np.asarray(word_id, dtype=np.intp), minlength=len(words)), out=offsets[1:])
+
+        def narrow(counts: np.ndarray) -> np.ndarray:
+            counts = np.asarray(counts)
+            return counts.astype(_narrowest(int(counts.max()) if len(counts) else 0))
+
+        # A width that holds the span also holds every window bound, 0..span.
+        span = year_end - year_start + 1
+        return cls(
+            language=language,
+            year_start=year_start,
+            year_end=year_end,
+            words=words,
+            word_offsets=offsets,
+            pos_id=np.asarray(pos_id).astype("|u1"),
+            year_offset=(np.asarray(year) - year_start).astype(_narrowest(span)),
+            match_count=narrow(match_count),
+            volume_count=narrow(volume_count),
+            lexical_totals=np.asarray(lexical_totals, dtype="<i8"),
+            volume_totals=np.asarray(volume_totals, dtype="<i8"),
+        )
+
+    @cached_property
+    def word_id(self) -> np.ndarray:
+        """Word id of each row (int32)."""
+        return np.repeat(np.arange(len(self.words), dtype=np.int32), np.diff(self.word_offsets))
+
+    @cached_property
+    def year(self) -> np.ndarray:
+        """Absolute year of each row (int32)."""
+        return self.year_offset.astype(np.int32) + np.int32(self.year_start)
 
     @property
     def years(self) -> range:
@@ -103,76 +170,66 @@ class CorpusStore:
         self._check_year(year)
         return int(self.volume_totals[year - self.year_start])
 
-    def word_rows(self, word: str) -> slice | None:
-        """Row slice for one word, or None when absent from the dictionary."""
-        idx = self.word_index.get(word)
-        if idx is None:
-            return None
-        return slice(int(self.word_offsets[idx]), int(self.word_offsets[idx + 1]))
-
-    def year_slice(self, year: int) -> YearSlice:
-        self._check_year(year)
-        mask = self.year == year
-        entries = {
-            (self.words[int(w)], PosTag(int(p))): (int(m), int(v))
-            for w, p, m, v in zip(
-                self.word_id[mask], self.pos_id[mask], self.match_count[mask], self.volume_count[mask]
-            )
-        }
-        return YearSlice(
-            year=year,
-            entries=entries,
-            lexical_total=self.lexical_total(year),
-            volume_total=self.volume_total(year),
-        )
-
-    def iter_clean_records(self) -> Iterator[tuple[str, PosTag, int, int, int]]:
-        """Yield (word, pos, year, match, volumes) rows in store order."""
-        for w, p, y, m, v in zip(self.word_id, self.pos_id, self.year, self.match_count, self.volume_count):
-            yield self.words[int(w)], PosTag(int(p)), int(y), int(m), int(v)
-
     def _check_year(self, year: int) -> None:
         if year < self.year_start or year > self.year_end:
             raise ValueError(f"year {year} outside store range {self.year_start}..{self.year_end}")
 
 
-def relative_frequency(store: CorpusStore, word: str, year: int) -> float:
-    """Relative frequency of ``word`` in ``year``: count / lexical total.
+def _column_lengths(header: dict) -> dict[str, int]:
+    n_rows, span = header["n_rows"], header["year_end"] - header["year_start"] + 1
+    lengths = dict.fromkeys(_COLUMNS, n_rows)
+    lengths.update(word_offsets=header["n_words"] + 1, lexical_totals=span, volume_totals=span)
+    return lengths
 
-    Counts sum over the word's retained POS tags; an absent word gives 0.
-    Raises :class:`EmptyYearError` when the year has no lexical tokens.
-    """
-    store._check_year(year)
-    total = int(store.lexical_totals[year - store.year_start])
-    if total == 0:
-        raise EmptyYearError(f"year {year} has no lexical tokens")
-    rows = store.word_rows(word)
-    if rows is None:
-        return 0.0
-    years = store.year[rows]
-    count = int(store.match_count[rows][years == year].sum())
-    return count / total
+
+def _layout(start: int, dtypes: dict[str, str], lengths: dict[str, int]) -> tuple[dict, int]:
+    """Each column's dtype and page-aligned offset after byte ``start``, and the end of the last."""
+    layout, pos = {}, start
+    for name, allowed in _COLUMNS.items():
+        if dtypes[name] not in allowed:
+            raise FormatVersionMismatch(f"column {name}: dtype {dtypes[name]!r} is not one of {allowed}")
+        pos = -(-pos // _PAGE) * _PAGE
+        layout[name] = {"dtype": dtypes[name], "offset": pos}
+        pos += np.dtype(dtypes[name]).itemsize * lengths[name]
+    return layout, pos
 
 
 def save_store(store: CorpusStore, path: str | Path) -> str:
-    """Write the store atomically with a whole-file checksum; returns its digest."""
+    """Write the store atomically with a whole-file checksum; returns its digest.
+
+    The file is written beside ``path`` and then renamed over it, so a
+    reader that has the old file mapped keeps seeing the old bytes.
+    """
     path = Path(path)
     words_blob = "\n".join(store.words).encode("utf-8")
+    columns = {}
+    for name in _COLUMNS:
+        column = np.asarray(getattr(store, name))
+        columns[name] = np.ascontiguousarray(column, dtype=column.dtype.newbyteorder("<"))
     header = {
         "language": store.language,
         "year_start": store.year_start,
         "year_end": store.year_end,
-        "n_rows": int(len(store.word_id)),
+        "n_rows": int(len(store.pos_id)),
         "n_words": len(store.words),
         "words_bytes": len(words_blob),
-        "columns": [name for name, _ in _COLUMNS],
+        "columns": {},
     }
-    header_blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    parts = [MAGIC, struct.pack("<I", FORMAT_VERSION), struct.pack("<I", len(header_blob)), header_blob, words_blob]
-    for name, dtype in _COLUMNS:
-        parts.append(np.ascontiguousarray(getattr(store, name), dtype=dtype))
-    parts.append(np.ascontiguousarray(store.lexical_totals, dtype="<i8"))
-    parts.append(np.ascontiguousarray(store.volume_totals, dtype="<i8"))
+    dtypes = {name: column.dtype.str for name, column in columns.items()}
+    # The offsets depend on the header's length, which depends on the
+    # offsets; both only grow, so this settles within a few rounds.
+    while True:
+        header_blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        layout, _ = _layout(_PREAMBLE + len(header_blob) + len(words_blob), dtypes, _column_lengths(header))
+        if layout == header["columns"]:
+            break
+        header["columns"] = layout
+    parts = [MAGIC, struct.pack("<II", FORMAT_VERSION, len(header_blob)), header_blob, words_blob]
+    pos = sum(len(p) for p in parts)
+    for name, column in columns.items():
+        parts.append(bytes(layout[name]["offset"] - pos))
+        parts.append(column)
+        pos = layout[name]["offset"] + column.nbytes
     # Stream each part to disk and into the checksum; no joined copy.
     sha = hashlib.sha256()
     tmp = path.with_suffix(path.suffix + ".tmp")
@@ -188,67 +245,67 @@ def save_store(store: CorpusStore, path: str | Path) -> str:
 
 
 def load_store(path: str | Path) -> CorpusStore:
-    """Load a store written by :func:`save_store`, verifying its checksum."""
-    blob = Path(path).read_bytes()
-    if len(blob) < len(MAGIC) + 8 + 32:
-        raise ChecksumMismatch(f"{path}: file truncated")
-    # Hash and parse a view of the file: no copy of the payload.
-    payload, digest = memoryview(blob)[:-32], blob[-32:]
-    if hashlib.sha256(payload).digest() != digest:
-        raise ChecksumMismatch(f"{path}: checksum does not verify (truncated or corrupt)")
-    if payload[:4] != MAGIC:
+    """Map a store written by :func:`save_store`, verifying its checksum.
+
+    The columns are read-only views of the mapped file; the mapping is
+    released when the last of them is.
+    """
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if size < _PREAMBLE + _DIGEST:
+            raise ChecksumMismatch(f"{path}: file truncated")
+        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+    if mapped[:4] != MAGIC:
         raise FormatVersionMismatch(f"{path}: not a store file (bad magic)")
-    (version,) = struct.unpack_from("<I", payload, 4)
+    version, header_len = struct.unpack_from("<II", mapped, 4)
     if version != FORMAT_VERSION:
-        raise FormatVersionMismatch(f"{path}: format version {version}, expected {FORMAT_VERSION}")
-    (header_len,) = struct.unpack_from("<I", payload, 8)
-    pos = 12
-    header = json.loads(str(payload[pos : pos + header_len], "utf-8"))
-    pos += header_len
-    words_blob = payload[pos : pos + header["words_bytes"]]
-    pos += header["words_bytes"]
+        raise FormatVersionMismatch(
+            f"{path}: store format version {version}, this lexcore reads version {FORMAT_VERSION}; "
+            "rebuild it with `lexcore ingest`"
+        )
+    end = size - _DIGEST
+    digest = mapped[end:]
+    if hashlib.sha256(memoryview(mapped)[:end]).digest() != digest:
+        raise ChecksumMismatch(f"{path}: checksum does not verify (truncated or corrupt)")
+    pos = _PREAMBLE + header_len
+    try:
+        header = json.loads(mapped[_PREAMBLE:pos])
+        words_blob = mapped[pos : pos + header["words_bytes"]]
+        lengths = _column_lengths(header)
+        recorded = header["columns"]
+        layout, stop = _layout(pos + len(words_blob), {name: recorded[name]["dtype"] for name in _COLUMNS}, lengths)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatVersionMismatch(f"{path}: header does not describe a version-{FORMAT_VERSION} store ({exc!r})") from None
     words = str(words_blob, "utf-8").split("\n") if words_blob else []
-    n_rows = header["n_rows"]
     if len(words) != header["n_words"]:
         raise ChecksumMismatch(f"{path}: dictionary size mismatch")
-
-    columns = {}
-    for name, dtype in _COLUMNS:
-        nbytes = np.dtype(dtype).itemsize * n_rows
-        columns[name] = np.frombuffer(payload, dtype=dtype, count=n_rows, offset=pos).copy()
-        pos += nbytes
-    span = header["year_end"] - header["year_start"] + 1
-    lexical_totals = np.frombuffer(payload, dtype="<i8", count=span, offset=pos).copy()
-    pos += span * 8
-    volume_totals = np.frombuffer(payload, dtype="<i8", count=span, offset=pos).copy()
-    pos += span * 8
-    if pos != len(payload):
-        raise ChecksumMismatch(f"{path}: trailing bytes after columns")
-
+    if layout != recorded or stop != end:
+        raise ChecksumMismatch(f"{path}: column layout does not match the header")
+    columns = {
+        name: np.frombuffer(mapped, dtype=spec["dtype"], count=lengths[name], offset=spec["offset"])
+        for name, spec in layout.items()
+    }
     return CorpusStore(
         language=header["language"],
         year_start=header["year_start"],
         year_end=header["year_end"],
         words=words,
-        word_id=columns["word_id"],
-        pos_id=columns["pos_id"],
-        year=columns["year"],
-        match_count=columns["match_count"],
-        volume_count=columns["volume_count"],
-        lexical_totals=lexical_totals,
-        volume_totals=volume_totals,
         digest=digest.hex(),
+        **columns,
     )
 
 
 def _exact(sum_groups, counts: np.ndarray) -> np.ndarray:
     """``sum_groups(counts)``, raising :class:`CountOverflow` where a sum reaches 2**63.
 
-    ``sum_groups`` adds non-negative int64 counts per group.  No sum can
-    wrap when ``max(counts) * len(counts) < 2**63``; otherwise the groups
-    are summed again over each count's 32-bit halves, which cannot wrap,
-    to find any sum of 2**63 or more.
+    ``counts`` are non-negative integers of any width; they are widened to
+    int64 here, before any sum, so a narrow column cannot wrap.
+    ``sum_groups`` adds int64 counts per group.  No sum can wrap when
+    ``max(counts) * len(counts) < 2**63``; otherwise the groups are summed
+    again over each count's 32-bit halves, which cannot wrap, to find any
+    sum of 2**63 or more.
     """
+    counts = counts.astype(np.int64, copy=False)
     sums = sum_groups(counts)
     if len(counts) and int(counts.max()) * len(counts) >= 2**63:
         high = sum_groups(counts >> 32) + (sum_groups(counts & 0xFFFFFFFF) >> 32)
@@ -258,12 +315,12 @@ def _exact(sum_groups, counts: np.ndarray) -> np.ndarray:
 
 
 def group_sum(key: np.ndarray, *values: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Sum parallel count arrays over equal keys; returns (unique_keys, sums...).
+    """Sum parallel count arrays over equal keys; returns (unique_keys, int64 sums...).
 
     Sums are exact: one that reaches 2**63 raises :class:`CountOverflow`.
     """
     if len(key) == 0:
-        return (key,) + tuple(v[:0] for v in values)
+        return (key,) + tuple(np.zeros(0, dtype=np.int64) for _ in values)
     order = np.argsort(key, kind="stable")
     skey = key[order]
     boundary = np.empty(len(skey), dtype=bool)
@@ -282,6 +339,19 @@ def index_sum(index: np.ndarray, counts: np.ndarray, length: int) -> np.ndarray:
         return sums
 
     return _exact(sum_groups, counts)
+
+
+def dominant_variant(word: np.ndarray, pos: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Index of each word's dominant (word, pos) pair, one per distinct word in ascending order.
+
+    ``count`` holds int64 counts.  The largest count wins; ties go to the
+    smallest pos id.
+    """
+    order = np.lexsort((pos, -count, word))
+    sorted_word = word[order]
+    first = np.ones(len(order), dtype=bool)
+    np.not_equal(sorted_word[1:], sorted_word[:-1], out=first[1:])
+    return order[first]
 
 
 def read_volume_sidecar(path: str | Path) -> dict[int, int]:

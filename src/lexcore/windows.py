@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import EmptyWindow, SpanTooShort
 from .postags import POS_COUNT, PosTag
-from .store import CorpusStore, group_sum, index_sum
+from .store import CorpusStore, dominant_variant, group_sum, index_sum
 
 # PosTag by value: tag values run 0..POS_COUNT-1.
 _POS_TAGS = tuple(PosTag)
@@ -139,25 +139,21 @@ def aggregate_window(store: CorpusStore, spec: WindowSpec) -> WindowTable:
         raise EmptyWindow(f"window {spec.label} has no lexical tokens")
     volume_total = int(index_sum(one_group, store.volume_totals[lo:hi], 1)[0])
 
-    rows = np.flatnonzero((store.year >= spec.start_year) & (store.year <= spec.end_year))
-    match = store.match_count[rows]
-    vol = store.volume_count[rows]
+    rows = np.flatnonzero((store.year_offset >= lo) & (store.year_offset < hi))
+    # Rows are word-major, so the selected rows of each word are one run.
+    row_word = np.repeat(np.arange(len(store.words), dtype=np.int64), np.diff(np.searchsorted(rows, store.word_offsets)))
 
     # Per-(word, pos) sums first, for the dominant-tag assignment.
     pair_ids, pair_match, pair_vol = group_sum(
-        store.word_id[rows].astype(np.int64) * POS_COUNT + store.pos_id[rows], match, vol
+        row_word * POS_COUNT + store.pos_id[rows], store.match_count[rows], store.volume_count[rows]
     )
     pair_wid = pair_ids // POS_COUNT
     pair_pid = pair_ids % POS_COUNT
 
-    # Collapse to word level; dominant tag = largest window count,
-    # ties broken by the smaller pos id.
+    # Collapse to word level and take each word's dominant tag.
     word_ids, word_match, word_vol = group_sum(pair_wid, pair_match, pair_vol)
     n = len(word_ids)
-    dom_order = np.lexsort((pair_pid, -pair_match, pair_wid))
-    dom_wid = pair_wid[dom_order]
-    group_first = np.flatnonzero(np.r_[True, dom_wid[1:] != dom_wid[:-1]])
-    dominant = pair_pid[dom_order][group_first].astype(np.uint8)
+    dominant = pair_pid[dominant_variant(pair_wid, pair_pid, pair_match)].astype(np.uint8)
 
     words = [store.words[i] for i in word_ids.tolist()]
     rel_freq = word_match / lexical_total

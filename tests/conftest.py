@@ -3,13 +3,18 @@
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
 from lexcore.alphabets import alphabet_preset
 from lexcore.config import RunConfig
+from lexcore.errors import EmptyYearError
 from lexcore.ingest import build_store
+from lexcore.postags import PosTag
+from lexcore.store import CorpusStore
 from lexcore.synth import PRESETS, generate_corpus
 
 # Hand fixture: 1900-1904, lexical totals 100/100/1000/0/100.
@@ -67,6 +72,44 @@ def store_from_lines(tmp: Path, lines: list[str], y0: int, y1: int, volumes: int
         sidecar.write_text("".join(f"{y}\t{volumes}\n" for y in range(y0, y1 + 1)), encoding="utf-8")
     store, _ = build_store(shards, english_config(y0, y1), volume_sidecar=sidecar)
     return store
+
+
+# ---------------------------------------------------------------- store oracles
+# Row-at-a-time readers of a store's word ids, years and counts, over
+# Python ints: references for the library's whole-array query path.
+
+
+@dataclass(frozen=True)
+class YearSlice:
+    """One year's cleaned counts: (word, pos) -> (match, volumes)."""
+
+    year: int
+    entries: dict[tuple[str, PosTag], tuple[int, int]]
+    lexical_total: int
+    volume_total: int
+
+
+def iter_clean_records(store: CorpusStore) -> Iterator[tuple[str, PosTag, int, int, int]]:
+    """Yield (word, pos, year, match, volumes) rows in store order."""
+    for w, p, y, m, v in zip(store.word_id, store.pos_id, store.year, store.match_count, store.volume_count):
+        yield store.words[int(w)], PosTag(int(p)), int(y), int(m), int(v)
+
+
+def year_slice(store: CorpusStore, year: int) -> YearSlice:
+    entries = {(w, p): (m, v) for w, p, y, m, v in iter_clean_records(store) if y == year}
+    return YearSlice(year, entries, store.lexical_total(year), store.volume_total(year))
+
+
+def relative_frequency(store: CorpusStore, word: str, year: int) -> float:
+    """Relative frequency of ``word`` in ``year``: count / lexical total.
+
+    Counts sum over the word's retained POS tags; an absent word gives 0.
+    Raises :class:`EmptyYearError` when the year has no lexical tokens.
+    """
+    total = store.lexical_total(year)
+    if total == 0:
+        raise EmptyYearError(f"year {year} has no lexical tokens")
+    return sum(m for w, _, y, m, _ in iter_clean_records(store) if w == word and y == year) / total
 
 
 @pytest.fixture

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import gzip
+import hashlib
 import json
+import struct
 from pathlib import Path
 
 import pytest
@@ -284,6 +286,40 @@ class TestCoreCommand:
             ]
         )
         assert rc == 1
+
+    def test_version_1_store_is_data_error(self, pipeline, tmp_path, capsys):
+        """A store in the version-1 layout (wide columns, word ids) is refused with a rebuild hint."""
+        store = load_store(pipeline["store"])
+        words = "\n".join(store.words).encode("utf-8")
+        header = json.dumps(
+            {
+                "language": store.language,
+                "year_start": store.year_start,
+                "year_end": store.year_end,
+                "n_rows": len(store.pos_id),
+                "n_words": len(store.words),
+                "words_bytes": len(words),
+                "columns": ["word_id", "pos_id", "year", "match_count", "volume_count"],
+            },
+            sort_keys=True,
+        ).encode("utf-8")
+        columns = [
+            store.word_id.astype("<i4"),
+            store.pos_id,
+            store.year.astype("<i4"),
+            store.match_count.astype("<i8"),
+            store.volume_count.astype("<i8"),
+            store.lexical_totals,
+            store.volume_totals,
+        ]
+        payload = b"LXST" + struct.pack("<II", 1, len(header)) + header + words + b"".join(c.tobytes() for c in columns)
+        path = tmp_path / "v1.lxst"
+        path.write_bytes(payload + hashlib.sha256(payload).digest())
+        rc = main(["core", "--store", str(path), "--window", "1800:1849", "--k", "10", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and "rebuild it with `lexcore ingest`" in err
+        assert "Traceback" not in err
 
 
 class TestMetricCommands:

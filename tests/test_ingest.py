@@ -31,7 +31,7 @@ from lexcore.ingest import (
 from lexcore.postags import SUFFIX_TAGS, PosTag
 from lexcore.store import save_store
 
-from conftest import HAND_LINES, english_config, write_shards
+from conftest import HAND_LINES, english_config, iter_clean_records, write_shards
 
 EN = alphabet_preset("english")
 
@@ -275,7 +275,7 @@ class TestBuildStore:
         """Re-filtering the cleaned output changes nothing."""
         store, _ = hand_store
         by_word: dict[str, dict[PosTag, int]] = {}
-        for word, pos, _, match, _ in store.iter_clean_records():
+        for word, pos, _, match, _ in iter_clean_records(store):
             assert is_lexical(word, EN)
             by_word.setdefault(word, {})
             by_word[word][pos] = by_word[word].get(pos, 0) + match

@@ -34,7 +34,7 @@ from lexcore.postags import PosTag
 from lexcore.synth import PRESETS, generate_corpus
 from lexcore.windows import RANK_K, Core, WindowSpec, WindowTable, aggregate_window, frequency_core
 
-from conftest import english_config
+from conftest import english_config, relative_frequency
 
 
 def make_core(words, pos=None, window=(1800, 1849), method=RANK_K, param=None):
@@ -189,8 +189,6 @@ class TestCoverage:
 
 class TestGroupSeries:
     def test_singleton_equals_word_series(self, hand_store):
-        from lexcore.store import relative_frequency
-
         store, _ = hand_store
         series = group_frequency_series(["cat"], store, [1900, 1901, 1902])
         for (year, y) in series.points:

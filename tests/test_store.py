@@ -5,25 +5,29 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexcore.errors import ChecksumMismatch, CountOverflow, EmptyYearError, FormatVersionMismatch
 from lexcore.ingest import build_store
 from lexcore.metrics import coverage_series, turnover_series
-from lexcore.postags import PosTag
+from lexcore.postags import POS_COUNT, PosTag
 from lexcore.store import (
+    CorpusStore,
+    dominant_variant,
     group_sum,
     index_sum,
     load_store,
     read_volume_sidecar,
-    relative_frequency,
     save_store,
 )
 from lexcore.windows import WindowSpec, aggregate_window, frequency_core, standard_windows
 
-from conftest import english_config, write_shards
+from conftest import english_config, relative_frequency, write_shards, year_slice
 
 # Hand-computed relative frequencies of the conftest fixture.
 HAND_FREQS = {
@@ -78,7 +82,7 @@ class TestRelativeFrequency:
 class TestYearSlice:
     def test_entries_and_totals(self, hand_store):
         store, _ = hand_store
-        sl = store.year_slice(1900)
+        sl = year_slice(store, 1900)
         assert sl.lexical_total == 100
         assert sl.volume_total == 10
         assert sl.entries[("time", PosTag.NOUN)] == (24, 7)
@@ -89,7 +93,7 @@ class TestYearSlice:
         """Dictionary compaction must not change any relative frequency."""
         store, _ = hand_store
         for year in (1900, 1901, 1902, 1904):
-            sl = store.year_slice(year)
+            sl = year_slice(store, year)
             by_word: dict[str, int] = {}
             for (word, _), (match, _) in sl.entries.items():
                 by_word[word] = by_word.get(word, 0) + match
@@ -124,24 +128,39 @@ class TestPersistence:
         assert store.digest is None
 
     def test_file_layout_is_payload_then_its_digest(self, hand_store, tmp_path):
-        """The streamed file is byte for byte the documented layout."""
+        """The streamed file is byte for byte the documented version-2 layout."""
         store, _ = hand_store
         path = tmp_path / "fixture.lxst"
         save_store(store, path)
         blob = path.read_bytes()
+        magic, version, header_len = struct.unpack_from("<4sII", blob)
+        header = json.loads(blob[12 : 12 + header_len])
         words = "\n".join(store.words).encode("utf-8")
-        (header_len,) = struct.unpack_from("<I", blob, 8)
+        assert (magic, version) == (b"LXST", 2)
+        assert {k: header[k] for k in ("language", "year_start", "year_end", "n_rows", "n_words", "words_bytes")} == {
+            "language": "english", "year_start": 1900, "year_end": 1904,
+            "n_rows": 15, "n_words": 7, "words_bytes": len(words),
+        }
+        # Spans under 256 years take u1 offsets; the largest match count
+        # is 990 (u2) and the largest volume count 10 (u1).
+        # Rows per word: cat 3, dog 2, don't 1, new 1, press 1, the 4, time 3.
+        assert store.words == ["cat", "dog", "don't", "new", "press", "the", "time"]
         columns = [
-            store.word_id.astype("<i4"),
-            store.pos_id.astype("u1"),
-            store.year.astype("<i4"),
-            store.match_count.astype("<i8"),
-            store.volume_count.astype("<i8"),
-            store.lexical_totals.astype("<i8"),
-            store.volume_totals.astype("<i8"),
+            ("word_offsets", "<i8", [0, 3, 5, 6, 7, 8, 12, 15]),
+            ("pos_id", "|u1", store.pos_id),
+            ("year_offset", "|u1", store.year - 1900),
+            ("match_count", "<u2", store.match_count),
+            ("volume_count", "|u1", store.volume_count),
+            ("lexical_totals", "<i8", [100, 100, 1000, 0, 100]),
+            ("volume_totals", "<i8", [10] * 5),
         ]
-        payload = blob[: 12 + header_len] + words + b"".join(c.tobytes() for c in columns)
-        assert blob[:4] == b"LXST"
+        assert sorted(header["columns"]) == sorted(name for name, _, _ in columns)
+        payload = blob[: 12 + header_len] + words
+        for name, dtype, values in columns:
+            offset = header["columns"][name]["offset"]
+            assert header["columns"][name]["dtype"] == dtype
+            assert offset % 4096 == 0 and 0 < offset - len(payload) <= 4096, name
+            payload += bytes(offset - len(payload)) + np.asarray(values).astype(dtype).tobytes()
         assert blob == payload + hashlib.sha256(payload).digest()
         assert not path.with_suffix(".lxst.tmp").exists()
 
@@ -163,6 +182,14 @@ class TestPersistence:
         with pytest.raises(ChecksumMismatch):
             load_store(path)
 
+    @pytest.mark.parametrize("size", [0, 1, 43])
+    def test_empty_or_cut_file_is_refused_before_mapping(self, tmp_path, size):
+        path = tmp_path / "short.lxst"
+        path.write_bytes(b"LXST\x02\x00\x00\x00".ljust(size, b"\x00")[:size])
+        with mock.patch("lexcore.store.mmap.mmap", side_effect=AssertionError("mapped")):
+            with pytest.raises(ChecksumMismatch):
+                load_store(path)
+
     def test_flipped_byte(self, hand_store, tmp_path):
         store, _ = hand_store
         path = tmp_path / "fixture.lxst"
@@ -183,6 +210,18 @@ class TestPersistence:
         struct.pack_into("<I", blob, 4, 999)
         payload = bytes(blob)
         path.write_bytes(payload + hashlib.sha256(payload).digest())
+        with pytest.raises(FormatVersionMismatch, match="rebuild it with `lexcore ingest`"):
+            load_store(path)
+
+    @pytest.mark.parametrize(
+        "header",
+        [b"not json", b"[]", b"{}", b'{"columns": [], "n_rows": 0, "n_words": 0, "words_bytes": 0, "year_start": 1, "year_end": 1}'],
+    )
+    def test_header_of_another_layout(self, tmp_path, header):
+        """A file that verifies but whose header does not describe the version-2 columns."""
+        payload = b"LXST" + struct.pack("<II", 2, len(header)) + header
+        path = tmp_path / "odd.lxst"
+        path.write_bytes(payload + hashlib.sha256(payload).digest())
         with pytest.raises(FormatVersionMismatch):
             load_store(path)
 
@@ -199,16 +238,64 @@ class TestPersistence:
         with pytest.raises(FormatVersionMismatch):
             load_store(path)
 
-    def test_loaded_columns_are_aligned_writable_copies(self, hand_store, tmp_path):
+    def test_loaded_columns_are_aligned_read_only_views(self, hand_store, tmp_path):
         store, _ = hand_store
         path = tmp_path / "fixture.lxst"
         save_store(store, path)
         loaded = load_store(path)
-        for name in ("word_id", "pos_id", "year", "match_count", "volume_count", "lexical_totals", "volume_totals"):
+        for name in (
+            "word_offsets", "pos_id", "year_offset", "match_count", "volume_count", "lexical_totals", "volume_totals",
+        ):
             column = getattr(loaded, name)
             assert column.flags.c_contiguous and column.flags.aligned, name
-            assert column.flags.writeable and column.flags.owndata, name
+            assert not column.flags.writeable and not column.flags.owndata, name
+            assert column.dtype == getattr(store, name).dtype, name
             assert (column == getattr(store, name)).all(), name
+            with pytest.raises(ValueError):
+                column[:1] = 0
+        for name in ("word_id", "year"):
+            assert (getattr(loaded, name) == getattr(store, name)).all(), name
+
+    # Each width's largest value, and the first value past it.
+    @pytest.mark.parametrize(
+        "count, dtype",
+        [(255, "u1"), (256, "u2"), (2**16 - 1, "u2"), (2**16, "u4"), (2**32 - 1, "u4"), (2**32, "i8"), (2**63 - 1, "i8")],
+    )
+    def test_round_trip_at_each_count_width(self, tmp_path, count, dtype):
+        store = CorpusStore.from_rows(
+            "english", 1900, 1901, ["aa", "bb"],
+            word_id=[0, 0, 1], pos_id=[0, 1, 0], year=[1900, 1900, 1901],
+            match_count=np.array([count, 0, 1]), volume_count=np.array([0, count, 1]),
+            lexical_totals=[count, 1], volume_totals=[count, count],
+        )
+        assert store.match_count.dtype == store.volume_count.dtype == np.dtype(dtype)
+        save_store(store, tmp_path / "s.lxst")
+        loaded = load_store(tmp_path / "s.lxst")
+        assert loaded.match_count.dtype == loaded.volume_count.dtype == np.dtype(dtype)
+        assert loaded.match_count.tolist() == [count, 0, 1] and loaded.volume_count.tolist() == [0, count, 1]
+        table = aggregate_window(loaded, WindowSpec(1900, 1900))
+        assert table.match_count.tolist() == [count] and table.volume_count.tolist() == [count]
+
+    @pytest.mark.parametrize("year_start, year_end, dtype", [(1900, 2154, "u1"), (1900, 2155, "u2"), (1676, 2008, "u2")])
+    def test_round_trip_at_each_year_width(self, tmp_path, year_start, year_end, dtype):
+        span = year_end - year_start + 1
+        years = [year_start, year_end, year_start + 1, year_end]
+        store = CorpusStore.from_rows(
+            "english", year_start, year_end, ["aa", "bb"],
+            word_id=[0, 0, 1, 1], pos_id=[0, 0, 0, 0], year=years,
+            match_count=np.array([1, 2, 3, 4]), volume_count=np.array([1, 1, 1, 1]),
+            lexical_totals=np.bincount(np.array(years) - year_start, [1, 2, 3, 4], span).astype(int),
+            volume_totals=np.ones(span, dtype=int),
+        )
+        assert store.year_offset.dtype == np.dtype(dtype)
+        save_store(store, tmp_path / "s.lxst")
+        loaded = load_store(tmp_path / "s.lxst")
+        assert loaded.year_offset.dtype == np.dtype(dtype)
+        assert loaded.year.tolist() == years and loaded.word_id.tolist() == [0, 0, 1, 1]
+        whole = aggregate_window(loaded, WindowSpec(year_start, year_end))
+        last = aggregate_window(loaded, WindowSpec(year_end, year_end))
+        assert dict(zip(whole.words, whole.match_count.tolist())) == {"aa": 3, "bb": 7}
+        assert dict(zip(last.words, last.match_count.tolist())) == {"aa": 2, "bb": 4}
 
     def test_round_trip_preserves_downstream_metrics(self, small_store, tmp_path):
         """Dropout and coverage series are unchanged after save/load."""
@@ -222,11 +309,16 @@ class TestPersistence:
             return turnover_series(cores), coverage_series(cores[0], store, store.years)
 
         assert downstream(small_store) == downstream(loaded)
+        # The query path reads the narrow columns only.
+        assert "word_id" not in vars(loaded) and "year" not in vars(loaded)
 
 
+COLUMNS = ["word_offsets", "pos_id", "year_offset", "match_count", "volume_count", "lexical_totals", "volume_totals"]
+# The year column's region keeps the name "year"; it holds offsets from year_start.
 REGIONS = [
-    "magic", "version", "header", "words", "word_id", "pos_id", "year",
-    "match_count", "volume_count", "lexical_totals", "volume_totals", "digest",
+    "magic", "version", "header", "words",
+    *(region for column in COLUMNS for region in (f"{column}_padding", "year" if column == "year_offset" else column)),
+    "digest",
 ]
 
 
@@ -236,9 +328,18 @@ def _regions(path) -> dict[str, tuple[int, int]]:
     (header_len,) = struct.unpack_from("<I", blob, 8)
     header = json.loads(blob[12 : 12 + header_len])
     n, span = header["n_rows"], header["year_end"] - header["year_start"] + 1
-    sizes = [4, 4, 4 + header_len, header["words_bytes"], 4 * n, n, 4 * n, 8 * n, 8 * n, 8 * span, 8 * span, 32]
+    lengths = dict.fromkeys(COLUMNS, n) | {"word_offsets": header["n_words"] + 1, "lexical_totals": span, "volume_totals": span}
+    sizes = [4, 4, 4 + header_len, header["words_bytes"]]
+    pos = sum(sizes)
+    for column in COLUMNS:
+        spec = header["columns"][column]
+        size = np.dtype(spec["dtype"]).itemsize * lengths[column]
+        sizes += [spec["offset"] - pos, size]
+        pos = spec["offset"] + size
+    sizes.append(32)
     regions, pos = {}, 0
-    for name, size in zip(REGIONS, sizes):
+    for name, size in zip(REGIONS, sizes, strict=True):
+        assert size > 0, name
         regions[name] = (pos, size)
         pos += size
     assert pos == len(blob)
@@ -314,6 +415,15 @@ class TestGroupSum:
             assert keys.tolist() == [7, 9] and sums.tolist() == [sum(counts), 5]
             assert index_sum(dense, values, 2).tolist() == [sum(counts), 5]
 
+    @pytest.mark.parametrize("dtype", ["u1", "<u2", "<u4"])
+    def test_narrow_counts_are_widened_before_summing(self, dtype):
+        """Two rows of a width's largest count: their sum needs the next width."""
+        top = int(np.iinfo(dtype).max)
+        values = np.array([top, 1, top], dtype=dtype)
+        keys, sums = group_sum(np.array([4, 6, 4]), values)
+        assert sums.dtype == np.int64 and dict(zip(keys.tolist(), sums.tolist())) == {4: 2 * top, 6: 1}
+        assert index_sum(np.array([0, 1, 0]), values, 2).tolist() == [2 * top, 1]
+
     def test_yearly_total_overflow_is_rejected_at_ingest(self, tmp_path):
         """Two words that each fit int64 but whose year total does not."""
         shards = write_shards(tmp_path, ["good\t1900\t5\t2", f"word\t1900\t{2**63 - 1}\t1"])
@@ -332,6 +442,26 @@ class TestGroupSum:
         aggregate_window(store, WindowSpec(1900, 1900))
         with pytest.raises(CountOverflow):
             aggregate_window(store, WindowSpec(1900, 1901))
+
+
+class TestDominantVariant:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 4), st.integers(0, POS_COUNT - 1), st.integers(0, 3) | st.integers(0, 2**62)),
+            max_size=40,
+        )
+    )
+    def test_matches_dict_oracle(self, pairs):
+        """Small counts make ties common: they go to the smallest pos id."""
+        best: dict[int, tuple[int, int]] = {}
+        for w, p, c in pairs:
+            if w not in best or (-c, p) < (-best[w][1], best[w][0]):
+                best[w] = (p, c)
+        word, pos, count = (np.array(col, dtype=np.int64) for col in (zip(*pairs) if pairs else ((), (), ())))
+        idx = dominant_variant(word, pos, count)
+        got = [(int(word[i]), int(pos[i]), int(count[i])) for i in idx]
+        assert got == [(w, p, c) for w, (p, c) in sorted(best.items())]
 
 
 class TestVolumeSidecar:

@@ -13,7 +13,7 @@ from lexcore.errors import EmptyWindow, EmptyYearError, SpanTooShort, WildcardTo
 from lexcore.ingest import build_store, is_lexical, parse_ngram_line, split_pos
 from lexcore.metrics import coverage_series
 from lexcore.postags import PosTag
-from lexcore.store import CorpusStore, relative_frequency
+from lexcore.store import CorpusStore
 from lexcore.windows import (
     CORE_1800_WINDOW,
     CORE_2000_WINDOW,
@@ -25,7 +25,7 @@ from lexcore.windows import (
     write_core,
 )
 
-from conftest import english_config, store_from_lines
+from conftest import english_config, relative_frequency, store_from_lines
 
 
 class TestStandardWindows:
@@ -263,7 +263,7 @@ def store_of(rows, vocabulary, lexical_totals, volume_totals) -> CorpusStore:
     """A store holding exactly ``rows``, in the (word id, year, pos id) row order."""
     wid = {w: i for i, w in enumerate(vocabulary)}
     keys = sorted(rows, key=lambda k: (wid[k[0]], k[2], k[1]))
-    return CorpusStore(
+    return CorpusStore.from_rows(
         language="english",
         year_start=Y0,
         year_end=Y0 + len(lexical_totals) - 1,
