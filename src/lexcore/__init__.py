@@ -22,23 +22,12 @@ from .errors import (
     EmptyYearError,
     FormatVersionMismatch,
     LexcoreError,
-    MalformedLine,
     MixedCoreMethods,
     SpanTooShort,
     TargetUnreachable,
     WildcardToken,
 )
-from .ingest import (
-    CleanRecord,
-    IngestStats,
-    RawRecord,
-    build_store,
-    is_lexical,
-    parse_ngram_line,
-    pos_variant_filter,
-    split_pos,
-    yearly_totals,
-)
+from .ingest import IngestStats, build_store, is_lexical, split_pos
 from .metrics import (
     MetricSeries,
     OverlapReport,

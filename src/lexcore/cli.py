@@ -169,17 +169,10 @@ class _Run:
 
 
 def _extract_core(table, args):
-    if getattr(args, "k", None) is not None and getattr(args, "threshold", None) is not None:
-        raise _UsageError("--k and --threshold are mutually exclusive")
-    if getattr(args, "k", None) is not None:
-        if args.k < 1:
-            raise _UsageError("--k must be >= 1")
+    """The core that ``--k`` or ``--threshold`` asks for; argparse requires exactly one."""
+    if args.k is not None:
         return frequency_core(table, args.k)
-    if getattr(args, "threshold", None) is not None:
-        if not 0 < args.threshold <= 1:
-            raise _UsageError("--threshold must be in (0, 1]")
-        return bookshare_core(table, args.threshold)
-    raise _UsageError("one of --k or --threshold is required")
+    return bookshare_core(table, args.threshold)
 
 
 # ---------------------------------------------------------------- commands
@@ -206,13 +199,8 @@ def cmd_ingest(args, run: _Run):
 
 
 def cmd_synth(args, run: _Run):
-    if bool(args.preset) == bool(args.config):
-        raise _UsageError("exactly one of --preset or --config is required")
     if args.preset:
-        try:
-            config = PRESETS[args.preset]
-        except KeyError:
-            raise _UsageError(f"unknown preset {args.preset!r} (known: {', '.join(sorted(PRESETS))})") from None
+        config = PRESETS[args.preset]
     else:
         config = synth_config_from_dict(json.loads(Path(_resolve_input(args.config)).read_text()))
     result = generate_corpus(config, run.out, shard_years=args.shard_years, gzip_output=args.gzip)
@@ -231,8 +219,6 @@ def cmd_core(args, run: _Run):
 
 
 def cmd_turnover(args, run: _Run):
-    if args.width < 1:
-        raise _UsageError("--width must be >= 1")
     store = run.store
     if args.windows == "standard":
         specs = standard_windows(store.year_start, store.year_end, width=args.width)
@@ -426,14 +412,37 @@ def cmd_report(args, run: _Run):
 # ---------------------------------------------------------------- parser
 
 
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
+def _share(text: str) -> float:
+    """An argparse type: a number in (0, 1]."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = 0.0
+    if not 0 < value <= 1:
+        raise argparse.ArgumentTypeError(f"expected a number in (0, 1], got {text!r}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser, *, store=True, window=False, core=False, fmt=True):
     if store:
         p.add_argument("--store", required=True, help="path to a store file built by 'ingest'")
     if window:
         p.add_argument("--window", required=True, help="'START:END', 'core1800' or 'core2000'")
     if core:
-        p.add_argument("--k", type=int, help="frequency-core size")
-        p.add_argument("--threshold", type=float, help="book-share core threshold in (0,1]")
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--k", type=_positive_int, help="frequency-core size (>= 1)")
+        group.add_argument("--threshold", type=_share, help="book-share core threshold in (0, 1]")
     p.add_argument("--out", required=True, help="output directory")
     if fmt:
         p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -451,15 +460,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("shards", nargs="+", help="shard TSV files (optionally .gz)")
     p.add_argument("--config", required=True, help="run config JSON")
     p.add_argument("--volumes", help="per-year total-volumes sidecar")
-    p.add_argument("--threads", type=int, default=1, help="parallel shard parsers")
+    p.add_argument("--threads", type=_positive_int, default=1, help="parallel shard parsers (>= 1)")
     p.add_argument("--out", required=True, help="output directory for store.lxst")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus with known truth")
-    p.add_argument("--preset", help=f"one of: {', '.join(sorted(PRESETS))}")
-    p.add_argument("--config", help="synth config JSON")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--preset", choices=sorted(PRESETS), help="a built-in corpus preset")
+    source.add_argument("--config", help="synth config JSON")
     p.add_argument("--gzip", action="store_true", help="write gzip-compressed shards")
-    p.add_argument("--shard-years", type=int, default=25, help="years per shard file")
+    p.add_argument("--shard-years", type=_positive_int, default=25, help="years per shard file (>= 1)")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_synth)
 
@@ -469,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("turnover", help="dropout between consecutive window cores")
     p.add_argument("--windows", default="standard", help="'standard' or 'a:b,c:d,...'")
-    p.add_argument("--width", type=int, default=50, help="standard window width in years")
+    p.add_argument("--width", type=_positive_int, default=50, help="standard window width in years (>= 1)")
     _add_common(p, core=True)
     p.set_defaults(func=cmd_turnover)
 
@@ -479,8 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_coverage)
 
     p = sub.add_parser("overlap", help="frequency core vs book-share core")
-    p.add_argument("--threshold", type=float, required=True, help="book-share threshold")
-    p.add_argument("--k", type=int, help="frequency-core size (default: book-share core size)")
+    p.add_argument("--threshold", type=_share, required=True, help="book-share threshold in (0, 1]")
+    p.add_argument("--k", type=_positive_int, help="frequency-core size (default: book-share core size)")
     p.add_argument(
         "--window",
         default="core2000",
@@ -490,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_overlap)
 
     p = sub.add_parser("correlate", help="Pearson r of frequency vs book share")
-    p.add_argument("--k", type=int, help="restrict to the top-K words")
+    p.add_argument("--k", type=_positive_int, help="restrict to the top-K words (>= 1)")
     _add_common(p, window=True)
     p.set_defaults(func=cmd_correlate)
 

@@ -40,10 +40,6 @@ class RunConfig:
                 f"year range inverted: {self.year_start}..{self.year_end}"
             )
 
-    @property
-    def years(self) -> range:
-        return range(self.year_start, self.year_end + 1)
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "version": CONFIG_VERSION,

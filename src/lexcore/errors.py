@@ -5,10 +5,6 @@ class LexcoreError(Exception):
     """Base class for all lexcore errors."""
 
 
-class MalformedLine(LexcoreError):
-    """A shard line has the wrong arity or a non-integer numeric field."""
-
-
 class WildcardToken(LexcoreError):
     """A POS-only synthetic token (e.g. ``_NOUN_``) that must be discarded."""
 

@@ -26,51 +26,24 @@ import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .alphabets import APOSTROPHE, APOSTROPHE_VARIANTS, AlphabetSpec
 from .config import RunConfig
-from .errors import LexcoreError, MalformedLine, WildcardToken
+from .errors import LexcoreError, WildcardToken
 from .postags import POS_COUNT, SUFFIX_TAGS, PosTag
 from .store import CorpusStore, dominant_variant, group_sum, index_sum, read_volume_sidecar
 
 log = logging.getLogger(__name__)
 
 __all__ = [
-    "RawRecord",
-    "CleanRecord",
     "IngestStats",
-    "parse_ngram_line",
     "split_pos",
     "is_lexical",
-    "normalize_apostrophes",
-    "pos_variant_filter",
-    "yearly_totals",
     "build_store",
 ]
-
-
-@dataclass(frozen=True)
-class RawRecord:
-    """One parsed shard line, before any cleaning."""
-
-    token: str
-    year: int
-    match_count: int
-    volume_count: int
-
-
-@dataclass(frozen=True)
-class CleanRecord:
-    """A record that passed the lexical and POS-variant filters."""
-
-    word: str
-    pos: PosTag
-    year: int
-    match_count: int
-    volume_count: int
 
 
 @dataclass
@@ -91,22 +64,6 @@ class IngestStats:
         out = {k: v for k, v in self.__dict__.items() if k != "empty_years"}
         out["empty_years"] = sorted(self.empty_years)
         return out
-
-
-def parse_ngram_line(line: str) -> RawRecord:
-    """Parse one physical shard line into a :class:`RawRecord`.
-
-    Raises :class:`MalformedLine` where ingest counts the line as
-    malformed (see :func:`_fields`) and on a record claiming occurrences
-    in zero books.
-    """
-    fields = _fields(line.rstrip("\r\n").encode("utf-8"))
-    if fields is None:
-        raise MalformedLine(f"expected token<TAB>year<TAB>match<TAB>volumes, got {line!r}")
-    token, year, match, volumes = fields
-    if match >= 1 and volumes < 1:
-        raise MalformedLine("match_count >= 1 requires volume_count >= 1")
-    return RawRecord(token=token.decode("utf-8"), year=year, match_count=match, volume_count=volumes)
 
 
 def split_pos(token: str) -> tuple[str, PosTag]:
@@ -130,13 +87,6 @@ def split_pos(token: str) -> tuple[str, PosTag]:
     return token, PosTag.UNTAGGED
 
 
-def normalize_apostrophes(word: str) -> str:
-    """Map typographic apostrophes (U+2019) to the ASCII form."""
-    if "’" in word:
-        return word.replace("’", APOSTROPHE)
-    return word
-
-
 def is_lexical(word: str, alphabet: AlphabetSpec) -> bool:
     """True iff ``word`` is made of alphabet letters plus allowed apostrophes.
 
@@ -158,42 +108,6 @@ def is_lexical(word: str, alphabet: AlphabetSpec) -> bool:
         else:
             return False
     return letters >= 1
-
-
-def pos_variant_filter(variants: Mapping[PosTag, int]) -> set[PosTag]:
-    """Return the POS tags of one word that survive the 1% rule.
-
-    A tag is dropped iff its corpus-wide count does not exceed 1% of the
-    word's total across all tags.  The largest tag is always retained, so
-    the result is never empty.
-    """
-    if not variants:
-        raise ValueError("variants must be non-empty")
-    total = sum(variants.values())
-    # 100*c > total avoids float boundary artifacts at exactly 1%.
-    retained = {tag for tag, count in variants.items() if 100 * count > total}
-    if not retained:
-        retained = {max(variants, key=lambda t: (variants[t], -t))}
-    return retained
-
-
-def yearly_totals(
-    records: Iterable[CleanRecord], years: Iterable[int] | None = None
-) -> tuple[dict[int, int], set[int]]:
-    """Sum lexical match counts per year.
-
-    Returns ``(totals, empty_years)`` where ``empty_years`` holds every
-    year of the configured range (when given) that has no lexical tokens.
-    Duplicate records for the same word/pos/year sum, like shard merging.
-    """
-    totals: dict[int, int] = {}
-    for rec in records:
-        totals[rec.year] = totals.get(rec.year, 0) + rec.match_count
-    if years is not None:
-        empty = {y for y in years if totals.get(y, 0) == 0}
-    else:
-        empty = {y for y, t in totals.items() if t == 0}
-    return totals, empty
 
 
 _CHUNK_BYTES = 1 << 20
@@ -441,7 +355,8 @@ def _classify_tokens(
         except WildcardToken:
             stats.wildcard_rows += int(rows_per_token[i])
             continue
-        word = normalize_apostrophes(word)
+        # Typographic apostrophes (U+2019) map to the ASCII form.
+        word = word.replace("’", APOSTROPHE)
         if fold:
             word = word.lower()
         if not is_lexical(word, alphabet):

@@ -56,10 +56,6 @@ class MetricSeries:
             raise ValueError(f"series {self.name!r}: non-finite value")
 
     @property
-    def xs(self) -> tuple[int, ...]:
-        return tuple(x for x, _ in self.points)
-
-    @property
     def ys(self) -> tuple[float, ...]:
         return tuple(y for _, y in self.points)
 
@@ -125,7 +121,8 @@ def _frequency_sum_series(
     if not year_list:
         raise ValueError("no years requested")
     for y in year_list:
-        store._check_year(y)
+        if y not in store.years:
+            raise ValueError(f"year {y} outside store range {store.year_start}..{store.year_end}")
         if store.lexical_totals[y - store.year_start] == 0:
             raise EmptyYearError(f"year {y} has no lexical tokens")
 

@@ -158,22 +158,6 @@ class CorpusStore:
     def years(self) -> range:
         return range(self.year_start, self.year_end + 1)
 
-    def empty_years(self) -> set[int]:
-        span = self.year_end - self.year_start + 1
-        return {self.year_start + i for i in range(span) if self.lexical_totals[i] == 0}
-
-    def lexical_total(self, year: int) -> int:
-        self._check_year(year)
-        return int(self.lexical_totals[year - self.year_start])
-
-    def volume_total(self, year: int) -> int:
-        self._check_year(year)
-        return int(self.volume_totals[year - self.year_start])
-
-    def _check_year(self, year: int) -> None:
-        if year < self.year_start or year > self.year_end:
-            raise ValueError(f"year {year} outside store range {self.year_start}..{self.year_end}")
-
 
 def _column_lengths(header: dict) -> dict[str, int]:
     n_rows, span = header["n_rows"], header["year_end"] - header["year_start"] + 1

@@ -56,10 +56,6 @@ class WindowSpec:
     def label(self) -> str:
         return f"{self.start_year}-{self.end_year}"
 
-    @property
-    def years(self) -> range:
-        return range(self.start_year, self.end_year + 1)
-
 
 # Anchor windows for the century cores: the "1800 core" is extracted
 # from 1795-1805 and the "2000 core" from 2000-2008.
@@ -188,16 +184,9 @@ class Core:
     def __len__(self) -> int:
         return len(self.words)
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.word_set
-
     @cached_property
     def word_set(self) -> frozenset[str]:
         return frozenset(self.words)
-
-    @cached_property
-    def pos_by_word(self) -> dict[str, PosTag]:
-        return dict(zip(self.words, self.pos))
 
 
 def _build_core(table: WindowTable, idx: np.ndarray, method: str, param: float) -> Core:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import io
 import json
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
@@ -97,19 +99,78 @@ def iter_clean_records(store: CorpusStore) -> Iterator[tuple[str, PosTag, int, i
 
 def year_slice(store: CorpusStore, year: int) -> YearSlice:
     entries = {(w, p): (m, v) for w, p, y, m, v in iter_clean_records(store) if y == year}
-    return YearSlice(year, entries, store.lexical_total(year), store.volume_total(year))
+    i = year - store.year_start
+    return YearSlice(year, entries, int(store.lexical_totals[i]), int(store.volume_totals[i]))
 
 
 def relative_frequency(store: CorpusStore, word: str, year: int) -> float:
     """Relative frequency of ``word`` in ``year``: count / lexical total.
 
     Counts sum over the word's retained POS tags; an absent word gives 0.
-    Raises :class:`EmptyYearError` when the year has no lexical tokens.
+    Raises :class:`EmptyYearError` when the year has no lexical tokens,
+    and ValueError for a year outside the store's range, as the library does.
     """
-    total = store.lexical_total(year)
+    if year not in store.years:
+        raise ValueError(f"year {year} outside store range")
+    total = int(store.lexical_totals[year - store.year_start])
     if total == 0:
         raise EmptyYearError(f"year {year} has no lexical tokens")
     return sum(m for w, _, y, m, _ in iter_clean_records(store) if w == word and y == year) / total
+
+
+# ---------------------------------------------------------------- shard oracles
+# Record-at-a-time, dict-based references for ingest's line rule and
+# 1% POS-variant rule.
+
+
+def read_shard(data: bytes, year_start: int, year_end: int) -> tuple[list, dict]:
+    """Read one shard line by line, splitting lines as text mode does.
+
+    Returns the sorted kept rows (token, year, match, volumes) and the
+    line counters of :class:`lexcore.ingest.IngestStats` it touches.
+    """
+    stats = dict.fromkeys(("lines", "malformed", "out_of_range", "invalid_counts"), 0)
+    rows = []
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="latin-1", newline=None)
+    for line in text:
+        stats["lines"] += 1
+        try:
+            fields = line.rstrip("\n").encode("latin-1").decode("utf-8").split("\t")
+        except UnicodeDecodeError:
+            stats["malformed"] += 1
+            continue
+        numeric = fields[1:]
+        if len(fields) != 4 or not fields[0] or not all(f.isascii() and f.isdigit() for f in numeric):
+            stats["malformed"] += 1
+            continue
+        year, match, vol = (int(f) for f in numeric)
+        if match >= 2**63 or vol >= 2**63:
+            stats["malformed"] += 1
+        elif not year_start <= year <= year_end:
+            stats["out_of_range"] += 1
+        elif match >= 1 and vol < 1:
+            stats["invalid_counts"] += 1
+        else:
+            rows.append((fields[0], year, match, vol))
+    return sorted(rows), stats
+
+
+def one_percent_rule(rows: list[tuple[str, PosTag, int, int, int]]) -> list[tuple[str, PosTag, int, int, int]]:
+    """The (word, pos, year, match, volumes) rows whose POS variant survives the 1% rule.
+
+    A variant is dropped iff its summed count is at most 1% of its
+    word's total; each word keeps its largest variant (ties: lowest tag).
+    """
+    pair_total: dict[tuple[str, PosTag], int] = defaultdict(int)
+    word_total: dict[str, int] = defaultdict(int)
+    for word, pos, _, match, _ in rows:
+        pair_total[word, pos] += match
+        word_total[word] += match
+    largest = {}
+    for (word, pos), count in sorted(pair_total.items(), key=lambda kv: (-kv[1], kv[0][1])):
+        largest.setdefault(word, pos)
+    kept = {(w, p) for (w, p), c in pair_total.items() if 100 * c > word_total[w] or largest[w] == p}
+    return [row for row in rows if row[:2] in kept]
 
 
 @pytest.fixture

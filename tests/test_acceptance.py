@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from lexcore.cli import main
-from lexcore.ingest import build_store, is_lexical, parse_ngram_line, split_pos
+from lexcore.ingest import build_store, is_lexical, split_pos
 from lexcore.metrics import (
     core_size_for_coverage,
     coverage_series,
@@ -43,7 +43,7 @@ from lexcore.windows import (
     standard_windows,
 )
 
-from conftest import english_config
+from conftest import english_config, read_shard
 
 
 def report(n: int, desc: str, ok: bool, detail: str = "") -> None:
@@ -311,12 +311,13 @@ def test_criterion_6_brute_force_equivalence(fixture_10k):
     counts: dict[str, int] = {}
     vols: dict[str, int] = {}
     for path in result.shard_paths:
-        for line in path.read_text(encoding="utf-8").splitlines():
-            rec = parse_ngram_line(line)
-            word, _ = split_pos(rec.token)
+        rows, stats = read_shard(path.read_bytes(), 1990, 1999)
+        assert stats["lines"] == len(rows)
+        for token, _, match, volumes in rows:
+            word, _ = split_pos(token)
             assert is_lexical(word, config.alphabet)
-            counts[word] = counts.get(word, 0) + rec.match_count
-            vols[word] = vols.get(word, 0) + rec.volume_count
+            counts[word] = counts.get(word, 0) + match
+            vols[word] = vols.get(word, 0) + volumes
     total = sum(counts.values())
     agg_ok = (
         dict(zip(table.words, table.match_count.tolist())) == counts

@@ -160,17 +160,40 @@ class TestIngestAndSynth:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "bad_line",
+        "bad_line, counter, kept",
         [
-            b"caf\xe9\t1850\t3\t1\n",
-            "word\t190\u00b2\t5\t2\n".encode(),
-            "word\t\u0661\u0669\u0660\u0660\t5\t2\n".encode(),
-            f"word\t1850\t{2 ** 63}\t1\n".encode(),
-            f"word\t1850\t5\t{2 ** 63}\n".encode(),
+            (b"caf\xe9\t1850\t3\t1\n", "malformed", None),
+            ("word\t190\u00b2\t5\t2\n".encode(), "malformed", None),
+            ("word\t\u0661\u0669\u0660\u0660\t5\t2\n".encode(), "malformed", None),
+            (f"word\t1850\t{2 ** 63}\t1\n".encode(), "malformed", None),
+            (f"word\t1850\t5\t{2 ** 63}\n".encode(), "malformed", None),
+            (b"time_NOUN\t1850\t420\n", "malformed", None),
+            (b"time\t1850\tx\t5\n", "malformed", None),
+            (b"time\t1850\t-4\t5\n", "malformed", None),
+            (b"\t1850\t4\t5\n", "malformed", None),
+            (b"time\t1850\t4\t0\n", "invalid_counts", None),
+            (b"time_NOUN\t1850\t420\t57\n", None, ("time", 420)),
+            (b"der\t1900\t13\t4\n", None, ("der", 13)),
+            (b"a\t1900\t1\t1\n", None, ("a", 1)),
         ],
-        ids=["non-utf8", "superscript-year", "arabic-indic-year", "count-overflow", "volume-overflow"],
+        ids=[
+            "non-utf8",
+            "superscript-year",
+            "arabic-indic-year",
+            "count-overflow",
+            "volume-overflow",
+            "wrong-arity",
+            "non-integer",
+            "negative-count",
+            "empty-token",
+            "zero-volumes",
+            "tagged-token",
+            "plain-token",
+            "trailing-newline",
+        ],
     )
-    def test_hostile_line_is_malformed_not_fatal(self, pipeline, tmp_path, capsys, bad_line):
+    def test_hostile_line_is_malformed_not_fatal(self, pipeline, tmp_path, capsys, bad_line, counter, kept):
+        """A bad line lands in its counter, a good one as its (word, match); the rest is ingested."""
         good = tmp_path / "good.tsv"
         good.write_text(GOOD_LINES, encoding="utf-8")
         bad = tmp_path / "bad.tsv"
@@ -180,11 +203,17 @@ class TestIngestAndSynth:
         assert main(argv + ["--out", str(out)]) == 0
         assert "Traceback" not in capsys.readouterr().err
         stats = json.loads((out / "ingest_stats.json").read_text(encoding="utf-8"))
-        assert stats["lines"] == 601 and stats["malformed"] == 1
-        assert stats["duplicate_rows"] == 300
+        assert stats["lines"] == 601 and stats["duplicate_rows"] == 300
+        rejected = ("malformed", "out_of_range", "invalid_counts")
+        assert {k: stats[k] for k in rejected} == {k: int(k == counter) for k in rejected}
+        words = {line.split("\t")[0] for line in GOOD_LINES.splitlines()}
+        match = 2 * sum(range(1, 301))
+        if kept is not None:
+            words.add(kept[0])
+            match += kept[1]
         store = load_store(out / "store.lxst")
-        assert sorted(store.words) == sorted({line.split("\t")[0] for line in GOOD_LINES.splitlines()})
-        assert int(store.match_count.sum()) == 2 * sum(range(1, 301))
+        assert sorted(store.words) == sorted(words)
+        assert int(store.match_count.sum()) == match
 
     def test_count_sum_overflow_is_data_error(self, pipeline, tmp_path, capsys):
         """Counts that each fit int64 but whose 1900 total reaches 2**63."""
@@ -827,6 +856,71 @@ def test_window_presets_parse():
 
 def test_usage_error_on_missing_subcommand():
     assert main([]) == 2
+
+
+_QUERY = ["--store", "STORE", "--window", "1800:1849"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["correlate", *_QUERY, "--k", "-1"],
+        ["correlate", *_QUERY, "--k", "0"],
+        ["core", *_QUERY, "--k", "0"],
+        ["core", *_QUERY, "--k", "ten"],
+        ["core", *_QUERY, "--threshold", "0"],
+        ["core", *_QUERY, "--threshold", "1.5"],
+        ["core", *_QUERY, "--threshold", "nan"],
+        ["core", *_QUERY],
+        ["core", *_QUERY, "--k", "10", "--threshold", "0.5"],
+        ["coverage", *_QUERY, "--k", "-5"],
+        ["pos", *_QUERY, "--threshold", "-0.5"],
+        ["transition", *_QUERY, "--window2", "1850:1899"],
+        ["turnover", "--store", "STORE", "--k", "10", "--width", "0"],
+        ["overlap", *_QUERY, "--threshold", "0"],
+        ["overlap", *_QUERY, "--threshold", "0.5", "--k", "0"],
+        ["ingest", "shard.tsv", "--config", "CONFIG", "--threads", "-2"],
+        ["ingest", "shard.tsv", "--config", "CONFIG", "--threads", "0"],
+        ["synth", "--preset", "churn15-small", "--shard-years", "0"],
+    ],
+    ids=[
+        "correlate-k-negative",
+        "correlate-k-zero",
+        "core-k-zero",
+        "core-k-not-a-number",
+        "core-threshold-zero",
+        "core-threshold-above-one",
+        "core-threshold-nan",
+        "core-neither-k-nor-threshold",
+        "core-k-and-threshold",
+        "coverage-k-negative",
+        "pos-threshold-negative",
+        "transition-neither-k-nor-threshold",
+        "turnover-width-zero",
+        "overlap-threshold-zero",
+        "overlap-k-zero",
+        "ingest-threads-negative",
+        "ingest-threads-zero",
+        "synth-shard-years-zero",
+    ],
+)
+def test_flag_out_of_range_is_usage_error(pipeline, tmp_path, capsys, argv):
+    """argparse rejects the flag: exit 2, a usage message, no traceback, no output directory."""
+    paths = {"STORE": str(pipeline["store"]), "CONFIG": str(pipeline["config"])}
+    out = tmp_path / "out"
+    assert main([paths.get(a, a) for a in argv] + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error: argument" in err or "error: one of the arguments" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_years_outside_store_is_data_error(pipeline, tmp_path, capsys):
+    argv = ["coverage", "--store", str(pipeline["store"]), "--window", "1800:1849", "--k", "10"]
+    assert main(argv + ["--years", "1700:1850", "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: year 1700 outside store range 1800..1999")
+    assert "Traceback" not in err
 
 
 def test_version_flag(capsys):

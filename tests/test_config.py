@@ -46,7 +46,7 @@ class TestRunConfig:
         path.write_text(json.dumps(self.BASE), encoding="utf-8")
         config = load_config(path)
         assert config.language == "english"
-        assert config.years == range(1800, 2000)
+        assert (config.year_start, config.year_end) == (1800, 1999)
         assert config.fold_case is False
 
     def test_custom_alphabet_object(self):

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import gzip
-import io
 import sys
 import tempfile
 import threading
@@ -18,60 +17,21 @@ from hypothesis import strategies as st
 from lexcore import ingest
 
 from lexcore.alphabets import alphabet_preset
-from lexcore.errors import CountOverflow, MalformedLine, WildcardToken
-from lexcore.ingest import (
-    CleanRecord,
-    build_store,
-    is_lexical,
-    parse_ngram_line,
-    pos_variant_filter,
-    split_pos,
-    yearly_totals,
-)
+from lexcore.errors import CountOverflow, WildcardToken
+from lexcore.ingest import build_store, is_lexical, split_pos
 from lexcore.postags import SUFFIX_TAGS, PosTag
 from lexcore.store import save_store
 
-from conftest import HAND_LINES, english_config, iter_clean_records, write_shards
+from conftest import (
+    HAND_LINES,
+    english_config,
+    iter_clean_records,
+    one_percent_rule,
+    read_shard,
+    write_shards,
+)
 
 EN = alphabet_preset("english")
-
-
-class TestParseLine:
-    def test_tagged_token(self):
-        rec = parse_ngram_line("time_NOUN\t1850\t420\t57")
-        assert (rec.token, rec.year, rec.match_count, rec.volume_count) == (
-            "time_NOUN",
-            1850,
-            420,
-            57,
-        )
-
-    def test_plain_token(self):
-        rec = parse_ngram_line("der\t1900\t13\t4")
-        assert (rec.token, rec.year, rec.match_count, rec.volume_count) == ("der", 1900, 13, 4)
-
-    def test_wrong_arity(self):
-        with pytest.raises(MalformedLine):
-            parse_ngram_line("time_NOUN\t1850\t420")
-
-    def test_non_integer_field(self):
-        with pytest.raises(MalformedLine):
-            parse_ngram_line("time\t1850\tx\t5")
-
-    def test_negative_count(self):
-        with pytest.raises(MalformedLine):
-            parse_ngram_line("time\t1850\t-4\t5")
-
-    def test_empty_token(self):
-        with pytest.raises(MalformedLine):
-            parse_ngram_line("\t1850\t4\t5")
-
-    def test_zero_volumes_with_matches(self):
-        with pytest.raises(MalformedLine):
-            parse_ngram_line("time\t1850\t4\t0")
-
-    def test_trailing_newline_ok(self):
-        assert parse_ngram_line("a\t1900\t1\t1\n").match_count == 1
 
 
 class TestSplitPos:
@@ -136,18 +96,31 @@ class TestIsLexical:
 
 
 class TestPosVariantFilter:
-    def test_exactly_one_percent_dropped(self):
-        assert pos_variant_filter({PosTag.NOUN: 990, PosTag.VERB: 10}) == {PosTag.NOUN}
+    """The 1% rule as build_store applies it to one word's variants."""
 
-    def test_above_one_percent_kept(self):
-        assert pos_variant_filter({PosTag.NOUN: 989, PosTag.VERB: 11}) == {
-            PosTag.NOUN,
-            PosTag.VERB,
-        }
+    @staticmethod
+    def _retained(directory: Path, variants: dict[PosTag, int]) -> set[PosTag]:
+        """The tags build_store keeps from one shard of one word's variants, all in 1900."""
+        lines = [
+            f"word{'' if tag is PosTag.UNTAGGED else '_' + tag.name}\t1900\t{count}\t1"
+            for tag, count in variants.items()
+        ]
+        store, stats = build_store(write_shards(directory, lines), english_config(1900, 1900))
+        retained = {PosTag(p) for p in store.pos_id.tolist()}
+        assert stats.dropped_pos_variants == len(variants) - len(retained)
+        assert int(store.lexical_totals[0]) == sum(variants[t] for t in retained)
+        return retained
 
-    def test_single_variant(self):
-        assert pos_variant_filter({PosTag.NOUN: 100}) == {PosTag.NOUN}
+    def test_exactly_one_percent_dropped(self, tmp_path):
+        assert self._retained(tmp_path, {PosTag.NOUN: 990, PosTag.VERB: 10}) == {PosTag.NOUN}
 
+    def test_above_one_percent_kept(self, tmp_path):
+        assert self._retained(tmp_path, {PosTag.NOUN: 989, PosTag.VERB: 11}) == {PosTag.NOUN, PosTag.VERB}
+
+    def test_single_variant(self, tmp_path):
+        assert self._retained(tmp_path, {PosTag.NOUN: 100}) == {PosTag.NOUN}
+
+    @settings(deadline=None)
     @given(
         st.dictionaries(
             st.sampled_from(list(PosTag)),
@@ -156,7 +129,8 @@ class TestPosVariantFilter:
         ).filter(lambda d: sum(d.values()) > 0)
     )
     def test_never_empty_and_threshold_respected(self, variants):
-        retained = pos_variant_filter(variants)
+        with tempfile.TemporaryDirectory() as tmp:
+            retained = self._retained(Path(tmp), variants)
         assert retained
         assert retained <= set(variants)
         total = sum(variants.values())
@@ -165,58 +139,46 @@ class TestPosVariantFilter:
         # The largest variant always survives.
         top = max(variants.values())
         assert any(variants[t] == top for t in retained)
+        rows = [("word", tag, 1900, count, 1) for tag, count in variants.items()]
+        assert retained == {pos for _, pos, *_ in one_percent_rule(rows)}
 
 
 class TestYearlyTotals:
-    def _rec(self, word, year, count):
-        return CleanRecord(word, PosTag.NOUN, year, count, 1)
+    def test_summation(self, tmp_path):
+        lines = ["a\t1800\t5\t1", "b\t1800\t3\t1", "a\t1801\t2\t1"]
+        store, stats = build_store(write_shards(tmp_path, lines), english_config(1800, 1801))
+        assert store.lexical_totals.tolist() == [8, 2]
+        assert stats.empty_years == set()
 
-    def test_summation(self):
-        recs = [self._rec("a", 1800, 5), self._rec("b", 1800, 3), self._rec("a", 1801, 2)]
-        totals, empty = yearly_totals(recs)
-        assert totals == {1800: 8, 1801: 2}
-        assert empty == set()
-
-    def test_empty_stream_flags_all_years(self):
-        totals, empty = yearly_totals([], years=range(1900, 1903))
-        assert totals == {}
-        assert empty == {1900, 1901, 1902}
+    def test_empty_stream_flags_all_years(self, tmp_path):
+        shard = tmp_path / "empty.tsv"
+        shard.write_bytes(b"")
+        store, stats = build_store([shard], english_config(1900, 1902))
+        assert store.words == [] and stats.lines == 0
+        assert store.lexical_totals.tolist() == [0, 0, 0]
+        assert stats.empty_years == {1900, 1901, 1902}
 
     def test_three_shard_brute_force(self, tmp_path):
         """Store totals equal a dict-based re-aggregation of all shards."""
         shards = write_shards(tmp_path, HAND_LINES, n_shards=3)
         config = english_config(1900, 1904)
-        store, _ = build_store(shards, config)
+        store, stats = build_store(shards, config)
 
-        # Brute force: parse every line, filter by the public predicates.
-        raw = []
+        # Brute force: read every line, filter by the public predicates.
+        lexical = []
         for p in shards:
-            for line in p.read_text().splitlines():
-                raw.append(parse_ngram_line(line))
-        by_word_tag: dict[tuple[str, PosTag], int] = {}
-        parsed = []
-        for rec in raw:
-            try:
-                word, pos = split_pos(rec.token)
-            except WildcardToken:
-                continue
-            if not is_lexical(word, config.alphabet):
-                continue
-            parsed.append((word, pos, rec))
-            by_word_tag[(word, pos)] = by_word_tag.get((word, pos), 0) + rec.match_count
-        retained = {}
-        for word in {w for w, _ in by_word_tag}:
-            variants = {p: c for (w, p), c in by_word_tag.items() if w == word}
-            retained[word] = pos_variant_filter(variants)
-        clean = [
-            CleanRecord(w, p, r.year, r.match_count, r.volume_count)
-            for w, p, r in parsed
-            if p in retained[w]
-        ]
-        totals, empty = yearly_totals(clean, years=config.years)
-        for year in config.years:
-            assert store.lexical_total(year) == totals.get(year, 0)
-        assert empty == store.empty_years() == {1903}
+            for token, year, match, volumes in read_shard(p.read_bytes(), 1900, 1904)[0]:
+                try:
+                    word, pos = split_pos(token)
+                except WildcardToken:
+                    continue
+                if is_lexical(word, config.alphabet):
+                    lexical.append((word, pos, year, match, volumes))
+        totals = dict.fromkeys(range(1900, 1905), 0)
+        for _, _, year, match, _ in one_percent_rule(lexical):
+            totals[year] += match
+        assert store.lexical_totals.tolist() == list(totals.values())
+        assert stats.empty_years == {y for y, t in totals.items() if t == 0} == {1903}
 
 
 class TestBuildStore:
@@ -269,18 +231,14 @@ class TestBuildStore:
         store, _ = hand_store
         for year in store.years:
             rows = store.year == year
-            assert int(store.match_count[rows].sum()) == store.lexical_total(year)
+            assert int(store.match_count[rows].sum()) == store.lexical_totals[year - store.year_start]
 
     def test_filter_idempotence(self, hand_store):
         """Re-filtering the cleaned output changes nothing."""
         store, _ = hand_store
-        by_word: dict[str, dict[PosTag, int]] = {}
-        for word, pos, _, match, _ in iter_clean_records(store):
-            assert is_lexical(word, EN)
-            by_word.setdefault(word, {})
-            by_word[word][pos] = by_word[word].get(pos, 0) + match
-        for word, variants in by_word.items():
-            assert pos_variant_filter(variants) == set(variants)
+        rows = list(iter_clean_records(store))
+        assert all(is_lexical(word, EN) for word, *_ in rows)
+        assert one_percent_rule(rows) == rows
 
     def test_duplicate_rows_are_summed_and_counted(self, tmp_path):
         (tmp_path / "s1.tsv").write_text("cat_NOUN\t1900\t5\t2\n", encoding="utf-8")
@@ -289,7 +247,7 @@ class TestBuildStore:
             [tmp_path / "s1.tsv", tmp_path / "s2.tsv"], english_config(1900, 1900)
         )
         assert stats.duplicate_rows == 1
-        assert store.lexical_total(1900) == 12
+        assert store.lexical_totals[0] == 12
 
     @pytest.mark.parametrize("verb, kept", [(2**57, True), (2**62 // 100, False)])
     def test_one_percent_rule_on_counts_near_int64(self, tmp_path, verb, kept):
@@ -297,21 +255,21 @@ class TestBuildStore:
         lines = [f"word_NOUN\t1900\t{2**62}\t1", f"word_VERB\t1900\t{verb}\t1"]
         store, stats = build_store(write_shards(tmp_path, lines), english_config(1900, 1900))
         assert stats.dropped_pos_variants == (0 if kept else 1)
-        assert store.lexical_total(1900) == 2**62 + (verb if kept else 0)
+        assert store.lexical_totals[0] == 2**62 + (verb if kept else 0)
 
     def test_out_of_range_years_skipped(self, tmp_path):
         lines = ["a\t1900\t5\t2", "a\t1880\t9\t3", "a\t1950\t9\t3"]
         shards = write_shards(tmp_path, lines)
         store, stats = build_store(shards, english_config(1900, 1910))
         assert stats.out_of_range == 2
-        assert store.lexical_total(1900) == 5
+        assert store.lexical_totals[0] == 5
 
     def test_malformed_lines_counted_not_fatal(self, tmp_path):
         lines = ["a\t1900\t5\t2", "broken line", "b\t1900\tx\t2", "c\t1900\t3\t1"]
         shards = write_shards(tmp_path, lines)
         store, stats = build_store(shards, english_config(1900, 1900))
         assert stats.malformed == 2
-        assert store.lexical_total(1900) == 8
+        assert store.lexical_totals[0] == 8
 
     def test_case_folding_merges_counts(self, tmp_path):
         lines = ["Time_NOUN\t1900\t5\t2", "time_NOUN\t1900\t7\t3"]
@@ -335,7 +293,7 @@ class TestBuildStore:
             fh.write("cat_NOUN\t1900\t5\t2\n")
         store, stats = build_store([gz], english_config(1900, 1900))
         assert stats.malformed == 0
-        assert store.lexical_total(1900) == 5
+        assert store.lexical_totals[0] == 5
 
     def test_all_lines_rejected_gives_empty_store(self, tmp_path):
         lines = ["not a record", "123\t1900\t5\t2", "_NOUN_\t1900\t5\t2"]
@@ -418,34 +376,6 @@ def _shards(draw) -> bytes:
     return data[:-1] if draw(st.booleans()) else data
 
 
-def _oracle(data: bytes, year_start: int, year_end: int) -> tuple[list, dict]:
-    """Record-at-a-time reading of one shard, splitting lines as text mode does."""
-    stats = dict.fromkeys(("lines", "malformed", "out_of_range", "invalid_counts"), 0)
-    rows = []
-    text = io.TextIOWrapper(io.BytesIO(data), encoding="latin-1", newline=None)
-    for line in text:
-        stats["lines"] += 1
-        try:
-            fields = line.rstrip("\n").encode("latin-1").decode("utf-8").split("\t")
-        except UnicodeDecodeError:
-            stats["malformed"] += 1
-            continue
-        numeric = fields[1:]
-        if len(fields) != 4 or not fields[0] or not all(f.isascii() and f.isdigit() for f in numeric):
-            stats["malformed"] += 1
-            continue
-        year, match, vol = (int(f) for f in numeric)
-        if match >= 2**63 or vol >= 2**63:
-            stats["malformed"] += 1
-        elif not year_start <= year <= year_end:
-            stats["out_of_range"] += 1
-        elif match >= 1 and vol < 1:
-            stats["invalid_counts"] += 1
-        else:
-            rows.append((fields[0], year, match, vol))
-    return sorted(rows), stats
-
-
 def _rows(part) -> list:
     tokens = [part.tokens[i] for i in part.tid.tolist()]
     return sorted(zip(tokens, part.year.tolist(), part.match.tolist(), part.volume.tolist()))
@@ -485,7 +415,7 @@ class TestShardParser:
                     exact_built = _build_or_overflow([path], config)
         assert _rows(kernel) == _rows(exact)
         assert kernel.stats == exact.stats
-        rows, counters = _oracle(data, 1898, 1902)
+        rows, counters = read_shard(data, 1898, 1902)
         # Both paths overflow alike, and only when the kept counts can.
         assert (built is None) == (exact_built is None)
         if built is None:
@@ -507,13 +437,18 @@ class TestShardParser:
             f"word\t1900\t{2 ** 63}\t1".encode(),
             f"word\t1900\t1\t{2 ** 63}".encode(),
             f"word\t{'0' * 30}1900\t{2 ** 62}\t1".encode(),
+            b"time_NOUN\t1900\t420",  # wrong arity
+            b"time\t1900\tx\t5",
+            b"time\t1900\t-4\t5",
+            b"\t1900\t4\t5",  # empty token
+            b"time\t1900\t4\t0",  # matches in zero volumes: invalid_counts
         ]
         path = tmp_path / "shard.tsv"
         path.write_bytes(b"\n".join(lines) + b"\n")
         store, stats = build_store([path], english_config(1900, 1900))
-        assert (stats.lines, stats.malformed) == (7, 5)
+        assert (stats.lines, stats.malformed, stats.invalid_counts) == (12, 9, 1)
         assert store.words == ["good", "word"]
-        assert store.lexical_total(1900) == 5 + 2**62
+        assert store.lexical_totals[0] == 5 + 2**62
 
     def test_universal_newlines_kept(self, tmp_path):
         path = tmp_path / "shard.tsv"
@@ -521,13 +456,13 @@ class TestShardParser:
         store, stats = build_store([path], english_config(1900, 1900))
         assert (stats.lines, stats.malformed) == (5, 1)
         assert store.words == ["a", "b", "c", "d"]
-        assert store.lexical_total(1900) == 15
+        assert store.lexical_totals[0] == 15
 
     def test_yearly_totals_are_exact_int64(self, tmp_path):
         lines = [f"a\t1900\t{2 ** 53 + 1}\t1", "b\t1900\t1\t1"]
         store, _ = build_store(write_shards(tmp_path, lines), english_config(1900, 1900))
         assert int(store.match_count.sum()) == 2**53 + 2
-        assert store.lexical_total(1900) == 2**53 + 2
+        assert store.lexical_totals[0] == 2**53 + 2
 
     def test_gzip_shard_matches_plain(self, tmp_path):
         lines = [f"w{i % 97}_NOUN\t{1900 + i % 3}\t{i + 1}\t1" for i in range(5000)]

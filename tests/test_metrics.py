@@ -120,8 +120,7 @@ class TestTurnoverSeries:
         b = make_core(["x", "z"], window=(1826, 1875))
         c = make_core(["x", "w"], window=(1876, 1925))
         series = turnover_series([a, b, c])
-        assert series.xs == (1825, 1875)
-        assert series.ys == (0.5, 0.5)
+        assert series.points == ((1825, 0.5), (1875, 0.5))
 
     def test_mixed_methods_rejected(self):
         a = make_core(["x", "y"], window=(1800, 1849), param=2)
@@ -186,6 +185,12 @@ class TestCoverage:
         with pytest.raises(EmptyYearError):
             coverage_series(["the"], store, range(1900, 1905))
 
+    @pytest.mark.parametrize("years", [[1899], [1900, 1905], range(1700, 1851)], ids=["before", "after", "spanning"])
+    def test_year_outside_store_rejected(self, hand_store, years):
+        store, _ = hand_store
+        with pytest.raises(ValueError, match=r"outside store range 1900\.\.1904"):
+            coverage_series(["the"], store, years)
+
 
 class TestGroupSeries:
     def test_singleton_equals_word_series(self, hand_store):
@@ -207,6 +212,11 @@ class TestGroupSeries:
         store, _ = hand_store
         with pytest.raises(EmptyGroup):
             group_frequency_series(["zilch", "nada"], store, [1900])
+
+    def test_year_outside_store_rejected(self, hand_store):
+        store, _ = hand_store
+        with pytest.raises(ValueError, match=r"year 1905 outside store range 1900\.\.1904"):
+            group_frequency_series(["cat"], store, [1901, 1905])
 
     def test_planted_decay_recovered(self, decay_corpus):
         """The planted group's series follows the programmed decay law."""

@@ -72,6 +72,8 @@ class TestRelativeFrequency:
         store, _ = hand_store
         with pytest.raises(ValueError):
             relative_frequency(store, "the", 1880)
+        with pytest.raises(ValueError):
+            coverage_series(["the"], store, [1880])
 
     def test_pos_variants_sum_at_word_level(self, hand_store):
         # time = time_NOUN(24) + time_VERB(6) in 1900.
@@ -112,7 +114,7 @@ class TestPersistence:
         assert (loaded.lexical_totals == store.lexical_totals).all()
         assert (loaded.volume_totals == store.volume_totals).all()
         for year in store.years:
-            if year in store.empty_years():
+            if store.lexical_totals[year - store.year_start] == 0:
                 continue
             for word in store.words:
                 assert relative_frequency(loaded, word, year) == relative_frequency(

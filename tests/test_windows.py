@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexcore.errors import EmptyWindow, EmptyYearError, SpanTooShort, WildcardToken
-from lexcore.ingest import build_store, is_lexical, parse_ngram_line, split_pos
+from lexcore.ingest import build_store, is_lexical, split_pos
 from lexcore.metrics import coverage_series
 from lexcore.postags import PosTag
 from lexcore.store import CorpusStore
@@ -25,7 +25,7 @@ from lexcore.windows import (
     write_core,
 )
 
-from conftest import english_config, relative_frequency, store_from_lines
+from conftest import english_config, read_shard, relative_frequency, store_from_lines
 
 
 class TestStandardWindows:
@@ -66,7 +66,7 @@ class TestStandardWindows:
         except SpanTooShort:
             assert span <= width
             return
-        covered = [y for s in specs for y in s.years]
+        covered = [y for s in specs for y in range(s.start_year, s.end_year + 1)]
         assert covered == list(range(start, end + 1))
         assert all(s.end_year - s.start_year + 1 == width for s in specs[:-1])
 
@@ -130,18 +130,15 @@ class TestAggregateWindow:
         total = 0
         alphabet = english_config(1800, 1999).alphabet
         for path in result.shard_paths:
-            for line in path.read_text(encoding="utf-8").splitlines():
-                rec = parse_ngram_line(line)
-                if not 1800 <= rec.year <= 1849:
-                    continue
+            for token, _, match, _ in read_shard(path.read_bytes(), 1800, 1849)[0]:
                 try:
-                    word, _ = split_pos(rec.token)
+                    word, _ = split_pos(token)
                 except WildcardToken:
                     continue
                 if not is_lexical(word, alphabet):
                     continue
-                expected[word] = expected.get(word, 0) + rec.match_count
-                total += rec.match_count
+                expected[word] = expected.get(word, 0) + match
+                total += match
         store, _ = build_store(result.shard_paths, english_config(1800, 1999))
         table = aggregate_window(store, WindowSpec(1800, 1849))
         assert dict(zip(table.words, table.match_count.tolist())) == expected
