@@ -50,6 +50,7 @@ from .synth import PRESETS, generate_corpus, synth_config_from_dict
 from .windows import (
     CORE_1800_WINDOW,
     CORE_2000_WINDOW,
+    Core,
     WindowSpec,
     aggregate_window,
     bookshare_core,
@@ -62,10 +63,6 @@ log = logging.getLogger(__name__)
 
 MANIFEST_NAME = "manifest.json"
 _WINDOW_PRESETS = {"core1800": CORE_1800_WINDOW, "core2000": CORE_2000_WINDOW}
-
-
-class _UsageError(Exception):
-    pass
 
 
 def _utcnow() -> str:
@@ -83,30 +80,12 @@ def _resolve_input(path_str: str) -> Path:
     return p
 
 
-def _parse_window(text: str) -> WindowSpec:
-    if text in _WINDOW_PRESETS:
-        return _WINDOW_PRESETS[text]
-    m = re.fullmatch(r"(\d+):(\d+)", text)
-    if not m:
-        raise _UsageError(f"expected 'START:END', 'core1800' or 'core2000', got {text!r}")
-    try:
-        return WindowSpec(int(m.group(1)), int(m.group(2)))
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-
-
-def _parse_years(text: str) -> range:
-    m = re.fullmatch(r"(\d+):(\d+)", text)
-    if not m or int(m.group(1)) > int(m.group(2)):
-        raise _UsageError(f"expected 'START:END' year range, got {text!r}")
-    return range(int(m.group(1)), int(m.group(2)) + 1)
-
-
 class _Run:
     """The run protocol shared by every command, one instance per invocation.
 
     It takes the ``created`` timestamp, loads ``--store`` on first use and
-    records the store's digest, creates ``--out`` on first use, and writes
+    records the store's digest, creates ``--out`` on first use, extracts
+    the cores that ``--k`` or ``--threshold`` ask for, and writes
     csv-or-json outputs.  A command takes ``(args, run)`` and returns its
     own params and output paths; :meth:`finish` adds the shared params,
     writes the manifest and prints the paths.
@@ -127,7 +106,14 @@ class _Run:
     @cached_property
     def years(self) -> range:
         """``--years``, defaulting to the store's year range."""
-        return _parse_years(self.args.years) if self.args.years else self.store.years
+        return self.args.years or self.store.years
+
+    def core(self, window: WindowSpec) -> Core:
+        """The core of ``window`` that ``--k`` or ``--threshold`` asks for; argparse requires exactly one."""
+        table = aggregate_window(self.store, window)
+        if self.args.k is not None:
+            return frequency_core(table, self.args.k)
+        return bookshare_core(table, self.args.threshold)
 
     @cached_property
     def out(self) -> Path:
@@ -168,13 +154,6 @@ class _Run:
         return 0
 
 
-def _extract_core(table, args):
-    """The core that ``--k`` or ``--threshold`` asks for; argparse requires exactly one."""
-    if args.k is not None:
-        return frequency_core(table, args.k)
-    return bookshare_core(table, args.threshold)
-
-
 # ---------------------------------------------------------------- commands
 
 
@@ -209,90 +188,64 @@ def cmd_synth(args, run: _Run):
 
 
 def cmd_core(args, run: _Run):
-    store = run.store
-    window = _parse_window(args.window)
-    table = aggregate_window(store, window)
-    core = _extract_core(table, args)
-    path = run.out / f"core_{core.method}_{core.param:g}_{window.label}.tsv"
+    core = run.core(args.window)
+    path = run.out / f"core_{core.method}_{core.param:g}_{args.window.label}.tsv"
     write_core(core, path)
-    return {"window": window.label}, [path]
+    return {"window": args.window.label}, [path]
 
 
 def cmd_turnover(args, run: _Run):
     store = run.store
-    if args.windows == "standard":
-        specs = standard_windows(store.year_start, store.year_end, width=args.width)
-    else:
-        specs = [_parse_window(w) for w in args.windows.split(",")]
-        if len(specs) < 2:
-            raise _UsageError("--windows needs at least two windows")
-    cores = [_extract_core(aggregate_window(store, spec), args) for spec in specs]
-    path = run.write("turnover", turnover_series(cores), series_to_csv, series_to_json)
+    specs = args.windows or standard_windows(store.year_start, store.year_end, width=args.width)
+    path = run.write("turnover", turnover_series([run.core(s) for s in specs]), series_to_csv, series_to_json)
     return {"windows": [s.label for s in specs]}, [path]
 
 
 def cmd_coverage(args, run: _Run):
-    store = run.store
-    window = _parse_window(args.window)
-    core = _extract_core(aggregate_window(store, window), args)
-    stem = f"coverage_{window.label}"
-    series = coverage_series(core, store, run.years, name=stem)
-    return {"window": window.label}, [run.write(stem, series, series_to_csv, series_to_json)]
+    stem = f"coverage_{args.window.label}"
+    series = coverage_series(run.core(args.window), run.store, run.years, name=stem)
+    return {"window": args.window.label}, [run.write(stem, series, series_to_csv, series_to_json)]
 
 
 def cmd_overlap(args, run: _Run):
-    store = run.store
-    window = _parse_window(args.window)
-    table = aggregate_window(store, window)
+    table = aggregate_window(run.store, args.window)
     share_core = bookshare_core(table, args.threshold)
     k = args.k if args.k is not None else max(len(share_core), 1)
-    freq_core_ = frequency_core(table, k)
-    report = overlap_report(freq_core_, share_core)
+    report = overlap_report(frequency_core(table, k), share_core)
     path = run.write("overlap", report, overlap_to_csv, overlap_to_json)
-    return {"window": window.label, "k": k}, [path]
+    return {"window": args.window.label, "k": k}, [path]
 
 
 def cmd_correlate(args, run: _Run):
-    store = run.store
-    window = _parse_window(args.window)
-    table = aggregate_window(store, window)
+    table = aggregate_window(run.store, args.window)
     idx = table.rank_order[: args.k] if args.k is not None else slice(None)
     xs = table.rel_freq[idx].tolist()
     ys = table.volume_share[idx].tolist()
     items = {"pearson_r": pearson_correlation(xs, ys), "n_words": len(xs)}
     path = run.write("correlation", items, mapping_to_csv, partial(mapping_to_json, "correlation"))
-    return {"window": window.label}, [path]
+    return {"window": args.window.label}, [path]
 
 
 def cmd_pos(args, run: _Run):
-    store = run.store
-    window = _parse_window(args.window)
-    core = _extract_core(aggregate_window(store, window), args)
+    core = run.core(args.window)
     comp = {tag.name: share for tag, share in pos_composition(core).items()}
     paths = [run.write("pos_composition", comp, mapping_to_csv, partial(mapping_to_json, "pos_composition"))]
-    if args.window2:
-        window2 = _parse_window(args.window2)
-        core2 = _extract_core(aggregate_window(store, window2), args)
-        drop = {tag.name: v for tag, v in pos_dropout(core, core2).items()}
+    window2_text, window2 = args.window2 or (None, None)
+    if window2:
+        drop = {tag.name: v for tag, v in pos_dropout(core, run.core(window2)).items()}
         paths.append(run.write("pos_dropout", drop, mapping_to_csv, partial(mapping_to_json, "pos_dropout")))
-    return {"window": window.label, "window2": args.window2}, paths
+    return {"window": args.window.label, "window2": window2_text}, paths
 
 
 def cmd_transition(args, run: _Run):
-    store = run.store
-    w_old = _parse_window(args.window)
-    w_new = _parse_window(args.window2)
-    old = _extract_core(aggregate_window(store, w_old), args)
-    new = _extract_core(aggregate_window(store, w_new), args)
-    partition = partition_core_transition(old, new)
-    years = run.years
+    partition = partition_core_transition(run.core(args.window), run.core(args.window2))
     path = run.out / "transition.json"
     write_text_atomic(path, dump_json(partition_to_json(partition)))
     paths = [path]
     for name in ("both", "only_old", "only_new"):
-        series = coverage_series(getattr(partition, name), store, years, name=name)
+        series = coverage_series(getattr(partition, name), run.store, run.years, name=name)
         paths.append(run.write(f"coverage_{name}", series, series_to_csv, series_to_json))
-    return {"window": w_old.label, "window2": w_new.label}, paths
+    return {"window": args.window.label, "window2": args.window2.label}, paths
 
 
 def cmd_group(args, run: _Run):
@@ -423,6 +376,42 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _parse_window(text: str) -> WindowSpec:
+    """An argparse type: 'START:END', 'core1800' or 'core2000'."""
+    if text in _WINDOW_PRESETS:
+        return _WINDOW_PRESETS[text]
+    m = re.fullmatch(r"(\d+):(\d+)", text)
+    if not m:
+        raise argparse.ArgumentTypeError(f"expected 'START:END', 'core1800' or 'core2000', got {text!r}")
+    try:
+        return WindowSpec(int(m.group(1)), int(m.group(2)))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _window_as_given(text: str) -> tuple[str, WindowSpec]:
+    """An argparse type: a window and its text, which ``pos`` records in its manifest."""
+    return text, _parse_window(text)
+
+
+def _parse_windows(text: str) -> list[WindowSpec] | None:
+    """An argparse type: two or more comma-separated windows, or None for 'standard'."""
+    if text == "standard":
+        return None
+    specs = [_parse_window(w) for w in text.split(",")]
+    if len(specs) < 2:
+        raise argparse.ArgumentTypeError(f"expected two or more windows, got {text!r}")
+    return specs
+
+
+def _parse_years(text: str) -> range:
+    """An argparse type: a 'START:END' year range with START <= END."""
+    m = re.fullmatch(r"(\d+):(\d+)", text)
+    if not m or int(m.group(1)) > int(m.group(2)):
+        raise argparse.ArgumentTypeError(f"expected 'START:END' year range, got {text!r}")
+    return range(int(m.group(1)), int(m.group(2)) + 1)
+
+
 def _share(text: str) -> float:
     """An argparse type: a number in (0, 1]."""
     try:
@@ -438,7 +427,7 @@ def _add_common(p: argparse.ArgumentParser, *, store=True, window=False, core=Fa
     if store:
         p.add_argument("--store", required=True, help="path to a store file built by 'ingest'")
     if window:
-        p.add_argument("--window", required=True, help="'START:END', 'core1800' or 'core2000'")
+        p.add_argument("--window", type=_parse_window, required=True, help="'START:END', 'core1800' or 'core2000'")
     if core:
         group = p.add_mutually_exclusive_group(required=True)
         group.add_argument("--k", type=_positive_int, help="frequency-core size (>= 1)")
@@ -478,13 +467,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_core)
 
     p = sub.add_parser("turnover", help="dropout between consecutive window cores")
-    p.add_argument("--windows", default="standard", help="'standard' or 'a:b,c:d,...'")
+    p.add_argument("--windows", type=_parse_windows, default="standard", help="'standard' or 'a:b,c:d,...'")
     p.add_argument("--width", type=_positive_int, default=50, help="standard window width in years (>= 1)")
     _add_common(p, core=True)
     p.set_defaults(func=cmd_turnover)
 
     p = sub.add_parser("coverage", help="text coverage of one core over the years")
-    p.add_argument("--years", help="'START:END' (default: store range)")
+    p.add_argument("--years", type=_parse_years, help="'START:END' (default: store range)")
     _add_common(p, window=True, core=True)
     p.set_defaults(func=cmd_coverage)
 
@@ -493,6 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_positive_int, help="frequency-core size (default: book-share core size)")
     p.add_argument(
         "--window",
+        type=_parse_window,
         default="core2000",
         help="'START:END', 'core1800' or 'core2000' (default: core2000)",
     )
@@ -505,20 +495,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_correlate)
 
     p = sub.add_parser("pos", help="POS composition (and dropout) of a core")
-    p.add_argument("--window2", help="second window for POS dropout")
+    p.add_argument("--window2", type=_window_as_given, help="second window for POS dropout")
     _add_common(p, window=True, core=True)
     p.set_defaults(func=cmd_pos)
 
     p = sub.add_parser("transition", help="kept/lost/gained partition and coverage")
-    p.add_argument("--window2", required=True, help="second window 'START:END'")
-    p.add_argument("--years", help="'START:END' (default: store range)")
+    p.add_argument("--window2", type=_parse_window, required=True, help="second window 'START:END'")
+    p.add_argument("--years", type=_parse_years, help="'START:END' (default: store range)")
     _add_common(p, window=True, core=True)
     p.set_defaults(func=cmd_transition)
 
     p = sub.add_parser("group", help="total frequency series of a word list")
     p.add_argument("--words", required=True, help="file with one word per line")
     p.add_argument("--name", default="group", help="series name")
-    p.add_argument("--years", help="'START:END' (default: store range)")
+    p.add_argument("--years", type=_parse_years, help="'START:END' (default: store range)")
     _add_common(p)
     p.set_defaults(func=cmd_group)
 
@@ -541,9 +531,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         run = _Run(args)
         return run.finish(*args.func(args, run))
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
     except (LexcoreError, OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

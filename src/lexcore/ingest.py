@@ -337,16 +337,16 @@ def _parse_shard(path: Path, year_start: int, year_end: int) -> _ShardPartial:
 
 def _classify_tokens(
     tokens: Sequence[str], config: RunConfig, rows_per_token: np.ndarray, stats: IngestStats
-) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Map each distinct token to a (word id, pos id) pair or drop it.
+) -> tuple[list[str], np.ndarray]:
+    """Map each distinct token to a (word, pos) pair id or drop it.
 
-    Returns the sorted word dictionary plus per-token word/pos id arrays
-    (word id -1 marks a dropped token).  ``rows_per_token`` attributes
-    dropped rows to the wildcard/non-lexical counters precisely.
+    Returns the sorted word dictionary plus each token's pair id,
+    ``word id * POS_COUNT + pos id`` (-1 marks a dropped token).
+    ``rows_per_token`` attributes dropped rows to the wildcard/non-lexical
+    counters precisely.
     """
     n = len(tokens)
-    word_of_token: list[str | None] = [None] * n
-    pos_of_token = np.zeros(n, dtype=np.uint8)
+    pair_of_token: list[tuple[str, int] | None] = [None] * n
     alphabet = config.alphabet
     fold = config.fold_case
     for i, token in enumerate(tokens):
@@ -362,17 +362,16 @@ def _classify_tokens(
         if not is_lexical(word, alphabet):
             stats.nonlexical_rows += int(rows_per_token[i])
             continue
-        word_of_token[i] = word
-        pos_of_token[i] = int(pos)
+        pair_of_token[i] = (word, int(pos))
 
-    vocabulary = sorted({w for w in word_of_token if w is not None})
+    vocabulary = sorted({pair[0] for pair in pair_of_token if pair is not None})
     word_index = {w: i for i, w in enumerate(vocabulary)}
-    wid_of_token = np.fromiter(
-        (word_index[w] if w is not None else -1 for w in word_of_token),
+    pair_ids = np.fromiter(
+        (-1 if pair is None else word_index[pair[0]] * POS_COUNT + pair[1] for pair in pair_of_token),
         dtype=np.int64,
         count=n,
     )
-    return vocabulary, wid_of_token, pos_of_token
+    return vocabulary, pair_ids
 
 
 @functools.cache
@@ -451,37 +450,29 @@ def build_store(
 
     token_list = list(global_tokens)
     rows_per_token = np.bincount(tid, minlength=len(token_list))
-    vocabulary, wid_of_token, pos_of_token = _classify_tokens(
-        token_list, config, rows_per_token, stats
-    )
+    vocabulary, pair_of_token = _classify_tokens(token_list, config, rows_per_token, stats)
     if stats.duplicate_rows:
         log.warning("%d duplicate (token, year) rows merged by addition", stats.duplicate_rows)
 
-    wid = wid_of_token[tid]
-    kept = wid >= 0
-    wid = wid[kept]
-    pid = pos_of_token[tid[kept]].astype(np.int64)
+    pair = pair_of_token[tid]
     del tid
-    year = year[kept]
-    match = match[kept]
-    vol = vol[kept]
+    kept = pair >= 0
+    pair, year, match, vol = pair[kept], year[kept], match[kept], vol[kept]
 
-    # Collapse duplicates (same word, pos, year) from shard overlap,
-    # case folding or apostrophe normalization.
-    key = (wid * POS_COUNT + pid) * span + (year - config.year_start)
-    del wid, pid, year
+    # The store's row order, (word id, year, pos id), lives in this one
+    # key: collapsing duplicates (same word, pos, year) from shard
+    # overlap, case folding or apostrophe normalization also sorts the
+    # rows into it, and every later step keeps that order.
+    key = ((pair // POS_COUNT) * span + (year - config.year_start)) * POS_COUNT + pair % POS_COUNT
+    del pair, year
     key, match, vol = group_sum(key, match, vol)
     _release_freed_memory()
-    pair_key = key // span
-    year = key % span + config.year_start
-    # Spent row-length temporaries are dropped at once (here, and below),
-    # so the later phases stay under the merge phase's peak RSS.
-    del key
-    wid = pair_key // POS_COUNT
-    pid = pair_key % POS_COUNT
 
-    # POS-variant 1% rule on corpus-wide counts per (word, pos).
-    pair_ids, pair_totals = group_sum(pair_key, match)
+    # POS-variant 1% rule on corpus-wide counts per (word, pos).  Spent
+    # row-length temporaries are dropped at once, so the later phases
+    # stay under the merge phase's peak RSS.
+    row_pair = key // (span * POS_COUNT) * POS_COUNT + key % POS_COUNT
+    pair_ids, pair_totals = group_sum(row_pair, match)
     n_words = len(vocabulary)
     pair_words = pair_ids // POS_COUNT
     word_totals = index_sum(pair_words, pair_totals, n_words)
@@ -493,27 +484,16 @@ def build_store(
 
     retain_lookup = np.zeros(n_words * POS_COUNT, dtype=bool)
     retain_lookup[pair_ids[retain]] = True
-    row_keep = retain_lookup[pair_key]
-    del pair_key
-    wid, pid, year, match, vol = (
-        wid[row_keep],
-        pid[row_keep],
-        year[row_keep],
-        match[row_keep],
-        vol[row_keep],
-    )
+    row_keep = retain_lookup[row_pair]
+    del row_pair
+    key, match, vol = key[row_keep], match[row_keep], vol[row_keep]
     del row_keep
     _release_freed_memory()
 
-    # Final word-major layout: (word id, year, pos id).  The combined key
-    # is unique per row, and rows already run in word order.
-    final_order = np.argsort((wid * span + (year - config.year_start)) * POS_COUNT + pid, kind="stable")
-    wid = wid[final_order]
-    pid = pid[final_order]
-    year = year[final_order]
-    match = match[final_order]
-    vol = vol[final_order]
-    del final_order
+    wid = key // (span * POS_COUNT)
+    year = key // POS_COUNT % span + config.year_start
+    pid = key % POS_COUNT
+    del key
 
     lexical_totals = index_sum(year - config.year_start, match, span)
     stats.empty_years = {

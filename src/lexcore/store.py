@@ -343,7 +343,7 @@ def read_volume_sidecar(path: str | Path) -> dict[int, int]:
 
     Two layouts are accepted: plain ``year<TAB>total_volumes`` rows, and
     the total-counts layout of tab-separated ``year,match,page,volume``
-    entries (possibly all on one line).
+    entries (possibly all on one line).  Totals are integers in [0, 2**63).
     """
     out: dict[int, int] = {}
     text = Path(path).read_text(encoding="utf-8")
@@ -365,7 +365,10 @@ def read_volume_sidecar(path: str | Path) -> dict[int, int]:
             raise ConfigInvalid(f"{path}:{lineno}: expected 'year<TAB>total_volumes'")
         for year_s, vol_s in pairs:
             try:
-                out[int(year_s)] = int(vol_s)
+                year, total = int(year_s), int(vol_s)
             except ValueError:
                 raise ConfigInvalid(f"{path}:{lineno}: non-integer field {year_s!r}/{vol_s!r}") from None
+            if not 0 <= total < 2**63:
+                raise ConfigInvalid(f"{path}:{lineno}: volume total {vol_s!r} outside [0, 2**63)")
+            out[year] = total
     return out

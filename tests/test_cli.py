@@ -226,6 +226,19 @@ class TestIngestAndSynth:
         assert "Traceback" not in err
         assert not (out / "store.lxst").exists()
 
+    def test_volume_total_past_int64_is_data_error(self, pipeline, tmp_path, capsys):
+        shard = tmp_path / "good.tsv"
+        shard.write_text(GOOD_LINES, encoding="utf-8")
+        sidecar = tmp_path / "volumes.tsv"
+        sidecar.write_text("1850\t10\n1900\t99999999999999999999\n", encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["ingest", str(shard), "--config", str(pipeline["config"]), "--volumes", str(sidecar)]
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {sidecar}:2: ")
+        assert "Traceback" not in err
+        assert not (out / "store.lxst").exists()
+
 
 class TestCoreCommand:
     def test_core_file(self, pipeline, tmp_path):
@@ -882,6 +895,10 @@ _QUERY = ["--store", "STORE", "--window", "1800:1849"]
         ["ingest", "shard.tsv", "--config", "CONFIG", "--threads", "-2"],
         ["ingest", "shard.tsv", "--config", "CONFIG", "--threads", "0"],
         ["synth", "--preset", "churn15-small", "--shard-years", "0"],
+        ["core", "--store", "MISSING", "--window", "garbage", "--k", "3"],
+        ["core", "--store", "STORE", "--window", "1849:1800", "--k", "3"],
+        ["turnover", "--store", "STORE", "--k", "10", "--windows", "1800:1899"],
+        ["coverage", *_QUERY, "--k", "10", "--years", "1900:1850"],
     ],
     ids=[
         "correlate-k-negative",
@@ -902,11 +919,19 @@ _QUERY = ["--store", "STORE", "--window", "1800:1849"]
         "ingest-threads-negative",
         "ingest-threads-zero",
         "synth-shard-years-zero",
+        "core-bad-window-missing-store",
+        "core-window-inverted",
+        "turnover-one-window",
+        "coverage-years-inverted",
     ],
 )
 def test_flag_out_of_range_is_usage_error(pipeline, tmp_path, capsys, argv):
-    """argparse rejects the flag: exit 2, a usage message, no traceback, no output directory."""
+    """argparse rejects the flag before any input is read.
+
+    Exit 2, a usage message, no traceback, no output directory.
+    """
     paths = {"STORE": str(pipeline["store"]), "CONFIG": str(pipeline["config"])}
+    paths["MISSING"] = str(tmp_path / "no.lxst")
     out = tmp_path / "out"
     assert main([paths.get(a, a) for a in argv] + ["--out", str(out)]) == 2
     err = capsys.readouterr().err

@@ -122,11 +122,16 @@ class TestPosVariantFilter:
 
     @settings(deadline=None)
     @given(
-        st.dictionaries(
-            st.sampled_from(list(PosTag)),
-            st.integers(min_value=0, max_value=10**9),
-            min_size=1,
-        ).filter(lambda d: sum(d.values()) > 0)
+        st.one_of(
+            st.dictionaries(
+                st.sampled_from(list(PosTag)),
+                st.integers(min_value=0, max_value=10**9),
+                min_size=1,
+            ).filter(lambda d: sum(d.values()) > 0),
+            # A variant exactly at 1% of its word's total, and one just above.
+            st.integers(1, 10**7).map(lambda c: {PosTag.NOUN: 99 * c, PosTag.VERB: c}),
+            st.integers(1, 10**7).map(lambda c: {PosTag.NOUN: 99 * c - 1, PosTag.VERB: c + 1}),
+        )
     )
     def test_never_empty_and_threshold_respected(self, variants):
         with tempfile.TemporaryDirectory() as tmp:
@@ -181,7 +186,72 @@ class TestYearlyTotals:
         assert stats.empty_years == {y for y, t in totals.items() if t == 0} == {1903}
 
 
+_ORACLE_TOKENS = st.one_of(
+    st.builds(
+        str.__add__,
+        st.sampled_from(["cat", "Cat", "CAT", "don't", "don’t", "DON’T", "the", "x1"]),
+        st.sampled_from(["", "_NOUN", "_VERB", "_ADJ"]),
+    ),
+    st.sampled_from(["_NOUN_", "_VERB"]),
+)
+_ORACLE_COUNTS = st.one_of(st.integers(0, 3), st.integers(10**12, 10**15))
+
+
+def _store_oracle(shards: list[Path], config) -> tuple[list[str], dict, dict]:
+    """The words, row columns and cleaning counters of ``shards``: dict sums, rows sorted by (word, year, pos)."""
+    years = range(config.year_start, config.year_end + 1)
+    raw = [row for p in shards for row in read_shard(p.read_bytes(), years[0], years[-1])[0]]
+    stats = {"wildcard_rows": 0, "nonlexical_rows": 0}
+    stats["duplicate_rows"] = len(raw) - len({(token, year) for token, year, _, _ in raw})
+    sums: dict[tuple[str, PosTag, int], list[int]] = {}
+    for token, year, match, volumes in raw:
+        try:
+            word, pos = split_pos(token)
+        except WildcardToken:
+            stats["wildcard_rows"] += 1
+            continue
+        word = word.replace("’", "'")
+        word = word.lower() if config.fold_case else word
+        if not is_lexical(word, config.alphabet):
+            stats["nonlexical_rows"] += 1
+            continue
+        total = sums.setdefault((word, pos, year), [0, 0])
+        total[0] += match
+        total[1] += volumes
+    rows = one_percent_rule([(w, p, y, m, v) for (w, p, y), (m, v) in sums.items()])
+    stats["dropped_pos_variants"] = len({(w, p) for w, p, _ in sums}) - len({(w, p) for w, p, *_ in rows})
+    rows.sort(key=lambda r: (r[0], r[2], r[1]))
+    words = sorted({w for w, *_ in rows})
+    columns = {
+        "word_id": [words.index(w) for w, *_ in rows],
+        "year": [y for _, _, y, _, _ in rows],
+        "pos_id": [int(p) for _, p, *_ in rows],
+        "match_count": [m for *_, m, _ in rows],
+        "volume_count": [v for *_, v in rows],
+        "lexical_totals": [sum(m for _, _, y, m, _ in rows if y == year) for year in years],
+    }
+    return words, columns, stats
+
+
 class TestBuildStore:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.tuples(_ORACLE_TOKENS, st.integers(1900, 1904), _ORACLE_COUNTS, _ORACLE_COUNTS), max_size=40),
+        st.integers(1, 3),
+        st.booleans(),
+    )
+    def test_whole_store_matches_dict_oracle(self, records, n_shards, fold_case):
+        """Every column and cleaning counter equals a dict re-aggregation of the shards."""
+        config = english_config(1900, 1904, fold_case=fold_case)
+        lines = [f"{token}\t{year}\t{match}\t{volumes}" for token, year, match, volumes in records]
+        with tempfile.TemporaryDirectory() as tmp:
+            shards = write_shards(Path(tmp), lines, n_shards)
+            store, stats = build_store(shards, config)
+            words, columns, counters = _store_oracle(shards, config)
+        assert store.words == words
+        assert {name: getattr(store, name).tolist() for name in columns} == columns
+        assert {name: getattr(stats, name) for name in counters} == counters
+
     def test_hand_fixture_stats(self, hand_store):
         store, stats = hand_store
         assert stats.malformed == 0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 import struct
 from unittest import mock
 
@@ -477,10 +478,31 @@ class TestVolumeSidecar:
         p.write_text("1900,500,80,10\t1901,600,90,12\n", encoding="utf-8")
         assert read_volume_sidecar(p) == {1900: 10, 1901: 12}
 
-    def test_bad_layout(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "1900 10 20\n",
+            "1899\t10\n1900\t99999999999999999999\n",
+            f"1900\t{2**63}\n",
+            "1900\t-5\n",
+            "1900,500,80,99999999999999999999\n",
+            "1900,500,80,-5\n",
+        ],
+        ids=[
+            "space-separated",
+            "plain-past-int64",
+            "plain-2-63",
+            "plain-negative",
+            "total-counts-past-int64",
+            "total-counts-negative",
+        ],
+    )
+    def test_bad_layout(self, tmp_path, text):
+        """A malformed line, or a total outside [0, 2**63), is refused with its file and line."""
         from lexcore.errors import ConfigInvalid
 
         p = tmp_path / "bad.txt"
-        p.write_text("1900 10 20\n", encoding="utf-8")
-        with pytest.raises(ConfigInvalid):
+        p.write_text(text, encoding="utf-8")
+        lineno = text.count("\n")
+        with pytest.raises(ConfigInvalid, match=rf"^{re.escape(str(p))}:{lineno}: "):
             read_volume_sidecar(p)
