@@ -346,7 +346,7 @@ def _classify_tokens(
     counters precisely.
     """
     n = len(tokens)
-    pair_of_token: list[tuple[str, int] | None] = [None] * n
+    word_pos: list[tuple[str, int] | None] = [None] * n
     alphabet = config.alphabet
     fold = config.fold_case
     for i, token in enumerate(tokens):
@@ -362,12 +362,12 @@ def _classify_tokens(
         if not is_lexical(word, alphabet):
             stats.nonlexical_rows += int(rows_per_token[i])
             continue
-        pair_of_token[i] = (word, int(pos))
+        word_pos[i] = (word, int(pos))
 
-    vocabulary = sorted({pair[0] for pair in pair_of_token if pair is not None})
+    vocabulary = sorted({wp[0] for wp in word_pos if wp is not None})
     word_index = {w: i for i, w in enumerate(vocabulary)}
     pair_ids = np.fromiter(
-        (-1 if pair is None else word_index[pair[0]] * POS_COUNT + pair[1] for pair in pair_of_token),
+        (-1 if wp is None else word_index[wp[0]] * POS_COUNT + wp[1] for wp in word_pos),
         dtype=np.int64,
         count=n,
     )
