@@ -14,7 +14,9 @@ import json
 import logging
 import os
 import re
+import resource
 import sys
+import time
 from datetime import datetime, timezone
 from functools import cached_property, partial
 from pathlib import Path
@@ -166,7 +168,10 @@ def cmd_ingest(args, run: _Run):
     volumes = _resolve_input(args.volumes) if args.volumes else None
     store, stats = build_store(shards, config, volume_sidecar=volumes, threads=args.threads)
     store_path = run.out / "store.lxst"
+    started = time.perf_counter()
     run.store_hash = save_store(store, store_path)
+    stats.timings["save"] = time.perf_counter() - started
+    stats.peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # Linux reports KiB
     write_text_atomic(run.out / "ingest_stats.json", dump_json(stats.to_dict()))
     run.inputs = [str(p) for p in shards]
     params = {

@@ -13,15 +13,24 @@ Cleaning applies three rules:
   1% of the word's total are dropped (the largest variant always stays).
 
 Ingestion never aborts on a single bad line; malformed lines are counted
-and skipped.  Shards may be processed in any order or partition: partial
-tables merge by plain addition, so the result is deterministic.
+and skipped.  The shard workers share one token table, which decodes and
+classifies each distinct token once, and key each kept row by (word,
+year, pos) as they parse.  The merge ranks the words and sums rows with
+equal keys, so any shard order, partition or thread count yields the
+same store.  Memory: the parse keeps 8 bytes per line for its (token,
+year) key plus 24 per lexical row, and the merge holds each row once;
+at one thread the traced peak is about 59 bytes per input line (the
+tests hold it under 64).
 """
 
 from __future__ import annotations
 
 import functools
 import gzip
+import itertools
 import logging
+import threading
+import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -38,12 +47,7 @@ from .store import CorpusStore, dominant_variant, group_sum, index_sum, read_vol
 
 log = logging.getLogger(__name__)
 
-__all__ = [
-    "IngestStats",
-    "split_pos",
-    "is_lexical",
-    "build_store",
-]
+__all__ = ["IngestStats", "split_pos", "is_lexical", "build_store"]
 
 
 @dataclass
@@ -59,11 +63,12 @@ class IngestStats:
     nonlexical_rows: int = 0
     dropped_pos_variants: int = 0
     empty_years: set[int] = field(default_factory=set)
+    # Telemetry, not counters: runs of one input differ in these.
+    timings: dict[str, float] = field(default_factory=dict, compare=False)  # seconds per stage
+    peak_rss_mb: float = field(default=0.0, compare=False)
 
     def to_dict(self) -> dict:
-        out = {k: v for k, v in self.__dict__.items() if k != "empty_years"}
-        out["empty_years"] = sorted(self.empty_years)
-        return out
+        return {**self.__dict__, "empty_years": sorted(self.empty_years)}
 
 
 def split_pos(token: str) -> tuple[str, PosTag]:
@@ -145,56 +150,94 @@ def _fields(line: bytes) -> tuple[bytes, int, int, int] | None:
     return token, min(_number(year_s), _COUNT_LIMIT - 1), match, vol
 
 
-@dataclass
-class _ShardPartial:
-    tokens: list[str]
-    tid: np.ndarray  # int32 index into tokens, one per kept row
-    year: np.ndarray  # int32
-    match: np.ndarray  # int64
-    volume: np.ndarray  # int64
-    stats: IngestStats
+_NOT_UTF8, _WILDCARD, _NONLEXICAL = -1, -2, -3  # key bases of tokens that yield no store row
+
+
+class _TokenTable:
+    """Every distinct token of one ingest, shared by all its shard workers.
+
+    Each token's bytes are decoded and classified once, by the worker
+    that meets them first; a lock guards only that miss path.  A token
+    maps to a token id, which only tells repeated (token, year) rows
+    apart, and a key base: ``word id * span * POS_COUNT + pos id`` for a
+    lexical token, so that a row's store key is its base plus ``year
+    offset * POS_COUNT``, else one of the negative codes above.  Word ids
+    are provisional, numbered as words are first met, so they depend on
+    thread timing; :func:`build_store` replaces them by each word's rank.
+    """
+
+    def __init__(self, config: RunConfig) -> None:
+        self.config, self.span = config, config.year_end - config.year_start + 1
+        self.ids: dict[bytes, int] = {}  # token bytes -> token id
+        self.bases = np.empty(1024, dtype=np.int64)  # key base by token id, grown by doubling
+        self.word_ids: dict[str, int] = {}
+        self.lock = threading.Lock()
+
+    def lookup(self, raw_tokens: Sequence[bytes]) -> tuple[np.ndarray, np.ndarray]:
+        """Token id and key base of each token, as two int64 arrays."""
+        ids = self.ids
+        tid = np.fromiter(map(ids.get, raw_tokens, itertools.repeat(-1)), dtype=np.int64, count=len(raw_tokens))
+        for i in np.flatnonzero(tid < 0).tolist():
+            with self.lock:
+                raw = raw_tokens[i]
+                if raw not in ids:  # another worker may have added it meanwhile
+                    if len(ids) == len(self.bases):
+                        self.bases = np.resize(self.bases, 2 * len(ids))
+                    self.bases[len(ids)] = self._key_base(raw)  # stored before its id is published
+                    ids[raw] = len(ids)
+                tid[i] = ids[raw]
+        # Read after the ids: every base they name is in this array.
+        return tid, self.bases[tid]
+
+    def _key_base(self, raw: bytes) -> int:
+        try:
+            word, pos = split_pos(raw.decode("utf-8"))
+        except UnicodeDecodeError:
+            return _NOT_UTF8
+        except WildcardToken:
+            return _WILDCARD
+        # Typographic apostrophes (U+2019) map to the ASCII form.
+        word = word.replace("’", APOSTROPHE)
+        word = word.lower() if self.config.fold_case else word
+        if not is_lexical(word, self.config.alphabet):
+            return _NONLEXICAL
+        return self.word_ids.setdefault(word, len(self.word_ids)) * self.span * POS_COUNT + int(pos)
 
 
 class _ShardParser:
-    """Accumulates the kept rows of one shard, chunk by chunk.
+    """Keys and counts the rows of one shard, chunk by chunk.
 
     Both line paths feed :meth:`keep`, which applies the counters in a
     fixed order: malformed (including tokens that are not UTF-8), then
-    out_of_range, then invalid_counts.
+    out_of_range, then invalid_counts, then wildcard_rows and
+    nonlexical_rows.  ``columns`` gathers, one array per chunk, the raw
+    key ``token id * span + year offset`` of every row that passes the
+    line rules, then the store key ``(word id * span + year offset) *
+    POS_COUNT + pos id``, match and volume of each lexical row.
     """
 
-    def __init__(self, year_start: int, year_end: int) -> None:
-        self.year_start = year_start
-        self.year_end = year_end
-        self.ids: dict[bytes, int] = {}  # token bytes -> local id, -1 if not UTF-8
-        self.tokens: list[str] = []
+    def __init__(self, table: _TokenTable) -> None:
+        self.table = table
         self.stats = IngestStats()
-        self.rows: list[tuple[np.ndarray, ...]] = []
+        self.columns: tuple[list[np.ndarray], ...] = ([], [], [], [])
 
-    def token_ids(self, raw_tokens: Sequence[bytes]) -> list[int]:
-        """Local id of each token; -1 for a token that is not UTF-8."""
-        ids, tokens = self.ids, self.tokens
-        for raw in raw_tokens:
-            if raw not in ids:
-                try:
-                    tokens.append(raw.decode("utf-8"))
-                    ids[raw] = len(tokens) - 1
-                except UnicodeDecodeError:
-                    ids[raw] = -1
-        return list(map(ids.__getitem__, raw_tokens))
-
-    def keep(self, tid: np.ndarray, year: np.ndarray, match: np.ndarray, vol: np.ndarray) -> None:
-        """Count and drop the rejected rows of well-formed lines; keep the rest."""
-        stats = self.stats
-        valid = tid >= 0
-        stats.malformed += len(tid) - int(np.count_nonzero(valid))
-        in_range = valid & (year >= self.year_start) & (year <= self.year_end)
+    def keep(self, tid: np.ndarray, base: np.ndarray, year: np.ndarray, match: np.ndarray, vol: np.ndarray) -> None:
+        """Count and drop the rejected rows of well-formed lines; key the rest."""
+        stats, config = self.stats, self.table.config
+        valid = base != _NOT_UTF8
+        stats.malformed += len(base) - int(np.count_nonzero(valid))
+        in_range = valid & (year >= config.year_start) & (year <= config.year_end)
         stats.out_of_range += int(np.count_nonzero(valid)) - int(np.count_nonzero(in_range))
         kept = in_range & ((match < 1) | (vol >= 1))
         stats.invalid_counts += int(np.count_nonzero(in_range)) - int(np.count_nonzero(kept))
-        self.rows.append(
-            (tid[kept].astype(np.int32), year[kept].astype(np.int32), match[kept], vol[kept])
-        )
+        offset, kept_base = year - config.year_start, base[kept]
+        stats.wildcard_rows += int(np.count_nonzero(kept_base == _WILDCARD))
+        stats.nonlexical_rows += int(np.count_nonzero(kept_base == _NONLEXICAL))
+        lexical = kept & (base >= 0)
+        rows = (tid[kept] * self.table.span + offset[kept], base[lexical] + offset[lexical] * POS_COUNT,
+                match[lexical], vol[lexical])
+        for column, chunk in zip(self.columns, rows):
+            column.append(chunk)
 
     def exact(self, lines: Sequence[bytes]) -> None:
         """The per-line path: every line the kernel does not take."""
@@ -204,26 +247,7 @@ class _ShardParser:
         self.stats.malformed += len(parsed) - len(good)
         if good:
             tokens, years, matches, vols = zip(*good)
-            self.keep(
-                np.array(self.token_ids(tokens), dtype=np.int64),
-                np.array(years, dtype=np.int64),
-                np.array(matches, dtype=np.int64),
-                np.array(vols, dtype=np.int64),
-            )
-
-    def finish(self) -> _ShardPartial:
-        """Concatenate the kept rows; tokens without a kept row are left out."""
-        if self.rows:
-            tid, year, match, vol = (np.concatenate(c) for c in zip(*self.rows))
-        else:
-            tid = year = np.zeros(0, dtype=np.int32)
-            match = vol = np.zeros(0, dtype=np.int64)
-        used = np.bincount(tid, minlength=len(self.tokens)) > 0
-        tokens = self.tokens
-        if not used.all():
-            tokens = [t for t, u in zip(tokens, used.tolist()) if u]
-            tid = (np.cumsum(used, dtype=np.int32) - 1)[tid]
-        return _ShardPartial(tokens, tid, year, match, vol, self.stats)
+            self.keep(*self.table.lookup(tokens), *(np.array(c, dtype=np.int64) for c in (years, matches, vols)))
 
 
 def _digits(buf: np.ndarray, begin: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -306,19 +330,21 @@ def _parse_chunk(parser: _ShardParser, chunk: bytes) -> None:
     start, tok_len, year, match, vol = start[ok], (t0 - start)[ok], year[ok], match[ok], vol[ok]
     if len(start):
         group, first = _group_tokens(chunk + bytes(_TOKEN_BYTES), start, tok_len)
-        raw = [chunk[s : s + n] for s, n in zip(start[first].tolist(), tok_len[first].tolist())]
-        tid = np.array(parser.token_ids(raw), dtype=np.int64)[group]
-        parser.keep(tid, year, match, vol)
+        # Each distinct token and the tab after it, gathered in one array and split.
+        width = tok_len[first] + 1
+        at = np.arange(int(width.sum())) + np.repeat(start[first] - (np.cumsum(width) - width), width)
+        tid, base = parser.table.lookup(buf[at].tobytes().split(b"\t")[:-1])
+        parser.keep(tid[group], base[group], year, match, vol)
 
 
-def _parse_shard(path: Path, year_start: int, year_end: int) -> _ShardPartial:
-    """Parse one shard into its kept rows and counters.
+def _parse_shard(path: Path, table: _TokenTable) -> _ShardParser:
+    """Parse one shard into its keyed rows and counters.
 
     The shard is read in binary chunks of whole lines.  A chunk holding a
     CR takes the per-line path, which splits at LF, CRLF and CR as text
     mode would; all others go to the numpy kernel.
     """
-    parser = _ShardParser(year_start, year_end)
+    parser = _ShardParser(table)
     opener = gzip.open if path.suffix == ".gz" else open
     try:
         with opener(path, "rb") as fh:
@@ -332,46 +358,24 @@ def _parse_shard(path: Path, year_start: int, year_end: int) -> _ShardPartial:
     except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
         # A truncated or corrupt gzip stream.
         raise LexcoreError(f"{path}: unreadable shard: {exc}") from None
-    return parser.finish()
+    return parser
 
 
-def _classify_tokens(
-    tokens: Sequence[str], config: RunConfig, rows_per_token: np.ndarray, stats: IngestStats
-) -> tuple[list[str], np.ndarray]:
-    """Map each distinct token to a (word, pos) pair id or drop it.
+def _merged(parsers: Sequence[_ShardParser], column: int) -> np.ndarray:
+    """One column of every shard's rows, in one array.
 
-    Returns the sorted word dictionary plus each token's pair id,
-    ``word id * POS_COUNT + pos id`` (-1 marks a dropped token).
-    ``rows_per_token`` attributes dropped rows to the wildcard/non-lexical
-    counters precisely.
+    Each shard's chunks are freed, and their pages handed back, as soon
+    as they are copied.
     """
-    n = len(tokens)
-    word_pos: list[tuple[str, int] | None] = [None] * n
-    alphabet = config.alphabet
-    fold = config.fold_case
-    for i, token in enumerate(tokens):
-        try:
-            word, pos = split_pos(token)
-        except WildcardToken:
-            stats.wildcard_rows += int(rows_per_token[i])
-            continue
-        # Typographic apostrophes (U+2019) map to the ASCII form.
-        word = word.replace("’", APOSTROPHE)
-        if fold:
-            word = word.lower()
-        if not is_lexical(word, alphabet):
-            stats.nonlexical_rows += int(rows_per_token[i])
-            continue
-        word_pos[i] = (word, int(pos))
-
-    vocabulary = sorted({wp[0] for wp in word_pos if wp is not None})
-    word_index = {w: i for i, w in enumerate(vocabulary)}
-    pair_ids = np.fromiter(
-        (-1 if wp is None else word_index[wp[0]] * POS_COUNT + wp[1] for wp in word_pos),
-        dtype=np.int64,
-        count=n,
-    )
-    return vocabulary, pair_ids
+    out = np.empty(sum(len(chunk) for parser in parsers for chunk in parser.columns[column]), dtype=np.int64)
+    at = 0
+    for parser in parsers:
+        for chunk in parser.columns[column]:
+            out[at : at + len(chunk)] = chunk
+            at += len(chunk)
+        parser.columns[column].clear()
+        _release_freed_memory()
+    return out
 
 
 @functools.cache
@@ -408,70 +412,74 @@ def build_store(
 ) -> tuple[CorpusStore, IngestStats]:
     """Parse, clean and aggregate shards into a queryable corpus store.
 
-    Shards are parsed independently (``threads`` workers) and merged by
-    commutative addition, so any order or partition of the input yields
-    an identical store.
+    Shards are parsed independently (``threads`` workers) through one
+    shared token table, and rows are merged by their key and summed, so
+    any order or partition of the input yields an identical store.
     """
     paths = [Path(p) for p in shard_paths]
     if not paths:
         raise ValueError("no shard paths given")
+    span = config.year_end - config.year_start + 1
+    # Read first, so that a bad sidecar fails before any shard is parsed.
+    volume_totals = np.zeros(span, dtype=np.int64)
+    if volume_sidecar is not None:
+        for y, total in read_volume_sidecar(volume_sidecar).items():
+            if config.year_start <= y <= config.year_end:
+                volume_totals[y - config.year_start] = total
     stats = IngestStats()
+    clock = time.perf_counter()
 
-    parse = lambda p: _parse_shard(p, config.year_start, config.year_end)
+    def lap(stage: str) -> None:
+        nonlocal clock
+        now = time.perf_counter()
+        stats.timings[stage], clock = now - clock, now
+
+    table = _TokenTable(config)
+    parse = lambda p: _parse_shard(p, table)
     if threads > 1 and len(paths) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(parse, paths))
+            parsers = list(pool.map(parse, paths))
     else:
-        partials = [parse(p) for p in paths]
-
-    # Merge shard-local token ids into one global map; ids are remapped,
-    # so the shard order never changes the result.
-    global_tokens: dict[str, int] = {}
-    tid_chunks = []
-    for part in partials:
-        for k in ("lines", "malformed", "out_of_range", "invalid_counts"):
-            setattr(stats, k, getattr(stats, k) + getattr(part.stats, k))
-        remap = np.array(
-            [global_tokens.setdefault(t, len(global_tokens)) for t in part.tokens], dtype=np.int64
-        )
-        tid_chunks.append(remap[part.tid])
-    tid = np.concatenate(tid_chunks)
-    year = np.concatenate([p.year for p in partials]).astype(np.int64)
-    match = np.concatenate([p.match for p in partials])
-    vol = np.concatenate([p.volume for p in partials])
-    del partials, tid_chunks
-    _release_freed_memory()
+        parsers = [parse(p) for p in paths]
+    for parser in parsers:
+        for k in ("lines", "malformed", "out_of_range", "invalid_counts", "wildcard_rows", "nonlexical_rows"):
+            setattr(stats, k, getattr(stats, k) + getattr(parser.stats, k))
+    lap("parse")
 
     # Re-ingested (token, year) rows are summed but worth a warning count.
-    span = config.year_end - config.year_start + 1
-    raw_key = np.sort(tid * span + (year - config.year_start))
+    raw_key = _merged(parsers, 0)
+    raw_key.sort()
     stats.duplicate_rows = int(np.count_nonzero(raw_key[1:] == raw_key[:-1]))
     del raw_key
-
-    token_list = list(global_tokens)
-    rows_per_token = np.bincount(tid, minlength=len(token_list))
-    vocabulary, pair_of_token = _classify_tokens(token_list, config, rows_per_token, stats)
     if stats.duplicate_rows:
         log.warning("%d duplicate (token, year) rows merged by addition", stats.duplicate_rows)
+    key, match, vol = (_merged(parsers, column) for column in (1, 2, 3))
+    del parsers
 
-    pair = pair_of_token[tid]
-    del tid
-    kept = pair >= 0
-    pair, year, match, vol = pair[kept], year[kept], match[kept], vol[kept]
+    # Provisional word ids become ranks in the sorted vocabulary, which
+    # holds only the words with a kept row.  Key order is then the
+    # store's row order, (word id, year, pos id).
+    stride = span * POS_COUNT
+    word = key // stride
+    used = np.zeros(len(table.word_ids), dtype=bool)
+    used[word] = True
+    vocabulary = sorted(w for w, u in zip(table.word_ids, used.tolist()) if u)
+    shift = -np.arange(len(used), dtype=np.int64)
+    shift[[table.word_ids[w] for w in vocabulary]] += np.arange(len(vocabulary))
+    key += shift[word] * stride
+    del word
+    lap("merge")
 
-    # The store's row order, (word id, year, pos id), lives in this one
-    # key: collapsing duplicates (same word, pos, year) from shard
-    # overlap, case folding or apostrophe normalization also sorts the
-    # rows into it, and every later step keeps that order.
-    key = ((pair // POS_COUNT) * span + (year - config.year_start)) * POS_COUNT + pair % POS_COUNT
-    del pair, year
+    # Collapse duplicates (same word, pos, year) from shard overlap, case
+    # folding or apostrophe normalization; that also sorts the rows.
     key, match, vol = group_sum(key, match, vol)
     _release_freed_memory()
+    lap("collapse")
 
     # POS-variant 1% rule on corpus-wide counts per (word, pos).  Spent
     # row-length temporaries are dropped at once, so the later phases
-    # stay under the merge phase's peak RSS.
-    row_pair = key // (span * POS_COUNT) * POS_COUNT + key % POS_COUNT
+    # stay under the collapse's peak.
+    row_pair = key // stride * POS_COUNT + key % POS_COUNT
     pair_ids, pair_totals = group_sum(row_pair, match)
     n_words = len(vocabulary)
     pair_words = pair_ids // POS_COUNT
@@ -489,42 +497,22 @@ def build_store(
     key, match, vol = key[row_keep], match[row_keep], vol[row_keep]
     del row_keep
     _release_freed_memory()
+    lap("pos_rule")
 
-    wid = key // (span * POS_COUNT)
+    wid = key // stride
     year = key // POS_COUNT % span + config.year_start
     pid = key % POS_COUNT
     del key
 
     lexical_totals = index_sum(year - config.year_start, match, span)
-    stats.empty_years = {
-        config.year_start + i for i in range(span) if lexical_totals[i] == 0
-    }
-
-    volume_totals = np.zeros(span, dtype=np.int64)
-    if volume_sidecar is not None:
-        for y, total in read_volume_sidecar(volume_sidecar).items():
-            if config.year_start <= y <= config.year_end:
-                volume_totals[y - config.year_start] = total
+    stats.empty_years = {config.year_start + i for i in range(span) if lexical_totals[i] == 0}
 
     store = CorpusStore.from_rows(
-        language=config.language,
-        year_start=config.year_start,
-        year_end=config.year_end,
-        words=vocabulary,
-        word_id=wid,
-        pos_id=pid,
-        year=year,
-        match_count=match,
-        volume_count=vol,
-        lexical_totals=lexical_totals,
-        volume_totals=volume_totals,
+        config.language, config.year_start, config.year_end, vocabulary,
+        word_id=wid, pos_id=pid, year=year, match_count=match, volume_count=vol,
+        lexical_totals=lexical_totals, volume_totals=volume_totals,
     )
-    log.info(
-        "ingested %d lines from %d shard(s): %d rows, %d words, %d malformed",
-        stats.lines,
-        len(paths),
-        len(store.pos_id),
-        len(vocabulary),
-        stats.malformed,
-    )
+    lap("layout")
+    log.info("ingested %d lines from %d shard(s): %d rows, %d words, %d malformed",
+             stats.lines, len(paths), len(store.pos_id), len(vocabulary), stats.malformed)
     return store, stats

@@ -303,15 +303,17 @@ def group_sum(key: np.ndarray, *values: np.ndarray) -> tuple[np.ndarray, ...]:
 
     Sums are exact: one that reaches 2**63 raises :class:`CountOverflow`.
     """
-    if len(key) == 0:
-        return (key,) + tuple(np.zeros(0, dtype=np.int64) for _ in values)
     order = np.argsort(key, kind="stable")
-    skey = key[order]
-    boundary = np.empty(len(skey), dtype=bool)
-    boundary[0] = True
-    np.not_equal(skey[1:], skey[:-1], out=boundary[1:])
-    starts = np.flatnonzero(boundary)
-    return (skey[starts],) + tuple(_exact(lambda c: np.add.reduceat(c, starts), v[order]) for v in values)
+    key = key[order]
+    first = np.ones(len(key), dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    if first.all():
+        # No key repeats: each sum is its one count.
+        return (key,) + tuple(v[order].astype(np.int64, copy=False) for v in values)
+    starts = np.flatnonzero(first)
+    del first
+    key = key[starts]
+    return (key,) + tuple(_exact(lambda c: np.add.reduceat(c, starts), v[order]) for v in values)
 
 
 def index_sum(index: np.ndarray, counts: np.ndarray, length: int) -> np.ndarray:
@@ -343,9 +345,11 @@ def read_volume_sidecar(path: str | Path) -> dict[int, int]:
 
     Two layouts are accepted: plain ``year<TAB>total_volumes`` rows, and
     the total-counts layout of tab-separated ``year,match,page,volume``
-    entries (possibly all on one line).  Totals are integers in [0, 2**63).
+    entries (possibly all on one line).  Totals are integers in [0, 2**63),
+    and each year is given once.
     """
     out: dict[int, int] = {}
+    line_of: dict[int, int] = {}
     text = Path(path).read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -370,5 +374,7 @@ def read_volume_sidecar(path: str | Path) -> dict[int, int]:
                 raise ConfigInvalid(f"{path}:{lineno}: non-integer field {year_s!r}/{vol_s!r}") from None
             if not 0 <= total < 2**63:
                 raise ConfigInvalid(f"{path}:{lineno}: volume total {vol_s!r} outside [0, 2**63)")
-            out[year] = total
+            if year in line_of:
+                raise ConfigInvalid(f"{path}:{lineno}: year {year} already given on line {line_of[year]}")
+            out[year], line_of[year] = total, lineno
     return out

@@ -7,6 +7,7 @@ import hashlib
 import json
 import struct
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -82,6 +83,16 @@ class TestIngestAndSynth:
         assert manifest["subcommand"] == "ingest"
         assert manifest["store_hash"]
         assert manifest["params_hash"]
+
+    def test_ingest_stats_telemetry(self, pipeline):
+        """Stage timings and peak RSS ride along in ingest_stats.json, outside the manifest's params."""
+        store_dir = pipeline["store"].parent
+        stats = json.loads((store_dir / "ingest_stats.json").read_text())
+        assert stats["peak_rss_mb"] > 0
+        assert set(stats["timings"]) == {"parse", "merge", "collapse", "pos_rule", "layout", "save"}
+        assert all(seconds >= 0 for seconds in stats["timings"].values())
+        params = json.dumps(_manifest(store_dir)["params"])
+        assert "timings" not in params and "peak_rss_mb" not in params
 
     def test_synth_truth_sidecar(self, pipeline):
         truth = json.loads((pipeline["corpus"] / "truth.json").read_text())
@@ -236,6 +247,21 @@ class TestIngestAndSynth:
         assert main(argv + ["--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {sidecar}:2: ")
+        assert "Traceback" not in err
+        assert not (out / "store.lxst").exists()
+
+
+    def test_bad_sidecar_fails_before_any_shard_is_read(self, pipeline, tmp_path, capsys):
+        shard = tmp_path / "shard.tsv.gz"
+        shard.write_bytes(_corrupt_gzip(GOOD_LINES.encode()))
+        sidecar = tmp_path / "volumes.tsv"
+        sidecar.write_text("1850\t10\n1900\t4\n1850\t12\n", encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["ingest", str(shard), "--config", str(pipeline["config"]), "--volumes", str(sidecar)]
+        with mock.patch("gzip.open", side_effect=AssertionError("a shard was opened")):
+            assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {sidecar}:3: year 1850 already given on line 1")
         assert "Traceback" not in err
         assert not (out / "store.lxst").exists()
 

@@ -6,6 +6,7 @@ import gzip
 import sys
 import tempfile
 import threading
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -18,8 +19,8 @@ from lexcore import ingest
 
 from lexcore.alphabets import alphabet_preset
 from lexcore.errors import CountOverflow, WildcardToken
-from lexcore.ingest import build_store, is_lexical, split_pos
-from lexcore.postags import SUFFIX_TAGS, PosTag
+from lexcore.ingest import IngestStats, build_store, is_lexical, split_pos
+from lexcore.postags import POS_COUNT, SUFFIX_TAGS, PosTag
 from lexcore.store import save_store
 
 from conftest import (
@@ -197,6 +198,17 @@ _ORACLE_TOKENS = st.one_of(
 _ORACLE_COUNTS = st.one_of(st.integers(0, 3), st.integers(10**12, 10**15))
 
 
+def _classified(token: str, config) -> tuple[str, PosTag] | str:
+    """The (word, pos) pair a token's rows count toward, or the counter that drops them."""
+    try:
+        word, pos = split_pos(token)
+    except WildcardToken:
+        return "wildcard_rows"
+    word = word.replace("’", "'")
+    word = word.lower() if config.fold_case else word
+    return (word, pos) if is_lexical(word, config.alphabet) else "nonlexical_rows"
+
+
 def _store_oracle(shards: list[Path], config) -> tuple[list[str], dict, dict]:
     """The words, row columns and cleaning counters of ``shards``: dict sums, rows sorted by (word, year, pos)."""
     years = range(config.year_start, config.year_end + 1)
@@ -205,16 +217,11 @@ def _store_oracle(shards: list[Path], config) -> tuple[list[str], dict, dict]:
     stats["duplicate_rows"] = len(raw) - len({(token, year) for token, year, _, _ in raw})
     sums: dict[tuple[str, PosTag, int], list[int]] = {}
     for token, year, match, volumes in raw:
-        try:
-            word, pos = split_pos(token)
-        except WildcardToken:
-            stats["wildcard_rows"] += 1
+        pair = _classified(token, config)
+        if isinstance(pair, str):
+            stats[pair] += 1
             continue
-        word = word.replace("’", "'")
-        word = word.lower() if config.fold_case else word
-        if not is_lexical(word, config.alphabet):
-            stats["nonlexical_rows"] += 1
-            continue
+        word, pos = pair
         total = sums.setdefault((word, pos, year), [0, 0])
         total[0] += match
         total[1] += volumes
@@ -262,28 +269,39 @@ class TestBuildStore:
         assert sorted(store.words) == ["cat", "dog", "don't", "new", "press", "the", "time"]
 
     def test_shard_order_independence(self, tmp_path):
+        """Forward, reversed and single-shard input, at 1, 2 and 4 threads: one store, one set of counters."""
         config = english_config(1900, 1904)
+        sidecar = _sidecar(tmp_path, range(1900, 1905))
         shards = write_shards(tmp_path / "a", HAND_LINES, n_shards=3)
         one = write_shards(tmp_path / "b", HAND_LINES, n_shards=1)
-        s1, _ = build_store(shards, config)
-        s2, _ = build_store(list(reversed(shards)), config)
-        s3, _ = build_store(one, config)
-        for other in (s2, s3):
-            assert s1.words == other.words
-            assert (s1.word_id == other.word_id).all()
-            assert (s1.pos_id == other.pos_id).all()
-            assert (s1.year == other.year).all()
-            assert (s1.match_count == other.match_count).all()
-            assert (s1.volume_count == other.volume_count).all()
-            assert (s1.lexical_totals == other.lexical_totals).all()
+        expected = _whole(*build_store(shards, config, volume_sidecar=sidecar))
+        for paths in (shards, list(reversed(shards)), one):
+            for threads in (1, 2, 4):
+                built = build_store(paths, config, volume_sidecar=sidecar, threads=threads)
+                assert _whole(*built) == expected, (paths, threads)
 
     def test_thread_count_does_not_change_store(self, tmp_path):
-        config = english_config(1900, 1904)
-        shards = write_shards(tmp_path, HAND_LINES, n_shards=4)
-        s1, _ = build_store(shards, config, threads=1)
-        s2, _ = build_store(shards, config, threads=4)
-        assert s1.words == s2.words
-        assert (s1.match_count == s2.match_count).all()
+        """Shards that share tokens, so the workers meet each word in a different order."""
+        config = english_config(1900, 1904, fold_case=True)
+        sidecar = _sidecar(tmp_path, range(1900, 1905))
+        lines = HAND_LINES * 3 + [line.upper() for line in HAND_LINES]
+        shards = write_shards(tmp_path / "shards", lines, n_shards=4)
+        expected = _whole(*build_store(shards, config, volume_sidecar=sidecar))
+        assert expected[2].duplicate_rows and expected[2].nonlexical_rows and expected[2].wildcard_rows
+        for paths in (shards, list(reversed(shards))):
+            for threads in (1, 2, 4):
+                built = build_store(paths, config, volume_sidecar=sidecar, threads=threads)
+                assert _whole(*built) == expected, (paths, threads)
+
+    def test_word_with_only_rejected_rows_is_not_a_word(self, tmp_path):
+        """A lexical token met only in zero-volume or out-of-range rows gets no word id."""
+        lines = ["cat\t1900\t5\t2", "dog\t1900\t4\t0", "emu\t1850\t3\t1", "emu_NOUN\t1950\t1\t1", "ant\t1900\t0\t0"]
+        for threads in (1, 2):
+            shards = write_shards(tmp_path / str(threads), lines, n_shards=2)
+            store, stats = build_store(shards, english_config(1900, 1900), threads=threads)
+            assert store.words == ["ant", "cat"]
+            assert store.word_offsets.tolist() == [0, 1, 2]
+            assert (stats.invalid_counts, stats.out_of_range) == (1, 2)
 
     def test_store_same_without_malloc_trim(self, tmp_path):
         """Handing freed pages back is skipped where the C library has no malloc_trim."""
@@ -294,7 +312,9 @@ class TestBuildStore:
             s1, _ = build_store(shards, config)
         with mock.patch.object(ingest, "_malloc_trim", return_value=None):
             s2, _ = build_store(shards, config)
-        assert calls == [0, 0, 0]
+        # Once per shard for each of the four merged columns, then after
+        # the collapse and after the 1% rule.
+        assert calls == [0] * (4 * len(shards) + 2)
         assert _same_store(s1, s2)
 
     def test_conservation_per_year(self, hand_store):
@@ -376,6 +396,31 @@ class TestBuildStore:
         assert stats.wildcard_rows == 1
 
 
+class TestMemoryContract:
+    # The traced peak is 59.1 bytes per input line; a merge that holds
+    # the parsed rows twice, as concatenated copies, reaches 86.8.
+    PEAK_BYTES_PER_LINE = 64
+
+    def test_traced_peak_per_input_line(self, small_synth):
+        """build_store's traced peak stays under a fixed number of bytes per input line.
+
+        numpy reports its buffers to tracemalloc, so at one thread the
+        peak is the same on every run.
+        """
+        result, _ = small_synth
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            _, stats = build_store(result.shard_paths, english_config(1800, 1999), volume_sidecar=result.volumes_path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert (stats.lines, len(result.shard_paths)) == (400_000, 8)
+        assert peak / stats.lines < self.PEAK_BYTES_PER_LINE
+
+
 # ------------------------------------------------- byte-level shard parser
 
 _TAGS = sorted(SUFFIX_TAGS)
@@ -446,9 +491,37 @@ def _shards(draw) -> bytes:
     return data[:-1] if draw(st.booleans()) else data
 
 
-def _rows(part) -> list:
-    tokens = [part.tokens[i] for i in part.tid.tolist()]
-    return sorted(zip(tokens, part.year.tolist(), part.match.tolist(), part.volume.tolist()))
+def _parsed(path: Path, config) -> tuple[list, list, IngestStats]:
+    """One shard parsed alone, decoded through its token table.
+
+    Returns the sorted (token, year) of every row that passes the line
+    rules, the sorted (word, pos, year, match, volumes) of the lexical
+    ones, and the shard's counters.
+    """
+    table = ingest._TokenTable(config)
+    parser = ingest._parse_shard(path, table)
+    span = config.year_end - config.year_start + 1
+    tokens = {tid: raw.decode("utf-8") for raw, tid in table.ids.items() if table.bases[tid] != ingest._NOT_UTF8}
+    words = list(table.word_ids)
+    raw_key, key, match, vol = (np.concatenate(c).tolist() if c else [] for c in parser.columns)
+    keys = sorted((tokens[k // span], config.year_start + k % span) for k in raw_key)
+    rows = sorted(
+        (words[k // span // POS_COUNT], PosTag(k % POS_COUNT), config.year_start + k // POS_COUNT % span, m, v)
+        for k, m, v in zip(key, match, vol)
+    )
+    return keys, rows, parser.stats
+
+
+def _whole(store, stats) -> tuple:
+    """Everything a build yields: words, each column's dtype and values, and the counters."""
+    columns = ("word_offsets", "pos_id", "year_offset", "match_count", "volume_count", "lexical_totals", "volume_totals")
+    return store.words, {c: (getattr(store, c).dtype.str, getattr(store, c).tolist()) for c in columns}, stats
+
+
+def _sidecar(directory: Path, years) -> Path:
+    path = directory / "volumes.tsv"
+    path.write_text("".join(f"{y}\t{y % 7 + 1}\n" for y in years), encoding="utf-8")
+    return path
 
 
 def _build_or_overflow(paths, config):
@@ -478,13 +551,12 @@ class TestShardParser:
             path.write_bytes(data)
             config = english_config(1898, 1902)
             with mock.patch.object(ingest, "_CHUNK_BYTES", chunk_bytes), mock.patch.object(ingest, "_MIX", mix):
-                kernel = ingest._parse_shard(path, 1898, 1902)
+                kernel = _parsed(path, config)
                 built = _build_or_overflow([path], config)
                 with mock.patch.object(ingest, "_parse_chunk", _exact_only):
-                    exact = ingest._parse_shard(path, 1898, 1902)
+                    exact = _parsed(path, config)
                     exact_built = _build_or_overflow([path], config)
-        assert _rows(kernel) == _rows(exact)
-        assert kernel.stats == exact.stats
+        assert kernel == exact
         rows, counters = read_shard(data, 1898, 1902)
         # Both paths overflow alike, and only when the kept counts can.
         assert (built is None) == (exact_built is None)
@@ -494,9 +566,18 @@ class TestShardParser:
             (store, stats), (exact_store, exact_stats) = built, exact_built
             assert stats == exact_stats
             assert _same_store(store, exact_store)
-        assert _rows(kernel) == rows
-        assert {k: getattr(kernel.stats, k) for k in counters} == counters
-        assert set(kernel.tokens) == {row[0] for row in rows}
+        keys, lexical, stats = kernel
+        assert keys == sorted((token, year) for token, year, _, _ in rows)
+        counters.update(wildcard_rows=0, nonlexical_rows=0)
+        oracle_lexical = []
+        for token, year, match, volumes in rows:
+            pair = _classified(token, config)
+            if isinstance(pair, str):
+                counters[pair] += 1
+            else:
+                oracle_lexical.append((*pair, year, match, volumes))
+        assert lexical == sorted(oracle_lexical)
+        assert {k: getattr(stats, k) for k in counters} == counters
 
     def test_hostile_lines_are_malformed(self, tmp_path):
         lines = [

@@ -427,6 +427,14 @@ class TestGroupSum:
         assert sums.dtype == np.int64 and dict(zip(keys.tolist(), sums.tolist())) == {4: 2 * top, 6: 1}
         assert index_sum(np.array([0, 1, 0]), values, 2).tolist() == [2 * top, 1]
 
+    @pytest.mark.parametrize("dtype", ["u1", "<u2", "<u4", "<i8"])
+    def test_distinct_keys(self, dtype):
+        """With no key repeated, keys come back sorted and each sum is its one count, as int64."""
+        keys, sums = group_sum(np.array([9, 2, 5]), np.array([1, 2, 3], dtype=dtype))
+        assert keys.tolist() == [2, 5, 9] and sums.dtype == np.int64 and sums.tolist() == [2, 3, 1]
+        keys, sums = group_sum(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=dtype))
+        assert len(keys) == 0 and sums.dtype == np.int64
+
     def test_yearly_total_overflow_is_rejected_at_ingest(self, tmp_path):
         """Two words that each fit int64 but whose year total does not."""
         shards = write_shards(tmp_path, ["good\t1900\t5\t2", f"word\t1900\t{2**63 - 1}\t1"])
@@ -505,4 +513,23 @@ class TestVolumeSidecar:
         p.write_text(text, encoding="utf-8")
         lineno = text.count("\n")
         with pytest.raises(ConfigInvalid, match=rf"^{re.escape(str(p))}:{lineno}: "):
+            read_volume_sidecar(p)
+
+    @pytest.mark.parametrize(
+        "text, lines",
+        [
+            ("1899\t5\n1900\t10\n# comment\n1900\t20\n", (4, 2)),
+            ("1899,1,1,5\t1900,500,80,10\n1901,1,1,7\t1900,600,90,20\n", (2, 1)),
+            ("1900,500,80,10\t1900,500,80,10\n", (1, 1)),
+        ],
+        ids=["plain", "total-counts", "total-counts-one-line"],
+    )
+    def test_repeated_year(self, tmp_path, text, lines):
+        """A year given twice is refused, naming the file and both lines; neither total wins."""
+        from lexcore.errors import ConfigInvalid
+
+        p = tmp_path / "volumes.txt"
+        p.write_text(text, encoding="utf-8")
+        second, first = lines
+        with pytest.raises(ConfigInvalid, match=rf"^{re.escape(str(p))}:{second}: year 1900 already given on line {first}$"):
             read_volume_sidecar(p)
