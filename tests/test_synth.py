@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from lexcore.errors import ConfigInvalid
 from lexcore.ingest import build_store
 from lexcore.metrics import coverage_series, dropout_share
+from lexcore.postags import PosTag
 from lexcore.synth import PRESETS, SynthConfig, generate_corpus, synth_config_from_dict
 from lexcore.windows import WindowSpec, aggregate_window, frequency_core
 
@@ -34,6 +36,115 @@ def test_same_seed_same_bytes(tmp_path):
     for pa, pb in zip(a.shard_paths, b.shard_paths):
         assert pa.read_bytes() == pb.read_bytes()
     assert a.truth_path.read_bytes() == b.truth_path.read_bytes()
+
+
+# Configs the benchmark's reference digests do not reach, with the years
+# per shard file each is written with.
+GOLDEN_CASES = {
+    "tiny": (TINY, 25),
+    "poschurn": (
+        SynthConfig(
+            vocabulary=400,
+            year_start=1800,
+            year_end=1829,
+            tokens_per_year=40_000,
+            era_length=10,
+            churn=0.25,
+            churn_band=300,
+            pos_churn={PosTag.NOUN: 0.4, PosTag.DET: 0.1},
+            tag_weights={PosTag.NOUN: 0.45, PosTag.DET: 0.30, PosTag.VERB: 0.25},
+            volumes_per_year=50,
+            seed=11,
+        ),
+        10,
+    ),
+    "decay": (
+        SynthConfig(
+            vocabulary=300,
+            year_start=1850,
+            year_end=1869,
+            tokens_per_year=30_000,
+            churn=0.0,
+            churn_band=0,
+            decay_group=(101, 140),
+            decay_factor=0.5,
+            volumes_per_year=40,
+            seed=5,
+        ),
+        10,
+    ),
+    "mandelbrot": (dataclasses.replace(TINY, mandelbrot_offset=2.7, zipf_exponent=1.1, seed=3), 20),
+    # Fewer tokens than words: most counts are 0 and those rows are skipped.
+    "sparse": (dataclasses.replace(TINY, tokens_per_year=150, seed=4), 20),
+    # 40 years in shards of 7: the last shard is short.
+    "ragged": (dataclasses.replace(TINY, seed=6), 7),
+    # Three- and four-digit years in one corpus.
+    "early-years": (dataclasses.replace(TINY, year_start=990, year_end=1009, era_length=7, seed=8), 8),
+}
+GOLDEN_SHA256 = {
+    "tiny": {
+        "synth-1900-1924.tsv": "56267b207b2b7405466964b6b5c4fac50d8c77d539729f36ce3205aa43a4a4a2",
+        "synth-1925-1939.tsv": "f9b7820c960868b10537d954fe4eb80265299ecded5e426d2d03ad1aac9cb18a",
+        "truth.json": "ceecacc44ff25131c46bc71140cfaea167463b5574c6bac6c2d1a55091d60c11",
+        "volumes.tsv": "c648c35fc4bf6269bf0b211da00d8081c29a40356933b87466eb09fd8690f5da",
+    },
+    "poschurn": {
+        "synth-1800-1809.tsv": "de29132289a2fed15436270a093f78e7d897938b1fcdf001a959d28de628c447",
+        "synth-1810-1819.tsv": "c043cd92f780515b90dafe2aaeeda9d9f8de935cbf095d086749b9611aee6138",
+        "synth-1820-1829.tsv": "9fc20910e02385f268b6552fef7a74b1e2c31f8198558e99a95f2450ad09319f",
+        "truth.json": "c1136408985042aeb990c45f92fde7c0d1926372417cd627523290fc7244f469",
+        "volumes.tsv": "7df5fc12d62131561019ff4121702c6ca14cf3047d028cf2622e5558b7162497",
+    },
+    "decay": {
+        "synth-1850-1859.tsv": "c46272d64d5f94d7d5a5c6b24ec9e8f88a900eb22d38e7d6f1cfcbfcf5d128a3",
+        "synth-1860-1869.tsv": "6fcd27a61595bf3d1345a894a66c4e3b80ff3cc76566adde82181d8b113149ab",
+        "truth.json": "256d31dbb00e8a25a788abad448f96048dc891e49c5288d19693a96ea8685a84",
+        "volumes.tsv": "165fd6e08c01141e5060fca514fb3106635dbd52069f49252d8b020da2a518c1",
+    },
+    "mandelbrot": {
+        "synth-1900-1919.tsv": "fd7772643759b3f29c8b1bffb155cb2b142ad707205139f3b295973d8ae01dbf",
+        "synth-1920-1939.tsv": "5f9887930b6e3a1fbb2d1e51317a072600ecd715d4293b48375567d0728d05ce",
+        "truth.json": "c85e4313eb4d937c69fa5e406ed9d41967e422eef1aa80f36c7d1ef6577d039c",
+        "volumes.tsv": "c648c35fc4bf6269bf0b211da00d8081c29a40356933b87466eb09fd8690f5da",
+    },
+    "sparse": {
+        "synth-1900-1919.tsv": "f1114987ba4ae0c44840d8420ca34058d2e5d8110d2fb868cc47ce853b2b4f4b",
+        "synth-1920-1939.tsv": "ba535973569641db577e6972f4f637be593597fef6eaa17150379d1b79ebcee8",
+        "truth.json": "84b43e6ab4f064876cb778451bb4decddc7ff81a4e8d6200c6bbaefbf1490893",
+        "volumes.tsv": "c648c35fc4bf6269bf0b211da00d8081c29a40356933b87466eb09fd8690f5da",
+    },
+    "ragged": {
+        "synth-1900-1906.tsv": "162729ab733365108aba7ce44443cdf4f456ded27322050a766ce7822769fcca",
+        "synth-1907-1913.tsv": "06c5e890f20d321b209f5e22f7dc84be342f3a1e422297a2c54bf2a0fee5bedb",
+        "synth-1914-1920.tsv": "b32b6f01b135afb45ae7afd857c0349aabbc8160d340729ce9c6382d255b3029",
+        "synth-1921-1927.tsv": "d4a97d05e8fe5da96ac96227fe2b49ab3f74c7db3d673f6f63aba1547cc8bf87",
+        "synth-1928-1934.tsv": "f3b46d321252058c970f39f99f0571bbcca6b33d7d2e630aa48007e55f38980c",
+        "synth-1935-1939.tsv": "e620d1089dfd2b6dfccd7bcaca1aa6c1ad5796964d7a67912063736110d6834a",
+        "truth.json": "c9632a5a3d8173ddf251d23b250b58de3c697ff026a36b9dbc40ed07cc25cd5b",
+        "volumes.tsv": "c648c35fc4bf6269bf0b211da00d8081c29a40356933b87466eb09fd8690f5da",
+    },
+    "early-years": {
+        "synth-1006-1009.tsv": "e757ebfae6979832f8434bf94a9f15a21e5df38bc218da377fd132cf7c703edc",
+        "synth-990-997.tsv": "298bc05e67cd5ab51075583d5e82156e8e1ab133a3ca50bb84665334b78c6372",
+        "synth-998-1005.tsv": "cb33280ff145f25ff8395d7ec92f3f40ef3dbb8c804abdb4b3d52160e9e0c06c",
+        "truth.json": "705f474f8f39e86879015f3d63bf170a11d52e04187df59ec02807647bd4b79b",
+        "volumes.tsv": "4c8bb3e118da2103b5197df2e5c9461b06940df3d4f868165a82187d740dacb4",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_golden_digests(tmp_path, name):
+    """Every output file hashes as it did before the writer became whole-array.
+
+    The digests were recorded from the per-line f-string writer (one
+    ``f"{token}\t{year}\t{count}\t{volumes}"`` per row), so a rewrite
+    of the write path that changes a single byte fails here.
+    """
+    config, shard_years = GOLDEN_CASES[name]
+    generate_corpus(config, tmp_path, shard_years=shard_years)
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
+    assert got == GOLDEN_SHA256[name]
 
 
 def test_different_seed_different_bytes(tmp_path):
