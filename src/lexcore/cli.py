@@ -448,6 +448,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Vocabulary-core dynamics from yearly 1-gram counts.",
     )
     parser.add_argument("--version", action="version", version=f"lexcore {__version__}")
+    parser.add_argument(
+        "--log-level", choices=("DEBUG", "INFO", "WARNING", "ERROR"), default="INFO", help="default: INFO"
+    )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("ingest", help="parse shards into a store file")
@@ -527,12 +530,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    logging.basicConfig(level=args.log_level, format="%(levelname)s %(name)s: %(message)s")
     try:
         run = _Run(args)
         return run.finish(*args.func(args, run))

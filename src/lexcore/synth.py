@@ -20,7 +20,12 @@ Ground-truth knobs:
 
 Generation is fully deterministic for a given seed: every year draws
 from its own seed derived from (seed, year), so any generation schedule
-produces byte-identical shards.
+produces byte-identical shards.  Gzip shards are byte-identical across
+runs too: their headers carry mtime 0, not the time of writing.
+
+Each year's rows are built from whole arrays into one ``bytes`` write:
+tokens are gathered by word id from the pool's padded token table and
+the counts' digits come from one pass per digit position.
 """
 
 from __future__ import annotations
@@ -87,6 +92,8 @@ class SynthConfig:
             raise ConfigInvalid("zipf_exponent must be > 0")
         if self.mandelbrot_offset < 0:
             raise ConfigInvalid("mandelbrot_offset must be >= 0")
+        if self.year_start < 0:
+            raise ConfigInvalid("year_start must be >= 0")
         if self.year_start > self.year_end:
             raise ConfigInvalid(f"year range inverted: {self.year_start}..{self.year_end}")
         if self.era_length < 1:
@@ -273,7 +280,12 @@ def _rng(seed: int, domain: int, index: int) -> np.random.Generator:
 
 
 class _WordPool:
-    """Assigns names and POS tags to word ids as they are created."""
+    """Assigns names and POS tags to word ids as they are created.
+
+    ``tokens`` holds each word's UTF-8 token, NUL-padded to a common
+    width, so a year's tokens are one gather by word id.  It is rebuilt
+    only when the pool grows, at era boundaries.
+    """
 
     def __init__(self, config: SynthConfig):
         self._tags_order = list(PosTag)
@@ -281,20 +293,62 @@ class _WordPool:
             [config.tag_weights.get(t, 0.0) for t in self._tags_order], dtype=np.float64
         )
         self._tag_probs = weights / weights.sum()
-        self.tokens: list[str] = []
+        self._encoded: list[bytes] = []
         self.tags: list[PosTag] = []
         initial_rng = _rng(config.seed, 0, 0)
         self.extend(config.vocabulary, initial_rng)
 
     def extend(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        start = len(self.tokens)
+        start = len(self.tags)
         drawn = rng.choice(len(self._tags_order), size=count, p=self._tag_probs)
         for offset, tag_idx in enumerate(drawn):
             tag = self._tags_order[int(tag_idx)]
             name = _word_name(start + offset)
             self.tags.append(tag)
-            self.tokens.append(name if tag is PosTag.UNTAGGED else f"{name}_{tag.name}")
+            self._encoded.append((name if tag is PosTag.UNTAGGED else f"{name}_{tag.name}").encode())
+        self.tokens = np.array(self._encoded)
         return np.arange(start, start + count, dtype=np.int64)
+
+
+def _ascii_digits(values: np.ndarray) -> np.ndarray:
+    """Decimal digits of non-negative ``values`` as right-aligned ASCII
+    columns, one pass per digit position; NUL where a value has no digit."""
+    width = len(str(int(values.max(initial=0))))
+    out = np.zeros((len(values), width), dtype=np.uint8)
+    rest = values.astype(np.uint32 if width < 10 else np.uint64)
+    for k in range(width):
+        digit = (rest % 10).astype(np.uint8) + 48
+        if k:
+            digit *= rest > 0
+        out[:, width - 1 - k] = digit
+        rest //= 10
+    return out
+
+
+def _format_rows(tokens: np.ndarray, year: int, counts: np.ndarray, volumes: np.ndarray) -> bytes:
+    """The rows ``token\tyear\tcount\tvolumes\n`` as one bytes object.
+
+    ``tokens`` is a numpy bytes array (no token holds a NUL).  Each field
+    becomes a block of columns, the blocks are laid side by side and the
+    NUL padding is dropped, which leaves the rows in order.
+    """
+    n = len(tokens)
+
+    def text(s: str) -> np.ndarray:
+        return np.broadcast_to(np.frombuffer(s.encode(), dtype=np.uint8), (n, len(s)))
+
+    grid = np.concatenate(
+        [
+            tokens.view(np.uint8).reshape(n, -1),
+            text(f"\t{year}\t"),
+            _ascii_digits(counts),
+            text("\t"),
+            _ascii_digits(volumes),
+            text("\n"),
+        ],
+        axis=1,
+    )
+    return grid[grid != 0].tobytes()
 
 
 def _apply_churn(
@@ -361,9 +415,8 @@ def generate_corpus(
 
     shard_paths: list[Path] = []
     chunk_start = config.year_start
-    opener = (lambda p: gzip.open(p, "wt", encoding="utf-8", newline="\n")) if gzip_output else (
-        lambda p: open(p, "wt", encoding="utf-8", newline="\n")
-    )
+    # mtime=0 keeps the time of the run out of the gzip header.
+    opener = (lambda p: gzip.GzipFile(p, "wb", mtime=0)) if gzip_output else (lambda p: open(p, "wb"))
     suffix = ".tsv.gz" if gzip_output else ".tsv"
 
     while chunk_start <= config.year_end:
@@ -398,12 +451,7 @@ def generate_corpus(
                 vols = np.where(counts > 0, np.maximum(vols, 1), 0)
 
                 nz = np.flatnonzero(counts)
-                tokens = pool.tokens
-                rows = "\n".join(
-                    f"{tokens[alive[i]]}\t{year}\t{counts[i]}\t{vols[i]}" for i in nz
-                )
-                fh.write(rows)
-                fh.write("\n")
+                fh.write(_format_rows(pool.tokens[alive[nz]], year, counts[nz], vols[nz]))
         shard_paths.append(path)
         chunk_start = chunk_end + 1
 

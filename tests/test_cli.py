@@ -5,12 +5,16 @@ from __future__ import annotations
 import gzip
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
+import lexcore
 from lexcore.cli import main
 from lexcore.config import params_hash
 from lexcore.store import load_store
@@ -977,3 +981,30 @@ def test_years_outside_store_is_data_error(pipeline, tmp_path, capsys):
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert "lexcore" in capsys.readouterr().out
+
+
+def _lexcore(*argv: str) -> subprocess.CompletedProcess:
+    """Run the CLI in a fresh interpreter, where its logging setup takes effect."""
+    code = "import sys; from lexcore.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = {**os.environ, "PYTHONPATH": str(Path(lexcore.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env)
+
+
+def test_log_level_warning_hides_info(tmp_path):
+    cfg = tmp_path / "synth.json"
+    cfg.write_text(json.dumps({"vocabulary": 100, "year_start": 1900, "year_end": 1901, "tokens_per_year": 10_000, "churn": 0.0}))
+    argv = ["synth", "--config", str(cfg), "--shard-years", "1"]
+    loud = _lexcore(*argv, "--out", str(tmp_path / "loud"))
+    assert loud.returncode == 0 and "INFO lexcore.synth" in loud.stderr
+    quiet = _lexcore("--log-level", "WARNING", *argv, "--out", str(tmp_path / "quiet"))
+    assert quiet.returncode == 0
+    assert "INFO" not in quiet.stderr
+    assert (tmp_path / "quiet" / "truth.json").exists()
+
+
+def test_unknown_log_level_is_usage_error(tmp_path, capsys):
+    assert main(["--log-level", "LOUD", "synth", "--preset", "churn15-small", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "error: argument --log-level" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()

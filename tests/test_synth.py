@@ -4,15 +4,18 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexcore.errors import ConfigInvalid
 from lexcore.ingest import build_store
 from lexcore.metrics import coverage_series, dropout_share
 from lexcore.postags import PosTag
-from lexcore.synth import PRESETS, SynthConfig, generate_corpus, synth_config_from_dict
+from lexcore.synth import PRESETS, SynthConfig, _format_rows, generate_corpus, synth_config_from_dict
 from lexcore.windows import WindowSpec, aggregate_window, frequency_core
 
 from conftest import english_config
@@ -30,12 +33,46 @@ TINY = SynthConfig(
 )
 
 
-def test_same_seed_same_bytes(tmp_path):
-    a = generate_corpus(TINY, tmp_path / "a")
-    b = generate_corpus(TINY, tmp_path / "b")
-    for pa, pb in zip(a.shard_paths, b.shard_paths):
+@pytest.mark.parametrize("gzip_output", [False, True])
+def test_same_seed_same_bytes(tmp_path, monkeypatch, gzip_output):
+    # The two runs see clocks a day apart, so a gzip header holding the
+    # time of writing would differ.
+    monkeypatch.setattr("gzip.time", types.SimpleNamespace(time=lambda: 1_600_000_000.0))
+    a = generate_corpus(TINY, tmp_path / "a", gzip_output=gzip_output)
+    monkeypatch.setattr("gzip.time", types.SimpleNamespace(time=lambda: 1_600_086_400.0))
+    b = generate_corpus(TINY, tmp_path / "b", gzip_output=gzip_output)
+    for pa, pb in zip(a.shard_paths, b.shard_paths, strict=True):
         assert pa.read_bytes() == pb.read_bytes()
     assert a.truth_path.read_bytes() == b.truth_path.read_bytes()
+
+
+_TAG_SUFFIXES = [""] + [f"_{tag.name}" for tag in PosTag if tag is not PosTag.UNTAGGED]
+_BOUNDARIES = [v for k in range(19) for v in (10**k - 1, 10**k)]
+
+
+@settings(deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.builds(
+                str.__add__,
+                st.text(st.characters(min_codepoint=1, blacklist_categories=("Cs",)), min_size=1, max_size=40),
+                st.sampled_from(_TAG_SUFFIXES),
+            ),
+            st.one_of(st.sampled_from(_BOUNDARIES), st.integers(1, 10**7)),
+            st.one_of(st.just(1), st.sampled_from(_BOUNDARIES), st.integers(1, 10**4)),
+        ),
+        min_size=1,
+        max_size=30,
+    ),
+    st.integers(-(10**4), 10**4),
+)
+def test_format_rows_matches_fstring(rows, year):
+    tokens, counts, vols = zip(*rows)
+    got = _format_rows(
+        np.array([t.encode() for t in tokens]), year, np.array(counts, dtype=np.int64), np.array(vols, dtype=np.int64)
+    )
+    assert got == "".join(f"{t}\t{year}\t{c}\t{v}\n" for t, c, v in rows).encode()
 
 
 # Configs the benchmark's reference digests do not reach, with the years
@@ -259,6 +296,11 @@ class TestConfigValidation:
     def test_decay_group_bounds(self):
         with pytest.raises(ConfigInvalid):
             dataclasses.replace(TINY, decay_group=(400, 600)).validate()
+
+    def test_negative_year(self):
+        # Year seeds and the ingest parser both take non-negative years only.
+        with pytest.raises(ConfigInvalid):
+            dataclasses.replace(TINY, year_start=-1).validate()
 
     def test_inverted_years(self):
         with pytest.raises(ConfigInvalid):
