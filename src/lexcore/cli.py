@@ -448,9 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Vocabulary-core dynamics from yearly 1-gram counts.",
     )
     parser.add_argument("--version", action="version", version=f"lexcore {__version__}")
-    parser.add_argument(
-        "--log-level", choices=("DEBUG", "INFO", "WARNING", "ERROR"), default="INFO", help="default: INFO"
-    )
+    parser.add_argument("--log-level", choices=("DEBUG", "INFO", "WARNING", "ERROR"), default="INFO")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("ingest", help="parse shards into a store file")

@@ -20,12 +20,9 @@ Ground-truth knobs:
 
 Generation is fully deterministic for a given seed: every year draws
 from its own seed derived from (seed, year), so any generation schedule
-produces byte-identical shards.  Gzip shards are byte-identical across
-runs too: their headers carry mtime 0, not the time of writing.
-
-Each year's rows are built from whole arrays into one ``bytes`` write:
-tokens are gathered by word id from the pool's padded token table and
-the counts' digits come from one pass per digit position.
+produces byte-identical shards, gzip ones included (their headers carry
+mtime 0).  Each year's rows are formatted from whole arrays into one
+``bytes`` write.
 """
 
 from __future__ import annotations
@@ -282,9 +279,8 @@ def _rng(seed: int, domain: int, index: int) -> np.random.Generator:
 class _WordPool:
     """Assigns names and POS tags to word ids as they are created.
 
-    ``tokens`` holds each word's UTF-8 token, NUL-padded to a common
-    width, so a year's tokens are one gather by word id.  It is rebuilt
-    only when the pool grows, at era boundaries.
+    ``tokens`` is a numpy bytes array indexed by word id, rebuilt only
+    when the pool grows (at era boundaries).
     """
 
     def __init__(self, config: SynthConfig):
@@ -326,7 +322,7 @@ def _ascii_digits(values: np.ndarray) -> np.ndarray:
 
 
 def _format_rows(tokens: np.ndarray, year: int, counts: np.ndarray, volumes: np.ndarray) -> bytes:
-    """The rows ``token\tyear\tcount\tvolumes\n`` as one bytes object.
+    r"""The rows ``token\tyear\tcount\tvolumes\n`` as one bytes object.
 
     ``tokens`` is a numpy bytes array (no token holds a NUL).  Each field
     becomes a block of columns, the blocks are laid side by side and the
@@ -337,17 +333,8 @@ def _format_rows(tokens: np.ndarray, year: int, counts: np.ndarray, volumes: np.
     def text(s: str) -> np.ndarray:
         return np.broadcast_to(np.frombuffer(s.encode(), dtype=np.uint8), (n, len(s)))
 
-    grid = np.concatenate(
-        [
-            tokens.view(np.uint8).reshape(n, -1),
-            text(f"\t{year}\t"),
-            _ascii_digits(counts),
-            text("\t"),
-            _ascii_digits(volumes),
-            text("\n"),
-        ],
-        axis=1,
-    )
+    fields = [tokens.view(np.uint8).reshape(n, -1), text(f"\t{year}\t"), _ascii_digits(counts)]
+    grid = np.concatenate([*fields, text("\t"), _ascii_digits(volumes), text("\n")], axis=1)
     return grid[grid != 0].tobytes()
 
 

@@ -33,17 +33,17 @@ TINY = SynthConfig(
 )
 
 
-@pytest.mark.parametrize("gzip_output", [False, True])
-def test_same_seed_same_bytes(tmp_path, monkeypatch, gzip_output):
-    # The two runs see clocks a day apart, so a gzip header holding the
-    # time of writing would differ.
-    monkeypatch.setattr("gzip.time", types.SimpleNamespace(time=lambda: 1_600_000_000.0))
-    a = generate_corpus(TINY, tmp_path / "a", gzip_output=gzip_output)
-    monkeypatch.setattr("gzip.time", types.SimpleNamespace(time=lambda: 1_600_086_400.0))
-    b = generate_corpus(TINY, tmp_path / "b", gzip_output=gzip_output)
-    for pa, pb in zip(a.shard_paths, b.shard_paths, strict=True):
-        assert pa.read_bytes() == pb.read_bytes()
-    assert a.truth_path.read_bytes() == b.truth_path.read_bytes()
+def test_same_seed_same_bytes(tmp_path, monkeypatch):
+    for gzip_output in (False, True):
+        # The two runs see clocks a day apart, so a gzip header holding
+        # the time of writing would differ.
+        monkeypatch.setattr("gzip.time", types.SimpleNamespace(time=lambda: 1_600_000_000.0))
+        a = generate_corpus(TINY, tmp_path / f"a{gzip_output}", gzip_output=gzip_output)
+        monkeypatch.setattr("gzip.time", types.SimpleNamespace(time=lambda: 1_600_086_400.0))
+        b = generate_corpus(TINY, tmp_path / f"b{gzip_output}", gzip_output=gzip_output)
+        for pa, pb in zip(a.shard_paths, b.shard_paths, strict=True):
+            assert pa.read_bytes() == pb.read_bytes()
+        assert a.truth_path.read_bytes() == b.truth_path.read_bytes()
 
 
 _TAG_SUFFIXES = [""] + [f"_{tag.name}" for tag in PosTag if tag is not PosTag.UNTAGGED]
