@@ -8,7 +8,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexcore.errors import ConfigInvalid
@@ -67,6 +67,8 @@ _BOUNDARIES = [v for k in range(19) for v in (10**k - 1, 10**k)]
     ),
     st.integers(-(10**4), 10**4),
 )
+@example(rows=[(f"w{b}_NOUN", b, b or 1) for b in _BOUNDARIES], year=999)
+@example(rows=[("x", b, 1) for b in _BOUNDARIES], year=-7)
 def test_format_rows_matches_fstring(rows, year):
     tokens, counts, vols = zip(*rows)
     got = _format_rows(
