@@ -116,38 +116,12 @@ def is_lexical(word: str, alphabet: AlphabetSpec) -> bool:
 
 
 _CHUNK_BYTES = 1 << 20
-_TOKEN_BYTES = 32  # longest token the kernel groups; longer ones take the per-line path
-_DIGITS = 18  # longest numeric field the kernel parses: 10**18 - 1 < 2**63
-_COUNT_LIMIT = 1 << 63
+_TOKEN_BYTES = 32  # longest token grouped by its uint64 words; a longer one gets a group of its own
+_DIGITS = 19  # trailing digits of a numeric field parsed in uint64: 10**19 - 1 < 2**64
+_TOO_BIG = np.iinfo(np.int64).min  # a parsed value of 2**63 or more: below any count or year range
 _MIX = np.uint64(0x9E3779B97F4A7C15)  # odd multiplier that mixes the words of a token
 # _LOW_BYTES[r] keeps the first r bytes of a little-endian uint64 word.
 _LOW_BYTES = np.array([(1 << (8 * r)) - 1 for r in range(9)], dtype=np.uint64)
-
-
-def _number(field: bytes) -> int:
-    """Value of an ASCII-digit field, capped at 2**63 (anything larger)."""
-    digits = field.lstrip(b"0")
-    return int(digits or b"0") if len(digits) <= 19 else _COUNT_LIMIT
-
-
-def _fields(line: bytes) -> tuple[bytes, int, int, int] | None:
-    """Split one line into (token, year, match, volumes); None if malformed.
-
-    A line is well formed iff it has four tab-separated fields, a
-    non-empty token, numeric fields made of ASCII digits only and counts
-    below 2**63.  Whether the token is UTF-8 is left to the caller.  A
-    year past int64 comes back as 2**63 - 1, outside any year range.
-    """
-    parts = line.split(b"\t")
-    if len(parts) != 4:
-        return None
-    token, year_s, match_s, vol_s = parts
-    if not token or not (year_s.isdigit() and match_s.isdigit() and vol_s.isdigit()):
-        return None
-    match, vol = _number(match_s), _number(vol_s)
-    if match >= _COUNT_LIMIT or vol >= _COUNT_LIMIT:
-        return None
-    return token, min(_number(year_s), _COUNT_LIMIT - 1), match, vol
 
 
 _NOT_UTF8, _WILDCARD, _NONLEXICAL = -1, -2, -3  # key bases of tokens that yield no store row
@@ -207,13 +181,13 @@ class _TokenTable:
 class _ShardParser:
     """Keys and counts the rows of one shard, chunk by chunk.
 
-    Both line paths feed :meth:`keep`, which applies the counters in a
-    fixed order: malformed (including tokens that are not UTF-8), then
-    out_of_range, then invalid_counts, then wildcard_rows and
-    nonlexical_rows.  ``columns`` gathers, one array per chunk, the raw
-    key ``token id * span + year offset`` of every row that passes the
-    line rules, then the store key ``(word id * span + year offset) *
-    POS_COUNT + pos id``, match and volume of each lexical row.
+    :meth:`keep` applies the counters in a fixed order: malformed
+    (including tokens that are not UTF-8), then out_of_range, then
+    invalid_counts, then wildcard_rows and nonlexical_rows.  ``columns``
+    gathers, one array per chunk, the raw key ``token id * span + year
+    offset`` of every row that passes the line rules, then the store key
+    ``(word id * span + year offset) * POS_COUNT + pos id``, match and
+    volume of each lexical row.
     """
 
     def __init__(self, table: _TokenTable) -> None:
@@ -239,33 +213,37 @@ class _ShardParser:
         for column, chunk in zip(self.columns, rows):
             column.append(chunk)
 
-    def exact(self, lines: Sequence[bytes]) -> None:
-        """The per-line path: every line the kernel does not take."""
-        self.stats.lines += len(lines)
-        parsed = [_fields(line) for line in lines]
-        good = [f for f in parsed if f is not None]
-        self.stats.malformed += len(parsed) - len(good)
-        if good:
-            tokens, years, matches, vols = zip(*good)
-            self.keep(*self.table.lookup(tokens), *(np.array(c, dtype=np.int64) for c in (years, matches, vols)))
-
 
 def _digits(buf: np.ndarray, begin: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Parse the fields ``buf[begin:end]``, one vectorised pass per digit.
 
     Returns (values, ok); ok is False for empty fields and for any byte
-    outside ``0``-``9``.  Fields are at most :data:`_DIGITS` long.
+    outside ``0``-``9``.  A value of 2**63 or more comes back as
+    :data:`_TOO_BIG`.  Digits before the last :data:`_DIGITS` are checked
+    in one gather, so a long field costs its length, once.
     """
     length = end - begin
-    value = np.zeros(len(end), dtype=np.int64)
+    value = np.zeros(len(end), dtype=np.uint64)
     ok = length > 0
-    shortest = int(length.min(initial=0))
-    for k in range(int(length.max(initial=0))):
-        digit = buf.take(end - 1 - k, mode="clip").astype(np.int64) - 48
+    shortest, longest = int(length.min(initial=0)), int(length.max(initial=0))
+    for k in range(min(longest, _DIGITS)):
+        digit = buf.take(end - 1 - k, mode="clip") - np.uint8(48)  # bytes below "0" wrap past 9
         if k >= shortest:
             digit[length <= k] = 0
-        ok &= (digit >= 0) & (digit <= 9)
-        value += digit * 10**k
+        ok &= digit <= 9
+        value += digit.astype(np.uint64) * np.uint64(10**k)
+    value = value.view(np.int64)  # values of 2**63 or more turn negative
+    if longest >= _DIGITS:
+        # The leading digits of the wider fields, end to end: all must be
+        # digits, and any nonzero one puts the value past 2**63.
+        big, wide = value < 0, np.flatnonzero(length > _DIGITS)
+        lead = length[wide] - _DIGITS
+        first = np.cumsum(lead) - lead
+        at = np.arange(int(lead.sum())) + np.repeat(begin[wide] - first, lead)
+        top = np.maximum.reduceat(buf[at] - np.uint8(48), first)
+        ok[wide] &= top <= 9
+        big[wide] |= top > 0
+        value[big] = _TOO_BIG
     return value, ok
 
 
@@ -275,14 +253,18 @@ def _group_tokens(padded: bytes, start: np.ndarray, length: np.ndarray) -> tuple
     Each token of at most :data:`_TOKEN_BYTES` bytes is read as uint64
     words straight from the buffer (``padded`` carries that many spare
     bytes at its end) and masked to its length; the words plus the
-    length are the token's keys.  Rows are sorted on a mix of the keys
-    and a new group starts wherever a key changes, so a group never
-    holds two different tokens.  Tokens whose mixes collide may be split
-    over several groups, which the token lookup merges again.
+    length are the token's keys; a longer token gets a length key of its
+    own.  Rows are sorted on a mix of the keys and a new group starts
+    wherever a key changes, so a group never holds two different tokens.
+    Equal tokens may be split over groups, which the lookup merges.
     """
     words = np.ndarray((len(padded) - 7,), dtype="<u8", buffer=padded, strides=(1,))
     keys = [length.astype(np.uint64)]
-    for w in range(0, int(length.max()), 8):
+    longest = int(length.max())
+    if longest > _TOKEN_BYTES:
+        wide = np.flatnonzero(length > _TOKEN_BYTES)
+        keys[0][wide] = _TOKEN_BYTES + 1 + wide
+    for w in range(0, min(longest, _TOKEN_BYTES), 8):
         keys.append(words[start + w] & _LOW_BYTES[np.clip(length - w, 0, 8)])
     mixed = keys[0]
     for key in keys[1:]:
@@ -299,10 +281,12 @@ def _group_tokens(padded: bytes, start: np.ndarray, length: np.ndarray) -> tuple
 
 
 def _parse_chunk(parser: _ShardParser, chunk: bytes) -> None:
-    """The byte-level kernel for one chunk of whole lines, split at LF only.
+    """Split one chunk of whole lines at LF, validate every line and key its row.
 
-    Lines with a token longer than :data:`_TOKEN_BYTES` or a numeric
-    field longer than :data:`_DIGITS` go to :meth:`_ShardParser.exact`.
+    A line is well formed iff it has four tab-separated fields, a
+    non-empty token and numeric fields of ASCII digits, with counts below
+    2**63; whether the token is UTF-8 is left to the token table.  A
+    year of 2**63 or more is out of range.
     """
     buf = np.frombuffer(chunk, dtype=np.uint8)
     ends = np.flatnonzero(buf == 10)
@@ -316,17 +300,14 @@ def _parse_chunk(parser: _ShardParser, chunk: bytes) -> None:
     first_tab = first_tab[four_fields]
     t0, t1, t2 = tabs[first_tab], tabs[first_tab + 1], tabs[first_tab + 2]
     start, end = starts[four_fields], ends[four_fields]
-    long = (t0 - start > _TOKEN_BYTES) | (np.maximum(np.maximum(t1 - t0, t2 - t1), end - t2) > _DIGITS + 1)
-    if long.any():
-        parser.exact([chunk[s:e] for s, e in zip(start[long].tolist(), end[long].tolist())])
-        start, t0, t1, t2, end = (a[~long] for a in (start, t0, t1, t2, end))
     year, ok = _digits(buf, t0 + 1, t1)
     match, ok_match = _digits(buf, t1 + 1, t2)
     vol, ok_vol = _digits(buf, t2 + 1, end)
-    ok &= ok_match & ok_vol & (t0 > start)
+    # (match | vol) is negative iff a count is 2**63 or more.
+    ok &= ok_match & ok_vol & ((match | vol) >= 0) & (t0 > start)
     stats = parser.stats
-    stats.lines += len(ends) - int(np.count_nonzero(long))
-    stats.malformed += len(ends) - len(long) + len(ok) - int(np.count_nonzero(ok))
+    stats.lines += len(ends)
+    stats.malformed += len(ends) - int(np.count_nonzero(ok))
     start, tok_len, year, match, vol = start[ok], (t0 - start)[ok], year[ok], match[ok], vol[ok]
     if len(start):
         group, first = _group_tokens(chunk + bytes(_TOKEN_BYTES), start, tok_len)
@@ -340,9 +321,9 @@ def _parse_chunk(parser: _ShardParser, chunk: bytes) -> None:
 def _parse_shard(path: Path, table: _TokenTable) -> _ShardParser:
     """Parse one shard into its keyed rows and counters.
 
-    The shard is read in binary chunks of whole lines.  A chunk holding a
-    CR takes the per-line path, which splits at LF, CRLF and CR as text
-    mode would; all others go to the numpy kernel.
+    The shard is read in binary chunks of whole lines, each ending at an
+    LF, so no CRLF straddles two chunks.  In a chunk that holds a CR,
+    CRLF and lone CR become LF, which splits lines as text mode would.
     """
     parser = _ShardParser(table)
     opener = gzip.open if path.suffix == ".gz" else open
@@ -352,9 +333,8 @@ def _parse_shard(path: Path, table: _TokenTable) -> _ShardParser:
                 if chunk[-1:] != b"\n":
                     chunk += fh.readline()
                 if b"\r" in chunk:
-                    parser.exact(chunk.splitlines())
-                else:
-                    _parse_chunk(parser, chunk)
+                    chunk = chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+                _parse_chunk(parser, chunk)
     except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
         # A truncated or corrupt gzip stream.
         raise LexcoreError(f"{path}: unreadable shard: {exc}") from None

@@ -8,6 +8,7 @@ concurrently without coordination.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -217,7 +218,9 @@ def pearson_correlation(xs: Sequence[float], ys: Sequence[float]) -> float:
         cxy += dx * (y - mean_y)
     if m2x <= 0.0 or m2y <= 0.0:
         raise DegenerateVariance("zero variance in correlation input")
-    r = cxy / math.sqrt(m2x * m2y)
+    # m2x * m2y can fall below the normal range, or overflow, where the two roots do not.
+    p = m2x * m2y
+    r = cxy / (math.sqrt(p) if sys.float_info.min <= p < math.inf else math.sqrt(m2x) * math.sqrt(m2y))
     return max(-1.0, min(1.0, r))
 
 

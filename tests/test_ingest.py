@@ -463,7 +463,8 @@ def _shards(draw) -> bytes:
 
     Most lines are well formed, with tokens drawn from a small pool and
     varied, so that near-equal tokens meet in one chunk.  Half the
-    shards have no CR: any CR sends its chunk to the per-line path.
+    shards have no CR, so the chunks that the parser rewrites to LF
+    line ends are a minority.
     """
     pool = draw(st.lists(st.one_of(_GRAMMAR_TOKENS, _GRAMMAR_TOKENS, _HOSTILE_TOKENS), min_size=1, max_size=4))
     with_cr = draw(st.booleans())
@@ -532,52 +533,89 @@ def _build_or_overflow(paths, config):
         return None
 
 
-def _exact_only(parser, chunk):
-    parser.exact(chunk.splitlines())
-
-
 def _same_store(a, b) -> bool:
     columns = ("word_id", "pos_id", "year", "match_count", "volume_count", "lexical_totals")
     return a.words == b.words and all(np.array_equal(getattr(a, c), getattr(b, c)) for c in columns)
 
 
+def _assert_parsed_like_read_shard(parsed, data: bytes, config) -> list:
+    """Check a shard's :func:`_parsed` result against :func:`read_shard`; return read_shard's rows."""
+    keys, lexical, stats = parsed
+    rows, counters = read_shard(data, config.year_start, config.year_end)
+    assert keys == sorted((token, year) for token, year, _, _ in rows)
+    counters.update(wildcard_rows=0, nonlexical_rows=0)
+    oracle_lexical = []
+    for token, year, match, volumes in rows:
+        pair = _classified(token, config)
+        if isinstance(pair, str):
+            counters[pair] += 1
+        else:
+            oracle_lexical.append((*pair, year, match, volumes))
+    assert lexical == sorted(oracle_lexical)
+    assert {k: getattr(stats, k) for k in counters} == counters
+    return rows
+
+
 class TestShardParser:
     @settings(max_examples=300, deadline=None)
     @given(_shards(), st.sampled_from([1, 7, 64, 256, 1 << 20]), st.sampled_from([ingest._MIX, np.uint64(0)]))
-    def test_kernel_matches_per_line_path_and_oracle(self, data, chunk_bytes, mix):
+    def test_kernel_matches_oracle(self, data, chunk_bytes, mix):
         """A zero mix makes tokens that share their last word collide."""
+        config = english_config(1898, 1902)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "shard.tsv"
             path.write_bytes(data)
-            config = english_config(1898, 1902)
             with mock.patch.object(ingest, "_CHUNK_BYTES", chunk_bytes), mock.patch.object(ingest, "_MIX", mix):
-                kernel = _parsed(path, config)
+                parsed = _parsed(path, config)
                 built = _build_or_overflow([path], config)
-                with mock.patch.object(ingest, "_parse_chunk", _exact_only):
-                    exact = _parsed(path, config)
-                    exact_built = _build_or_overflow([path], config)
-        assert kernel == exact
-        rows, counters = read_shard(data, 1898, 1902)
-        # Both paths overflow alike, and only when the kept counts can.
-        assert (built is None) == (exact_built is None)
+            words, columns, counters = _store_oracle([path], config)
+        rows = _assert_parsed_like_read_shard(parsed, data, config)
+        # A build overflows only when the kept counts can.
         if built is None:
             assert sum(r[2] for r in rows) >= 2**63 or sum(r[3] for r in rows) >= 2**63
         else:
-            (store, stats), (exact_store, exact_stats) = built, exact_built
-            assert stats == exact_stats
-            assert _same_store(store, exact_store)
-        keys, lexical, stats = kernel
-        assert keys == sorted((token, year) for token, year, _, _ in rows)
-        counters.update(wildcard_rows=0, nonlexical_rows=0)
-        oracle_lexical = []
-        for token, year, match, volumes in rows:
-            pair = _classified(token, config)
-            if isinstance(pair, str):
-                counters[pair] += 1
-            else:
-                oracle_lexical.append((*pair, year, match, volumes))
-        assert lexical == sorted(oracle_lexical)
-        assert {k: getattr(stats, k) for k in counters} == counters
+            store, stats = built
+            assert store.words == words
+            assert {name: getattr(store, name).tolist() for name in columns} == columns
+            assert {name: getattr(stats, name) for name in counters} == counters
+
+    def test_pathological_lengths_match_oracle(self, tmp_path):
+        """One chunk: thousands of short lines, tokens of a MiB, numeric fields of 100,000 digits.
+
+        A parse that costs rows x the longest field takes minutes here.
+        """
+        token, zeros = "a" * (1 << 20), "0" * 100_000
+        short = ["cat", "dog_NOUN", "dog_VERB", "vol.", "_NOUN_"]
+        lines = [f"{short[i % 5]}\t{1897 + i % 7}\t{i}\t{i % 3}" for i in range(5000)] + [
+            f"{token}\t1900\t3\t1",
+            f"{token}\t1901\t4\t1",
+            f"{token}\t1901\t5\t1",  # a duplicate row of a long token
+            f"{token}b\t1900\t5\t1",
+            f"{token}c\t1900\t5\t1",  # equal to the last in length and in its first 32 bytes
+            f"{token}_VERB\t1900\t6\t1",
+            f"{token}\xe9\t1900\t6\t1",
+            f"word\t{zeros}1900\t7\t1",
+            f"word\t1{zeros}\t7\t1",  # years past 2**63: out of range
+            f"word\t{2**63}\t7\t1",
+            f"word\t1901\t{zeros}8\t{zeros}1",
+            f"word\t1901\t{'9' * 100_000}\t1",  # a count past 2**63: malformed
+            f"word\t1902\t1\t{zeros}",  # matches in zero volumes
+            f"word\tx{zeros}1902\t9\t1",
+            f"word\t1902\t{zeros}{2**63 - 1}\t1",
+            f"word\t1902\t1\t{zeros}{2**63}",
+            f"word\t1902\t{10**18}\t{2**64 - 1}",
+        ]
+        data = "\n".join(lines).encode("utf-8")
+        path = tmp_path / "shard.tsv"
+        path.write_bytes(data)
+        config = english_config(1898, 1902)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)  # read_shard parses each field with int()
+        try:
+            with mock.patch.object(ingest, "_CHUNK_BYTES", 2 * len(data)):
+                _assert_parsed_like_read_shard(_parsed(path, config), data, config)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_hostile_lines_are_malformed(self, tmp_path):
         lines = [
