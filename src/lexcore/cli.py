@@ -14,7 +14,6 @@ import json
 import logging
 import os
 import re
-import resource
 import sys
 import time
 from datetime import datetime, timezone
@@ -170,8 +169,7 @@ def cmd_ingest(args, run: _Run):
     store_path = run.out / "store.lxst"
     started = time.perf_counter()
     run.store_hash = save_store(store, store_path)
-    stats.timings["save"] = time.perf_counter() - started
-    stats.peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # Linux reports KiB
+    stats.record("save", time.perf_counter() - started)
     write_text_atomic(run.out / "ingest_stats.json", dump_json(stats.to_dict()))
     run.inputs = [str(p) for p in shards]
     params = {

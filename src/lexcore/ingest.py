@@ -17,10 +17,17 @@ and skipped.  The shard workers share one token table, which decodes and
 classifies each distinct token once, and key each kept row by (word,
 year, pos) as they parse.  The merge ranks the words and sums rows with
 equal keys, so any shard order, partition or thread count yields the
-same store.  Memory: the parse keeps 8 bytes per line for its (token,
-year) key plus 24 per lexical row, and the merge holds each row once;
-at one thread the traced peak is about 59 bytes per input line (the
-tests hold it under 64).
+same store.
+
+Memory: the parse keeps 8 bytes per line for its (token, year) key plus
+24 per lexical row; at one thread the traced peak is about 59 bytes per
+input line, set in the parse (the tests hold it under 64).  Each later
+stage works in place on the three row columns with at most one spare
+row-length column; the collapse also holds its sort order, 16 bytes per
+row in all.  At one thread the collapse sets the process's RSS peak:
+about 76 MB on the 1.02M-line gbn-mix benchmark corpus, 1 MB above the
+parse's.  At two threads the parse sets it, or the merge that copies its
+buffers.  :attr:`IngestStats.stage_peak_rss_mb` shows which stage it was.
 """
 
 from __future__ import annotations
@@ -29,6 +36,7 @@ import functools
 import gzip
 import itertools
 import logging
+import resource
 import threading
 import time
 import zlib
@@ -65,7 +73,14 @@ class IngestStats:
     empty_years: set[int] = field(default_factory=set)
     # Telemetry, not counters: runs of one input differ in these.
     timings: dict[str, float] = field(default_factory=dict, compare=False)  # seconds per stage
+    stage_peak_rss_mb: dict[str, float] = field(default_factory=dict, compare=False)  # process peak at each stage's end
     peak_rss_mb: float = field(default=0.0, compare=False)
+
+    def record(self, stage: str, seconds: float) -> None:
+        """Telemetry of a finished stage: its seconds and the process's peak RSS so far."""
+        self.timings[stage] = seconds
+        self.peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # Linux reports KiB
+        self.stage_peak_rss_mb[stage] = self.peak_rss_mb
 
     def to_dict(self) -> dict:
         return {**self.__dict__, "empty_years": sorted(self.empty_years)}
@@ -125,6 +140,7 @@ _LOW_BYTES = np.array([(1 << (8 * r)) - 1 for r in range(9)], dtype=np.uint64)
 
 
 _NOT_UTF8, _WILDCARD, _NONLEXICAL = -1, -2, -3  # key bases of tokens that yield no store row
+_Rows = tuple[np.ndarray, np.ndarray, np.ndarray]  # the (key, match, volume) columns of the kept rows
 
 
 class _TokenTable:
@@ -384,6 +400,122 @@ def _release_freed_memory() -> None:
         trim(0)
 
 
+def _parse(paths: Sequence[Path], table: _TokenTable, threads: int, stats: IngestStats) -> list[_ShardParser]:
+    """Parse every shard, ``threads`` at a time, and add up their counters."""
+    parse = lambda p: _parse_shard(p, table)
+    if threads > 1 and len(paths) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parsers = list(pool.map(parse, paths))
+    else:
+        parsers = [parse(p) for p in paths]
+    for parser in parsers:
+        for k in ("lines", "malformed", "out_of_range", "invalid_counts", "wildcard_rows", "nonlexical_rows"):
+            setattr(stats, k, getattr(stats, k) + getattr(parser.stats, k))
+    return parsers
+
+
+def _merge(parsers: Sequence[_ShardParser], table: _TokenTable, stats: IngestStats) -> tuple[_Rows, list[str]]:
+    """Every shard's kept rows, and the vocabulary.
+
+    Provisional word ids become ranks in the sorted vocabulary, which
+    holds only the words with a kept row, so key order is the store's
+    row order, (word id, year, pos id).  The keys are re-ranked chunk by
+    chunk before they are merged, so the re-ranking holds no row-length
+    temporary.
+    """
+    # Re-ingested (token, year) rows are summed but worth a warning count.
+    raw_key = _merged(parsers, 0)
+    raw_key.sort()
+    stats.duplicate_rows = int(np.count_nonzero(raw_key[1:] == raw_key[:-1]))
+    del raw_key
+    if stats.duplicate_rows:
+        log.warning("%d duplicate (token, year) rows merged by addition", stats.duplicate_rows)
+    stride = table.span * POS_COUNT
+    keys = [chunk for parser in parsers for chunk in parser.columns[1]]
+    used = np.zeros(len(table.word_ids), dtype=bool)
+    for chunk in keys:
+        used[chunk // stride] = True
+    vocabulary = sorted(w for w, u in zip(table.word_ids, used.tolist()) if u)
+    shift = -np.arange(len(used), dtype=np.int64)
+    shift[[table.word_ids[w] for w in vocabulary]] += np.arange(len(vocabulary))
+    shift *= stride
+    for chunk in keys:
+        chunk += shift[chunk // stride]
+    del keys
+    return tuple(_merged(parsers, column) for column in (1, 2, 3)), vocabulary
+
+
+def _collapse(rows: _Rows) -> _Rows:
+    """Sum rows with equal keys, in place by :func:`group_sum`; that also sorts them.
+
+    Keys repeat after shard overlap, case folding or apostrophe
+    normalization.
+    """
+    _release_freed_memory()  # the merge's freed blocks are still resident
+    rows = group_sum(*rows)
+    _release_freed_memory()
+    return rows
+
+
+def _compacted(column: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """``column[keep]`` written over the first rows of ``column``; returns a view of them."""
+    kept = column[keep]
+    column[: len(kept)] = kept
+    return column[: len(kept)]
+
+
+def _pos_rule(rows: _Rows, n_words: int, span: int, stats: IngestStats) -> _Rows:
+    """Drop the POS variants at or below 1% of their word's corpus-wide count.
+
+    Each (word, pos) pair's count is summed into one of ``n_words *
+    POS_COUNT`` slots, without a sort, so beside the rows the rule holds
+    one row-length column (each row's pair) and arrays of a few slots
+    per word.  The kept rows are compacted in place, one column at a
+    time.
+    """
+    key, match, _ = rows
+    pair = np.floor_divide(key, span * POS_COUNT)
+    pair *= POS_COUNT
+    pos = np.empty(len(key), dtype=np.uint8)
+    np.remainder(key, POS_COUNT, out=pos, casting="unsafe")
+    pair += pos
+    del pos
+    totals = index_sum(pair, match, n_words * POS_COUNT)
+    lookup = np.zeros(n_words * POS_COUNT, dtype=bool)
+    lookup[pair] = True
+    pair_ids = np.flatnonzero(lookup)
+    pair_totals, pair_words = totals[pair_ids], pair_ids // POS_COUNT
+    word_totals = index_sum(pair_words, pair_totals, n_words)
+    # pair > word / 100, in a form that cannot wrap.
+    retain = pair_totals > word_totals[pair_words] // 100
+    # Always retain each word's dominant variant.
+    retain[dominant_variant(pair_words, pair_ids % POS_COUNT, pair_totals)] = True
+    stats.dropped_pos_variants = int(len(pair_ids) - int(retain.sum()))
+    lookup[pair_ids[~retain]] = False
+    keep = lookup[pair]
+    del pair
+    if not keep.all():
+        rows = tuple(_compacted(column, keep) for column in rows)
+    _release_freed_memory()
+    return rows
+
+
+def _layout(rows: _Rows, vocabulary: list[str], config: RunConfig, volume_totals: np.ndarray, stats: IngestStats) -> CorpusStore:
+    """The store of the kept rows, with each year's lexical total."""
+    key, match, vol = rows
+    span = config.year_end - config.year_start + 1
+    year_offset = np.floor_divide(key, POS_COUNT)
+    year_offset %= span
+    lexical_totals = index_sum(year_offset, match, span)
+    del year_offset
+    stats.empty_years = {config.year_start + i for i in range(span) if lexical_totals[i] == 0}
+    return CorpusStore.from_rows(
+        config.language, config.year_start, config.year_end, vocabulary,
+        key=key, match_count=match, volume_count=vol,
+        lexical_totals=lexical_totals, volume_totals=volume_totals,
+    )
+
+
 def build_store(
     shard_paths: Sequence[str | Path],
     config: RunConfig,
@@ -412,86 +544,21 @@ def build_store(
     def lap(stage: str) -> None:
         nonlocal clock
         now = time.perf_counter()
-        stats.timings[stage], clock = now - clock, now
+        stats.record(stage, now - clock)
+        clock = now
 
     table = _TokenTable(config)
-    parse = lambda p: _parse_shard(p, table)
-    if threads > 1 and len(paths) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parsers = list(pool.map(parse, paths))
-    else:
-        parsers = [parse(p) for p in paths]
-    for parser in parsers:
-        for k in ("lines", "malformed", "out_of_range", "invalid_counts", "wildcard_rows", "nonlexical_rows"):
-            setattr(stats, k, getattr(stats, k) + getattr(parser.stats, k))
+    parsers = _parse(paths, table, threads, stats)
     lap("parse")
-
-    # Re-ingested (token, year) rows are summed but worth a warning count.
-    raw_key = _merged(parsers, 0)
-    raw_key.sort()
-    stats.duplicate_rows = int(np.count_nonzero(raw_key[1:] == raw_key[:-1]))
-    del raw_key
-    if stats.duplicate_rows:
-        log.warning("%d duplicate (token, year) rows merged by addition", stats.duplicate_rows)
-    key, match, vol = (_merged(parsers, column) for column in (1, 2, 3))
+    rows, vocabulary = _merge(parsers, table, stats)
     del parsers
-
-    # Provisional word ids become ranks in the sorted vocabulary, which
-    # holds only the words with a kept row.  Key order is then the
-    # store's row order, (word id, year, pos id).
-    stride = span * POS_COUNT
-    word = key // stride
-    used = np.zeros(len(table.word_ids), dtype=bool)
-    used[word] = True
-    vocabulary = sorted(w for w, u in zip(table.word_ids, used.tolist()) if u)
-    shift = -np.arange(len(used), dtype=np.int64)
-    shift[[table.word_ids[w] for w in vocabulary]] += np.arange(len(vocabulary))
-    key += shift[word] * stride
-    del word
     lap("merge")
-
-    # Collapse duplicates (same word, pos, year) from shard overlap, case
-    # folding or apostrophe normalization; that also sorts the rows.
-    key, match, vol = group_sum(key, match, vol)
-    _release_freed_memory()
+    rows = _collapse(rows)
     lap("collapse")
-
-    # POS-variant 1% rule on corpus-wide counts per (word, pos).  Spent
-    # row-length temporaries are dropped at once, so the later phases
-    # stay under the collapse's peak.
-    row_pair = key // stride * POS_COUNT + key % POS_COUNT
-    pair_ids, pair_totals = group_sum(row_pair, match)
-    n_words = len(vocabulary)
-    pair_words = pair_ids // POS_COUNT
-    word_totals = index_sum(pair_words, pair_totals, n_words)
-    # pair > word / 100, in a form that cannot wrap.
-    retain = pair_totals > word_totals[pair_words] // 100
-    # Always retain each word's dominant variant.
-    retain[dominant_variant(pair_words, pair_ids % POS_COUNT, pair_totals)] = True
-    stats.dropped_pos_variants = int(len(pair_ids) - int(retain.sum()))
-
-    retain_lookup = np.zeros(n_words * POS_COUNT, dtype=bool)
-    retain_lookup[pair_ids[retain]] = True
-    row_keep = retain_lookup[row_pair]
-    del row_pair
-    key, match, vol = key[row_keep], match[row_keep], vol[row_keep]
-    del row_keep
-    _release_freed_memory()
+    rows = _pos_rule(rows, len(vocabulary), span, stats)
     lap("pos_rule")
-
-    wid = key // stride
-    year = key // POS_COUNT % span + config.year_start
-    pid = key % POS_COUNT
-    del key
-
-    lexical_totals = index_sum(year - config.year_start, match, span)
-    stats.empty_years = {config.year_start + i for i in range(span) if lexical_totals[i] == 0}
-
-    store = CorpusStore.from_rows(
-        config.language, config.year_start, config.year_end, vocabulary,
-        word_id=wid, pos_id=pid, year=year, match_count=match, volume_count=vol,
-        lexical_totals=lexical_totals, volume_totals=volume_totals,
-    )
+    store = _layout(rows, vocabulary, config, volume_totals, stats)
+    del rows
     lap("layout")
     log.info("ingested %d lines from %d shard(s): %d rows, %d words, %d malformed",
              stats.lines, len(paths), len(store.pos_id), len(vocabulary), stats.malformed)

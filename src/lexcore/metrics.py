@@ -195,17 +195,8 @@ def overlap_report(a: Core, b: Core) -> OverlapReport:
     )
 
 
-def pearson_correlation(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Sample Pearson coefficient, one pass over the data.
-
-    Uses running-mean co-moment updates, which keep the accumulation
-    numerically stable without a second pass.  Raises
-    :class:`DegenerateVariance` when either argument has zero variance.
-    """
-    if len(xs) != len(ys):
-        raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
-    if len(xs) < 2:
-        raise ValueError("need at least two points")
+def _co_moments(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float, float]:
+    """The co-moments (m2x, m2y, cxy), by running-mean updates: one pass, numerically stable."""
     mean_x = mean_y = 0.0
     m2x = m2y = cxy = 0.0
     for i, (x, y) in enumerate(zip(xs, ys), start=1):
@@ -216,6 +207,34 @@ def pearson_correlation(xs: Sequence[float], ys: Sequence[float]) -> float:
         m2x += dx * (x - mean_x)
         m2y += dy * (y - mean_y)
         cxy += dx * (y - mean_y)
+    return m2x, m2y, cxy
+
+
+def _scaled(values: Sequence[float]) -> Sequence[float]:
+    """``values`` times the power of two that brings their largest magnitude into [0.5, 1)."""
+    peak = max(map(abs, values))
+    if not 0.0 < peak < math.inf:
+        return values
+    exponent = math.frexp(peak)[1]
+    return [math.ldexp(v, -exponent) for v in values]
+
+
+def pearson_correlation(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Sample Pearson coefficient, one pass over the data.
+
+    When a co-moment leaves the normal float range, the pass is repeated
+    on the data scaled by powers of two, which leaves r unchanged.
+    Raises :class:`DegenerateVariance` when either argument has zero
+    variance.
+    """
+    if len(xs) != len(ys):
+        raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
+    if len(xs) < 2:
+        raise ValueError("need at least two points")
+    normal = lambda c: sys.float_info.min <= abs(c) < math.inf
+    m2x, m2y, cxy = _co_moments(xs, ys)
+    if not (normal(m2x) and normal(m2y) and (cxy == 0.0 or normal(cxy))):
+        m2x, m2y, cxy = _co_moments(_scaled(xs), _scaled(ys))
     if m2x <= 0.0 or m2y <= 0.0:
         raise DegenerateVariance("zero variance in correlation input")
     # m2x * m2y can fall below the normal range, or overflow, where the two roots do not.

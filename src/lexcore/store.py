@@ -47,6 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ChecksumMismatch, ConfigInvalid, CountOverflow, FormatVersionMismatch
+from .postags import POS_COUNT
 
 MAGIC = b"LXST"
 FORMAT_VERSION = 2
@@ -112,32 +113,41 @@ class CorpusStore:
         year_start: int,
         year_end: int,
         words: list[str],
-        word_id: np.ndarray,
-        pos_id: np.ndarray,
-        year: np.ndarray,
+        key: np.ndarray,
         match_count: np.ndarray,
         volume_count: np.ndarray,
         lexical_totals: np.ndarray,
         volume_totals: np.ndarray,
     ) -> CorpusStore:
-        """A store of rows given in (word id, year, pos id) order, with non-negative counts."""
-        offsets = np.zeros(len(words) + 1, dtype="<i8")
-        np.cumsum(np.bincount(np.asarray(word_id, dtype=np.intp), minlength=len(words)), out=offsets[1:])
+        """A store of rows given by ascending keys, with non-negative counts.
+
+        A row's key is ``(word id * span + year offset) * POS_COUNT + pos
+        id``, so key order is the store's row order.  The narrow columns
+        are decoded from the keys at their own widths, through one int64
+        scratch column, and a count column that is already at its width
+        is kept, not copied.
+        """
+        key = np.asarray(key, dtype=np.int64)
+        span = year_end - year_start + 1
+        offsets = np.searchsorted(key, np.arange(len(words) + 1, dtype=np.int64) * (span * POS_COUNT))
+        pos_id = np.empty(len(key), dtype="|u1")
+        np.remainder(key, POS_COUNT, out=pos_id, casting="unsafe")
+        # A width that holds the span also holds every window bound, 0..span.
+        year_offset = np.empty(len(key), dtype=_narrowest(span))
+        np.remainder(key // POS_COUNT, span, out=year_offset, casting="unsafe")
 
         def narrow(counts: np.ndarray) -> np.ndarray:
             counts = np.asarray(counts)
-            return counts.astype(_narrowest(int(counts.max()) if len(counts) else 0))
+            return counts.astype(_narrowest(int(counts.max()) if len(counts) else 0), copy=False)
 
-        # A width that holds the span also holds every window bound, 0..span.
-        span = year_end - year_start + 1
         return cls(
             language=language,
             year_start=year_start,
             year_end=year_end,
             words=words,
-            word_offsets=offsets,
-            pos_id=np.asarray(pos_id).astype("|u1"),
-            year_offset=(np.asarray(year) - year_start).astype(_narrowest(span)),
+            word_offsets=offsets.astype("<i8", copy=False),
+            pos_id=pos_id,
+            year_offset=year_offset,
             match_count=narrow(match_count),
             volume_count=narrow(volume_count),
             lexical_totals=np.asarray(lexical_totals, dtype="<i8"),
@@ -301,19 +311,38 @@ def _exact(sum_groups, counts: np.ndarray) -> np.ndarray:
 def group_sum(key: np.ndarray, *values: np.ndarray) -> tuple[np.ndarray, ...]:
     """Sum parallel count arrays over equal keys; returns (unique_keys, int64 sums...).
 
+    Works in place, holding only its arguments, the sort order and one
+    spare column: ``key`` and each of ``values`` (writable, of one
+    length) are reordered by a stable sort on ``key``, then the unique
+    keys overwrite the first rows of ``key``, and the sums of each int64
+    column its first rows.  Those keys and sums come back as views of
+    these rows; a narrower column's sums come back as a new int64 array.
     Sums are exact: one that reaches 2**63 raises :class:`CountOverflow`.
+    Where a column's largest count times its length reaches 2**63, that
+    check (see :func:`_exact`) holds one more row-length column.
     """
+    columns = (key, *values)
     order = np.argsort(key, kind="stable")
-    key = key[order]
+    spare = np.empty(len(key) * max(c.itemsize for c in columns), dtype=np.uint8)
+    for column in columns:
+        # mode="clip" gathers straight into the spare, where "raise" would buffer a copy.
+        column[...] = np.take(column, order, out=spare[: column.nbytes].view(column.dtype), mode="clip")
+    del order, spare
     first = np.ones(len(key), dtype=bool)
     np.not_equal(key[1:], key[:-1], out=first[1:])
     if first.all():
         # No key repeats: each sum is its one count.
-        return (key,) + tuple(v[order].astype(np.int64, copy=False) for v in values)
+        return (key,) + tuple(v.astype(np.int64, copy=False) for v in values)
     starts = np.flatnonzero(first)
     del first
-    key = key[starts]
-    return (key,) + tuple(_exact(lambda c: np.add.reduceat(c, starts), v[order]) for v in values)
+    out = []
+    for column in columns:
+        sums = column[starts] if column is key else _exact(lambda c: np.add.reduceat(c, starts), column)
+        if sums.dtype == column.dtype:
+            column[: len(sums)] = sums
+            sums = column[: len(sums)]
+        out.append(sums)
+    return tuple(out)
 
 
 def index_sum(index: np.ndarray, counts: np.ndarray, length: int) -> np.ndarray:

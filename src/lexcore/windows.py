@@ -145,11 +145,11 @@ def aggregate_window(store: CorpusStore, spec: WindowSpec) -> WindowTable:
     )
     pair_wid = pair_ids // POS_COUNT
     pair_pid = pair_ids % POS_COUNT
+    dominant = pair_pid[dominant_variant(pair_wid, pair_pid, pair_match)].astype(np.uint8)
 
-    # Collapse to word level and take each word's dominant tag.
+    # Collapse to word level; group_sum overwrites the pair columns.
     word_ids, word_match, word_vol = group_sum(pair_wid, pair_match, pair_vol)
     n = len(word_ids)
-    dominant = pair_pid[dominant_variant(pair_wid, pair_pid, pair_match)].astype(np.uint8)
 
     words = [store.words[i] for i in word_ids.tolist()]
     rel_freq = word_match / lexical_total

@@ -15,7 +15,7 @@ from lexcore.alphabets import alphabet_preset
 from lexcore.config import RunConfig
 from lexcore.errors import EmptyYearError
 from lexcore.ingest import build_store
-from lexcore.postags import PosTag
+from lexcore.postags import POS_COUNT, PosTag
 from lexcore.store import CorpusStore
 from lexcore.synth import PRESETS, generate_corpus
 
@@ -53,6 +53,11 @@ def write_shards(tmp: Path, lines: list[str], n_shards: int = 1) -> list[Path]:
         p.write_text("\n".join(chunk) + "\n", encoding="utf-8")
         paths.append(p)
     return paths
+
+
+def row_keys(word_id, year_offset, pos_id, span: int) -> list[int]:
+    """Store row keys, ``(word id * span + year offset) * POS_COUNT + pos id``."""
+    return [(w * span + y) * POS_COUNT + p for w, y, p in zip(word_id, year_offset, pos_id)]
 
 
 def english_config(year_start: int, year_end: int, fold_case: bool = False) -> RunConfig:

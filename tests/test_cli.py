@@ -92,9 +92,14 @@ class TestIngestAndSynth:
         """Stage timings and peak RSS ride along in ingest_stats.json, outside the manifest's params."""
         store_dir = pipeline["store"].parent
         stats = json.loads((store_dir / "ingest_stats.json").read_text())
+        stages = ["parse", "merge", "collapse", "pos_rule", "layout", "save"]
         assert stats["peak_rss_mb"] > 0
-        assert set(stats["timings"]) == {"parse", "merge", "collapse", "pos_rule", "layout", "save"}
+        assert set(stats["timings"]) == set(stages)
         assert all(seconds >= 0 for seconds in stats["timings"].values())
+        # The process's peak at the end of each stage: it never falls.
+        peaks = [stats["stage_peak_rss_mb"][stage] for stage in stages]
+        assert set(stats["stage_peak_rss_mb"]) == set(stages)
+        assert 0 < peaks[0] and peaks == sorted(peaks) and peaks[-1] <= stats["peak_rss_mb"]
         params = json.dumps(_manifest(store_dir)["params"])
         assert "timings" not in params and "peak_rss_mb" not in params
 

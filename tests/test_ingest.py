@@ -312,9 +312,9 @@ class TestBuildStore:
             s1, _ = build_store(shards, config)
         with mock.patch.object(ingest, "_malloc_trim", return_value=None):
             s2, _ = build_store(shards, config)
-        # Once per shard for each of the four merged columns, then after
-        # the collapse and after the 1% rule.
-        assert calls == [0] * (4 * len(shards) + 2)
+        # Once per shard for each of the four merged columns, then before
+        # and after the collapse and after the 1% rule.
+        assert calls == [0] * (4 * len(shards) + 3)
         assert _same_store(s1, s2)
 
     def test_conservation_per_year(self, hand_store):
@@ -419,6 +419,26 @@ class TestMemoryContract:
                 tracemalloc.stop()
         assert (stats.lines, len(result.shard_paths)) == (400_000, 8)
         assert peak / stats.lines < self.PEAK_BYTES_PER_LINE
+
+    def test_collapse_holds_the_order_and_one_spare_column(self):
+        """Beyond its three input columns, the collapse's traced peak is the sort order plus one spare column."""
+        n = 200_000
+        rng = np.random.default_rng(5)
+        key, match, vol = rng.integers(0, n // 2, n), rng.integers(0, 1000, n), rng.integers(0, 100, n)
+        unique = np.unique(key)
+        expected = (unique, np.bincount(key, match)[unique], int(vol.sum()))
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            key, match, vol = ingest._collapse((key, match, vol))
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert (key == expected[0]).all() and (match == expected[1]).all() and int(vol.sum()) == expected[2]
+        assert peak <= 2 * 8 * n + 65536
 
 
 # ------------------------------------------------- byte-level shard parser

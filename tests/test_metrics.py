@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -329,6 +330,31 @@ class TestPearson:
             return
         transformed = pearson_correlation([scale * x + shift for x in xs], ys)
         assert transformed == pytest.approx(base, abs=1e-9)
+
+    @given(
+        st.builds(
+            lambda ks, e: [k * 10.0**e for k in ks],
+            st.lists(st.integers(-1000, 1000), min_size=3, max_size=20),
+            st.integers(-330, 300),
+        )
+    )
+    @settings(max_examples=100)
+    @example(ys=[1e-160, 0.0, 0.0])  # the y variance falls below the normal range
+    @example(ys=[1e-170, 0.0, 0.0])  # ... and underflows to zero
+    @example(ys=[1e200, 0.0, 0.0])  # ... or overflows
+    def test_exact_oracle_at_any_magnitude(self, ys):
+        """The coefficient of ``xs`` 0..n-1 and integers scaled by 10**e matches exact rationals."""
+        xs = list(range(len(ys)))
+        fx, fy = [Fraction(x) for x in xs], [Fraction(y) for y in ys]
+        mx, my = sum(fx) / len(fx), sum(fy) / len(fy)
+        sxy = sum((x - mx) * (y - my) for x, y in zip(fx, fy))
+        sxx, syy = sum((x - mx) ** 2 for x in fx), sum((y - my) ** 2 for y in fy)
+        if syy == 0:
+            with pytest.raises(DegenerateVariance):
+                pearson_correlation(xs, ys)
+            return
+        expected = math.copysign(math.sqrt(sxy**2 / (sxx * syy)), sxy)
+        assert pearson_correlation(xs, ys) == pytest.approx(expected, abs=1e-9)
 
     def test_degenerate_variance(self):
         with pytest.raises(DegenerateVariance):

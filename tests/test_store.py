@@ -28,7 +28,7 @@ from lexcore.store import (
 )
 from lexcore.windows import WindowSpec, aggregate_window, frequency_core, standard_windows
 
-from conftest import english_config, relative_frequency, write_shards, year_slice
+from conftest import english_config, relative_frequency, row_keys, write_shards, year_slice
 
 # Hand-computed relative frequencies of the conftest fixture.
 HAND_FREQS = {
@@ -267,7 +267,7 @@ class TestPersistence:
     def test_round_trip_at_each_count_width(self, tmp_path, count, dtype):
         store = CorpusStore.from_rows(
             "english", 1900, 1901, ["aa", "bb"],
-            word_id=[0, 0, 1], pos_id=[0, 1, 0], year=[1900, 1900, 1901],
+            key=row_keys([0, 0, 1], [0, 0, 1], [0, 1, 0], 2),
             match_count=np.array([count, 0, 1]), volume_count=np.array([0, count, 1]),
             lexical_totals=[count, 1], volume_totals=[count, count],
         )
@@ -285,7 +285,7 @@ class TestPersistence:
         years = [year_start, year_end, year_start + 1, year_end]
         store = CorpusStore.from_rows(
             "english", year_start, year_end, ["aa", "bb"],
-            word_id=[0, 0, 1, 1], pos_id=[0, 0, 0, 0], year=years,
+            key=row_keys([0, 0, 1, 1], [y - year_start for y in years], [0, 0, 0, 0], span),
             match_count=np.array([1, 2, 3, 4]), volume_count=np.array([1, 1, 1, 1]),
             lexical_totals=np.bincount(np.array(years) - year_start, [1, 2, 3, 4], span).astype(int),
             volume_totals=np.ones(span, dtype=int),
@@ -388,9 +388,9 @@ class TestGroupSum:
         expected: dict[int, int] = {}
         for k, c in zip(key.tolist(), counts.tolist()):
             expected[k] = expected.get(k, 0) + c
+        assert index_sum(key, counts, 50).tolist() == [expected.get(k, 0) for k in range(50)]
         keys, sums = group_sum(key, counts)
         assert dict(zip(keys.tolist(), sums.tolist())) == expected
-        assert index_sum(key, counts, 50).tolist() == [expected.get(k, 0) for k in range(50)]
 
     @pytest.mark.parametrize(
         "counts, overflows",
@@ -414,18 +414,18 @@ class TestGroupSum:
             with pytest.raises(CountOverflow):
                 index_sum(dense, values, 2)
         else:
+            assert index_sum(dense, values, 2).tolist() == [sum(counts), 5]
             keys, sums = group_sum(key, values)
             assert keys.tolist() == [7, 9] and sums.tolist() == [sum(counts), 5]
-            assert index_sum(dense, values, 2).tolist() == [sum(counts), 5]
 
     @pytest.mark.parametrize("dtype", ["u1", "<u2", "<u4"])
     def test_narrow_counts_are_widened_before_summing(self, dtype):
         """Two rows of a width's largest count: their sum needs the next width."""
         top = int(np.iinfo(dtype).max)
         values = np.array([top, 1, top], dtype=dtype)
+        assert index_sum(np.array([0, 1, 0]), values, 2).tolist() == [2 * top, 1]
         keys, sums = group_sum(np.array([4, 6, 4]), values)
         assert sums.dtype == np.int64 and dict(zip(keys.tolist(), sums.tolist())) == {4: 2 * top, 6: 1}
-        assert index_sum(np.array([0, 1, 0]), values, 2).tolist() == [2 * top, 1]
 
     @pytest.mark.parametrize("dtype", ["u1", "<u2", "<u4", "<i8"])
     def test_distinct_keys(self, dtype):
@@ -434,6 +434,51 @@ class TestGroupSum:
         assert keys.tolist() == [2, 5, 9] and sums.dtype == np.int64 and sums.tolist() == [2, 3, 1]
         keys, sums = group_sum(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=dtype))
         assert len(keys) == 0 and sums.dtype == np.int64
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(0, 9), min_size=1, max_size=40),
+        st.lists(st.sampled_from(["u1", "<u2", "<u4", "<i8"]), min_size=1, max_size=3),
+        st.sampled_from([None, 2**63 - 1, 2**63]),
+        st.data(),
+    )
+    def test_matches_dict_oracle_in_place(self, keys, dtypes, big_sum, data):
+        """Random keys with repeats and columns of every width; the arguments end as documented."""
+        key = np.array(keys, dtype=np.int64)
+        columns = [
+            np.array(data.draw(st.lists(st.integers(0, int(np.iinfo(d).max)), min_size=len(keys), max_size=len(keys))), dtype=d)
+            for d in dtypes
+        ]
+        if big_sum is not None:
+            # One more group: two rows whose int64 counts sum to big_sum.
+            key = np.append(key, [10, 10])
+            columns = [np.append(c, [0, 0]).astype(c.dtype) for c in columns]
+            columns.append(np.zeros(len(key), dtype="<i8"))
+            columns[-1][-2:] = [2**62, big_sum - 2**62]
+        expected: dict[int, list[int]] = {}
+        for i, k in enumerate(key.tolist()):
+            row = expected.setdefault(k, [0] * len(columns))
+            for j, column in enumerate(columns):
+                row[j] += int(column[i])
+        order = np.argsort(key, kind="stable")
+        reordered = [key[order], *(column[order] for column in columns)]
+        if any(total >= 2**63 for row in expected.values() for total in row):
+            with pytest.raises(CountOverflow):
+                group_sum(key, *columns)
+            return
+        out_key, *sums = group_sum(key, *columns)
+        assert out_key.tolist() == sorted(expected)
+        assert {k: [int(s[i]) for s in sums] for i, k in enumerate(out_key.tolist())} == expected
+        # Reordered in place, then the first rows overwritten: keys and
+        # int64 sums are views of them; narrower sums are new arrays.
+        g = len(out_key)
+        assert out_key.ctypes.data == key.ctypes.data and (key[g:] == reordered[0][g:]).all()
+        for column, before, total in zip(columns, reordered[1:], sums):
+            assert total.dtype == np.int64
+            if column.dtype == np.int64:
+                assert total.ctypes.data == column.ctypes.data and (column[g:] == before[g:]).all()
+            else:
+                assert not np.shares_memory(total, column) and (column == before).all()
 
     def test_yearly_total_overflow_is_rejected_at_ingest(self, tmp_path):
         """Two words that each fit int64 but whose year total does not."""

@@ -25,7 +25,7 @@ from lexcore.windows import (
     write_core,
 )
 
-from conftest import english_config, read_shard, relative_frequency, store_from_lines
+from conftest import english_config, read_shard, relative_frequency, row_keys, store_from_lines
 
 
 class TestStandardWindows:
@@ -265,9 +265,8 @@ def store_of(rows, vocabulary, lexical_totals, volume_totals) -> CorpusStore:
         year_start=Y0,
         year_end=Y0 + len(lexical_totals) - 1,
         words=list(vocabulary),
-        word_id=np.array([wid[w] for w, _, _ in keys], dtype=np.int32),
-        pos_id=np.array([p for _, p, _ in keys], dtype=np.uint8),
-        year=np.array([y for _, _, y in keys], dtype=np.int32),
+        key=row_keys([wid[w] for w, _, _ in keys], [y - Y0 for _, _, y in keys], [p for _, p, _ in keys],
+                     len(lexical_totals)),
         match_count=np.array([rows[k][0] for k in keys], dtype=np.int64),
         volume_count=np.array([rows[k][1] for k in keys], dtype=np.int64),
         lexical_totals=np.array(lexical_totals, dtype=np.int64),
