@@ -263,24 +263,19 @@ def cmd_group(args, run: _Run):
     return {"words": str(args.words), "name": args.name}, [path]
 
 
-def _read_series_csv(path: Path) -> list[tuple[float, float]]:
-    points = []
-    lines = path.read_text(encoding="utf-8").splitlines()
-    for line in lines[1:]:
-        x_s, y_s = line.split(",", 1)
-        points.append((float(x_s), float(y_s)))
-    return points
+def _read_csv(path: Path, key=float) -> list[tuple]:
+    """The rows below a CSV's header row as ``(key(first field), float(second field))``.
 
-
-def _read_mapping_csv(path: Path) -> dict[str, float]:
-    items: dict[str, float] = {}
-    for line in path.read_text(encoding="utf-8").splitlines()[1:]:
-        k, v = line.split(",", 1)
+    A row without two such fields is a data error naming the file and line.
+    """
+    rows = []
+    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines()[1:], start=2):
         try:
-            items[k] = float(v)
+            first, second = line.split(",", 1)
+            rows.append((key(first), float(second)))
         except ValueError:
-            continue
-    return items
+            raise LexcoreError(f"{path}:{lineno}: malformed row {line!r}") from None
+    return rows
 
 
 def cmd_report(args, run: _Run):
@@ -331,7 +326,7 @@ def cmd_report(args, run: _Run):
         written.append(target)
 
     for stem, path in turnovers:
-        points = _read_series_csv(path)
+        points = _read_csv(path)
         svg = bar_chart(
             [f"{int(x)}" for x, _ in points],
             [("dropout share", [y for _, y in points])],
@@ -343,14 +338,14 @@ def cmd_report(args, run: _Run):
 
     if lines:
         series = [
-            (unique_label(stem, path, lines), _read_series_csv(path)) for stem, path in lines
+            (unique_label(stem, path, lines), _read_csv(path)) for stem, path in lines
         ]
         emit(out / "coverage.svg", line_chart(series, title="Coverage dynamics", timestamp=timestamp))
 
     for kind, found in mappings.items():
         if not found:
             continue
-        tables = [(unique_label(stem, path, found), _read_mapping_csv(path)) for stem, path in found]
+        tables = [(unique_label(stem, path, found), dict(_read_csv(path, str))) for stem, path in found]
         labels: list[str] = []
         for _, items in tables:
             labels.extend(k for k in items if k not in labels)

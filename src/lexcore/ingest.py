@@ -23,8 +23,9 @@ Memory: the parse keeps 8 bytes per line for its (token, year) key plus
 24 per lexical row; at one thread the traced peak is about 59 bytes per
 input line, set in the parse (the tests hold it under 64).  Each later
 stage works in place on the three row columns with at most one spare
-row-length column; the collapse also holds its sort order, 16 bytes per
-row in all.  At one thread the collapse sets the process's RSS peak:
+row-length column.  Only the collapse sorts, and it also holds its sort
+order, 16 bytes per row in all; the POS 1% rule sums into dense slots,
+12 int64 slots plus a 12-byte mask per word.  At one thread the collapse sets the process's RSS peak:
 about 76 MB on the 1.02M-line gbn-mix benchmark corpus, 1 MB above the
 parse's.  At two threads the parse sets it, or the merge that copies its
 buffers.  :attr:`IngestStats.stage_peak_rss_mb` shows which stage it was.
@@ -51,7 +52,7 @@ from .alphabets import APOSTROPHE, APOSTROPHE_VARIANTS, AlphabetSpec
 from .config import RunConfig
 from .errors import LexcoreError, WildcardToken
 from .postags import POS_COUNT, SUFFIX_TAGS, PosTag
-from .store import CorpusStore, dominant_variant, group_sum, index_sum, read_volume_sidecar
+from .store import CorpusStore, dominant_pos, group_sum, index_sum, read_volume_sidecar
 
 log = logging.getLogger(__name__)
 
@@ -468,10 +469,11 @@ def _pos_rule(rows: _Rows, n_words: int, span: int, stats: IngestStats) -> _Rows
     """Drop the POS variants at or below 1% of their word's corpus-wide count.
 
     Each (word, pos) pair's count is summed into one of ``n_words *
-    POS_COUNT`` slots, without a sort, so beside the rows the rule holds
-    one row-length column (each row's pair) and arrays of a few slots
-    per word.  The kept rows are compacted in place, one column at a
-    time.
+    POS_COUNT`` slots, without a sort, and each word's dominant variant
+    is one argmax over its slots.  So beside the rows the rule holds one
+    row-length column (each row's pair), 12 int64 slots and a 12-byte
+    presence mask per word, and arrays of a few slots per word.  The
+    kept rows are compacted in place, one column at a time.
     """
     key, match, _ = rows
     pair = np.floor_divide(key, span * POS_COUNT)
@@ -483,15 +485,17 @@ def _pos_rule(rows: _Rows, n_words: int, span: int, stats: IngestStats) -> _Rows
     totals = index_sum(pair, match, n_words * POS_COUNT)
     lookup = np.zeros(n_words * POS_COUNT, dtype=bool)
     lookup[pair] = True
+    # Every word has a row, so each has a dominant variant.
+    dominant = dominant_pos(totals.reshape(n_words, POS_COUNT), lookup.reshape(n_words, POS_COUNT))
+    dominant += np.arange(0, n_words * POS_COUNT, POS_COUNT)
     pair_ids = np.flatnonzero(lookup)
     pair_totals, pair_words = totals[pair_ids], pair_ids // POS_COUNT
     word_totals = index_sum(pair_words, pair_totals, n_words)
-    # pair > word / 100, in a form that cannot wrap.
-    retain = pair_totals > word_totals[pair_words] // 100
+    # Drop pair <= word / 100, in a form that cannot wrap.
+    lookup[pair_ids[pair_totals <= word_totals[pair_words] // 100]] = False
     # Always retain each word's dominant variant.
-    retain[dominant_variant(pair_words, pair_ids % POS_COUNT, pair_totals)] = True
-    stats.dropped_pos_variants = int(len(pair_ids) - int(retain.sum()))
-    lookup[pair_ids[~retain]] = False
+    lookup[dominant] = True
+    stats.dropped_pos_variants = len(pair_ids) - int(np.count_nonzero(lookup))
     keep = lookup[pair]
     del pair
     if not keep.all():

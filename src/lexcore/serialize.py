@@ -11,9 +11,10 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-from .metrics import MetricSeries, OverlapReport, TransitionPartition
+if TYPE_CHECKING:
+    from .metrics import MetricSeries, OverlapReport, TransitionPartition
 
 SCHEMA_PREFIX = "lexcore"
 SCHEMA_VERSION = 1

@@ -309,40 +309,35 @@ def _exact(sum_groups, counts: np.ndarray) -> np.ndarray:
 
 
 def group_sum(key: np.ndarray, *values: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Sum parallel count arrays over equal keys; returns (unique_keys, int64 sums...).
+    """Sum parallel int64 count columns over equal keys; returns (unique_keys, sums...).
 
     Works in place, holding only its arguments, the sort order and one
-    spare column: ``key`` and each of ``values`` (writable, of one
-    length) are reordered by a stable sort on ``key``, then the unique
-    keys overwrite the first rows of ``key``, and the sums of each int64
-    column its first rows.  Those keys and sums come back as views of
-    these rows; a narrower column's sums come back as a new int64 array.
-    Sums are exact: one that reaches 2**63 raises :class:`CountOverflow`.
-    Where a column's largest count times its length reaches 2**63, that
-    check (see :func:`_exact`) holds one more row-length column.
+    spare column: ``key`` and each of ``values`` (writable int64 columns
+    of one length) are reordered by a stable sort on ``key``, then the
+    unique keys and each column's sums overwrite their first rows and
+    come back as views of them.  Sums are exact: one that reaches 2**63
+    raises :class:`CountOverflow`.  Where a column's largest count times
+    its length reaches 2**63, that check (see :func:`_exact`) holds one
+    more row-length column.
     """
     columns = (key, *values)
     order = np.argsort(key, kind="stable")
-    spare = np.empty(len(key) * max(c.itemsize for c in columns), dtype=np.uint8)
+    spare = np.empty(len(key), dtype=np.int64)
     for column in columns:
         # mode="clip" gathers straight into the spare, where "raise" would buffer a copy.
-        column[...] = np.take(column, order, out=spare[: column.nbytes].view(column.dtype), mode="clip")
+        column[...] = np.take(column, order, out=spare, mode="clip")
     del order, spare
     first = np.ones(len(key), dtype=bool)
     np.not_equal(key[1:], key[:-1], out=first[1:])
     if first.all():
         # No key repeats: each sum is its one count.
-        return (key,) + tuple(v.astype(np.int64, copy=False) for v in values)
+        return columns
     starts = np.flatnonzero(first)
     del first
-    out = []
-    for column in columns:
-        sums = column[starts] if column is key else _exact(lambda c: np.add.reduceat(c, starts), column)
-        if sums.dtype == column.dtype:
-            column[: len(sums)] = sums
-            sums = column[: len(sums)]
-        out.append(sums)
-    return tuple(out)
+    key[: len(starts)] = key[starts]
+    for column in values:
+        column[: len(starts)] = _exact(lambda c: np.add.reduceat(c, starts), column)
+    return tuple(column[: len(starts)] for column in columns)
 
 
 def index_sum(index: np.ndarray, counts: np.ndarray, length: int) -> np.ndarray:
@@ -356,17 +351,14 @@ def index_sum(index: np.ndarray, counts: np.ndarray, length: int) -> np.ndarray:
     return _exact(sum_groups, counts)
 
 
-def dominant_variant(word: np.ndarray, pos: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """Index of each word's dominant (word, pos) pair, one per distinct word in ascending order.
+def dominant_pos(totals: np.ndarray, present: np.ndarray) -> np.ndarray:
+    """Each word's dominant pos id, from ``(words, POS_COUNT)`` totals and presence.
 
-    ``count`` holds int64 counts.  The largest count wins; ties go to the
-    smallest pos id.
+    The present pair with the largest total wins; ties go to the
+    smallest pos id.  A present pair may total 0, so an absent one
+    counts as -1.
     """
-    order = np.lexsort((pos, -count, word))
-    sorted_word = word[order]
-    first = np.ones(len(order), dtype=bool)
-    np.not_equal(sorted_word[1:], sorted_word[:-1], out=first[1:])
-    return order[first]
+    return np.where(present, totals, -1).argmax(axis=1)
 
 
 def read_volume_sidecar(path: str | Path) -> dict[int, int]:

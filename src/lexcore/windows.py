@@ -5,6 +5,11 @@ the window's top-K words by aggregate frequency, or all words whose
 book share clears a threshold.  Core extraction is a pure function of
 the window table, with deterministic lexicographic tie-breaking, so
 identical inputs always produce bit-identical cores.
+
+A window table is summed without a sort: beside a few int64 columns as
+long as the window's rows, it holds 12 int64 slots (one per POS tag)
+plus a 12-byte presence mask per word present in the window, and each
+word's dominant tag is one argmax over its slots.
 """
 
 from __future__ import annotations
@@ -17,7 +22,8 @@ import numpy as np
 
 from .errors import EmptyWindow, SpanTooShort
 from .postags import POS_COUNT, PosTag
-from .store import CorpusStore, dominant_variant, group_sum, index_sum
+from .serialize import write_text_atomic
+from .store import CorpusStore, dominant_pos, index_sum
 
 # PosTag by value: tag values run 0..POS_COUNT-1.
 _POS_TAGS = tuple(PosTag)
@@ -136,20 +142,21 @@ def aggregate_window(store: CorpusStore, spec: WindowSpec) -> WindowTable:
     volume_total = int(index_sum(one_group, store.volume_totals[lo:hi], 1)[0])
 
     rows = np.flatnonzero((store.year_offset >= lo) & (store.year_offset < hi))
-    # Rows are word-major, so the selected rows of each word are one run.
-    row_word = np.repeat(np.arange(len(store.words), dtype=np.int64), np.diff(np.searchsorted(rows, store.word_offsets)))
-
-    # Per-(word, pos) sums first, for the dominant-tag assignment.
-    pair_ids, pair_match, pair_vol = group_sum(
-        row_word * POS_COUNT + store.pos_id[rows], store.match_count[rows], store.volume_count[rows]
-    )
-    pair_wid = pair_ids // POS_COUNT
-    pair_pid = pair_ids % POS_COUNT
-    dominant = pair_pid[dominant_variant(pair_wid, pair_pid, pair_match)].astype(np.uint8)
-
-    # Collapse to word level; group_sum overwrites the pair columns.
-    word_ids, word_match, word_vol = group_sum(pair_wid, pair_match, pair_vol)
+    # Rows are word-major, so the selected rows of each word are one run,
+    # and each present word's sums go to the slot of its run.
+    run_lengths = np.diff(np.searchsorted(rows, store.word_offsets))
+    word_ids = np.flatnonzero(run_lengths)
     n = len(word_ids)
+    run = np.repeat(np.arange(n), run_lengths[word_ids])
+    match = store.match_count[rows]
+    word_match = index_sum(run, match, n)
+    word_vol = index_sum(run, store.volume_count[rows], n)
+    run *= POS_COUNT
+    run += store.pos_id[rows]
+    present = np.zeros((n, POS_COUNT), dtype=bool)
+    present.reshape(-1)[run] = True
+    totals = index_sum(run, match, n * POS_COUNT).reshape(n, POS_COUNT)
+    dominant = dominant_pos(totals, present).astype(np.uint8)
 
     words = [store.words[i] for i in word_ids.tolist()]
     rel_freq = word_match / lexical_total
@@ -230,11 +237,11 @@ def bookshare_core(table: WindowTable, threshold: float) -> Core:
 
 
 def write_core(core: Core, path: str | Path) -> None:
-    """Export a core as ``rank<TAB>word<TAB>rel_freq<TAB>volume_share`` rows."""
+    """Export a core as ``rank<TAB>word<TAB>rel_freq<TAB>volume_share`` rows, replacing ``path`` atomically."""
     lines = [
         f"{rank}\t{word}\t{freq!r}\t{share!r}"
         for rank, (word, freq, share) in enumerate(
             zip(core.words, core.rel_freq, core.volume_share), start=1
         )
     ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text_atomic(path, "\n".join(lines) + "\n")

@@ -716,6 +716,24 @@ class TestReport:
         (bare / "turnover.csv").write_text("x,y\n1900,0.5\n")
         assert main(["report", str(bare), "--out", str(tmp_path / "o")]) == 1
 
+    @pytest.mark.parametrize(
+        "name, text, line",
+        [
+            ("pos_composition.csv", "key,value\nNOUN,0.5\nVERB,abc\n", 3),
+            ("coverage.csv", "x,y\n1800,0.5\n1801,abc\n", 3),
+            ("turnover.csv", "x,y\n1849\n", 2),
+        ],
+        ids=["pos-value", "coverage-value", "turnover-one-field"],
+    )
+    def test_report_rejects_malformed_rows(self, tmp_path, capsys, name, text, line):
+        """A row whose fields do not parse is a data error naming the file and line."""
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "manifest.json").write_text("{}")
+        (run / name).write_text(text)
+        assert main(["report", str(run), "--out", str(tmp_path / "o")]) == 1
+        assert f"error: {run / name}:{line}: " in capsys.readouterr().err
+
     def test_report_refuses_mismatched_stores(self, pipeline, run_dirs, tmp_path):
         t_dir, _ = run_dirs
         # Build a second store from a different corpus and produce a run.

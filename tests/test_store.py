@@ -19,7 +19,7 @@ from lexcore.metrics import coverage_series, turnover_series
 from lexcore.postags import POS_COUNT, PosTag
 from lexcore.store import (
     CorpusStore,
-    dominant_variant,
+    dominant_pos,
     group_sum,
     index_sum,
     load_store,
@@ -424,36 +424,33 @@ class TestGroupSum:
         top = int(np.iinfo(dtype).max)
         values = np.array([top, 1, top], dtype=dtype)
         assert index_sum(np.array([0, 1, 0]), values, 2).tolist() == [2 * top, 1]
-        keys, sums = group_sum(np.array([4, 6, 4]), values)
-        assert sums.dtype == np.int64 and dict(zip(keys.tolist(), sums.tolist())) == {4: 2 * top, 6: 1}
 
-    @pytest.mark.parametrize("dtype", ["u1", "<u2", "<u4", "<i8"])
-    def test_distinct_keys(self, dtype):
-        """With no key repeated, keys come back sorted and each sum is its one count, as int64."""
-        keys, sums = group_sum(np.array([9, 2, 5]), np.array([1, 2, 3], dtype=dtype))
-        assert keys.tolist() == [2, 5, 9] and sums.dtype == np.int64 and sums.tolist() == [2, 3, 1]
-        keys, sums = group_sum(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=dtype))
-        assert len(keys) == 0 and sums.dtype == np.int64
+    def test_distinct_keys(self):
+        """With no key repeated, keys come back sorted and each sum is its one count."""
+        keys, sums = group_sum(np.array([9, 2, 5]), np.array([1, 2, 3]))
+        assert keys.tolist() == [2, 5, 9] and sums.tolist() == [2, 3, 1]
+        keys, sums = group_sum(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        assert len(keys) == 0 and len(sums) == 0
 
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(st.integers(0, 9), min_size=1, max_size=40),
-        st.lists(st.sampled_from(["u1", "<u2", "<u4", "<i8"]), min_size=1, max_size=3),
+        st.lists(st.sampled_from([2**8 - 1, 2**32 - 1, 2**63 - 1]), min_size=1, max_size=3),
         st.sampled_from([None, 2**63 - 1, 2**63]),
         st.data(),
     )
-    def test_matches_dict_oracle_in_place(self, keys, dtypes, big_sum, data):
-        """Random keys with repeats and columns of every width; the arguments end as documented."""
+    def test_matches_dict_oracle_in_place(self, keys, bounds, big_sum, data):
+        """Random keys with repeats and int64 columns of counts up to each bound; the arguments end as documented."""
         key = np.array(keys, dtype=np.int64)
         columns = [
-            np.array(data.draw(st.lists(st.integers(0, int(np.iinfo(d).max)), min_size=len(keys), max_size=len(keys))), dtype=d)
-            for d in dtypes
+            np.array(data.draw(st.lists(st.integers(0, bound), min_size=len(keys), max_size=len(keys))), dtype=np.int64)
+            for bound in bounds
         ]
         if big_sum is not None:
-            # One more group: two rows whose int64 counts sum to big_sum.
+            # One more group: two rows whose counts sum to big_sum.
             key = np.append(key, [10, 10])
-            columns = [np.append(c, [0, 0]).astype(c.dtype) for c in columns]
-            columns.append(np.zeros(len(key), dtype="<i8"))
+            columns = [np.append(c, [0, 0]) for c in columns]
+            columns.append(np.zeros(len(key), dtype=np.int64))
             columns[-1][-2:] = [2**62, big_sum - 2**62]
         expected: dict[int, list[int]] = {}
         for i, k in enumerate(key.tolist()):
@@ -470,15 +467,10 @@ class TestGroupSum:
         assert out_key.tolist() == sorted(expected)
         assert {k: [int(s[i]) for s in sums] for i, k in enumerate(out_key.tolist())} == expected
         # Reordered in place, then the first rows overwritten: keys and
-        # int64 sums are views of them; narrower sums are new arrays.
+        # sums are views of them.
         g = len(out_key)
-        assert out_key.ctypes.data == key.ctypes.data and (key[g:] == reordered[0][g:]).all()
-        for column, before, total in zip(columns, reordered[1:], sums):
-            assert total.dtype == np.int64
-            if column.dtype == np.int64:
-                assert total.ctypes.data == column.ctypes.data and (column[g:] == before[g:]).all()
-            else:
-                assert not np.shares_memory(total, column) and (column == before).all()
+        for column, before, total in zip([key, *columns], reordered, [out_key, *sums]):
+            assert total.ctypes.data == column.ctypes.data and (column[g:] == before[g:]).all()
 
     def test_yearly_total_overflow_is_rejected_at_ingest(self, tmp_path):
         """Two words that each fit int64 but whose year total does not."""
@@ -500,24 +492,30 @@ class TestGroupSum:
             aggregate_window(store, WindowSpec(1900, 1901))
 
 
-class TestDominantVariant:
+class TestDominantPos:
     @settings(max_examples=300, deadline=None)
     @given(
-        st.lists(
-            st.tuples(st.integers(0, 4), st.integers(0, POS_COUNT - 1), st.integers(0, 3) | st.integers(0, 2**62)),
+        st.dictionaries(
+            st.tuples(st.integers(0, 4), st.integers(0, POS_COUNT - 1)),
+            st.integers(0, 3) | st.integers(0, 2**62),
             max_size=40,
         )
     )
     def test_matches_dict_oracle(self, pairs):
-        """Small counts make ties common: they go to the smallest pos id."""
+        """Small counts make ties common: they go to the smallest pos id.
+
+        A present pair may total 0 beside absent ones, pos 0 among them.
+        """
         best: dict[int, tuple[int, int]] = {}
-        for w, p, c in pairs:
+        for (w, p), c in pairs.items():
             if w not in best or (-c, p) < (-best[w][1], best[w][0]):
                 best[w] = (p, c)
-        word, pos, count = (np.array(col, dtype=np.int64) for col in (zip(*pairs) if pairs else ((), (), ())))
-        idx = dominant_variant(word, pos, count)
-        got = [(int(word[i]), int(pos[i]), int(count[i])) for i in idx]
-        assert got == [(w, p, c) for w, (p, c) in sorted(best.items())]
+        totals = np.zeros((5, POS_COUNT), dtype=np.int64)
+        present = np.zeros((5, POS_COUNT), dtype=bool)
+        for (w, p), c in pairs.items():
+            totals[w, p], present[w, p] = c, True
+        got = dominant_pos(totals, present).tolist()
+        assert {w: got[w] for w in best} == {w: p for w, (p, _) in best.items()}
 
 
 class TestVolumeSidecar:

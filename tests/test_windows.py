@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 from collections import defaultdict
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lexcore.errors import EmptyWindow, EmptyYearError, SpanTooShort, WildcardToken
@@ -247,6 +248,17 @@ class TestCoreExport:
             assert float(row[3]) == share
 
 
+    def test_failed_write_keeps_the_old_file(self, tmp_path, hand_store):
+        """The core is written beside the file and renamed over it; a failed rename leaves the old bytes."""
+        store, _ = hand_store
+        core = frequency_core(aggregate_window(store, WindowSpec(1900, 1904)), 3)
+        path = tmp_path / "core.tsv"
+        path.write_bytes(b"old core\n")
+        with mock.patch("os.replace", side_effect=OSError("rename failed")), pytest.raises(OSError):
+            write_core(core, path)
+        assert path.read_bytes() == b"old core\n"
+
+
 # ---------------------------------------------------------------- oracle
 # Rows are {(word, pos, year): (match, volumes)}; every sum below is over
 # Python ints, so the oracle cannot wrap or round a count.
@@ -345,6 +357,9 @@ class TestWindowOracle:
 
     @given(window_stores())
     @settings(max_examples=300, deadline=None)
+    # "bee" has one row in the window, a match of 0 under pos 2: an
+    # argmax that does not mask absent pairs would give it pos 0.
+    @example(({("ant", 0, Y0): (3, 1), ("bee", 2, Y0): (0, 1)}, ["bee", "ant"], [3], [5], Y0, Y0, 2, 0.25, [], [Y0]))
     def test_matches_dict_oracle(self, case):
         rows, vocabulary, lexical_totals, volume_totals, lo, hi, k, threshold, extra, years = case
         store = store_of(rows, vocabulary, lexical_totals, volume_totals)
