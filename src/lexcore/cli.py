@@ -10,7 +10,6 @@ underlying store.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import re
@@ -21,7 +20,7 @@ from functools import cached_property, partial
 from pathlib import Path
 
 from . import __version__
-from .config import load_config, params_hash
+from .config import load_config, params_hash, read_json_object
 from .errors import LexcoreError
 from .ingest import build_store
 from .metrics import (
@@ -184,7 +183,7 @@ def cmd_synth(args, run: _Run):
     if args.preset:
         config = PRESETS[args.preset]
     else:
-        config = synth_config_from_dict(json.loads(Path(_resolve_input(args.config)).read_text()))
+        config = synth_config_from_dict(read_json_object(_resolve_input(args.config)))
     result = generate_corpus(config, run.out, shard_years=args.shard_years, gzip_output=args.gzip)
     params = {"synth_config": config.to_dict(), "gzip": args.gzip, "shard_years": args.shard_years}
     return params, result.shard_paths
@@ -280,13 +279,15 @@ def _read_csv(path: Path, key=float) -> list[tuple]:
 
 def cmd_report(args, run: _Run):
     run_dirs = [_resolve_input(d) for d in args.runs]
-    manifests = []
+    hashes = set()
     for d in run_dirs:
         mpath = Path(d) / MANIFEST_NAME
         if not mpath.exists():
             raise LexcoreError(f"{d}: no {MANIFEST_NAME}; not a lexcore run directory")
-        manifests.append(json.loads(mpath.read_text(encoding="utf-8")))
-    hashes = {m.get("store_hash") for m in manifests}
+        store_hash = read_json_object(mpath).get("store_hash")
+        if not isinstance(store_hash, (str, type(None))):
+            raise LexcoreError(f"{mpath}: store_hash must be a string or null")
+        hashes.add(store_hash)
     if len(hashes) > 1:
         raise LexcoreError(
             "mismatched manifests: run directories were produced from different stores"
@@ -530,7 +531,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         run = _Run(args)
         return run.finish(*args.func(args, run))
-    except (LexcoreError, OSError, ValueError, json.JSONDecodeError) as exc:
+    except (LexcoreError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

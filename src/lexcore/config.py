@@ -10,20 +10,26 @@ The config file is versioned JSON::
       "year_end": 1999,
       "fold_case": false
     }
+
+Absent optional keys take the dataclass defaults, and booleans must be
+JSON ``true`` or ``false``.  A value that cannot be read as its key's
+kind is a :class:`ConfigInvalid` naming the key.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Mapping, TypeVar
 
 from .alphabets import AlphabetSpec, alphabet_preset
 from .errors import ConfigInvalid
 
 CONFIG_VERSION = 1
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -41,67 +47,79 @@ class RunConfig:
             )
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "version": CONFIG_VERSION,
-            "language": self.language,
-            "alphabet": {
-                "language": self.alphabet.language,
-                "letters": "".join(sorted(self.alphabet.letters)),
-                "apostrophe_allowed": self.alphabet.apostrophe_allowed,
-                "max_apostrophes": self.alphabet.max_apostrophes,
-            },
-            "year_start": self.year_start,
-            "year_end": self.year_end,
-            "fold_case": self.fold_case,
-        }
+        """The config as JSON values, letters as one sorted string; :func:`config_from_dict` reads it back."""
+        alphabet = {f.name: getattr(self.alphabet, f.name) for f in fields(self.alphabet)}
+        alphabet["letters"] = "".join(sorted(self.alphabet.letters))
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
+        return {"version": CONFIG_VERSION, **values, "alphabet": alphabet}
+
+
+def read_json_object(path: str | Path) -> dict[str, Any]:
+    """The JSON object in the file at ``path``; anything else is a :class:`ConfigInvalid` naming the file."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise ConfigInvalid(f"cannot read {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigInvalid(f"{path}: root must be a JSON object, got {type(data).__name__}")
+    return data
+
+
+def json_bool(value: Any) -> bool:
+    """A JSON ``true`` or ``false``; any other value, such as ``"no"`` or 1, is a TypeError."""
+    if not isinstance(value, bool):
+        raise TypeError(value)
+    return value
+
+
+def from_json(cls: type[T], data: dict[str, Any], kinds: Mapping[str, Callable[[Any], Any]], what: str) -> T:
+    """The dataclass ``cls`` built from the keys of ``kinds`` that the JSON object ``data`` holds.
+
+    Each kind reads one key's value.  It returns None where the dataclass
+    default stands, so only the dataclass lists defaults.  A value that a
+    kind cannot read is a :class:`ConfigInvalid` naming its key.
+    """
+    required = (f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING)
+    missing = [name for name in required if name not in data]
+    if missing:
+        raise ConfigInvalid(f"{what} missing keys: {', '.join(missing)}")
+    values = {}
+    for key in (k for k in kinds if k in data):
+        try:
+            value = kinds[key](data[key])
+        except (TypeError, ValueError, LookupError, OverflowError):
+            raise ConfigInvalid(f"{what}: {key!r} cannot be {json.dumps(data[key], default=repr)}") from None
+        if value is not None:
+            values[key] = value
+    return cls(**values)
+
+
+# How each key of a custom alphabet is read; letters are a string, or a list of one-letter strings.
+_ALPHABET_KINDS = {"language": str, "letters": lambda v: frozenset("".join(v)), "apostrophe_allowed": json_bool,
+                   "max_apostrophes": int}
 
 
 def _parse_alphabet(value: Any) -> AlphabetSpec:
     if isinstance(value, str):
         return alphabet_preset(value)
     if isinstance(value, dict):
-        try:
-            letters = frozenset(value["letters"])
-        except KeyError:
-            raise ConfigInvalid("custom alphabet requires a 'letters' string") from None
-        return AlphabetSpec(
-            language=value.get("language", "custom"),
-            letters=letters,
-            apostrophe_allowed=bool(value.get("apostrophe_allowed", True)),
-            max_apostrophes=int(value.get("max_apostrophes", 1)),
-        )
+        return from_json(AlphabetSpec, {"language": "custom", **value}, _ALPHABET_KINDS, "custom alphabet")
     raise ConfigInvalid(f"alphabet must be a preset name or object, got {type(value).__name__}")
 
 
+_RUN_KINDS = {"language": str, "alphabet": _parse_alphabet, "year_start": int, "year_end": int, "fold_case": json_bool}
+
+
 def config_from_dict(data: dict[str, Any]) -> RunConfig:
+    """A RunConfig from parsed JSON; absent keys take the dataclass defaults."""
     version = data.get("version")
     if version != CONFIG_VERSION:
         raise ConfigInvalid(f"unsupported config version {version!r} (expected {CONFIG_VERSION})")
-    missing = [k for k in ("language", "alphabet", "year_start", "year_end") if k not in data]
-    if missing:
-        raise ConfigInvalid(f"config missing keys: {', '.join(missing)}")
-    try:
-        year_start = int(data["year_start"])
-        year_end = int(data["year_end"])
-    except (TypeError, ValueError):
-        raise ConfigInvalid("year_start/year_end must be integers") from None
-    return RunConfig(
-        language=str(data["language"]),
-        alphabet=_parse_alphabet(data["alphabet"]),
-        year_start=year_start,
-        year_end=year_end,
-        fold_case=bool(data.get("fold_case", False)),
-    )
+    return from_json(RunConfig, data, _RUN_KINDS, "config")
 
 
 def load_config(path: str | Path) -> RunConfig:
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigInvalid(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigInvalid("config root must be a JSON object")
-    return config_from_dict(data)
+    return config_from_dict(read_json_object(path))
 
 
 def params_hash(params: dict[str, Any]) -> str:

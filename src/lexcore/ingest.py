@@ -504,22 +504,6 @@ def _pos_rule(rows: _Rows, n_words: int, span: int, stats: IngestStats) -> _Rows
     return rows
 
 
-def _layout(rows: _Rows, vocabulary: list[str], config: RunConfig, volume_totals: np.ndarray, stats: IngestStats) -> CorpusStore:
-    """The store of the kept rows, with each year's lexical total."""
-    key, match, vol = rows
-    span = config.year_end - config.year_start + 1
-    year_offset = np.floor_divide(key, POS_COUNT)
-    year_offset %= span
-    lexical_totals = index_sum(year_offset, match, span)
-    del year_offset
-    stats.empty_years = {config.year_start + i for i in range(span) if lexical_totals[i] == 0}
-    return CorpusStore.from_rows(
-        config.language, config.year_start, config.year_end, vocabulary,
-        key=key, match_count=match, volume_count=vol,
-        lexical_totals=lexical_totals, volume_totals=volume_totals,
-    )
-
-
 def build_store(
     shard_paths: Sequence[str | Path],
     config: RunConfig,
@@ -530,7 +514,9 @@ def build_store(
 
     Shards are parsed independently (``threads`` workers) through one
     shared token table, and rows are merged by their key and summed, so
-    any order or partition of the input yields an identical store.
+    any order or partition of the input yields an identical store.  The
+    workers do not run in parallel: at two threads the process's CPU
+    time equals its wall time, and the run is no faster than at one.
     """
     paths = [Path(p) for p in shard_paths]
     if not paths:
@@ -561,8 +547,9 @@ def build_store(
     lap("collapse")
     rows = _pos_rule(rows, len(vocabulary), span, stats)
     lap("pos_rule")
-    store = _layout(rows, vocabulary, config, volume_totals, stats)
+    store = CorpusStore.from_rows(config.language, config.year_start, config.year_end, vocabulary, *rows, volume_totals)
     del rows
+    stats.empty_years = {year for year, total in zip(store.years, store.lexical_totals.tolist()) if total == 0}
     lap("layout")
     log.info("ingested %d lines from %d shard(s): %d rows, %d words, %d malformed",
              stats.lines, len(paths), len(store.pos_id), len(vocabulary), stats.malformed)

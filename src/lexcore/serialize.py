@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, BinaryIO, Iterator, Mapping
 
 if TYPE_CHECKING:
     from .metrics import MetricSeries, OverlapReport, TransitionPartition
@@ -92,9 +93,26 @@ def dump_json(obj: dict) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def write_text_atomic(path: str | Path, text: str) -> None:
-    """Write via a temp file and rename, so readers never see a torn file."""
+@contextmanager
+def replacing(path: str | Path) -> Iterator[BinaryIO]:
+    """A new file beside ``path``, renamed over it when the block ends.
+
+    Readers never see a torn file.  The temp name is unique to this
+    writer, the file takes the mode the umask gives, and it is removed
+    when the write or the rename fails.
+    """
     path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text, encoding="utf-8", newline="\n")
-    os.replace(tmp, path)
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Write ``text`` as UTF-8 through :func:`replacing`."""
+    with replacing(path) as fh:
+        fh.write(text.encode("utf-8"))

@@ -48,6 +48,7 @@ import numpy as np
 
 from .errors import ChecksumMismatch, ConfigInvalid, CountOverflow, FormatVersionMismatch
 from .postags import POS_COUNT
+from .serialize import replacing
 
 MAGIC = b"LXST"
 FORMAT_VERSION = 2
@@ -116,7 +117,6 @@ class CorpusStore:
         key: np.ndarray,
         match_count: np.ndarray,
         volume_count: np.ndarray,
-        lexical_totals: np.ndarray,
         volume_totals: np.ndarray,
     ) -> CorpusStore:
         """A store of rows given by ascending keys, with non-negative counts.
@@ -125,7 +125,8 @@ class CorpusStore:
         id``, so key order is the store's row order.  The narrow columns
         are decoded from the keys at their own widths, through one int64
         scratch column, and a count column that is already at its width
-        is kept, not copied.
+        is kept, not copied.  Each year's lexical total is the sum of its
+        rows' match counts.
         """
         key = np.asarray(key, dtype=np.int64)
         span = year_end - year_start + 1
@@ -135,6 +136,7 @@ class CorpusStore:
         # A width that holds the span also holds every window bound, 0..span.
         year_offset = np.empty(len(key), dtype=_narrowest(span))
         np.remainder(key // POS_COUNT, span, out=year_offset, casting="unsafe")
+        lexical_totals = index_sum(year_offset, np.asarray(match_count), span)
 
         def narrow(counts: np.ndarray) -> np.ndarray:
             counts = np.asarray(counts)
@@ -150,7 +152,7 @@ class CorpusStore:
             year_offset=year_offset,
             match_count=narrow(match_count),
             volume_count=narrow(volume_count),
-            lexical_totals=np.asarray(lexical_totals, dtype="<i8"),
+            lexical_totals=lexical_totals,
             volume_totals=np.asarray(volume_totals, dtype="<i8"),
         )
 
@@ -194,7 +196,6 @@ def save_store(store: CorpusStore, path: str | Path) -> str:
     The file is written beside ``path`` and then renamed over it, so a
     reader that has the old file mapped keeps seeing the old bytes.
     """
-    path = Path(path)
     words_blob = "\n".join(store.words).encode("utf-8")
     columns = {}
     for name in _COLUMNS:
@@ -226,15 +227,13 @@ def save_store(store: CorpusStore, path: str | Path) -> str:
         pos = layout[name]["offset"] + column.nbytes
     # Stream each part to disk and into the checksum; no joined copy.
     sha = hashlib.sha256()
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "wb") as fh:
+    with replacing(path) as fh:
         for part in parts:
             data = memoryview(part).cast("B")
             sha.update(data)
             fh.write(data)
         digest = sha.digest()
         fh.write(digest)
-    os.replace(tmp, path)
     return digest.hex()
 
 

@@ -30,20 +30,19 @@ from __future__ import annotations
 import gzip
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Mapping
+from typing import Any, Mapping
 
 import numpy as np
 
+from .config import from_json
 from .errors import ConfigInvalid
-from .postags import PosTag
+from .postags import POS_COUNT, PosTag
 
 log = logging.getLogger(__name__)
 
 __all__ = ["SynthConfig", "SynthResult", "PRESETS", "generate_corpus", "synth_config_from_dict"]
-
-_ALPHA = "abcdefghijklmnopqrstuvwxyz"
 
 # Default tag mix for newly created words.
 DEFAULT_TAG_WEIGHTS: dict[PosTag, float] = {
@@ -137,56 +136,43 @@ class SynthConfig:
         return spans
 
     def to_dict(self) -> dict:
-        return {
-            "vocabulary": self.vocabulary,
-            "year_start": self.year_start,
-            "year_end": self.year_end,
-            "tokens_per_year": self.tokens_per_year,
-            "zipf_exponent": self.zipf_exponent,
-            "mandelbrot_offset": self.mandelbrot_offset,
-            "era_length": self.era_length,
-            "churn": self.churn,
-            "churn_band": self.churn_band,
-            "pos_churn": {t.name: p for t, p in self.pos_churn.items()},
-            "tag_weights": {t.name: w for t, w in self.tag_weights.items()},
-            "volumes_per_year": self.volumes_per_year,
-            "decay_group": list(self.decay_group) if self.decay_group else None,
-            "decay_factor": self.decay_factor,
-            "seed": self.seed,
-        }
+        """The config as JSON values, tags by name; :func:`synth_config_from_dict` reads it back."""
+
+        def json_value(value):
+            if isinstance(value, Mapping):
+                return {tag.name: v for tag, v in value.items()}
+            return list(value) if isinstance(value, tuple) else value
+
+        return {f.name: json_value(getattr(self, f.name)) for f in fields(self)}
+
+
+def _tag_map(value: Any) -> dict[PosTag, float] | None:
+    """A ``{"TAG": number}`` object; null or ``{}`` leaves the default, and an unknown tag is a LookupError."""
+    return {PosTag[name]: float(p) for name, p in dict(value or {}).items()} or None
+
+
+def _rank_pair(value: Any) -> tuple[int, int] | None:
+    """A ``[lo, hi]`` rank pair; null leaves no decay group."""
+    if not value:
+        return None
+    lo, hi = value
+    return int(lo), int(hi)
+
+
+# How each key of a synth config's JSON is read (see :func:`lexcore.config.from_json`).
+_JSON_KINDS = {
+    **dict.fromkeys(("vocabulary", "year_start", "year_end", "tokens_per_year"), int),
+    **dict.fromkeys(("era_length", "churn_band", "volumes_per_year", "seed"), int),
+    **dict.fromkeys(("zipf_exponent", "mandelbrot_offset", "churn", "decay_factor"), float),
+    "pos_churn": _tag_map,
+    "tag_weights": _tag_map,
+    "decay_group": _rank_pair,
+}
 
 
 def synth_config_from_dict(data: dict) -> SynthConfig:
-    """Build a SynthConfig from parsed JSON (tag names as strings)."""
-
-    def tags(mapping: Mapping[str, float] | None) -> dict[PosTag, float]:
-        if not mapping:
-            return {}
-        try:
-            return {PosTag[name]: float(v) for name, v in mapping.items()}
-        except KeyError as exc:
-            raise ConfigInvalid(f"unknown POS tag {exc.args[0]!r}") from None
-
-    try:
-        cfg = SynthConfig(
-            vocabulary=int(data["vocabulary"]),
-            year_start=int(data["year_start"]),
-            year_end=int(data["year_end"]),
-            tokens_per_year=int(data["tokens_per_year"]),
-            zipf_exponent=float(data.get("zipf_exponent", 1.0)),
-            mandelbrot_offset=float(data.get("mandelbrot_offset", 0.0)),
-            era_length=int(data.get("era_length", 50)),
-            churn=float(data.get("churn", 0.15)),
-            churn_band=int(data.get("churn_band", 0)),
-            pos_churn=tags(data.get("pos_churn")),
-            tag_weights=tags(data.get("tag_weights")) or dict(DEFAULT_TAG_WEIGHTS),
-            volumes_per_year=int(data.get("volumes_per_year", 2000)),
-            decay_group=tuple(data["decay_group"]) if data.get("decay_group") else None,
-            decay_factor=float(data.get("decay_factor", 1.0)),
-            seed=int(data.get("seed", 0)),
-        )
-    except KeyError as exc:
-        raise ConfigInvalid(f"synth config missing key {exc.args[0]!r}") from None
+    """A validated SynthConfig from parsed JSON (tags by name); absent keys take the dataclass defaults."""
+    cfg = from_json(SynthConfig, data, _JSON_KINDS, "synth config")
     cfg.validate()
     return cfg
 
@@ -263,13 +249,15 @@ class SynthResult:
     volumes_path: Path
 
 
-def _word_name(word_id: int) -> str:
-    digits = []
-    n = word_id
-    for _ in range(6):
-        n, rem = divmod(n, 26)
-        digits.append(_ALPHA[rem])
-    return "".join(reversed(digits))
+def _names(word_ids: np.ndarray) -> np.ndarray:
+    """Each word id's name, six base-26 letters with the most significant first, as ``S6``."""
+    places = 26 ** np.arange(5, -1, -1, dtype=np.int64)
+    letters = (word_ids[:, None] // places % 26 + ord("a")).astype(np.uint8)
+    return letters.view("S6").ravel()
+
+
+# Each tag's token suffix, indexed by tag value.
+_SUFFIXES = np.array([b"" if t is PosTag.UNTAGGED else f"_{t.name}".encode() for t in PosTag])
 
 
 def _rng(seed: int, domain: int, index: int) -> np.random.Generator:
@@ -279,31 +267,23 @@ def _rng(seed: int, domain: int, index: int) -> np.random.Generator:
 class _WordPool:
     """Assigns names and POS tags to word ids as they are created.
 
-    ``tokens`` is a numpy bytes array indexed by word id, rebuilt only
-    when the pool grows (at era boundaries).
+    ``tags`` (tag values) and ``tokens`` (a numpy bytes array) are
+    indexed by word id, and grow only at era boundaries.
     """
 
     def __init__(self, config: SynthConfig):
-        self._tags_order = list(PosTag)
-        weights = np.array(
-            [config.tag_weights.get(t, 0.0) for t in self._tags_order], dtype=np.float64
-        )
+        weights = np.array([config.tag_weights.get(t, 0.0) for t in PosTag], dtype=np.float64)
         self._tag_probs = weights / weights.sum()
-        self._encoded: list[bytes] = []
-        self.tags: list[PosTag] = []
-        initial_rng = _rng(config.seed, 0, 0)
-        self.extend(config.vocabulary, initial_rng)
+        self.tags = np.zeros(0, dtype=np.int64)
+        self.tokens = np.zeros(0, dtype="S1")
+        self.extend(config.vocabulary, _rng(config.seed, 0, 0))
 
     def extend(self, count: int, rng: np.random.Generator) -> np.ndarray:
-        start = len(self.tags)
-        drawn = rng.choice(len(self._tags_order), size=count, p=self._tag_probs)
-        for offset, tag_idx in enumerate(drawn):
-            tag = self._tags_order[int(tag_idx)]
-            name = _word_name(start + offset)
-            self.tags.append(tag)
-            self._encoded.append((name if tag is PosTag.UNTAGGED else f"{name}_{tag.name}").encode())
-        self.tokens = np.array(self._encoded)
-        return np.arange(start, start + count, dtype=np.int64)
+        ids = np.arange(len(self.tags), len(self.tags) + count, dtype=np.int64)
+        drawn = rng.choice(POS_COUNT, size=count, p=self._tag_probs)
+        self.tags = np.concatenate([self.tags, drawn])
+        self.tokens = np.concatenate([self.tokens, np.char.add(_names(ids), _SUFFIXES[drawn])])
+        return ids
 
 
 def _ascii_digits(values: np.ndarray) -> np.ndarray:
@@ -352,9 +332,8 @@ def _apply_churn(
     band = min(config.churn_band, config.vocabulary)
     eligible = np.setdiff1d(np.arange(band, dtype=np.int64), pinned, assume_unique=True)
     if config.pos_churn:
-        probs = np.array(
-            [config.pos_churn.get(pool.tags[int(alive[r])], config.churn) for r in eligible]
-        )
+        rates = np.array([config.pos_churn.get(t, config.churn) for t in PosTag], dtype=np.float64)
+        probs = rates[pool.tags[alive[eligible]]]
         replaced = eligible[rng.random(len(eligible)) < probs]
     else:
         m = int(round(config.churn * len(eligible)))
@@ -386,14 +365,11 @@ def generate_corpus(
     ranks = np.arange(1, V + 1, dtype=np.float64)
     base_weights = 1.0 / (ranks + config.mandelbrot_offset) ** config.zipf_exponent
 
-    pinned = np.zeros(0, dtype=np.int64)
-    decay_words: list[str] = []
     pool = _WordPool(config)
     alive = np.arange(V, dtype=np.int64)
-    if config.decay_group is not None:
-        lo, hi = config.decay_group
-        pinned = np.arange(lo - 1, hi, dtype=np.int64)
-        decay_words = [_word_name(int(alive[r])) for r in pinned]
+    lo, hi = config.decay_group or (1, 0)  # no decay group pins no ranks
+    pinned = np.arange(lo - 1, hi, dtype=np.int64)
+    decay_words = _names(alive[pinned]).astype(str).tolist()
 
     eras = config.eras()
     boundaries = []

@@ -993,6 +993,53 @@ def test_flag_out_of_range_is_usage_error(pipeline, tmp_path, capsys, argv):
     assert not out.exists()
 
 
+_SYNTH_JSON = PRESETS["churn15-small"].to_dict()
+_RUN_JSON = {"version": 1, "language": "english", "alphabet": "english", "year_start": 1800, "year_end": 1999}
+
+
+@pytest.mark.parametrize(
+    "command, doc, named",
+    [
+        ("synth", dict(_SYNTH_JSON, churn=None), "'churn'"),
+        ("synth", [1], "synth.json"),
+        ("synth", dict(_SYNTH_JSON, pos_churn={"NOUN": None}), "'pos_churn'"),
+        ("synth", dict(_SYNTH_JSON, decay_group=5), "'decay_group'"),
+        ("ingest", dict(_RUN_JSON, alphabet={"letters": "abc", "max_apostrophes": None}), "'max_apostrophes'"),
+        ("ingest", dict(_RUN_JSON, alphabet={"letters": 5}), "'letters'"),
+        ("ingest", dict(_RUN_JSON, fold_case="no"), "'fold_case'"),
+        ("report", [1], "manifest.json"),
+        ("report", {"store_hash": [1]}, "manifest.json"),
+    ],
+    ids=[
+        "synth-churn-null",
+        "synth-root-list",
+        "synth-pos-churn-rate-null",
+        "synth-decay-group-number",
+        "ingest-max-apostrophes-null",
+        "ingest-letters-number",
+        "ingest-fold-case-string",
+        "report-manifest-list",
+        "report-store-hash-list",
+    ],
+)
+def test_hostile_config_is_data_error(tmp_path, capsys, command, doc, named):
+    """A config or manifest of the wrong JSON shape: exit 1 and one error line naming the key or file."""
+    path = tmp_path / ("manifest.json" if command == "report" else f"{command}.json")
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    shard = tmp_path / "shard.tsv"
+    shard.write_text(GOOD_LINES, encoding="utf-8")
+    out = str(tmp_path / "out")
+    argv = {
+        "synth": ["synth", "--config", str(path), "--out", out],
+        "ingest": ["ingest", str(shard), "--config", str(path), "--out", out],
+        "report": ["report", str(tmp_path), "--out", out],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert "Traceback" not in err
+
+
 def test_years_outside_store_is_data_error(pipeline, tmp_path, capsys):
     argv = ["coverage", "--store", str(pipeline["store"]), "--window", "1800:1849", "--k", "10"]
     assert main(argv + ["--years", "1700:1850", "--out", str(tmp_path / "out")]) == 1

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from lexcore.alphabets import PRESETS, AlphabetSpec, alphabet_preset
 from lexcore.config import RunConfig, config_from_dict, load_config, params_hash
 from lexcore.errors import ConfigInvalid
+from lexcore.synth import SynthConfig, synth_config_from_dict
 
 
 class TestAlphabets:
@@ -85,3 +87,27 @@ class TestRunConfig:
         assert params_hash(a.to_dict()) == params_hash(b.to_dict())
         c = config_from_dict(dict(self.BASE, fold_case=True))
         assert params_hash(a.to_dict()) != params_hash(c.to_dict())
+
+
+_RUN_REQUIRED = {"version": 1, "language": "english", "alphabet": "english", "year_start": 1800, "year_end": 1999}
+
+
+@pytest.mark.parametrize(
+    "cls, read, keys",
+    [
+        (RunConfig, config_from_dict, _RUN_REQUIRED),
+        (AlphabetSpec, lambda alphabet: config_from_dict(dict(_RUN_REQUIRED, alphabet=alphabet)).alphabet, {"letters": "ab"}),
+        # The default churn needs a churn band, so a valid synth config holds one.
+        (SynthConfig, synth_config_from_dict,
+         {"vocabulary": 100, "year_start": 1800, "year_end": 1801, "tokens_per_year": 10_000, "churn_band": 10}),
+    ],
+    ids=["RunConfig", "AlphabetSpec", "SynthConfig"],
+)
+def test_absent_keys_take_the_dataclass_defaults(cls, read, keys):
+    config = read(keys)
+    defaults = [f for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING]
+    assert defaults
+    for f in defaults:
+        if f.name not in keys:
+            default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+            assert getattr(config, f.name) == default, f.name

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
+import stat
 import struct
 from unittest import mock
 
@@ -17,6 +19,7 @@ from lexcore.errors import ChecksumMismatch, CountOverflow, EmptyYearError, Form
 from lexcore.ingest import build_store
 from lexcore.metrics import coverage_series, turnover_series
 from lexcore.postags import POS_COUNT, PosTag
+from lexcore.serialize import replacing, write_text_atomic
 from lexcore.store import (
     CorpusStore,
     dominant_pos,
@@ -165,7 +168,7 @@ class TestPersistence:
             assert offset % 4096 == 0 and 0 < offset - len(payload) <= 4096, name
             payload += bytes(offset - len(payload)) + np.asarray(values).astype(dtype).tobytes()
         assert blob == payload + hashlib.sha256(payload).digest()
-        assert not path.with_suffix(".lxst.tmp").exists()
+        assert not list(tmp_path.glob("*.tmp"))
 
     def test_empty_store_round_trip(self, tmp_path):
         shards = write_shards(tmp_path, ["not a record"])
@@ -269,7 +272,7 @@ class TestPersistence:
             "english", 1900, 1901, ["aa", "bb"],
             key=row_keys([0, 0, 1], [0, 0, 1], [0, 1, 0], 2),
             match_count=np.array([count, 0, 1]), volume_count=np.array([0, count, 1]),
-            lexical_totals=[count, 1], volume_totals=[count, count],
+            volume_totals=[count, count],
         )
         assert store.match_count.dtype == store.volume_count.dtype == np.dtype(dtype)
         save_store(store, tmp_path / "s.lxst")
@@ -287,7 +290,6 @@ class TestPersistence:
             "english", year_start, year_end, ["aa", "bb"],
             key=row_keys([0, 0, 1, 1], [y - year_start for y in years], [0, 0, 0, 0], span),
             match_count=np.array([1, 2, 3, 4]), volume_count=np.array([1, 1, 1, 1]),
-            lexical_totals=np.bincount(np.array(years) - year_start, [1, 2, 3, 4], span).astype(int),
             volume_totals=np.ones(span, dtype=int),
         )
         assert store.year_offset.dtype == np.dtype(dtype)
@@ -315,6 +317,54 @@ class TestPersistence:
         # The query path reads the narrow columns only.
         assert "word_id" not in vars(loaded) and "year" not in vars(loaded)
 
+
+
+class TestAtomicWrite:
+    """Stores and text outputs are written beside their target and renamed over it."""
+
+    WRITERS = {
+        "store": save_store,
+        "text": lambda store, path: write_text_atomic(path, "text\n"),
+    }
+
+    @pytest.fixture
+    def out_dir(self, tmp_path):
+        """A directory of its own; ``hand_store`` writes its shards to ``tmp_path``."""
+        (tmp_path / "out").mkdir()
+        return tmp_path / "out"
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_failed_rename_leaves_no_temp_file(self, hand_store, out_dir, writer):
+        path = out_dir / "target"
+        path.write_bytes(b"old\n")
+        with mock.patch("os.replace", side_effect=OSError("rename failed")), pytest.raises(OSError):
+            self.WRITERS[writer](hand_store[0], path)
+        assert list(out_dir.iterdir()) == [path]
+        assert path.read_bytes() == b"old\n"
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        with pytest.raises(RuntimeError), replacing(tmp_path / "out") as fh:
+            fh.write(b"part")
+            raise RuntimeError("writer failed")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("writer", WRITERS)
+    def test_new_file_takes_the_umask_mode(self, hand_store, out_dir, writer):
+        old = os.umask(0o027)
+        try:
+            self.WRITERS[writer](hand_store[0], out_dir / "target")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE((out_dir / "target").stat().st_mode) == 0o640
+
+    def test_each_writer_has_its_own_temp_file(self, tmp_path):
+        path = tmp_path / "out"
+        with replacing(path) as first, replacing(path) as second:
+            assert first.name != second.name
+            first.write(b"first")
+            second.write(b"second")
+        assert path.read_bytes() == b"first"  # the writer that finished last wins
+        assert list(tmp_path.iterdir()) == [path]
 
 COLUMNS = ["word_offsets", "pos_id", "year_offset", "match_count", "volume_count", "lexical_totals", "volume_totals"]
 # The year column's region keeps the name "year"; it holds offsets from year_start.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import types
 
 import numpy as np
@@ -311,6 +312,38 @@ class TestConfigValidation:
     def test_from_dict_round_trip(self):
         cfg = synth_config_from_dict(TINY.to_dict())
         assert cfg == TINY
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_from_dict_reads_to_dict_back(self, data):
+        """Any valid config survives ``to_dict``, JSON text and ``synth_config_from_dict``."""
+        draw = data.draw
+        vocabulary = draw(st.integers(100, 10**6))
+        year_start = draw(st.integers(0, 3000))
+        churn = draw(st.floats(0, 1))
+        tag_rates = st.dictionaries(st.sampled_from(list(PosTag)), st.floats(0, 1), max_size=4)
+        pos_churn = draw(tag_rates)
+        tag_weights = draw(tag_rates.filter(lambda w: sum(w.values()) > 0))
+        ranks = st.integers(1, vocabulary)
+        config = SynthConfig(
+            vocabulary=vocabulary,
+            year_start=year_start,
+            year_end=draw(st.integers(year_start, year_start + 500)),
+            tokens_per_year=draw(st.integers(100 * vocabulary, 10**9)),
+            zipf_exponent=draw(st.floats(0.01, 5)),
+            mandelbrot_offset=draw(st.floats(0, 100)),
+            era_length=draw(st.integers(1, 500)),
+            churn=churn,
+            churn_band=draw(ranks if churn > 0 or pos_churn else st.integers(0, vocabulary)),
+            pos_churn=pos_churn,
+            tag_weights=tag_weights,
+            volumes_per_year=draw(st.integers(1, 10**6)),
+            decay_group=draw(st.none() | st.tuples(ranks, ranks).map(lambda pair: tuple(sorted(pair)))),
+            decay_factor=draw(st.floats(0.01, 10)),
+            seed=draw(st.integers(0, 2**63)),
+        )
+        config.validate()
+        assert synth_config_from_dict(json.loads(json.dumps(config.to_dict()))) == config
 
     def test_from_dict_rejects_unknown_tag(self):
         data = TINY.to_dict()

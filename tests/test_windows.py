@@ -268,20 +268,19 @@ STORE_WORDS = ("ant", "bee", "cat", "cow", "dog", "eel", "elk")
 ABSENT_WORDS = ("yak", "zebu")  # never in any store dictionary
 
 
-def store_of(rows, vocabulary, lexical_totals, volume_totals) -> CorpusStore:
-    """A store holding exactly ``rows``, in the (word id, year, pos id) row order."""
+def store_of(rows, vocabulary, volume_totals) -> CorpusStore:
+    """A store holding exactly ``rows``, in the (word id, year, pos id) row order, one year per volume total."""
     wid = {w: i for i, w in enumerate(vocabulary)}
     keys = sorted(rows, key=lambda k: (wid[k[0]], k[2], k[1]))
     return CorpusStore.from_rows(
         language="english",
         year_start=Y0,
-        year_end=Y0 + len(lexical_totals) - 1,
+        year_end=Y0 + len(volume_totals) - 1,
         words=list(vocabulary),
         key=row_keys([wid[w] for w, _, _ in keys], [y - Y0 for _, _, y in keys], [p for _, p, _ in keys],
-                     len(lexical_totals)),
+                     len(volume_totals)),
         match_count=np.array([rows[k][0] for k in keys], dtype=np.int64),
         volume_count=np.array([rows[k][1] for k in keys], dtype=np.int64),
-        lexical_totals=np.array(lexical_totals, dtype=np.int64),
         volume_totals=np.array(volume_totals, dtype=np.int64),
     )
 
@@ -362,7 +361,7 @@ class TestWindowOracle:
     @example(({("ant", 0, Y0): (3, 1), ("bee", 2, Y0): (0, 1)}, ["bee", "ant"], [3], [5], Y0, Y0, 2, 0.25, [], [Y0]))
     def test_matches_dict_oracle(self, case):
         rows, vocabulary, lexical_totals, volume_totals, lo, hi, k, threshold, extra, years = case
-        store = store_of(rows, vocabulary, lexical_totals, volume_totals)
+        store = store_of(rows, vocabulary, volume_totals)
         expected, lexical, volume = oracle_window(rows, lexical_totals, volume_totals, lo, hi)
         spec = WindowSpec(lo, hi)
         if lexical == 0:
@@ -417,7 +416,7 @@ class TestWindowOracle:
         rows = {("a", 0, Y0): (2**54, 1), ("zz", 0, Y0): (2**54, 1)}
         rows.update({(w, 0, Y0): (1, 1) for w in ones})
         lexical_totals = [sum(m for m, _ in rows.values())]
-        store = store_of(rows, ["a", *ones, "zz"], lexical_totals, [10])
+        store = store_of(rows, ["a", *ones, "zz"], [10])
         words = {"a", *ones}
         series = coverage_series(words, store, [Y0])
         assert series.points == ((Y0, (2**54 + 1001) / lexical_totals[0]),)
