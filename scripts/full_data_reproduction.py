@@ -66,6 +66,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("work_dir", type=Path, help="directory for the store and outputs")
     parser.add_argument("--threads", type=int, default=4)
     args = parser.parse_args(argv)
+    CHECKS.clear()  # a second call in one process reports only its own checks
 
     args.work_dir.mkdir(parents=True, exist_ok=True)
     store_path = args.work_dir / "english.lxst"

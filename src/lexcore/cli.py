@@ -15,6 +15,7 @@ import os
 import re
 import sys
 import time
+from collections import Counter
 from datetime import datetime, timezone
 from functools import cached_property, partial
 from pathlib import Path
@@ -85,9 +86,9 @@ class _Run:
 
     It takes the ``created`` timestamp, loads ``--store`` on first use and
     records the store's digest, creates ``--out`` on first use, extracts
-    the cores that ``--k`` or ``--threshold`` ask for, and writes
-    csv-or-json outputs.  A command takes ``(args, run)`` and returns its
-    own params and output paths; :meth:`finish` adds the shared params,
+    the cores that ``--k`` or ``--threshold`` ask for, and writes outputs,
+    recording each path in :attr:`paths`.  A command takes ``(args, run)``
+    and returns its own params; :meth:`finish` adds the shared params,
     writes the manifest and prints the paths.
     """
 
@@ -96,6 +97,7 @@ class _Run:
         self.created = _utcnow()
         self.inputs: list[str] = [args.store] if "store" in args else []
         self.store_hash: str | None = None
+        self.paths: list[Path] = []  # printed by finish; a command appends what a library call wrote
 
     @cached_property
     def store(self) -> CorpusStore:
@@ -121,18 +123,24 @@ class _Run:
         out.mkdir(parents=True, exist_ok=True)
         return out
 
-    def write(self, stem: str, result, to_csv, to_json) -> Path:
-        """Write ``result`` to ``stem.csv`` or ``stem.json``, as ``--format`` says."""
-        if self.args.format == "json":
-            path, text = self.out / f"{stem}.json", dump_json(to_json(result))
-        else:
-            path, text = self.out / f"{stem}.csv", to_csv(result)
+    def emit(self, name: str, text: str) -> None:
+        """Write ``text`` to ``name`` under ``--out``, atomically, and record its path."""
+        path = self.out / name
         write_text_atomic(path, text)
-        return path
+        self.paths.append(path)
 
-    def finish(self, params: dict, paths: list[Path]) -> int:
+    def write(self, stem: str, result, to_csv, to_json) -> None:
+        """Emit ``result`` as ``stem.csv`` or ``stem.json``, as ``--format`` says."""
+        if self.args.format == "json":
+            self.emit(f"{stem}.json", dump_json(to_json(result)))
+        else:
+            self.emit(f"{stem}.csv", to_csv(result))
+
+    def finish(self, params: dict) -> int:
         args = self.args
         shared = {key: getattr(args, key) for key in ("store", "k", "threshold", "format") if key in args}
+        if "window" in args:
+            shared["window"] = args.window.label
         if "years" in args:
             shared["years"] = [min(self.years), max(self.years)]
         params = {**shared, **params}
@@ -149,7 +157,7 @@ class _Run:
             "completed_utc": _utcnow(),
         }
         write_text_atomic(self.out / MANIFEST_NAME, dump_json(doc))
-        for p in paths:
+        for p in self.paths:
             print(p)
         return 0
 
@@ -168,15 +176,11 @@ def cmd_ingest(args, run: _Run):
     store_path = run.out / "store.lxst"
     started = time.perf_counter()
     run.store_hash = save_store(store, store_path)
+    run.paths.append(store_path)
     stats.record("save", time.perf_counter() - started)
     write_text_atomic(run.out / "ingest_stats.json", dump_json(stats.to_dict()))
     run.inputs = [str(p) for p in shards]
-    params = {
-        "config": config.to_dict(),
-        "threads": args.threads,
-        "volumes": str(volumes) if volumes else None,
-    }
-    return params, [store_path]
+    return {"config": config.to_dict(), "threads": args.threads, "volumes": str(volumes) if volumes else None}
 
 
 def cmd_synth(args, run: _Run):
@@ -185,28 +189,30 @@ def cmd_synth(args, run: _Run):
     else:
         config = synth_config_from_dict(read_json_object(_resolve_input(args.config)))
     result = generate_corpus(config, run.out, shard_years=args.shard_years, gzip_output=args.gzip)
-    params = {"synth_config": config.to_dict(), "gzip": args.gzip, "shard_years": args.shard_years}
-    return params, result.shard_paths
+    run.paths.extend(result.shard_paths)
+    return {"synth_config": config.to_dict(), "gzip": args.gzip, "shard_years": args.shard_years}
 
 
 def cmd_core(args, run: _Run):
     core = run.core(args.window)
     path = run.out / f"core_{core.method}_{core.param:g}_{args.window.label}.tsv"
     write_core(core, path)
-    return {"window": args.window.label}, [path]
+    run.paths.append(path)
+    return {}
 
 
 def cmd_turnover(args, run: _Run):
     store = run.store
     specs = args.windows or standard_windows(store.year_start, store.year_end, width=args.width)
-    path = run.write("turnover", turnover_series([run.core(s) for s in specs]), series_to_csv, series_to_json)
-    return {"windows": [s.label for s in specs]}, [path]
+    run.write("turnover", turnover_series([run.core(s) for s in specs]), series_to_csv, series_to_json)
+    return {"windows": [s.label for s in specs]}
 
 
 def cmd_coverage(args, run: _Run):
     stem = f"coverage_{args.window.label}"
     series = coverage_series(run.core(args.window), run.store, run.years, name=stem)
-    return {"window": args.window.label}, [run.write(stem, series, series_to_csv, series_to_json)]
+    run.write(stem, series, series_to_csv, series_to_json)
+    return {}
 
 
 def cmd_overlap(args, run: _Run):
@@ -214,8 +220,8 @@ def cmd_overlap(args, run: _Run):
     share_core = bookshare_core(table, args.threshold)
     k = args.k if args.k is not None else max(len(share_core), 1)
     report = overlap_report(frequency_core(table, k), share_core)
-    path = run.write("overlap", report, overlap_to_csv, overlap_to_json)
-    return {"window": args.window.label, "k": k}, [path]
+    run.write("overlap", report, overlap_to_csv, overlap_to_json)
+    return {"k": k}
 
 
 def cmd_correlate(args, run: _Run):
@@ -224,30 +230,28 @@ def cmd_correlate(args, run: _Run):
     xs = table.rel_freq[idx].tolist()
     ys = table.volume_share[idx].tolist()
     items = {"pearson_r": pearson_correlation(xs, ys), "n_words": len(xs)}
-    path = run.write("correlation", items, mapping_to_csv, partial(mapping_to_json, "correlation"))
-    return {"window": args.window.label}, [path]
+    run.write("correlation", items, mapping_to_csv, partial(mapping_to_json, "correlation"))
+    return {}
 
 
 def cmd_pos(args, run: _Run):
     core = run.core(args.window)
     comp = {tag.name: share for tag, share in pos_composition(core).items()}
-    paths = [run.write("pos_composition", comp, mapping_to_csv, partial(mapping_to_json, "pos_composition"))]
+    run.write("pos_composition", comp, mapping_to_csv, partial(mapping_to_json, "pos_composition"))
     window2_text, window2 = args.window2 or (None, None)
     if window2:
         drop = {tag.name: v for tag, v in pos_dropout(core, run.core(window2)).items()}
-        paths.append(run.write("pos_dropout", drop, mapping_to_csv, partial(mapping_to_json, "pos_dropout")))
-    return {"window": args.window.label, "window2": window2_text}, paths
+        run.write("pos_dropout", drop, mapping_to_csv, partial(mapping_to_json, "pos_dropout"))
+    return {"window2": window2_text}
 
 
 def cmd_transition(args, run: _Run):
     partition = partition_core_transition(run.core(args.window), run.core(args.window2))
-    path = run.out / "transition.json"
-    write_text_atomic(path, dump_json(partition_to_json(partition)))
-    paths = [path]
+    run.emit("transition.json", dump_json(partition_to_json(partition)))
     for name in ("both", "only_old", "only_new"):
         series = coverage_series(getattr(partition, name), run.store, run.years, name=name)
-        paths.append(run.write(f"coverage_{name}", series, series_to_csv, series_to_json))
-    return {"window": args.window.label, "window2": args.window2.label}, paths
+        run.write(f"coverage_{name}", series, series_to_csv, series_to_json)
+    return {"window2": args.window2.label}
 
 
 def cmd_group(args, run: _Run):
@@ -258,8 +262,8 @@ def cmd_group(args, run: _Run):
         if line.strip() and not line.startswith("#")
     ]
     series = group_frequency_series(words, store, run.years, name=args.name)
-    path = run.write(f"group_{args.name}", series, series_to_csv, series_to_json)
-    return {"words": str(args.words), "name": args.name}, [path]
+    run.write(f"group_{args.name}", series, series_to_csv, series_to_json)
+    return {"words": str(args.words), "name": args.name}
 
 
 def _read_csv(path: Path, key=float) -> list[tuple]:
@@ -277,6 +281,21 @@ def _read_csv(path: Path, key=float) -> list[tuple]:
     return rows
 
 
+# Each chart that report draws, in the order it draws them, and the CSV stems it reads.
+_CHART_KINDS = {
+    "turnover": ("turnover",),
+    "coverage": ("coverage", "group"),
+    "pos_composition": ("pos_composition",),
+    "pos_dropout": ("pos_dropout",),
+}
+
+
+def _labeled(paths: list[Path]) -> list[tuple[str, Path]]:
+    """Each CSV with its label: its stem, after its run directory where two runs share the stem."""
+    shared = Counter(path.stem for path in paths)
+    return [(f"{path.parent.name}/{path.stem}" if shared[path.stem] > 1 else path.stem, path) for path in paths]
+
+
 def cmd_report(args, run: _Run):
     run_dirs = [_resolve_input(d) for d in args.runs]
     hashes = set()
@@ -289,101 +308,76 @@ def cmd_report(args, run: _Run):
             raise LexcoreError(f"{mpath}: store_hash must be a string or null")
         hashes.add(store_hash)
     if len(hashes) > 1:
-        raise LexcoreError(
-            "mismatched manifests: run directories were produced from different stores"
-        )
+        raise LexcoreError("mismatched manifests: run directories were produced from different stores")
     (run.store_hash,) = hashes
     run.inputs = [str(d) for d in run_dirs]
     timestamp = None if args.no_timestamp else _utcnow()
     # Figures go beside the first run unless --out says otherwise.
     args.out = args.out or str(run_dirs[0])
-    out = run.out
-
-    # Collect chartable CSVs; labels get a run-dir prefix when the same
-    # stem occurs in several runs (e.g. two pos_composition runs).
-    turnovers: list[tuple[str, Path]] = []
-    lines: list[tuple[str, Path]] = []
-    mappings: dict[str, list[tuple[str, Path]]] = {"pos_composition": [], "pos_dropout": []}
-    for d in run_dirs:
-        for path in sorted(Path(d).glob("*.csv")):
-            stem = path.stem
-            if stem.startswith("turnover"):
-                turnovers.append((stem, path))
-            elif stem.startswith(("coverage", "group")):
-                lines.append((stem, path))
-            elif stem.startswith("pos_composition"):
-                mappings["pos_composition"].append((stem, path))
-            elif stem.startswith("pos_dropout"):
-                mappings["pos_dropout"].append((stem, path))
-
-    def unique_label(stem: str, path: Path, pairs) -> str:
-        clashes = sum(1 for s, _ in pairs if s == stem)
-        return f"{path.parent.name}/{stem}" if clashes > 1 else stem
-
-    written = []
-
-    def emit(target: Path, svg: str) -> None:
-        write_text_atomic(target, svg)
-        written.append(target)
-
-    for stem, path in turnovers:
+    csvs = [path for d in run_dirs for path in sorted(Path(d).glob("*.csv"))]
+    charts = {kind: _labeled([p for p in csvs if p.stem.startswith(stems)]) for kind, stems in _CHART_KINDS.items()}
+    for label, path in charts["turnover"]:
         points = _read_csv(path)
-        svg = bar_chart(
-            [f"{int(x)}" for x, _ in points],
-            [("dropout share", [y for _, y in points])],
-            title="Core turnover per window",
-            timestamp=timestamp,
-        )
-        name = unique_label(stem, path, turnovers).replace("/", "_")
-        emit(out / f"{name}.svg", svg)
-
-    if lines:
-        series = [
-            (unique_label(stem, path, lines), _read_csv(path)) for stem, path in lines
-        ]
-        emit(out / "coverage.svg", line_chart(series, title="Coverage dynamics", timestamp=timestamp))
-
-    for kind, found in mappings.items():
-        if not found:
+        bars = [("dropout share", [y for _, y in points])]
+        svg = bar_chart([f"{int(x)}" for x, _ in points], bars, title="Core turnover per window", timestamp=timestamp)
+        run.emit(f"{label.replace('/', '_')}.svg", svg)
+    if charts["coverage"]:
+        series = [(label, _read_csv(path)) for label, path in charts["coverage"]]
+        run.emit("coverage.svg", line_chart(series, title="Coverage dynamics", timestamp=timestamp))
+    for kind in ("pos_composition", "pos_dropout"):
+        if not charts[kind]:
             continue
-        tables = [(unique_label(stem, path, found), dict(_read_csv(path, str))) for stem, path in found]
+        tables = [(label, dict(_read_csv(path, str))) for label, path in charts[kind]]
         labels: list[str] = []
         for _, items in tables:
             labels.extend(k for k in items if k not in labels)
         groups = [(name, [items.get(k, 0.0) for k in labels]) for name, items in tables]
-        emit(
-            out / f"{kind}.svg",
-            bar_chart(labels, groups, title=kind.replace("_", " "), timestamp=timestamp),
-        )
+        run.emit(f"{kind}.svg", bar_chart(labels, groups, title=kind.replace("_", " "), timestamp=timestamp))
 
-    if not written:
+    if not run.paths:
         raise LexcoreError("no chartable CSV outputs found in the given run directories")
-    return {"runs": run.inputs, "no_timestamp": args.no_timestamp}, written
+    return {"runs": run.inputs, "no_timestamp": args.no_timestamp}
 
 
 # ---------------------------------------------------------------- parser
 
 
-def _positive_int(text: str) -> int:
-    """An argparse type: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
-    return value
+def _flag_error(expected: str, text: str) -> argparse.ArgumentTypeError:
+    return argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+
+def _number(kind, ok, expected: str):
+    """An argparse type: a ``kind`` (int or float) for which ``ok`` holds, as ``expected`` says."""
+
+    def parse(text: str):
+        try:
+            if ok(value := kind(text)):
+                return value
+        except ValueError:
+            pass
+        raise _flag_error(expected, text)
+
+    return parse
+
+
+_positive_int = _number(int, lambda v: v >= 1, "an integer >= 1")
+_share = _number(float, lambda v: 0 < v <= 1, "a number in (0, 1]")
+
+
+def _start_end(text: str, expected: str) -> tuple[int, int]:
+    """The two numbers of a 'START:END' value; any other text is an error naming ``expected``."""
+    m = re.fullmatch(r"(\d+):(\d+)", text)
+    if not m:
+        raise _flag_error(expected, text)
+    return int(m.group(1)), int(m.group(2))
 
 
 def _parse_window(text: str) -> WindowSpec:
     """An argparse type: 'START:END', 'core1800' or 'core2000'."""
     if text in _WINDOW_PRESETS:
         return _WINDOW_PRESETS[text]
-    m = re.fullmatch(r"(\d+):(\d+)", text)
-    if not m:
-        raise argparse.ArgumentTypeError(f"expected 'START:END', 'core1800' or 'core2000', got {text!r}")
     try:
-        return WindowSpec(int(m.group(1)), int(m.group(2)))
+        return WindowSpec(*_start_end(text, "'START:END', 'core1800' or 'core2000'"))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -399,27 +393,17 @@ def _parse_windows(text: str) -> list[WindowSpec] | None:
         return None
     specs = [_parse_window(w) for w in text.split(",")]
     if len(specs) < 2:
-        raise argparse.ArgumentTypeError(f"expected two or more windows, got {text!r}")
+        raise _flag_error("two or more windows", text)
     return specs
 
 
 def _parse_years(text: str) -> range:
     """An argparse type: a 'START:END' year range with START <= END."""
-    m = re.fullmatch(r"(\d+):(\d+)", text)
-    if not m or int(m.group(1)) > int(m.group(2)):
-        raise argparse.ArgumentTypeError(f"expected 'START:END' year range, got {text!r}")
-    return range(int(m.group(1)), int(m.group(2)) + 1)
-
-
-def _share(text: str) -> float:
-    """An argparse type: a number in (0, 1]."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = 0.0
-    if not 0 < value <= 1:
-        raise argparse.ArgumentTypeError(f"expected a number in (0, 1], got {text!r}")
-    return value
+    expected = "'START:END' year range"
+    start, end = _start_end(text, expected)
+    if start > end:
+        raise _flag_error(expected, text)
+    return range(start, end + 1)
 
 
 def _add_common(p: argparse.ArgumentParser, *, store=True, window=False, core=False, fmt=True):
@@ -530,7 +514,7 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=args.log_level, format="%(levelname)s %(name)s: %(message)s")
     try:
         run = _Run(args)
-        return run.finish(*args.func(args, run))
+        return run.finish(args.func(args, run))
     except (LexcoreError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -72,6 +72,20 @@ def json_bool(value: Any) -> bool:
     return value
 
 
+def json_str(value: Any) -> str:
+    """A JSON string; any other value, such as null, 5 or ``[1]``, is a TypeError."""
+    if not isinstance(value, str):
+        raise TypeError(value)
+    return value
+
+
+def _letters(value: Any) -> frozenset[str]:
+    """A custom alphabet's letters: a string, or a list of strings."""
+    if isinstance(value, list):
+        value = "".join(map(json_str, value))
+    return frozenset(json_str(value))
+
+
 def from_json(cls: type[T], data: dict[str, Any], kinds: Mapping[str, Callable[[Any], Any]], what: str) -> T:
     """The dataclass ``cls`` built from the keys of ``kinds`` that the JSON object ``data`` holds.
 
@@ -94,9 +108,8 @@ def from_json(cls: type[T], data: dict[str, Any], kinds: Mapping[str, Callable[[
     return cls(**values)
 
 
-# How each key of a custom alphabet is read; letters are a string, or a list of one-letter strings.
-_ALPHABET_KINDS = {"language": str, "letters": lambda v: frozenset("".join(v)), "apostrophe_allowed": json_bool,
-                   "max_apostrophes": int}
+# How each key of a custom alphabet is read.
+_ALPHABET_KINDS = {"language": json_str, "letters": _letters, "apostrophe_allowed": json_bool, "max_apostrophes": int}
 
 
 def _parse_alphabet(value: Any) -> AlphabetSpec:
@@ -107,7 +120,8 @@ def _parse_alphabet(value: Any) -> AlphabetSpec:
     raise ConfigInvalid(f"alphabet must be a preset name or object, got {type(value).__name__}")
 
 
-_RUN_KINDS = {"language": str, "alphabet": _parse_alphabet, "year_start": int, "year_end": int, "fold_case": json_bool}
+_RUN_KINDS = {"language": json_str, "alphabet": _parse_alphabet, "year_start": int, "year_end": int,
+              "fold_case": json_bool}
 
 
 def config_from_dict(data: dict[str, Any]) -> RunConfig:

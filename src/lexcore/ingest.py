@@ -25,10 +25,12 @@ input line, set in the parse (the tests hold it under 64).  Each later
 stage works in place on the three row columns with at most one spare
 row-length column.  Only the collapse sorts, and it also holds its sort
 order, 16 bytes per row in all; the POS 1% rule sums into dense slots,
-12 int64 slots plus a 12-byte mask per word.  At one thread the collapse sets the process's RSS peak:
-about 76 MB on the 1.02M-line gbn-mix benchmark corpus, 1 MB above the
-parse's.  At two threads the parse sets it, or the merge that copies its
-buffers.  :attr:`IngestStats.stage_peak_rss_mb` shows which stage it was.
+12 int64 slots plus a 12-byte mask per word.  Freed heap pages go back
+to the OS at each stage boundary and after each shard's columns are
+merged.  At one thread the collapse sets the process's RSS peak, just
+above the parse's; at two threads the parse sets it, or the merge that
+copies its buffers.  :attr:`IngestStats.stage_peak_rss_mb` shows which
+stage it was.
 """
 
 from __future__ import annotations
@@ -446,18 +448,6 @@ def _merge(parsers: Sequence[_ShardParser], table: _TokenTable, stats: IngestSta
     return tuple(_merged(parsers, column) for column in (1, 2, 3)), vocabulary
 
 
-def _collapse(rows: _Rows) -> _Rows:
-    """Sum rows with equal keys, in place by :func:`group_sum`; that also sorts them.
-
-    Keys repeat after shard overlap, case folding or apostrophe
-    normalization.
-    """
-    _release_freed_memory()  # the merge's freed blocks are still resident
-    rows = group_sum(*rows)
-    _release_freed_memory()
-    return rows
-
-
 def _compacted(column: np.ndarray, keep: np.ndarray) -> np.ndarray:
     """``column[keep]`` written over the first rows of ``column``; returns a view of them."""
     kept = column[keep]
@@ -500,7 +490,6 @@ def _pos_rule(rows: _Rows, n_words: int, span: int, stats: IngestStats) -> _Rows
     del pair
     if not keep.all():
         rows = tuple(_compacted(column, keep) for column in rows)
-    _release_freed_memory()
     return rows
 
 
@@ -517,6 +506,7 @@ def build_store(
     any order or partition of the input yields an identical store.  The
     workers do not run in parallel: at two threads the process's CPU
     time equals its wall time, and the run is no faster than at one.
+    Each stage's freed heap pages go back to the OS before the next starts.
     """
     paths = [Path(p) for p in shard_paths]
     if not paths:
@@ -533,6 +523,7 @@ def build_store(
 
     def lap(stage: str) -> None:
         nonlocal clock
+        _release_freed_memory()  # so the next stage's arrays do not land in this one's holes
         now = time.perf_counter()
         stats.record(stage, now - clock)
         clock = now
@@ -543,7 +534,9 @@ def build_store(
     rows, vocabulary = _merge(parsers, table, stats)
     del parsers
     lap("merge")
-    rows = _collapse(rows)
+    # Sums rows with equal keys (after shard overlap, case folding or
+    # apostrophe normalization) in place, which also sorts them.
+    rows = group_sum(*rows)
     lap("collapse")
     rows = _pos_rule(rows, len(vocabulary), span, stats)
     lap("pos_rule")

@@ -222,10 +222,12 @@ def _scaled(values: Sequence[float]) -> Sequence[float]:
 def pearson_correlation(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Sample Pearson coefficient, one pass over the data.
 
-    When a co-moment leaves the normal float range, the pass is repeated
-    on the data scaled by powers of two, which leaves r unchanged.
-    Raises :class:`DegenerateVariance` when either argument has zero
-    variance.
+    When a co-moment, or the product of the two variances, leaves the
+    normal float range, the pass is repeated on the data scaled by powers
+    of two, which leaves r unchanged.  Scaled data's largest value lies in
+    [0.5, 1) and distinct values differ by at least its ulp, so there the
+    product of nonzero variances is normal.  Raises
+    :class:`DegenerateVariance` when either argument has zero variance.
     """
     if len(xs) != len(ys):
         raise ValueError(f"length mismatch: {len(xs)} vs {len(ys)}")
@@ -233,14 +235,11 @@ def pearson_correlation(xs: Sequence[float], ys: Sequence[float]) -> float:
         raise ValueError("need at least two points")
     normal = lambda c: sys.float_info.min <= abs(c) < math.inf
     m2x, m2y, cxy = _co_moments(xs, ys)
-    if not (normal(m2x) and normal(m2y) and (cxy == 0.0 or normal(cxy))):
+    if not (normal(m2x) and normal(m2y) and normal(m2x * m2y) and (cxy == 0.0 or normal(cxy))):
         m2x, m2y, cxy = _co_moments(_scaled(xs), _scaled(ys))
     if m2x <= 0.0 or m2y <= 0.0:
         raise DegenerateVariance("zero variance in correlation input")
-    # m2x * m2y can fall below the normal range, or overflow, where the two roots do not.
-    p = m2x * m2y
-    r = cxy / (math.sqrt(p) if sys.float_info.min <= p < math.inf else math.sqrt(m2x) * math.sqrt(m2y))
-    return max(-1.0, min(1.0, r))
+    return max(-1.0, min(1.0, cxy / math.sqrt(m2x * m2y)))
 
 
 def pos_composition(core: Core) -> dict[PosTag, float]:

@@ -72,7 +72,7 @@ class SynthConfig:
     zipf_exponent: float = 1.0
     mandelbrot_offset: float = 0.0
     era_length: int = 50
-    churn: float = 0.15
+    churn: float = 0.0
     churn_band: int = 0
     pos_churn: Mapping[PosTag, float] = field(default_factory=dict)
     tag_weights: Mapping[PosTag, float] = field(default_factory=lambda: dict(DEFAULT_TAG_WEIGHTS))

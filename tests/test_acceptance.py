@@ -3,16 +3,19 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one PASS/FAIL
 line per criterion.  The full-data reproduction of the published
 English-corpus numbers needs the real 1-gram dataset and hours of
-runtime; it ships as ``scripts/full_data_reproduction.py`` and is
-deliberately not part of this suite.
+runtime; it ships as ``scripts/full_data_reproduction.py``.  This suite
+runs that script only on a small synthetic corpus, to see that it still
+runs against the library.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -449,3 +452,31 @@ def test_criterion_8_persistence_round_trip(big_store, tmp_path):
 )
 def test_criterion_9_full_data_suite():
     pass
+
+
+def test_full_data_script_runs_on_a_synthetic_corpus(tmp_path, capsys):
+    """``scripts/full_data_reproduction.py`` runs end to end on a small GBN-shaped corpus.
+
+    The published targets do not hold on synthetic data, so it returns 1,
+    but it writes all 16 named checks with finite values; a second run
+    reuses the store.
+    """
+    config = SynthConfig(vocabulary=300, year_start=1676, year_end=2008, tokens_per_year=30_000, churn=0.0,
+                         volumes_per_year=50)
+    result = generate_corpus(config, tmp_path / "synth", shard_years=100, gzip_output=True)
+    data = tmp_path / "data"
+    data.mkdir()
+    for letter, shard in zip("abcd", result.shard_paths, strict=True):
+        shard.rename(data / f"googlebooks-eng-all-1gram-20120701-{letter}.gz")
+    result.volumes_path.rename(data / "googlebooks-eng-all-totalcounts-20120701.txt")
+    path = Path(__file__).parents[1] / "scripts" / "full_data_reproduction.py"
+    spec = importlib.util.spec_from_file_location("full_data_reproduction", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    work = tmp_path / "work"
+    for reused in (False, True):
+        assert script.main([str(data), str(work), "--threads", "1"]) == 1
+        checks = json.loads((work / "full_data_results.json").read_text(encoding="utf-8"))
+        assert len({c["name"] for c in checks}) == len(checks) == 16
+        assert all(math.isfinite(c["value"]) for c in checks)
+        assert ("reusing store" in capsys.readouterr().out) == reused

@@ -892,6 +892,61 @@ class TestManifests:
         assert _manifest(tmp_path)["params"]["k"] == max(int(rows["size_b"]), 1)
 
 
+# What each subcommand prints, in order: its argv (STORE, SHARDS, CONFIG, VOLUMES,
+# WORDS and RUNS stand for inputs made by the test) and the names it prints.
+_STDOUT = {
+    "synth": (["--preset", "churn15-small"], [f"synth-{y}-{y + 24}.tsv" for y in range(1800, 2000, 25)]),
+    "ingest": (["SHARDS", "--config", "CONFIG", "--volumes", "VOLUMES"], ["store.lxst"]),
+    "core": (["--store", "STORE", "--window", "1800:1849", "--k", "10"], ["core_rank_k_10_1800-1849.tsv"]),
+    "turnover": (["--store", "STORE", "--k", "50", "--windows", "1800:1899,1900:1999"], ["turnover.csv"]),
+    "coverage": (["--store", "STORE", "--window", "1800:1849", "--threshold", "0.5", "--format", "json"],
+                 ["coverage_1800-1849.json"]),
+    "overlap": (["--store", "STORE", "--window", "1950:1999", "--threshold", "0.5"], ["overlap.csv"]),
+    "correlate": (["--store", "STORE", "--window", "1950:1999"], ["correlation.csv"]),
+    "pos": (["--store", "STORE", "--window", "1800:1849", "--window2", "1850:1899", "--k", "40"],
+            ["pos_composition.csv", "pos_dropout.csv"]),
+    "transition": (["--store", "STORE", "--window", "1800:1849", "--window2", "1950:1999", "--k", "40"],
+                   ["transition.json", "coverage_both.csv", "coverage_only_old.csv", "coverage_only_new.csv"]),
+    "group": (["--store", "STORE", "--words", "WORDS", "--name", "trio"], ["group_trio.csv"]),
+    "report": (["RUNS", "--no-timestamp"],
+               ["t1_turnover.svg", "t2_turnover.svg", "coverage.svg", "pos_composition.svg", "pos_dropout.svg"]),
+}
+
+
+@pytest.mark.parametrize("name", list(_STDOUT))
+def test_stdout_names_the_outputs(pipeline, tmp_path, capsys, name):
+    """Each command prints its outputs' paths, one a line, in order.
+
+    A query command or ``report`` prints every file it writes but the
+    manifest; ``ingest`` prints only the store, ``synth`` only the shards.
+    """
+    store = str(pipeline["store"])
+    words = tmp_path / "words.txt"
+    words.write_text("\n".join(load_store(store).words[:3]) + "\n", encoding="utf-8")
+    runs = []
+    if name == "report":
+        for run, command in (("t1", "turnover"), ("t2", "turnover"), ("c", "coverage"), ("p", "pos"),
+                             ("x", "transition"), ("g", "group")):
+            runs.append(str(tmp_path / run))
+            argv = [{"STORE": store, "WORDS": str(words)}.get(a, a) for a in _STDOUT[command][0]]
+            assert main([command, *argv, "--out", runs[-1]]) == 0
+    inputs = {
+        "STORE": [store],
+        "SHARDS": sorted(str(p) for p in pipeline["corpus"].glob("synth-*.tsv")),
+        "CONFIG": [str(pipeline["config"])],
+        "VOLUMES": [str(pipeline["corpus"] / "volumes.tsv")],
+        "WORDS": [str(words)],
+        "RUNS": runs,
+    }
+    argv, printed = _STDOUT[name]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([name, *(p for a in argv for p in inputs.get(a, [a])), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == [str(out / p) for p in printed]
+    if name not in ("ingest", "synth"):
+        assert sorted(p.name for p in out.iterdir()) == sorted([*printed, "manifest.json"])
+
+
 class TestEnvDataDir:
     def test_store_resolved_from_data_dir(self, pipeline, tmp_path, monkeypatch):
         monkeypatch.setenv("LEXCORE_DATA_DIR", str(pipeline["store"].parent))
@@ -1007,6 +1062,13 @@ _RUN_JSON = {"version": 1, "language": "english", "alphabet": "english", "year_s
         ("ingest", dict(_RUN_JSON, alphabet={"letters": "abc", "max_apostrophes": None}), "'max_apostrophes'"),
         ("ingest", dict(_RUN_JSON, alphabet={"letters": 5}), "'letters'"),
         ("ingest", dict(_RUN_JSON, fold_case="no"), "'fold_case'"),
+        ("ingest", dict(_RUN_JSON, language=None), "'language'"),
+        ("ingest", dict(_RUN_JSON, language=[1]), "'language'"),
+        ("ingest", dict(_RUN_JSON, language=5), "'language'"),
+        ("ingest", dict(_RUN_JSON, alphabet={"letters": "abc", "language": None}), "'language'"),
+        ("ingest", dict(_RUN_JSON, alphabet={"letters": "abc", "language": [1]}), "'language'"),
+        ("ingest", dict(_RUN_JSON, alphabet={"letters": {"ab": 1}}), "'letters'"),
+        ("ingest", dict(_RUN_JSON, alphabet={"letters": ["a", 1]}), "'letters'"),
         ("report", [1], "manifest.json"),
         ("report", {"store_hash": [1]}, "manifest.json"),
     ],
@@ -1018,6 +1080,13 @@ _RUN_JSON = {"version": 1, "language": "english", "alphabet": "english", "year_s
         "ingest-max-apostrophes-null",
         "ingest-letters-number",
         "ingest-fold-case-string",
+        "ingest-language-null",
+        "ingest-language-list",
+        "ingest-language-number",
+        "ingest-alphabet-language-null",
+        "ingest-alphabet-language-list",
+        "ingest-letters-object",
+        "ingest-letters-list-with-number",
         "report-manifest-list",
         "report-store-hash-list",
     ],

@@ -97,9 +97,7 @@ _RUN_REQUIRED = {"version": 1, "language": "english", "alphabet": "english", "ye
     [
         (RunConfig, config_from_dict, _RUN_REQUIRED),
         (AlphabetSpec, lambda alphabet: config_from_dict(dict(_RUN_REQUIRED, alphabet=alphabet)).alphabet, {"letters": "ab"}),
-        # The default churn needs a churn band, so a valid synth config holds one.
-        (SynthConfig, synth_config_from_dict,
-         {"vocabulary": 100, "year_start": 1800, "year_end": 1801, "tokens_per_year": 10_000, "churn_band": 10}),
+        (SynthConfig, synth_config_from_dict, {"vocabulary": 100, "year_start": 1800, "year_end": 1801, "tokens_per_year": 10_000}),
     ],
     ids=["RunConfig", "AlphabetSpec", "SynthConfig"],
 )

@@ -21,7 +21,7 @@ from lexcore.alphabets import alphabet_preset
 from lexcore.errors import CountOverflow, WildcardToken
 from lexcore.ingest import IngestStats, build_store, is_lexical, split_pos
 from lexcore.postags import POS_COUNT, SUFFIX_TAGS, PosTag
-from lexcore.store import save_store
+from lexcore.store import group_sum, save_store
 
 from conftest import (
     HAND_LINES,
@@ -312,9 +312,9 @@ class TestBuildStore:
             s1, _ = build_store(shards, config)
         with mock.patch.object(ingest, "_malloc_trim", return_value=None):
             s2, _ = build_store(shards, config)
-        # Once per shard for each of the four merged columns, then before
-        # and after the collapse and after the 1% rule.
-        assert calls == [0] * (4 * len(shards) + 3)
+        # Once per shard for each of the four merged columns, then at the
+        # end of each of the five stages.
+        assert calls == [0] * (4 * len(shards) + 5)
         assert _same_store(s1, s2)
 
     def test_conservation_per_year(self, hand_store):
@@ -432,7 +432,7 @@ class TestMemoryContract:
         try:
             tracemalloc.reset_peak()
             held = tracemalloc.get_traced_memory()[0]
-            key, match, vol = ingest._collapse((key, match, vol))
+            key, match, vol = group_sum(key, match, vol)
             peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             if not tracing:

@@ -332,28 +332,27 @@ class TestPearson:
         assert transformed == pytest.approx(base, abs=1e-9)
 
     @given(
-        st.builds(
-            lambda ks, e: [k * 10.0**e for k in ks],
-            st.lists(st.integers(-1000, 1000), min_size=3, max_size=20),
-            st.integers(-330, 300),
-        )
+        st.lists(st.tuples(st.integers(-1000, 1000), st.integers(-1000, 1000)), min_size=3, max_size=20),
+        st.integers(-330, 300),
+        st.integers(-330, 300),
     )
     @settings(max_examples=100)
-    @example(ys=[1e-160, 0.0, 0.0])  # the y variance falls below the normal range
-    @example(ys=[1e-170, 0.0, 0.0])  # ... and underflows to zero
-    @example(ys=[1e200, 0.0, 0.0])  # ... or overflows
-    def test_exact_oracle_at_any_magnitude(self, ys):
-        """The coefficient of ``xs`` 0..n-1 and integers scaled by 10**e matches exact rationals."""
-        xs = list(range(len(ys)))
+    @example(pairs=[(0, 1), (1, 0), (2, 0)], ex=0, ey=-160)  # the y variance falls below the normal range
+    @example(pairs=[(0, 1), (1, 0), (2, 0)], ex=0, ey=-170)  # ... and underflows to zero
+    @example(pairs=[(0, 1), (1, 0), (2, 0)], ex=0, ey=200)  # ... or overflows
+    @example(pairs=[(0, 0), (1, 2), (3, 1)], ex=-100, ey=-100)  # only the variances' product leaves it
+    def test_exact_oracle_at_any_magnitude(self, pairs, ex, ey):
+        """The coefficient of integers scaled by 10**ex and 10**ey matches exact rationals."""
+        xs, ys = [k * 10.0**ex for k, _ in pairs], [k * 10.0**ey for _, k in pairs]
         fx, fy = [Fraction(x) for x in xs], [Fraction(y) for y in ys]
         mx, my = sum(fx) / len(fx), sum(fy) / len(fy)
         sxy = sum((x - mx) * (y - my) for x, y in zip(fx, fy))
         sxx, syy = sum((x - mx) ** 2 for x in fx), sum((y - my) ** 2 for y in fy)
-        if syy == 0:
+        if sxx == 0 or syy == 0:
             with pytest.raises(DegenerateVariance):
                 pearson_correlation(xs, ys)
             return
-        expected = math.copysign(math.sqrt(sxy**2 / (sxx * syy)), sxy)
+        expected = math.sqrt(sxy**2 / (sxx * syy)) * (1 if sxy >= 0 else -1)
         assert pearson_correlation(xs, ys) == pytest.approx(expected, abs=1e-9)
 
     def test_degenerate_variance(self):
