@@ -15,7 +15,6 @@ import os
 import re
 import sys
 import time
-from collections import Counter
 from datetime import datetime, timezone
 from functools import cached_property, partial
 from pathlib import Path
@@ -291,9 +290,18 @@ _CHART_KINDS = {
 
 
 def _labeled(paths: list[Path]) -> list[tuple[str, Path]]:
-    """Each CSV with its label: its stem, after its run directory where two runs share the stem."""
-    shared = Counter(path.stem for path in paths)
-    return [(f"{path.parent.name}/{path.stem}" if shared[path.stem] > 1 else path.stem, path) for path in paths]
+    """Each CSV with its label: its stem, after as many trailing directory names as tell apart the CSVs that share it."""
+
+    def label(path: Path, depth: int) -> str:
+        return "/".join([*(path.parent.parts[-depth:] if depth else ()), path.stem])
+
+    depth = dict.fromkeys((path.stem for path in paths), 0)
+    for stem in depth:
+        same = [path for path in paths if path.stem == stem]
+        deepest = max(len(path.parent.parts) for path in same)
+        while len({label(path, depth[stem]) for path in same}) < len(same) and depth[stem] < deepest:
+            depth[stem] += 1
+    return [(label(path, depth[path.stem]), path) for path in paths]
 
 
 def cmd_report(args, run: _Run):

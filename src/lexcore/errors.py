@@ -14,7 +14,7 @@ class EmptyYearError(LexcoreError):
 
 
 class FormatVersionMismatch(LexcoreError):
-    """Store file has an unknown magic number, format version or header layout."""
+    """Store file has an unknown magic number, format version or header layout, or unsorted words."""
 
 
 class ChecksumMismatch(LexcoreError):

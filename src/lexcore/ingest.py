@@ -504,8 +504,10 @@ def build_store(
     Shards are parsed independently (``threads`` workers) through one
     shared token table, and rows are merged by their key and summed, so
     any order or partition of the input yields an identical store.  The
-    workers do not run in parallel: at two threads the process's CPU
-    time equals its wall time, and the run is no faster than at one.
+    parsers overlap in most runs but not in every one: on a 2-core VM,
+    two threads used a median of 1.36 CPU seconds per wall second (0.99
+    at the lowest, over 22 runs) and beat one thread in 20 of 22
+    alternating pairs.  The stages after the parse run on one thread.
     Each stage's freed heap pages go back to the OS before the next starts.
     """
     paths = [Path(p) for p in shard_paths]

@@ -7,6 +7,8 @@ concurrently without coordination.
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -22,7 +24,7 @@ from .errors import (
     TargetUnreachable,
 )
 from .postags import PosTag
-from .store import CorpusStore, index_sum
+from .store import CorpusStore, index_sum, run_rows
 from .windows import Core, WindowTable
 
 __all__ = [
@@ -114,30 +116,34 @@ def turnover_series(cores: Sequence[Core]) -> MetricSeries:
     return MetricSeries(name=f"turnover_{method}_{param:g}", points=points)
 
 
-def _frequency_sum_series(
-    store: CorpusStore, words: Iterable[str], years: Iterable[int], name: str
-) -> MetricSeries:
-    """Summed relative frequency of a word set for each requested year."""
+def _word_ids(store: CorpusStore, words: Iterable[str]) -> np.ndarray:
+    """Store ids of the distinct ``words`` the store holds, by binary search over its ascending words."""
+    vocabulary = store.words
+    ids = []
+    for word in set(words):
+        i = bisect.bisect_left(vocabulary, word)
+        if i < len(vocabulary) and vocabulary[i] == word:
+            ids.append(i)
+    return np.array(ids, dtype=np.int64)
+
+
+def _frequency_sum_series(store: CorpusStore, ids: np.ndarray, years: Iterable[int], name: str) -> MetricSeries:
+    """Summed relative frequency of the words with distinct store ``ids`` for each requested year."""
     year_list = sorted(set(int(y) for y in years))
     if not year_list:
         raise ValueError("no years requested")
+    totals = store.lexical_totals.tolist()
     for y in year_list:
         if y not in store.years:
             raise ValueError(f"year {y} outside store range {store.year_start}..{store.year_end}")
-        if store.lexical_totals[y - store.year_start] == 0:
+        if totals[y - store.year_start] == 0:
             raise EmptyYearError(f"year {y} has no lexical tokens")
 
-    index = store.word_index
-    ids = np.array([index[w] for w in set(words) if w in index], dtype=np.int64)
-    # Row index of the whole word set: each word's rows are one slice.
+    # Each word's rows are one slice of the store.
     starts = store.word_offsets[ids]
-    lengths = store.word_offsets[ids + 1] - starts
-    rows = np.arange(int(lengths.sum())) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
-    sums = index_sum(store.year_offset[rows], store.match_count[rows], len(store.lexical_totals))
-    points = tuple(
-        (y, int(sums[y - store.year_start]) / int(store.lexical_totals[y - store.year_start]))
-        for y in year_list
-    )
+    rows = run_rows(starts, store.word_offsets[ids + 1] - starts)
+    sums = index_sum(store.year_offset[rows], store.match_count[rows], len(totals)).tolist()
+    points = tuple((y, sums[y - store.year_start] / totals[y - store.year_start]) for y in year_list)
     return MetricSeries(name=name, points=points)
 
 
@@ -147,15 +153,16 @@ def coverage_series(
     """Share of running text covered by a core's words, per year.
 
     Accepts a :class:`Core` or any word collection; words absent from
-    the store dictionary contribute 0.
+    the store dictionary contribute 0.  A core of this store is summed
+    by its word ids, with no string lookup.
     """
     if isinstance(core, Core):
-        words: Iterable[str] = core.words
+        ids = core.word_ids if core.store is store else _word_ids(store, core.words)
         default = f"coverage_{core.method}_{core.param:g}_{core.source.label}"
     else:
-        words = core
+        ids = _word_ids(store, core)
         default = "coverage"
-    return _frequency_sum_series(store, words, years, name or default)
+    return _frequency_sum_series(store, ids, years, name or default)
 
 
 def group_frequency_series(
@@ -166,10 +173,10 @@ def group_frequency_series(
     Raises :class:`EmptyGroup` when no list word exists in the store
     dictionary.
     """
-    word_list = list(words)
-    if not any(w in store.word_index for w in word_list):
+    ids = _word_ids(store, words)
+    if not len(ids):
         raise EmptyGroup("no group word found in the store dictionary")
-    return _frequency_sum_series(store, word_list, years, name)
+    return _frequency_sum_series(store, ids, years, name)
 
 
 def partition_core_transition(old: Core, new: Core) -> TransitionPartition:
@@ -199,14 +206,15 @@ def _co_moments(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float,
     """The co-moments (m2x, m2y, cxy), by running-mean updates: one pass, numerically stable."""
     mean_x = mean_y = 0.0
     m2x = m2y = cxy = 0.0
-    for i, (x, y) in enumerate(zip(xs, ys), start=1):
+    for i, x, y in zip(itertools.count(1), xs, ys):
         dx = x - mean_x
         dy = y - mean_y
         mean_x += dx / i
         mean_y += dy / i
         m2x += dx * (x - mean_x)
-        m2y += dy * (y - mean_y)
-        cxy += dx * (y - mean_y)
+        ry = y - mean_y
+        m2y += dy * ry
+        cxy += dx * ry
     return m2x, m2y, cxy
 
 

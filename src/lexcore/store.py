@@ -1,7 +1,8 @@
 """Compact year-by-word count store with checksummed persistence.
 
 The store is immutable after construction and safe for unrestricted
-concurrent reads.  Rows are sorted by (word id, year, pos id), so all
+concurrent reads.  Its words are strictly ascending, so word id order
+is word order.  Rows are sorted by (word id, year, pos id), so all
 rows of one word are a contiguous slice, ``word_offsets[i]`` to
 ``word_offsets[i + 1]``, and a per-word query costs O(years),
 independent of vocabulary size.  Each row holds a pos id, its year as
@@ -26,21 +27,24 @@ records each column's dtype and offset.
 :func:`load_store` maps the file and returns read-only views of it, with
 no copy.  The whole file except the trailing digest is checksummed;
 truncation or corruption raises :class:`ChecksumMismatch`, and an unknown
-magic or version, such as a version-1 file, raises
-:class:`FormatVersionMismatch`.  That trailing SHA-256 digest is the
-store's identity: :func:`save_store` returns it and :func:`load_store`
-records it as :attr:`CorpusStore.digest` (hex).  Files are replaced, never
-rewritten in place, so a mapped file never changes under its reader.
+magic or version, such as a version-1 file, or words that do not
+strictly ascend raise :class:`FormatVersionMismatch`.  That trailing
+SHA-256 digest is the store's identity: :func:`save_store` returns it
+and :func:`load_store` records it as :attr:`CorpusStore.digest` (hex).
+Files are replaced, never rewritten in place, so a mapped file never
+changes under its reader.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import mmap
+import operator
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -86,6 +90,7 @@ def _narrowest(bound: int) -> np.dtype:
 class CorpusStore:
     """Word-major rows in narrow columns; build one with :meth:`from_rows`.
 
+    ``words`` must be strictly ascending (ValueError otherwise).
     ``word_id`` and the absolute ``year`` of each row are derived on
     first use, for callers outside the query path.
     """
@@ -102,10 +107,10 @@ class CorpusStore:
     lexical_totals: np.ndarray
     volume_totals: np.ndarray
     digest: str | None = None
-    word_index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.word_index = {w: i for i, w in enumerate(self.words)}
+        if not all(map(operator.lt, self.words, itertools.islice(self.words, 1, None))):
+            raise ValueError("store words are not strictly ascending")
 
     @classmethod
     def from_rows(
@@ -278,14 +283,17 @@ def load_store(path: str | Path) -> CorpusStore:
         name: np.frombuffer(mapped, dtype=spec["dtype"], count=lengths[name], offset=spec["offset"])
         for name, spec in layout.items()
     }
-    return CorpusStore(
-        language=header["language"],
-        year_start=header["year_start"],
-        year_end=header["year_end"],
-        words=words,
-        digest=digest.hex(),
-        **columns,
-    )
+    try:
+        return CorpusStore(
+            language=header["language"],
+            year_start=header["year_start"],
+            year_end=header["year_end"],
+            words=words,
+            digest=digest.hex(),
+            **columns,
+        )
+    except ValueError as exc:
+        raise FormatVersionMismatch(f"{path}: {exc}") from None
 
 
 def _exact(sum_groups, counts: np.ndarray) -> np.ndarray:
@@ -337,6 +345,11 @@ def group_sum(key: np.ndarray, *values: np.ndarray) -> tuple[np.ndarray, ...]:
     for column in values:
         column[: len(starts)] = _exact(lambda c: np.add.reduceat(c, starts), column)
     return tuple(column[: len(starts)] for column in columns)
+
+
+def run_rows(first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The row indices of runs of rows, each ``count`` rows from ``first``, run after run."""
+    return np.arange(int(count.sum())) + np.repeat(first - (np.cumsum(count) - count), count)
 
 
 def index_sum(index: np.ndarray, counts: np.ndarray, length: int) -> np.ndarray:

@@ -6,10 +6,15 @@ book share clears a threshold.  Core extraction is a pure function of
 the window table, with deterministic lexicographic tie-breaking, so
 identical inputs always produce bit-identical cores.
 
-A window table is summed without a sort: beside a few int64 columns as
-long as the window's rows, it holds 12 int64 slots (one per POS tag)
-plus a 12-byte presence mask per word present in the window, and each
-word's dominant tag is one argmax over its slots.
+A window table lives in word-id space.  Store words are ascending, so
+id order is word order: a table holds the ascending ids of the words
+present in the window, and for each word its sums and its window rows
+as one run of store rows (first row, row count).  It is summed without
+a sort, one ``reduceat`` over the window's rows, and its rank orders
+are stable sorts of one numeric column.  A core decodes only its own
+words, and keeps their runs (16 bytes a word) and the store, not the
+table; each word's dominant POS tag is computed from those runs when
+the core's ``pos`` is first read.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 from .errors import EmptyWindow, SpanTooShort
 from .postags import POS_COUNT, PosTag
 from .serialize import write_text_atomic
-from .store import CorpusStore, dominant_pos, index_sum
+from .store import CorpusStore, _exact, dominant_pos, index_sum, run_rows
 
 # PosTag by value: tag values run 0..POS_COUNT-1.
 _POS_TAGS = tuple(PosTag)
@@ -94,33 +99,33 @@ def standard_windows(year_start: int, year_end: int, width: int = 50) -> list[Wi
 
 @dataclass(eq=False)
 class WindowTable:
-    """Per-word aggregates over one window.
+    """Per-word aggregates over one window, in word-id space.
 
-    ``words`` and the parallel arrays cover every word present in the
-    window; relative frequencies sum to 1 over all words.
+    ``word_ids`` are the ascending store ids of the words present in the
+    window, and the parallel arrays hold each word's sums and, as one run
+    of store rows, its window rows: ``row_count`` rows from ``first_row``.
+    Relative frequencies sum to 1 over all words.
     """
 
     spec: WindowSpec
-    words: list[str]
+    store: CorpusStore = field(repr=False)
+    word_ids: np.ndarray
+    first_row: np.ndarray
+    row_count: np.ndarray
     match_count: np.ndarray
     volume_count: np.ndarray
     rel_freq: np.ndarray
     volume_share: np.ndarray
-    dominant_pos: np.ndarray
     lexical_total: int
     volume_total: int
-    _word_array: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self._word_array = np.asarray(self.words, dtype=object)
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.word_ids)
 
     @cached_property
     def rank_order(self) -> np.ndarray:
-        """Indices sorted by descending count, ties by ascending word."""
-        return np.lexsort((self._word_array, -self.match_count))
+        """Indices sorted by descending count, ties by ascending word (id order is word order)."""
+        return np.argsort(-self.match_count, kind="stable")
 
 
 def aggregate_window(store: CorpusStore, spec: WindowSpec) -> WindowTable:
@@ -135,42 +140,35 @@ def aggregate_window(store: CorpusStore, spec: WindowSpec) -> WindowTable:
         raise ValueError(f"window {spec.label} outside store range {store.year_start}..{store.year_end}")
     lo = spec.start_year - store.year_start
     hi = spec.end_year - store.year_start + 1
-    one_group = np.zeros(hi - lo, dtype=np.intp)
-    lexical_total = int(index_sum(one_group, store.lexical_totals[lo:hi], 1)[0])
+    lexical_total = int(_exact(np.sum, store.lexical_totals[lo:hi]))
     if lexical_total == 0:
         raise EmptyWindow(f"window {spec.label} has no lexical tokens")
-    volume_total = int(index_sum(one_group, store.volume_totals[lo:hi], 1)[0])
+    volume_total = int(_exact(np.sum, store.volume_totals[lo:hi]))
 
     rows = np.flatnonzero((store.year_offset >= lo) & (store.year_offset < hi))
     # Rows are word-major, so the selected rows of each word are one run,
-    # and each present word's sums go to the slot of its run.
-    run_lengths = np.diff(np.searchsorted(rows, store.word_offsets))
+    # and the runs of the present words tile ``rows``.
+    bounds = np.searchsorted(rows, store.word_offsets)
+    run_lengths = np.diff(bounds)
     word_ids = np.flatnonzero(run_lengths)
-    n = len(word_ids)
-    run = np.repeat(np.arange(n), run_lengths[word_ids])
-    match = store.match_count[rows]
-    word_match = index_sum(run, match, n)
-    word_vol = index_sum(run, store.volume_count[rows], n)
-    run *= POS_COUNT
-    run += store.pos_id[rows]
-    present = np.zeros((n, POS_COUNT), dtype=bool)
-    present.reshape(-1)[run] = True
-    totals = index_sum(run, match, n * POS_COUNT).reshape(n, POS_COUNT)
-    dominant = dominant_pos(totals, present).astype(np.uint8)
-
-    words = [store.words[i] for i in word_ids.tolist()]
-    rel_freq = word_match / lexical_total
+    starts = bounds[word_ids]
+    # Each gathered count column goes straight to _exact, the only holder
+    # of its narrow copy, which it drops once the column is widened.
+    word_match = _exact(lambda c: np.add.reduceat(c, starts), store.match_count[rows])
+    word_vol = _exact(lambda c: np.add.reduceat(c, starts), store.volume_count[rows])
     volume_share = (
-        word_vol / volume_total if volume_total > 0 else np.zeros(n, dtype=np.float64)
+        word_vol / volume_total if volume_total > 0 else np.zeros(len(word_ids), dtype=np.float64)
     )
     return WindowTable(
         spec=spec,
-        words=words,
+        store=store,
+        word_ids=word_ids,
+        first_row=rows[starts],
+        row_count=run_lengths[word_ids],
         match_count=word_match,
         volume_count=word_vol,
-        rel_freq=rel_freq,
+        rel_freq=word_match / lexical_total,
         volume_share=volume_share,
-        dominant_pos=dominant,
         lexical_total=lexical_total,
         volume_total=volume_total,
     )
@@ -178,15 +176,24 @@ def aggregate_window(store: CorpusStore, spec: WindowSpec) -> WindowTable:
 
 @dataclass(frozen=True, eq=False)
 class Core:
-    """An ordered vocabulary core extracted from one window."""
+    """An ordered vocabulary core extracted from one window.
+
+    ``word_ids`` are the words' store ids.  ``runs`` holds each word's
+    window rows in ``store`` as (first row, row count); ``pos``, each
+    word's tag with the largest window count (ties to the smallest pos
+    id), is computed from them on first read.  A core keeps the store,
+    not the table it came from.
+    """
 
     source: WindowSpec
     method: str
     param: float
     words: tuple[str, ...]
+    word_ids: np.ndarray
     rel_freq: tuple[float, ...]
     volume_share: tuple[float, ...]
-    pos: tuple[PosTag, ...]
+    store: CorpusStore = field(repr=False)
+    runs: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.words)
@@ -195,16 +202,31 @@ class Core:
     def word_set(self) -> frozenset[str]:
         return frozenset(self.words)
 
+    @cached_property
+    def pos(self) -> tuple[PosTag, ...]:
+        n = len(self.words)
+        first, count = self.runs.T
+        rows = run_rows(first, count)
+        slot = np.repeat(np.arange(0, n * POS_COUNT, POS_COUNT), count) + self.store.pos_id[rows]
+        present = np.zeros(n * POS_COUNT, dtype=bool)
+        present[slot] = True
+        totals = index_sum(slot, self.store.match_count[rows], n * POS_COUNT)
+        dominant = dominant_pos(totals.reshape(n, POS_COUNT), present.reshape(n, POS_COUNT))
+        return tuple(map(_POS_TAGS.__getitem__, dominant.tolist()))
+
 
 def _build_core(table: WindowTable, idx: np.ndarray, method: str, param: float) -> Core:
+    word_ids = table.word_ids[idx]
     return Core(
         source=table.spec,
         method=method,
         param=param,
-        words=tuple(table._word_array[idx].tolist()),
+        words=tuple(map(table.store.words.__getitem__, word_ids.tolist())),
+        word_ids=word_ids,
         rel_freq=tuple(table.rel_freq[idx].tolist()),
         volume_share=tuple(table.volume_share[idx].tolist()),
-        pos=tuple(map(_POS_TAGS.__getitem__, table.dominant_pos[idx].tolist())),
+        store=table.store,
+        runs=np.stack((table.first_row[idx], table.row_count[idx]), axis=1),
     )
 
 
@@ -230,7 +252,7 @@ def bookshare_core(table: WindowTable, threshold: float) -> Core:
         raise ValueError("threshold must be in (0, 1]")
     if table.volume_total <= 0:
         raise EmptyWindow(f"window {table.spec.label} has no volume total")
-    order = np.lexsort((table._word_array, -table.volume_share))
+    order = np.argsort(-table.volume_share, kind="stable")
     share = table.volume_share[order]
     idx = order[share >= threshold]
     return _build_core(table, idx, BOOK_SHARE, float(threshold))

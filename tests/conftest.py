@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 from collections import defaultdict
@@ -9,6 +10,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
+import numpy as np
 import pytest
 
 from lexcore.alphabets import alphabet_preset
@@ -18,6 +20,7 @@ from lexcore.ingest import build_store
 from lexcore.postags import POS_COUNT, PosTag
 from lexcore.store import CorpusStore
 from lexcore.synth import PRESETS, generate_corpus
+from lexcore.windows import RANK_K, Core, WindowSpec, WindowTable
 
 # Hand fixture: 1900-1904, lexical totals 100/100/1000/0/100.
 # press_VERB is exactly 1% of press and must be dropped; vol. fails the
@@ -79,6 +82,61 @@ def store_from_lines(tmp: Path, lines: list[str], y0: int, y1: int, volumes: int
         sidecar.write_text("".join(f"{y}\t{volumes}\n" for y in range(y0, y1 + 1)), encoding="utf-8")
     store, _ = build_store(shards, english_config(y0, y1), volume_sidecar=sidecar)
     return store
+
+
+def one_row_store(words, year: int, counts=None, pos=None) -> CorpusStore:
+    """A store of one year holding one row per word of the ascending ``words``.
+
+    Each row has its word's count from ``counts`` (default 1) and its tag
+    from ``pos`` (default NOUN); volume counts and totals are 0.
+    """
+    n = len(words)
+    tags = [int(PosTag.NOUN)] * n if pos is None else [int(p) for p in pos]
+    return CorpusStore.from_rows(
+        "english", year, year, list(words),
+        key=row_keys(range(n), [0] * n, tags, 1),
+        match_count=np.ones(n, dtype=np.int64) if counts is None else np.asarray(counts, dtype=np.int64),
+        volume_count=np.zeros(n, dtype=np.int64),
+        volume_totals=np.zeros(1, dtype=np.int64),
+    )
+
+
+def make_core(words, pos=None, window=(1800, 1849), method=RANK_K, param=None) -> Core:
+    """A core of the distinct ``words`` in the given order, each with its tag from ``pos`` (default NOUN).
+
+    Its store holds one row per word, in the window's first year.
+    """
+    words = tuple(words)
+    n = len(words)
+    tag = dict(zip(words, pos if pos is not None else [PosTag.NOUN] * n))
+    vocabulary = sorted(words)
+    store = one_row_store(vocabulary, window[0], pos=[tag[w] for w in vocabulary])
+    index = {w: i for i, w in enumerate(vocabulary)}
+    ids = np.array([index[w] for w in words], dtype=np.int64)
+    return Core(
+        source=WindowSpec(*window),
+        method=method,
+        param=float(param if param is not None else n),
+        words=words,
+        word_ids=ids,
+        rel_freq=(0.0,) * n,
+        volume_share=(0.0,) * n,
+        store=store,
+        runs=np.stack((store.word_offsets[ids], np.ones(n, dtype=np.int64)), axis=1),
+    )
+
+
+def rewrite_store(path: Path, old: bytes, new: bytes) -> None:
+    """Replace the one ``old`` in a store file with ``new``, as long, and sign the payload anew."""
+    payload = path.read_bytes()[:-32]
+    assert payload.count(old) == 1 and len(new) == len(old)
+    payload = payload.replace(old, new)
+    path.write_bytes(payload + hashlib.sha256(payload).digest())
+
+
+def table_words(table: WindowTable) -> list[str]:
+    """The words of a window table, decoded from its store ids."""
+    return [table.store.words[i] for i in table.word_ids.tolist()]
 
 
 # ---------------------------------------------------------------- store oracles

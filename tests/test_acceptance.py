@@ -14,6 +14,7 @@ import importlib.util
 import json
 import math
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,17 +37,9 @@ from lexcore.postags import PosTag
 from lexcore.serialize import series_to_csv
 from lexcore.store import load_store, save_store
 from lexcore.synth import SynthConfig, generate_corpus
-from lexcore.windows import (
-    RANK_K,
-    Core,
-    WindowSpec,
-    WindowTable,
-    aggregate_window,
-    frequency_core,
-    standard_windows,
-)
+from lexcore.windows import WindowSpec, aggregate_window, frequency_core, standard_windows
 
-from conftest import english_config, read_shard
+from conftest import english_config, make_core, one_row_store, read_shard, table_words
 
 
 def report(n: int, desc: str, ok: bool, detail: str = "") -> None:
@@ -167,17 +160,8 @@ def test_criterion_3_zipf_inversion_oracle():
     inv_ranks = [1.0 / r for r in range(1, v + 1)]
     total = math.fsum(inv_ranks)
     rel = np.asarray(inv_ranks, dtype=np.float64) / total
-    table = WindowTable(
-        spec=WindowSpec(2000, 2000),
-        words=[f"w{i:06d}" for i in range(v)],
-        match_count=np.asarray([10**13 // r for r in range(1, v + 1)], dtype=np.int64),
-        volume_count=np.zeros(v, dtype=np.int64),
-        rel_freq=rel,
-        volume_share=np.zeros(v, dtype=np.float64),
-        dominant_pos=np.zeros(v, dtype=np.uint8),
-        lexical_total=1,
-        volume_total=0,
-    )
+    store = one_row_store([f"w{i:06d}" for i in range(v)], 2000, [10**13 // r for r in range(1, v + 1)])
+    table = replace(aggregate_window(store, WindowSpec(2000, 2000)), rel_freq=rel)
 
     # Independent oracle: Kahan-compensated scan of the harmonic CDF.
     def harmonic_inversion(target: float) -> int:
@@ -236,24 +220,8 @@ def test_criterion_5_pos_consistency_identity():
         size_new = int(rng.integers(50, 400))
         old_idx = rng.choice(len(universe), size=size_old, replace=False)
         new_idx = rng.choice(len(universe), size=size_new, replace=False)
-        old = Core(
-            source=WindowSpec(1800, 1849),
-            method=RANK_K,
-            param=float(size_old),
-            words=tuple(universe[i] for i in old_idx),
-            rel_freq=tuple([0.0] * size_old),
-            volume_share=tuple([0.0] * size_old),
-            pos=tuple(PosTag(int(tags[i])) for i in old_idx),
-        )
-        new = Core(
-            source=WindowSpec(1950, 1999),
-            method=RANK_K,
-            param=float(size_new),
-            words=tuple(universe[i] for i in new_idx),
-            rel_freq=tuple([0.0] * size_new),
-            volume_share=tuple([0.0] * size_new),
-            pos=tuple(PosTag(int(tags[i])) for i in new_idx),
-        )
+        old = make_core([universe[i] for i in old_idx], [PosTag(int(tags[i])) for i in old_idx], (1800, 1849))
+        new = make_core([universe[i] for i in new_idx], [PosTag(int(tags[i])) for i in new_idx], (1950, 1999))
         comp = pos_composition(old)
         drop = pos_dropout(old, new)
         weighted = sum(comp[t] * drop[t] for t in comp)
@@ -323,8 +291,8 @@ def test_criterion_6_brute_force_equivalence(fixture_10k):
             vols[word] = vols.get(word, 0) + volumes
     total = sum(counts.values())
     agg_ok = (
-        dict(zip(table.words, table.match_count.tolist())) == counts
-        and dict(zip(table.words, table.volume_count.tolist())) == vols
+        dict(zip(table_words(table), table.match_count.tolist())) == counts
+        and dict(zip(table_words(table), table.volume_count.tolist())) == vols
         and table.lexical_total == total
     )
 

@@ -17,8 +17,10 @@ import pytest
 import lexcore
 from lexcore.cli import main
 from lexcore.config import params_hash
-from lexcore.store import load_store
+from lexcore.store import load_store, save_store
 from lexcore.synth import PRESETS
+
+from conftest import rewrite_store
 
 GOOD_LINES = "".join(f"word{chr(97 + i % 26)}\t{1800 + i % 200}\t{i + 1}\t1\n" for i in range(300))
 
@@ -399,6 +401,19 @@ class TestCoreCommand:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("words", [b"dog\ncat\n", b"cat\ncat\n"], ids=["unsorted", "duplicated"])
+    def test_store_words_not_ascending_is_data_error(self, hand_store, tmp_path, capsys, words):
+        """A store that verifies but whose words do not strictly ascend exits 1 naming the file."""
+        store, _ = hand_store
+        path = tmp_path / "reordered.lxst"
+        save_store(store, path)
+        rewrite_store(path, b"cat\ndog\n", words)
+        rc = main(["core", "--store", str(path), "--window", "1900:1904", "--k", "3", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {path}: ") and "not strictly ascending" in err
+        assert "Traceback" not in err
+
 class TestMetricCommands:
     def test_turnover_reproducible(self, pipeline, tmp_path):
         args = [
@@ -709,6 +724,23 @@ class TestReport:
         assert "pos1800s/pos_composition" in svg
         assert "pos1900s/pos_composition" in svg
         assert "NOUN" in svg
+
+    def test_report_tells_apart_runs_of_one_name(self, pipeline, tmp_path, capsys):
+        """Two run directories of one name give a turnover SVG and a coverage legend label each."""
+        dirs = [tmp_path / side / "t" for side in ("x", "y")]
+        for d, k in zip(dirs, ("100", "200")):
+            store = ["--store", str(pipeline["store"]), "--k", k, "--out", str(d)]
+            assert main(["turnover", *store, "--windows", "standard"]) == 0
+            assert main(["coverage", *store, "--window", "1800:1849"]) == 0
+        out = tmp_path / "figs"
+        capsys.readouterr()
+        assert main(["report", *map(str, dirs), "--out", str(out), "--no-timestamp"]) == 0
+        turnover = ["x_t_turnover.svg", "y_t_turnover.svg"]
+        assert sorted(p.name for p in out.glob("*turnover.svg")) == turnover
+        assert capsys.readouterr().out.splitlines() == [str(out / name) for name in [*turnover, "coverage.svg"]]
+        assert (out / "x_t_turnover.svg").read_bytes() != (out / "y_t_turnover.svg").read_bytes()
+        svg = (out / "coverage.svg").read_text()
+        assert "x/t/coverage_1800-1849" in svg and "y/t/coverage_1800-1849" in svg
 
     def test_report_requires_manifest(self, tmp_path):
         bare = tmp_path / "bare"

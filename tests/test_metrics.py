@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import struct
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +22,7 @@ from lexcore.errors import (
 from lexcore.ingest import build_store
 from lexcore.metrics import (
     MetricSeries,
+    _co_moments,
     core_size_for_coverage,
     coverage_series,
     dropout_share,
@@ -33,41 +36,17 @@ from lexcore.metrics import (
 )
 from lexcore.postags import PosTag
 from lexcore.synth import PRESETS, generate_corpus
-from lexcore.windows import RANK_K, Core, WindowSpec, WindowTable, aggregate_window, frequency_core
+from lexcore.windows import WindowSpec, aggregate_window, frequency_core
 
-from conftest import english_config, relative_frequency
-
-
-def make_core(words, pos=None, window=(1800, 1849), method=RANK_K, param=None):
-    words = tuple(words)
-    n = len(words)
-    pos = tuple(pos) if pos is not None else tuple([PosTag.NOUN] * n)
-    return Core(
-        source=WindowSpec(*window),
-        method=method,
-        param=float(param if param is not None else n),
-        words=words,
-        rel_freq=tuple([0.0] * n),
-        volume_share=tuple([0.0] * n),
-        pos=pos,
-    )
+from conftest import english_config, make_core, one_row_store, relative_frequency
 
 
 def make_table(words, rel_freq, counts=None):
+    """The table of a one-year store holding ``words`` with ``counts``, with ``rel_freq`` put in place of its own."""
     n = len(words)
-    counts = np.asarray(counts if counts is not None else [n - i for i in range(n)], dtype=np.int64)
-    rel = np.asarray(rel_freq, dtype=np.float64)
-    return WindowTable(
-        spec=WindowSpec(1900, 1900),
-        words=list(words),
-        match_count=counts,
-        volume_count=np.zeros(n, dtype=np.int64),
-        rel_freq=rel,
-        volume_share=np.zeros(n, dtype=np.float64),
-        dominant_pos=np.zeros(n, dtype=np.uint8),
-        lexical_total=int(counts.sum()),
-        volume_total=0,
-    )
+    counts = counts if counts is not None else [n - i for i in range(n)]
+    table = aggregate_window(one_row_store(words, 1900, counts), WindowSpec(1900, 1900))
+    return replace(table, rel_freq=np.asarray(rel_freq, dtype=np.float64))
 
 
 @pytest.fixture(scope="module")
@@ -180,6 +159,15 @@ class TestCoverage:
         store, _ = hand_store
         series = coverage_series(["the", "notaword"], store, [1900])
         assert series.ys[0] == pytest.approx(0.40, abs=1e-12)
+
+    def test_core_of_another_store_counts_by_word(self, hand_store):
+        """A core's store ids hold in its own store only; elsewhere its words are looked up."""
+        store, _ = hand_store
+        other = one_row_store(["ant", "cat", "the", "zzz"], 1900, [1, 2, 3, 4])
+        core = frequency_core(aggregate_window(other, WindowSpec(1900, 1900)), 4)
+        years = [1900, 1901, 1902]
+        assert coverage_series(core, store, years).ys == coverage_series(["cat", "the"], store, years).ys
+        assert coverage_series(core, other, [1900]).ys == (1.0,)
 
     def test_empty_year_propagates(self, hand_store):
         store, _ = hand_store
@@ -354,6 +342,29 @@ class TestPearson:
             return
         expected = math.sqrt(sxy**2 / (sxx * syy)) * (1 if sxy >= 0 else -1)
         assert pearson_correlation(xs, ys) == pytest.approx(expected, abs=1e-9)
+
+    @given(st.lists(st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False)), max_size=40))
+    @settings(max_examples=200)
+    @example(pairs=[(1.0, 3.0), (2.0, -1e308), (0.1, 1e308)])
+    def test_co_moments_equal_the_textbook_loop_bit_for_bit(self, pairs):
+        """The running-mean pass gives the floats of the textbook loop, so r never moves."""
+
+        def textbook(xs, ys):
+            mean_x = mean_y = 0.0
+            m2x = m2y = cxy = 0.0
+            for i, (x, y) in enumerate(zip(xs, ys), start=1):
+                dx = x - mean_x
+                dy = y - mean_y
+                mean_x += dx / i
+                mean_y += dy / i
+                m2x += dx * (x - mean_x)
+                m2y += dy * (y - mean_y)
+                cxy += dx * (y - mean_y)
+            return m2x, m2y, cxy
+
+        xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+        bits = lambda values: [struct.pack("<d", v) for v in values]
+        assert bits(_co_moments(xs, ys)) == bits(textbook(xs, ys))
 
     def test_degenerate_variance(self):
         with pytest.raises(DegenerateVariance):

@@ -31,7 +31,15 @@ from lexcore.store import (
 )
 from lexcore.windows import WindowSpec, aggregate_window, frequency_core, standard_windows
 
-from conftest import english_config, relative_frequency, row_keys, write_shards, year_slice
+from conftest import (
+    english_config,
+    relative_frequency,
+    rewrite_store,
+    row_keys,
+    table_words,
+    write_shards,
+    year_slice,
+)
 
 # Hand-computed relative frequencies of the conftest fixture.
 HAND_FREQS = {
@@ -244,6 +252,26 @@ class TestPersistence:
         with pytest.raises(FormatVersionMismatch):
             load_store(path)
 
+    @pytest.mark.parametrize("words", [["bb", "aa"], ["aa", "aa"]], ids=["unsorted", "duplicated"])
+    def test_from_rows_refuses_words_not_ascending(self, words):
+        """Store word ids follow word order, so the words must strictly ascend."""
+        with pytest.raises(ValueError, match="not strictly ascending"):
+            CorpusStore.from_rows(
+                "english", 1900, 1900, words,
+                key=row_keys([0, 1], [0, 0], [0, 0], 1),
+                match_count=np.array([1, 1]), volume_count=np.array([1, 1]), volume_totals=[2],
+            )
+
+    @pytest.mark.parametrize("words", [b"dog\ncat\n", b"cat\ncat\n"], ids=["unsorted", "duplicated"])
+    def test_load_refuses_words_not_ascending(self, hand_store, tmp_path, words):
+        """A file that verifies but whose words do not strictly ascend is a data error naming it."""
+        store, _ = hand_store
+        path = tmp_path / "fixture.lxst"
+        save_store(store, path)
+        rewrite_store(path, b"cat\ndog\n", words)
+        with pytest.raises(FormatVersionMismatch, match=f"{re.escape(str(path))}: .*not strictly ascending"):
+            load_store(path)
+
     def test_loaded_columns_are_aligned_read_only_views(self, hand_store, tmp_path):
         store, _ = hand_store
         path = tmp_path / "fixture.lxst"
@@ -299,8 +327,8 @@ class TestPersistence:
         assert loaded.year.tolist() == years and loaded.word_id.tolist() == [0, 0, 1, 1]
         whole = aggregate_window(loaded, WindowSpec(year_start, year_end))
         last = aggregate_window(loaded, WindowSpec(year_end, year_end))
-        assert dict(zip(whole.words, whole.match_count.tolist())) == {"aa": 3, "bb": 7}
-        assert dict(zip(last.words, last.match_count.tolist())) == {"aa": 2, "bb": 4}
+        assert dict(zip(table_words(whole), whole.match_count.tolist())) == {"aa": 3, "bb": 7}
+        assert dict(zip(table_words(last), last.match_count.tolist())) == {"aa": 2, "bb": 4}
 
     def test_round_trip_preserves_downstream_metrics(self, small_store, tmp_path):
         """Dropout and coverage series are unchanged after save/load."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+import weakref
 from collections import defaultdict
 from unittest import mock
 
@@ -26,7 +28,7 @@ from lexcore.windows import (
     write_core,
 )
 
-from conftest import english_config, read_shard, relative_frequency, row_keys, store_from_lines
+from conftest import english_config, read_shard, relative_frequency, row_keys, store_from_lines, table_words
 
 
 class TestStandardWindows:
@@ -80,14 +82,14 @@ class TestAggregateWindow:
     def test_degenerate_window_equals_year_slice(self, hand_store):
         store, _ = hand_store
         table = aggregate_window(store, WindowSpec(1900, 1900))
-        for i, word in enumerate(table.words):
+        for i, word in enumerate(table_words(table)):
             assert table.rel_freq[i] == relative_frequency(store, word, 1900)
 
     def test_disjoint_vocabularies_union(self, tmp_path):
         lines = ["aa_NOUN\t1900\t5\t2", "bb_NOUN\t1901\t7\t3"]
         store = store_from_lines(tmp_path, lines, 1900, 1901)
         table = aggregate_window(store, WindowSpec(1900, 1901))
-        counts = dict(zip(table.words, table.match_count.tolist()))
+        counts = dict(zip(table_words(table), table.match_count.tolist()))
         assert counts == {"aa": 5, "bb": 7}
 
     def test_rel_freq_sums_to_one(self, hand_store):
@@ -108,9 +110,10 @@ class TestAggregateWindow:
     def test_dominant_pos(self, hand_store):
         store, _ = hand_store
         table = aggregate_window(store, WindowSpec(1900, 1904))
-        pos = dict(zip(table.words, table.dominant_pos.tolist()))
-        assert PosTag(pos["time"]) is PosTag.NOUN
-        assert PosTag(pos["the"]) is PosTag.DET
+        core = frequency_core(table, len(table))
+        pos = dict(zip(core.words, core.pos))
+        assert pos["time"] is PosTag.NOUN
+        assert pos["the"] is PosTag.DET
 
     def test_split_merge_additivity(self, small_store):
         spec = WindowSpec(1800, 1849)
@@ -119,9 +122,9 @@ class TestAggregateWindow:
         right = aggregate_window(small_store, WindowSpec(1825, 1849))
         merged: dict[str, int] = {}
         for table in (left, right):
-            for word, count in zip(table.words, table.match_count.tolist()):
+            for word, count in zip(table_words(table), table.match_count.tolist()):
                 merged[word] = merged.get(word, 0) + count
-        assert merged == dict(zip(whole.words, whole.match_count.tolist()))
+        assert merged == dict(zip(table_words(whole), whole.match_count.tolist()))
         assert whole.lexical_total == left.lexical_total + right.lexical_total
 
     def test_fifty_year_window_brute_force(self, small_synth):
@@ -142,7 +145,7 @@ class TestAggregateWindow:
                 total += match
         store, _ = build_store(result.shard_paths, english_config(1800, 1999))
         table = aggregate_window(store, WindowSpec(1800, 1849))
-        assert dict(zip(table.words, table.match_count.tolist())) == expected
+        assert dict(zip(table_words(table), table.match_count.tolist())) == expected
         assert table.lexical_total == total
 
 
@@ -158,13 +161,13 @@ class TestFrequencyCore:
         store, _ = hand_store
         table = aggregate_window(store, WindowSpec(1900, 1904))
         core = frequency_core(table, 10_000)
-        assert sorted(core.words) == sorted(table.words)
+        assert sorted(core.words) == table_words(table)
 
     def test_full_sort_oracle(self, small_store):
         """Top-K set and order match a naive full sort of the table."""
         table = aggregate_window(small_store, WindowSpec(1800, 1849))
         naive = sorted(
-            zip(table.words, table.match_count.tolist()), key=lambda wc: (-wc[1], wc[0])
+            zip(table_words(table), table.match_count.tolist()), key=lambda wc: (-wc[1], wc[0])
         )
         core = frequency_core(table, 200)
         assert list(core.words) == [w for w, _ in naive[:200]]
@@ -231,6 +234,66 @@ class TestBookshareCore:
         table = aggregate_window(store, WindowSpec(1950, 1950))
         with pytest.raises(EmptyWindow):
             bookshare_core(table, 0.5)
+
+
+class TestRankOrders:
+    """The stable sorts of a numeric column against the string ``lexsort`` they replace."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equal_the_string_lexsort_on_ties(self, data):
+        # Few distinct counts make ties common; non-ASCII words check that
+        # word order is code-point order.
+        letters = st.characters(min_codepoint=0x61, max_codepoint=0x3A9, blacklist_categories=("Cs",))
+        words = sorted(data.draw(st.sets(st.text(letters, min_size=1, max_size=3), min_size=1, max_size=40)))
+        n = len(words)
+        counts = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any))
+        volumes = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        store = CorpusStore.from_rows(
+            "english", Y0, Y0, words,
+            key=row_keys(range(n), [0] * n, [0] * n, 1),
+            match_count=np.array(counts), volume_count=np.array(volumes), volume_totals=[3],
+        )
+        table = aggregate_window(store, WindowSpec(Y0, Y0))
+        present = np.array(table_words(table), dtype=object)
+        assert table.rank_order.tolist() == np.lexsort((present, -table.match_count)).tolist()
+        by_share = np.lexsort((present, -table.volume_share))
+        kept = by_share[table.volume_share[by_share] >= 1 / 3]
+        assert bookshare_core(table, 1 / 3).words == tuple(present[kept])
+
+
+class TestQueryMemory:
+    def test_core_does_not_keep_its_table(self, small_store):
+        """A core holds its own words' runs and the store, so its table can go."""
+        table = aggregate_window(small_store, WindowSpec(1800, 1849))
+        cores = [frequency_core(table, 100), bookshare_core(table, 0.2)]
+        table_ref = weakref.ref(table)
+        del table
+        assert table_ref() is None
+        assert all(len(core.pos) == len(core) for core in cores)
+
+    def test_aggregate_peak_per_window_row(self, small_store):
+        """The traced peak of one window table, per row in the window.
+
+        The window is a quarter of the store's span.  The year mask costs
+        a byte per store row, the row index 8 bytes per window row, and
+        each count column a narrow and an int64 copy of the window's rows;
+        the per-word columns add little.  The bound is the measured 18.9
+        bytes with 22% headroom (a table with 12 POS slots per word and a
+        string array took 28.9).
+        """
+        spec = WindowSpec(1800, 1849)
+        window_rows = np.count_nonzero(small_store.year_offset < 50)
+        assert window_rows * 4 == len(small_store.pos_id)
+        aggregate_window(small_store, spec)
+        tracemalloc.start()
+        try:
+            table = aggregate_window(small_store, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table) > 0
+        assert peak / window_rows <= 23
 
 
 class TestCoreExport:
@@ -338,8 +401,8 @@ def window_stores(draw):
             max_size=30,
         )
     )
-    present = sorted({w for w, _, _ in rows})
-    vocabulary = draw(st.permutations(present))  # ids need not follow word order
+    # Store words ascend; a store word may have no rows.
+    vocabulary = sorted({w for w, _, _ in rows} | draw(st.sets(st.sampled_from(STORE_WORDS))))
     lexical_totals = [sum(m for (_, _, y), (m, _) in rows.items() if y == Y0 + i) for i in range(span)]
     volume_totals = draw(st.lists(st.integers(0, 2**41), min_size=span, max_size=span))
     lo = draw(st.integers(Y0, Y0 + span - 1))
@@ -358,7 +421,7 @@ class TestWindowOracle:
     @settings(max_examples=300, deadline=None)
     # "bee" has one row in the window, a match of 0 under pos 2: an
     # argmax that does not mask absent pairs would give it pos 0.
-    @example(({("ant", 0, Y0): (3, 1), ("bee", 2, Y0): (0, 1)}, ["bee", "ant"], [3], [5], Y0, Y0, 2, 0.25, [], [Y0]))
+    @example(({("ant", 0, Y0): (3, 1), ("bee", 2, Y0): (0, 1)}, ["ant", "bee"], [3], [5], Y0, Y0, 2, 0.25, [], [Y0]))
     def test_matches_dict_oracle(self, case):
         rows, vocabulary, lexical_totals, volume_totals, lo, hi, k, threshold, extra, years = case
         store = store_of(rows, vocabulary, volume_totals)
@@ -370,15 +433,16 @@ class TestWindowOracle:
             return
         table = aggregate_window(store, spec)
         assert (table.lexical_total, table.volume_total) == (lexical, volume)
+        everything = frequency_core(table, len(table))
+        pos = dict(zip(everything.words, everything.pos))
         got = {
-            w: {"match": m, "volume": v, "rel_freq": f, "volume_share": s, "pos": p}
-            for w, m, v, f, s, p in zip(
-                table.words,
+            w: {"match": m, "volume": v, "rel_freq": f, "volume_share": s, "pos": pos[w]}
+            for w, m, v, f, s in zip(
+                table_words(table),
                 table.match_count.tolist(),
                 table.volume_count.tolist(),
                 table.rel_freq.tolist(),
                 table.volume_share.tolist(),
-                table.dominant_pos.tolist(),
             )
         }
         assert got == expected
@@ -423,4 +487,4 @@ class TestWindowOracle:
         assert series.points == oracle_coverage(rows, lexical_totals, words, [Y0])
         table = aggregate_window(store, WindowSpec(Y0, Y0))
         assert table.lexical_total == lexical_totals[0]
-        assert dict(zip(table.words, table.match_count.tolist()))["a"] == 2**54
+        assert dict(zip(table_words(table), table.match_count.tolist()))["a"] == 2**54
