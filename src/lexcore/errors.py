@@ -14,7 +14,7 @@ class EmptyYearError(LexcoreError):
 
 
 class FormatVersionMismatch(LexcoreError):
-    """Store file has an unknown magic number, format version or header layout, or unsorted words."""
+    """Store file has an unknown magic number, format version or header layout, unsorted words, or column values out of range."""
 
 
 class ChecksumMismatch(LexcoreError):

@@ -44,7 +44,7 @@ import threading
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -54,7 +54,7 @@ from .alphabets import APOSTROPHE, APOSTROPHE_VARIANTS, AlphabetSpec
 from .config import RunConfig
 from .errors import LexcoreError, WildcardToken
 from .postags import POS_COUNT, SUFFIX_TAGS, PosTag
-from .store import CorpusStore, dominant_pos, group_sum, index_sum, read_volume_sidecar
+from .store import CorpusStore, group_sum, index_sum, pos_totals, read_volume_sidecar, run_rows
 
 log = logging.getLogger(__name__)
 
@@ -144,6 +144,7 @@ _LOW_BYTES = np.array([(1 << (8 * r)) - 1 for r in range(9)], dtype=np.uint64)
 
 _NOT_UTF8, _WILDCARD, _NONLEXICAL = -1, -2, -3  # key bases of tokens that yield no store row
 _Rows = tuple[np.ndarray, np.ndarray, np.ndarray]  # the (key, match, volume) columns of the kept rows
+_Columns = tuple[list[np.ndarray], ...]  # one shard's (raw key, key, match, volume) rows, an array per chunk
 
 
 class _TokenTable:
@@ -197,42 +198,6 @@ class _TokenTable:
         return self.word_ids.setdefault(word, len(self.word_ids)) * self.span * POS_COUNT + int(pos)
 
 
-class _ShardParser:
-    """Keys and counts the rows of one shard, chunk by chunk.
-
-    :meth:`keep` applies the counters in a fixed order: malformed
-    (including tokens that are not UTF-8), then out_of_range, then
-    invalid_counts, then wildcard_rows and nonlexical_rows.  ``columns``
-    gathers, one array per chunk, the raw key ``token id * span + year
-    offset`` of every row that passes the line rules, then the store key
-    ``(word id * span + year offset) * POS_COUNT + pos id``, match and
-    volume of each lexical row.
-    """
-
-    def __init__(self, table: _TokenTable) -> None:
-        self.table = table
-        self.stats = IngestStats()
-        self.columns: tuple[list[np.ndarray], ...] = ([], [], [], [])
-
-    def keep(self, tid: np.ndarray, base: np.ndarray, year: np.ndarray, match: np.ndarray, vol: np.ndarray) -> None:
-        """Count and drop the rejected rows of well-formed lines; key the rest."""
-        stats, config = self.stats, self.table.config
-        valid = base != _NOT_UTF8
-        stats.malformed += len(base) - int(np.count_nonzero(valid))
-        in_range = valid & (year >= config.year_start) & (year <= config.year_end)
-        stats.out_of_range += int(np.count_nonzero(valid)) - int(np.count_nonzero(in_range))
-        kept = in_range & ((match < 1) | (vol >= 1))
-        stats.invalid_counts += int(np.count_nonzero(in_range)) - int(np.count_nonzero(kept))
-        offset, kept_base = year - config.year_start, base[kept]
-        stats.wildcard_rows += int(np.count_nonzero(kept_base == _WILDCARD))
-        stats.nonlexical_rows += int(np.count_nonzero(kept_base == _NONLEXICAL))
-        lexical = kept & (base >= 0)
-        rows = (tid[kept] * self.table.span + offset[kept], base[lexical] + offset[lexical] * POS_COUNT,
-                match[lexical], vol[lexical])
-        for column, chunk in zip(self.columns, rows):
-            column.append(chunk)
-
-
 def _digits(buf: np.ndarray, begin: np.ndarray, end: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Parse the fields ``buf[begin:end]``, one vectorised pass per digit.
 
@@ -257,9 +222,7 @@ def _digits(buf: np.ndarray, begin: np.ndarray, end: np.ndarray) -> tuple[np.nda
         # digits, and any nonzero one puts the value past 2**63.
         big, wide = value < 0, np.flatnonzero(length > _DIGITS)
         lead = length[wide] - _DIGITS
-        first = np.cumsum(lead) - lead
-        at = np.arange(int(lead.sum())) + np.repeat(begin[wide] - first, lead)
-        top = np.maximum.reduceat(buf[at] - np.uint8(48), first)
+        top = np.maximum.reduceat(buf[run_rows(begin[wide], lead)] - np.uint8(48), np.cumsum(lead) - lead)
         ok[wide] &= top <= 9
         big[wide] |= top > 0
         value[big] = _TOO_BIG
@@ -299,13 +262,18 @@ def _group_tokens(padded: bytes, start: np.ndarray, length: np.ndarray) -> tuple
     return group, order[new_group]
 
 
-def _parse_chunk(parser: _ShardParser, chunk: bytes) -> None:
-    """Split one chunk of whole lines at LF, validate every line and key its row.
+def _parse_chunk(table: _TokenTable, stats: IngestStats, columns: _Columns, chunk: bytes) -> None:
+    """Split one chunk of whole lines at LF, validate, count and key every line.
 
     A line is well formed iff it has four tab-separated fields, a
     non-empty token and numeric fields of ASCII digits, with counts below
-    2**63; whether the token is UTF-8 is left to the token table.  A
-    year of 2**63 or more is out of range.
+    2**63, and its token is UTF-8.  A year of 2**63 or more is out of
+    range.  The counters apply in a fixed order: malformed, then
+    out_of_range, then invalid_counts, then wildcard_rows and
+    nonlexical_rows.  ``columns`` gathers, one array per chunk, the raw
+    key ``token id * span + year offset`` of every row that passes the
+    line rules, then the store key ``(word id * span + year offset) *
+    POS_COUNT + pos id``, match and volume of each lexical row.
     """
     buf = np.frombuffer(chunk, dtype=np.uint8)
     ends = np.flatnonzero(buf == 10)
@@ -324,27 +292,39 @@ def _parse_chunk(parser: _ShardParser, chunk: bytes) -> None:
     vol, ok_vol = _digits(buf, t2 + 1, end)
     # (match | vol) is negative iff a count is 2**63 or more.
     ok &= ok_match & ok_vol & ((match | vol) >= 0) & (t0 > start)
-    stats = parser.stats
     stats.lines += len(ends)
     stats.malformed += len(ends) - int(np.count_nonzero(ok))
+    if not ok.any():
+        return
     start, tok_len, year, match, vol = start[ok], (t0 - start)[ok], year[ok], match[ok], vol[ok]
-    if len(start):
-        group, first = _group_tokens(chunk + bytes(_TOKEN_BYTES), start, tok_len)
-        # Each distinct token and the tab after it, gathered in one array and split.
-        width = tok_len[first] + 1
-        at = np.arange(int(width.sum())) + np.repeat(start[first] - (np.cumsum(width) - width), width)
-        tid, base = parser.table.lookup(buf[at].tobytes().split(b"\t")[:-1])
-        parser.keep(tid[group], base[group], year, match, vol)
+    group, first = _group_tokens(chunk + bytes(_TOKEN_BYTES), start, tok_len)
+    # Each distinct token and the tab after it, gathered in one array and split.
+    tid, base = table.lookup(buf[run_rows(start[first], tok_len[first] + 1)].tobytes().split(b"\t")[:-1])
+    tid, base = tid[group], base[group]
+    valid = base != _NOT_UTF8
+    stats.malformed += len(base) - int(np.count_nonzero(valid))
+    in_range = valid & (year >= table.config.year_start) & (year <= table.config.year_end)
+    stats.out_of_range += int(np.count_nonzero(valid)) - int(np.count_nonzero(in_range))
+    kept = in_range & ((match < 1) | (vol >= 1))
+    stats.invalid_counts += int(np.count_nonzero(in_range)) - int(np.count_nonzero(kept))
+    offset, kept_base = year - table.config.year_start, base[kept]
+    stats.wildcard_rows += int(np.count_nonzero(kept_base == _WILDCARD))
+    stats.nonlexical_rows += int(np.count_nonzero(kept_base == _NONLEXICAL))
+    lexical = kept & (base >= 0)
+    rows = (tid[kept] * table.span + offset[kept], base[lexical] + offset[lexical] * POS_COUNT,
+            match[lexical], vol[lexical])
+    for column, rows_of_chunk in zip(columns, rows):
+        column.append(rows_of_chunk)
 
 
-def _parse_shard(path: Path, table: _TokenTable) -> _ShardParser:
-    """Parse one shard into its keyed rows and counters.
+def _parse_shard(path: Path, table: _TokenTable) -> tuple[IngestStats, _Columns]:
+    """Parse one shard into its counters and keyed rows.
 
     The shard is read in binary chunks of whole lines, each ending at an
     LF, so no CRLF straddles two chunks.  In a chunk that holds a CR,
     CRLF and lone CR become LF, which splits lines as text mode would.
     """
-    parser = _ShardParser(table)
+    stats, columns = IngestStats(), ([], [], [], [])
     opener = gzip.open if path.suffix == ".gz" else open
     try:
         with opener(path, "rb") as fh:
@@ -353,26 +333,26 @@ def _parse_shard(path: Path, table: _TokenTable) -> _ShardParser:
                     chunk += fh.readline()
                 if b"\r" in chunk:
                     chunk = chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-                _parse_chunk(parser, chunk)
+                _parse_chunk(table, stats, columns, chunk)
     except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
         # A truncated or corrupt gzip stream.
         raise LexcoreError(f"{path}: unreadable shard: {exc}") from None
-    return parser
+    return stats, columns
 
 
-def _merged(parsers: Sequence[_ShardParser], column: int) -> np.ndarray:
+def _merged(shards: Sequence[_Columns], column: int) -> np.ndarray:
     """One column of every shard's rows, in one array.
 
     Each shard's chunks are freed, and their pages handed back, as soon
     as they are copied.
     """
-    out = np.empty(sum(len(chunk) for parser in parsers for chunk in parser.columns[column]), dtype=np.int64)
+    out = np.empty(sum(len(chunk) for columns in shards for chunk in columns[column]), dtype=np.int64)
     at = 0
-    for parser in parsers:
-        for chunk in parser.columns[column]:
+    for columns in shards:
+        for chunk in columns[column]:
             out[at : at + len(chunk)] = chunk
             at += len(chunk)
-        parser.columns[column].clear()
+        columns[column].clear()
         _release_freed_memory()
     return out
 
@@ -403,21 +383,22 @@ def _release_freed_memory() -> None:
         trim(0)
 
 
-def _parse(paths: Sequence[Path], table: _TokenTable, threads: int, stats: IngestStats) -> list[_ShardParser]:
-    """Parse every shard, ``threads`` at a time, and add up their counters."""
+def _parse(paths: Sequence[Path], table: _TokenTable, threads: int, stats: IngestStats) -> list[_Columns]:
+    """Parse every shard, ``threads`` at a time, add up their counters and return their rows."""
     parse = lambda p: _parse_shard(p, table)
     if threads > 1 and len(paths) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parsers = list(pool.map(parse, paths))
+            shards = list(pool.map(parse, paths))
     else:
-        parsers = [parse(p) for p in paths]
-    for parser in parsers:
-        for k in ("lines", "malformed", "out_of_range", "invalid_counts", "wildcard_rows", "nonlexical_rows"):
-            setattr(stats, k, getattr(stats, k) + getattr(parser.stats, k))
-    return parsers
+        shards = [parse(p) for p in paths]
+    for shard_stats, _ in shards:
+        for f in fields(IngestStats):
+            if f.compare and f.type == "int":
+                setattr(stats, f.name, getattr(stats, f.name) + getattr(shard_stats, f.name))
+    return [columns for _, columns in shards]
 
 
-def _merge(parsers: Sequence[_ShardParser], table: _TokenTable, stats: IngestStats) -> tuple[_Rows, list[str]]:
+def _merge(shards: Sequence[_Columns], table: _TokenTable, stats: IngestStats) -> tuple[_Rows, list[str]]:
     """Every shard's kept rows, and the vocabulary.
 
     Provisional word ids become ranks in the sorted vocabulary, which
@@ -427,14 +408,14 @@ def _merge(parsers: Sequence[_ShardParser], table: _TokenTable, stats: IngestSta
     temporary.
     """
     # Re-ingested (token, year) rows are summed but worth a warning count.
-    raw_key = _merged(parsers, 0)
+    raw_key = _merged(shards, 0)
     raw_key.sort()
     stats.duplicate_rows = int(np.count_nonzero(raw_key[1:] == raw_key[:-1]))
     del raw_key
     if stats.duplicate_rows:
         log.warning("%d duplicate (token, year) rows merged by addition", stats.duplicate_rows)
     stride = table.span * POS_COUNT
-    keys = [chunk for parser in parsers for chunk in parser.columns[1]]
+    keys = [chunk for columns in shards for chunk in columns[1]]
     used = np.zeros(len(table.word_ids), dtype=bool)
     for chunk in keys:
         used[chunk // stride] = True
@@ -445,7 +426,7 @@ def _merge(parsers: Sequence[_ShardParser], table: _TokenTable, stats: IngestSta
     for chunk in keys:
         chunk += shift[chunk // stride]
     del keys
-    return tuple(_merged(parsers, column) for column in (1, 2, 3)), vocabulary
+    return tuple(_merged(shards, column) for column in (1, 2, 3)), vocabulary
 
 
 def _compacted(column: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -472,11 +453,8 @@ def _pos_rule(rows: _Rows, n_words: int, span: int, stats: IngestStats) -> _Rows
     np.remainder(key, POS_COUNT, out=pos, casting="unsafe")
     pair += pos
     del pos
-    totals = index_sum(pair, match, n_words * POS_COUNT)
-    lookup = np.zeros(n_words * POS_COUNT, dtype=bool)
-    lookup[pair] = True
     # Every word has a row, so each has a dominant variant.
-    dominant = dominant_pos(totals.reshape(n_words, POS_COUNT), lookup.reshape(n_words, POS_COUNT))
+    totals, lookup, dominant = pos_totals(pair, match, n_words)
     dominant += np.arange(0, n_words * POS_COUNT, POS_COUNT)
     pair_ids = np.flatnonzero(lookup)
     pair_totals, pair_words = totals[pair_ids], pair_ids // POS_COUNT
@@ -504,9 +482,9 @@ def build_store(
     Shards are parsed independently (``threads`` workers) through one
     shared token table, and rows are merged by their key and summed, so
     any order or partition of the input yields an identical store.  The
-    parsers overlap in most runs but not in every one: on a 2-core VM,
-    two threads used a median of 1.36 CPU seconds per wall second (0.99
-    at the lowest, over 22 runs) and beat one thread in 20 of 22
+    shard parses overlap in most runs but not in every one: on a 2-core
+    VM, two threads used a median of 1.36 CPU seconds per wall second
+    (0.99 at the lowest, over 22 runs) and beat one thread in 20 of 22
     alternating pairs.  The stages after the parse run on one thread.
     Each stage's freed heap pages go back to the OS before the next starts.
     """
@@ -531,10 +509,10 @@ def build_store(
         clock = now
 
     table = _TokenTable(config)
-    parsers = _parse(paths, table, threads, stats)
+    shards = _parse(paths, table, threads, stats)
     lap("parse")
-    rows, vocabulary = _merge(parsers, table, stats)
-    del parsers
+    rows, vocabulary = _merge(shards, table, stats)
+    del shards
     lap("merge")
     # Sums rows with equal keys (after shard overlap, case folding or
     # apostrophe normalization) in place, which also sorts them.

@@ -27,8 +27,10 @@ records each column's dtype and offset.
 :func:`load_store` maps the file and returns read-only views of it, with
 no copy.  The whole file except the trailing digest is checksummed;
 truncation or corruption raises :class:`ChecksumMismatch`, and an unknown
-magic or version, such as a version-1 file, or words that do not
-strictly ascend raise :class:`FormatVersionMismatch`.  That trailing
+magic or version, such as a version-1 file, words that do not strictly
+ascend, or column values out of range (word offsets that do not ascend
+from 0 to the row count, a pos id or year offset past its bound, a
+negative count) raise :class:`FormatVersionMismatch`.  That trailing
 SHA-256 digest is the store's identity: :func:`save_store` returns it
 and :func:`load_store` records it as :attr:`CorpusStore.digest` (hex).
 Files are replaced, never rewritten in place, so a mapped file never
@@ -283,6 +285,17 @@ def load_store(path: str | Path) -> CorpusStore:
         name: np.frombuffer(mapped, dtype=spec["dtype"], count=lengths[name], offset=spec["offset"])
         for name, spec in layout.items()
     }
+    # A file signed anew after an edit still verifies, so every value a
+    # query indexes with or sums is bounded here, once.
+    offsets = columns["word_offsets"]
+    if offsets[0] != 0 or offsets[-1] != header["n_rows"] or np.any(offsets[1:] < offsets[:-1]):
+        raise FormatVersionMismatch(f"{path}: word_offsets do not ascend from 0 to the row count")
+    for name, bound in (("pos_id", POS_COUNT), ("year_offset", lengths["lexical_totals"])):  # one total a year
+        if columns[name].max(initial=0) >= bound:
+            raise FormatVersionMismatch(f"{path}: column {name} holds a value of {bound} or more")
+    for name in ("match_count", "volume_count", "lexical_totals", "volume_totals"):
+        if columns[name].min(initial=0) < 0:
+            raise FormatVersionMismatch(f"{path}: column {name} holds a negative count")
     try:
         return CorpusStore(
             language=header["language"],
@@ -363,14 +376,19 @@ def index_sum(index: np.ndarray, counts: np.ndarray, length: int) -> np.ndarray:
     return _exact(sum_groups, counts)
 
 
-def dominant_pos(totals: np.ndarray, present: np.ndarray) -> np.ndarray:
-    """Each word's dominant pos id, from ``(words, POS_COUNT)`` totals and presence.
+def pos_totals(slot: np.ndarray, counts: np.ndarray, n_words: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sum counts into ``n_words * POS_COUNT`` slots, ``word * POS_COUNT + pos id``.
 
-    The present pair with the largest total wins; ties go to the
-    smallest pos id.  A present pair may total 0, so an absent one
-    counts as -1.
+    Returns the slot totals (exact as :func:`index_sum`), which slots
+    occur, and each word's dominant pos id: the present slot with the
+    largest total wins, ties go to the smallest pos id.  A present slot
+    may total 0, so an absent one counts as -1.
     """
-    return np.where(present, totals, -1).argmax(axis=1)
+    totals = index_sum(slot, counts, n_words * POS_COUNT)
+    present = np.zeros(n_words * POS_COUNT, dtype=bool)
+    present[slot] = True
+    dominant = np.where(present, totals, -1).reshape(n_words, POS_COUNT).argmax(axis=1)
+    return totals, present, dominant
 
 
 def read_volume_sidecar(path: str | Path) -> dict[int, int]:

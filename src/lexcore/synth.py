@@ -28,7 +28,6 @@ mtime 0).  Each year's rows are formatted from whole arrays into one
 from __future__ import annotations
 
 import gzip
-import json
 import logging
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -39,6 +38,7 @@ import numpy as np
 from .config import from_json
 from .errors import ConfigInvalid
 from .postags import POS_COUNT, PosTag
+from .serialize import dump_json, write_text_atomic
 
 log = logging.getLogger(__name__)
 
@@ -419,9 +419,7 @@ def generate_corpus(
         chunk_start = chunk_end + 1
 
     volumes_path = out / "volumes.tsv"
-    volumes_path.write_text(
-        "".join(f"{y}\t{config.volumes_per_year}\n" for y in config.years), encoding="utf-8"
-    )
+    write_text_atomic(volumes_path, "".join(f"{y}\t{config.volumes_per_year}\n" for y in config.years))
 
     truth = {
         "schema": "lexcore.synth-truth/1",
@@ -431,6 +429,6 @@ def generate_corpus(
         "decay_words": decay_words,
     }
     truth_path = out / "truth.json"
-    truth_path.write_text(json.dumps(truth, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_text_atomic(truth_path, dump_json(truth))
     log.info("synthetic corpus written to %s (%d shards)", out, len(shard_paths))
     return SynthResult(tuple(shard_paths), truth_path, volumes_path)

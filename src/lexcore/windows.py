@@ -28,7 +28,7 @@ import numpy as np
 from .errors import EmptyWindow, SpanTooShort
 from .postags import POS_COUNT, PosTag
 from .serialize import write_text_atomic
-from .store import CorpusStore, _exact, dominant_pos, index_sum, run_rows
+from .store import CorpusStore, _exact, pos_totals, run_rows
 
 # PosTag by value: tag values run 0..POS_COUNT-1.
 _POS_TAGS = tuple(PosTag)
@@ -208,10 +208,7 @@ class Core:
         first, count = self.runs.T
         rows = run_rows(first, count)
         slot = np.repeat(np.arange(0, n * POS_COUNT, POS_COUNT), count) + self.store.pos_id[rows]
-        present = np.zeros(n * POS_COUNT, dtype=bool)
-        present[slot] = True
-        totals = index_sum(slot, self.store.match_count[rows], n * POS_COUNT)
-        dominant = dominant_pos(totals.reshape(n, POS_COUNT), present.reshape(n, POS_COUNT))
+        _, _, dominant = pos_totals(slot, self.store.match_count[rows], n)
         return tuple(map(_POS_TAGS.__getitem__, dominant.tolist()))
 
 

@@ -12,12 +12,13 @@ import sys
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 import lexcore
 from lexcore.cli import main
 from lexcore.config import params_hash
-from lexcore.store import load_store, save_store
+from lexcore.store import _column_lengths, load_store, save_store
 from lexcore.synth import PRESETS
 
 from conftest import rewrite_store
@@ -413,6 +414,45 @@ class TestCoreCommand:
         assert rc == 1
         assert err.startswith(f"error: {path}: ") and "not strictly ascending" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "column, index, value, query",
+        [
+            ("word_offsets", -1, 10**6, ["coverage", "--window", "1900:1902", "--k", "3"]),
+            # The row count, past the next word's first row.
+            ("word_offsets", 1, 17, ["core", "--window", "1900:1902", "--k", "3"]),
+            ("pos_id", 0, 200, ["pos", "--window", "1900:1904", "--k", "10"]),
+            ("year_offset", 0, 250, ["group", "--words", "WORDS"]),
+            ("lexical_totals", 0, -1, ["core", "--window", "1900:1902", "--k", "3"]),
+        ],
+        ids=["word_offsets-past-rows", "word_offsets-descending", "pos_id", "year_offset", "lexical_totals"],
+    )
+    def test_store_value_out_of_range_is_data_error(self, tmp_path, capsys, column, index, value, query):
+        """A store edited and signed anew verifies, so its column values are bounded on load.
+
+        Unbounded, each edit would end its query in an IndexError or a wrong answer.
+        """
+        tiny = Path(__file__).parents[1] / "fixtures" / "tiny"
+        argv = ["ingest", str(tiny / "shard-0.tsv"), "--config", str(tiny / "config.json")]
+        assert main([*argv, "--volumes", str(tiny / "volumes.tsv"), "--out", str(tmp_path / "store")]) == 0
+        path = tmp_path / "store" / "store.lxst"
+        payload = bytearray(path.read_bytes()[:-32])
+        header = json.loads(payload[12 : 12 + struct.unpack_from("<I", payload, 8)[0]])
+        spec = header["columns"][column]
+        count = _column_lengths(header)[column]
+        values = np.frombuffer(payload, dtype=spec["dtype"], count=count, offset=spec["offset"])
+        assert values[index] != value
+        values[index] = value
+        path.write_bytes(bytes(payload) + hashlib.sha256(payload).digest())
+        (tmp_path / "words.txt").write_text("cat\n", encoding="utf-8")
+        query = [str(tmp_path / "words.txt") if arg == "WORDS" else arg for arg in query]
+        capsys.readouterr()
+        rc = main([query[0], "--store", str(path), *query[1:], "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {path}: ") and column in err
+        assert "Traceback" not in err
+
 
 class TestMetricCommands:
     def test_turnover_reproducible(self, pipeline, tmp_path):

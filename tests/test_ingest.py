@@ -520,17 +520,17 @@ def _parsed(path: Path, config) -> tuple[list, list, IngestStats]:
     ones, and the shard's counters.
     """
     table = ingest._TokenTable(config)
-    parser = ingest._parse_shard(path, table)
+    stats, columns = ingest._parse_shard(path, table)
     span = config.year_end - config.year_start + 1
     tokens = {tid: raw.decode("utf-8") for raw, tid in table.ids.items() if table.bases[tid] != ingest._NOT_UTF8}
     words = list(table.word_ids)
-    raw_key, key, match, vol = (np.concatenate(c).tolist() if c else [] for c in parser.columns)
+    raw_key, key, match, vol = (np.concatenate(c).tolist() if c else [] for c in columns)
     keys = sorted((tokens[k // span], config.year_start + k % span) for k in raw_key)
     rows = sorted(
         (words[k // span // POS_COUNT], PosTag(k % POS_COUNT), config.year_start + k // POS_COUNT % span, m, v)
         for k, m, v in zip(key, match, vol)
     )
-    return keys, rows, parser.stats
+    return keys, rows, stats
 
 
 def _whole(store, stats) -> tuple:

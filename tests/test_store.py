@@ -22,10 +22,10 @@ from lexcore.postags import POS_COUNT, PosTag
 from lexcore.serialize import replacing, write_text_atomic
 from lexcore.store import (
     CorpusStore,
-    dominant_pos,
     group_sum,
     index_sum,
     load_store,
+    pos_totals,
     read_volume_sidecar,
     save_store,
 )
@@ -588,12 +588,11 @@ class TestDominantPos:
         for (w, p), c in pairs.items():
             if w not in best or (-c, p) < (-best[w][1], best[w][0]):
                 best[w] = (p, c)
-        totals = np.zeros((5, POS_COUNT), dtype=np.int64)
-        present = np.zeros((5, POS_COUNT), dtype=bool)
-        for (w, p), c in pairs.items():
-            totals[w, p], present[w, p] = c, True
-        got = dominant_pos(totals, present).tolist()
-        assert {w: got[w] for w in best} == {w: p for w, (p, _) in best.items()}
+        slot = np.array([w * POS_COUNT + p for w, p in pairs], dtype=np.int64)
+        counts = np.array(list(pairs.values()), dtype=np.int64)
+        totals, present, dominant = (a.tolist() for a in pos_totals(slot, counts, 5))
+        assert {w: dominant[w] for w in best} == {w: p for w, (p, _) in best.items()}
+        assert {s: totals[s] for s, seen in enumerate(present) if seen} == dict(zip(slot.tolist(), counts.tolist()))
 
 
 class TestVolumeSidecar:
