@@ -19,6 +19,11 @@ def _letters(lower_extra: str = "") -> frozenset[str]:
     return frozenset(lower + lower.upper())
 
 
+def _json_letters(value: object) -> frozenset[str]:
+    """A custom alphabet's letters from JSON: a string, or a list of strings; anything else is a TypeError."""
+    return frozenset("".join(value if isinstance(value, list) else [value]))
+
+
 @dataclass(frozen=True)
 class AlphabetSpec:
     """Letter set that defines which tokens count as lexical words.
@@ -29,7 +34,7 @@ class AlphabetSpec:
     """
 
     language: str
-    letters: frozenset[str] = field(repr=False)
+    letters: frozenset[str] = field(repr=False, metadata={"json": _json_letters})
     apostrophe_allowed: bool = True
     max_apostrophes: int = 1
 

@@ -11,47 +11,30 @@ The config file is versioned JSON::
       "fold_case": false
     }
 
-Absent optional keys take the dataclass defaults, and booleans must be
-JSON ``true`` or ``false``.  A value that cannot be read as its key's
-kind is a :class:`ConfigInvalid` naming the key.
+A config dataclass is its own JSON schema: :func:`from_json` reads the
+keys that are its fields and :func:`lexcore.serialize.json_fields`
+writes them.  A field is read by the reader its ``metadata["json"]``
+names, else by its annotated type.  Absent optional keys take the
+dataclass defaults, and booleans must be JSON ``true`` or ``false``.  A
+key that is no field, or a value that cannot be read as its field's
+kind, is a :class:`ConfigInvalid` naming the keys.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, Field, dataclass, field, fields
 from pathlib import Path
-from typing import Any, Callable, Mapping, TypeVar
+from typing import Any, Callable, TypeVar
 
 from .alphabets import AlphabetSpec, alphabet_preset
 from .errors import ConfigInvalid
+from .serialize import json_fields
 
 CONFIG_VERSION = 1
 
 T = TypeVar("T")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    language: str
-    alphabet: AlphabetSpec
-    year_start: int
-    year_end: int
-    fold_case: bool = False
-
-    def __post_init__(self) -> None:
-        if self.year_start > self.year_end:
-            raise ConfigInvalid(
-                f"year range inverted: {self.year_start}..{self.year_end}"
-            )
-
-    def to_dict(self) -> dict[str, Any]:
-        """The config as JSON values, letters as one sorted string; :func:`config_from_dict` reads it back."""
-        alphabet = {f.name: getattr(self.alphabet, f.name) for f in fields(self.alphabet)}
-        alphabet["letters"] = "".join(sorted(self.alphabet.letters))
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        return {"version": CONFIG_VERSION, **values, "alphabet": alphabet}
 
 
 def read_json_object(path: str | Path) -> dict[str, Any]:
@@ -79,57 +62,74 @@ def json_str(value: Any) -> str:
     return value
 
 
-def _letters(value: Any) -> frozenset[str]:
-    """A custom alphabet's letters: a string, or a list of strings."""
-    if isinstance(value, list):
-        value = "".join(map(json_str, value))
-    return frozenset(json_str(value))
+# How a field that names no reader is read, by the text of its annotation (annotations are postponed).
+_KINDS = {"int": int, "float": float, "bool": json_bool, "str": json_str}
 
 
-def from_json(cls: type[T], data: dict[str, Any], kinds: Mapping[str, Callable[[Any], Any]], what: str) -> T:
-    """The dataclass ``cls`` built from the keys of ``kinds`` that the JSON object ``data`` holds.
+def field_reader(f: Field) -> Callable[[Any], Any]:
+    """How the JSON value of field ``f`` is read; a field with no reader and no kind is a KeyError."""
+    return f.metadata.get("json") or _KINDS[f.type]
 
-    Each kind reads one key's value.  It returns None where the dataclass
-    default stands, so only the dataclass lists defaults.  A value that a
-    kind cannot read is a :class:`ConfigInvalid` naming its key.
+
+def from_json(cls: type[T], data: dict[str, Any], what: str) -> T:
+    """The dataclass ``cls`` built from the JSON object ``data``, whose keys are its fields.
+
+    Each field's reader returns None where the dataclass default stands,
+    so only the dataclass lists defaults.  A key that is no field, a
+    missing required field, or a value its reader cannot read is a
+    :class:`ConfigInvalid` naming the keys.
     """
+    unknown = sorted(data.keys() - {f.name for f in fields(cls)})
+    if unknown:
+        raise ConfigInvalid(f"{what}: unknown keys: {', '.join(map(repr, unknown))}")
     required = (f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING)
     missing = [name for name in required if name not in data]
     if missing:
         raise ConfigInvalid(f"{what} missing keys: {', '.join(missing)}")
     values = {}
-    for key in (k for k in kinds if k in data):
+    for f in (f for f in fields(cls) if f.name in data):
+        read = field_reader(f)
         try:
-            value = kinds[key](data[key])
+            value = read(data[f.name])
         except (TypeError, ValueError, LookupError, OverflowError):
-            raise ConfigInvalid(f"{what}: {key!r} cannot be {json.dumps(data[key], default=repr)}") from None
+            raise ConfigInvalid(f"{what}: {f.name!r} cannot be {json.dumps(data[f.name], default=repr)}") from None
         if value is not None:
-            values[key] = value
+            values[f.name] = value
     return cls(**values)
 
 
-# How each key of a custom alphabet is read.
-_ALPHABET_KINDS = {"language": json_str, "letters": _letters, "apostrophe_allowed": json_bool, "max_apostrophes": int}
-
-
-def _parse_alphabet(value: Any) -> AlphabetSpec:
+def _json_alphabet(value: Any) -> AlphabetSpec:
+    """A preset name, or a custom alphabet's object (its language defaults to "custom")."""
     if isinstance(value, str):
         return alphabet_preset(value)
     if isinstance(value, dict):
-        return from_json(AlphabetSpec, {"language": "custom", **value}, _ALPHABET_KINDS, "custom alphabet")
+        return from_json(AlphabetSpec, {"language": "custom", **value}, "custom alphabet")
     raise ConfigInvalid(f"alphabet must be a preset name or object, got {type(value).__name__}")
 
 
-_RUN_KINDS = {"language": json_str, "alphabet": _parse_alphabet, "year_start": int, "year_end": int,
-              "fold_case": json_bool}
+@dataclass(frozen=True)
+class RunConfig:
+    language: str
+    alphabet: AlphabetSpec = field(metadata={"json": _json_alphabet})
+    year_start: int
+    year_end: int
+    fold_case: bool = False
+
+    def __post_init__(self) -> None:
+        if self.year_start > self.year_end:
+            raise ConfigInvalid(f"year range inverted: {self.year_start}..{self.year_end}")
+
+    def to_dict(self) -> dict[str, Any]:
+        """The config as versioned JSON values; :func:`config_from_dict` reads it back."""
+        return {"version": CONFIG_VERSION, **json_fields(self)}
 
 
 def config_from_dict(data: dict[str, Any]) -> RunConfig:
-    """A RunConfig from parsed JSON; absent keys take the dataclass defaults."""
+    """A RunConfig from parsed JSON: ``version`` is checked and stripped, then the fields are read."""
     version = data.get("version")
     if version != CONFIG_VERSION:
         raise ConfigInvalid(f"unsupported config version {version!r} (expected {CONFIG_VERSION})")
-    return from_json(RunConfig, data, _RUN_KINDS, "config")
+    return from_json(RunConfig, {k: v for k, v in data.items() if k != "version"}, "config")
 
 
 def load_config(path: str | Path) -> RunConfig:

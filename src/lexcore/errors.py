@@ -14,7 +14,8 @@ class EmptyYearError(LexcoreError):
 
 
 class FormatVersionMismatch(LexcoreError):
-    """Store file has an unknown magic number, format version or header layout, unsorted words, or column values out of range."""
+    """Store file has an unknown magic number, format version or header layout, unsorted words,
+    column values out of range, or lexical totals that disagree with its rows."""
 
 
 class ChecksumMismatch(LexcoreError):

@@ -1,9 +1,11 @@
-"""CSV/JSON emission for metric results.
+"""CSV/JSON emission for metric results and configs.
 
 CSV files carry a header row (``x,y`` for series, ``key,value`` for
 mappings) and full-precision floats via ``repr``, so identical inputs
 always produce byte-identical output.  JSON documents carry a
-``schema`` field of the form ``lexcore.<kind>/<version>``.
+``schema`` field of the form ``lexcore.<kind>/<version>``.  A config
+or result dataclass is written from its own fields by
+:func:`json_fields`, so its fields are its JSON keys.
 """
 
 from __future__ import annotations
@@ -11,8 +13,10 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager
+from dataclasses import fields, is_dataclass
+from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO, Iterator, Mapping
+from typing import TYPE_CHECKING, Any, BinaryIO, Iterator, Mapping
 
 if TYPE_CHECKING:
     from .metrics import MetricSeries, OverlapReport, TransitionPartition
@@ -23,6 +27,23 @@ SCHEMA_VERSION = 1
 
 def _schema(kind: str) -> str:
     return f"{SCHEMA_PREFIX}.{kind}/{SCHEMA_VERSION}"
+
+
+def json_fields(obj: Any) -> Any:
+    """A dataclass as a JSON object of its fields, in field order, and each field's value as JSON.
+
+    A nested dataclass becomes an object, an enum-keyed map is keyed by
+    name, a letter set becomes one sorted string and a tuple a list.
+    """
+    if is_dataclass(obj):
+        return {f.name: json_fields(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, Mapping):
+        return {key.name if isinstance(key, Enum) else key: json_fields(v) for key, v in obj.items()}
+    if isinstance(obj, frozenset):
+        return "".join(sorted(obj))
+    if isinstance(obj, tuple):
+        return [json_fields(v) for v in obj]
+    return obj
 
 
 def fmt(value: float) -> str:
@@ -36,11 +57,7 @@ def series_to_csv(series: MetricSeries) -> str:
 
 
 def series_to_json(series: MetricSeries) -> dict:
-    return {
-        "schema": _schema("series"),
-        "name": series.name,
-        "points": [[x, y] for x, y in series.points],
-    }
+    return {"schema": _schema("series"), **json_fields(series)}
 
 
 def mapping_to_csv(items: Mapping[str, float]) -> str:
@@ -68,16 +85,7 @@ def overlap_to_csv(report: OverlapReport) -> str:
 
 
 def overlap_to_json(report: OverlapReport) -> dict:
-    return {
-        "schema": _schema("overlap"),
-        "size_a": report.size_a,
-        "size_b": report.size_b,
-        "shared": report.shared,
-        "overlap_pct": report.overlap_pct,
-        "jaccard": report.jaccard,
-        "only_a": list(report.only_a),
-        "only_b": list(report.only_b),
-    }
+    return {"schema": _schema("overlap"), **json_fields(report)}
 
 
 def partition_to_json(partition: TransitionPartition) -> dict:

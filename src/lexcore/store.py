@@ -28,9 +28,10 @@ records each column's dtype and offset.
 no copy.  The whole file except the trailing digest is checksummed;
 truncation or corruption raises :class:`ChecksumMismatch`, and an unknown
 magic or version, such as a version-1 file, words that do not strictly
-ascend, or column values out of range (word offsets that do not ascend
+ascend, column values out of range (word offsets that do not ascend
 from 0 to the row count, a pos id or year offset past its bound, a
-negative count) raise :class:`FormatVersionMismatch`.  That trailing
+negative count), or lexical totals that disagree with the rows' match
+counts raise :class:`FormatVersionMismatch`.  That trailing
 SHA-256 digest is the store's identity: :func:`save_store` returns it
 and :func:`load_store` records it as :attr:`CorpusStore.digest` (hex).
 Files are replaced, never rewritten in place, so a mapped file never
@@ -61,6 +62,7 @@ FORMAT_VERSION = 2
 _PREAMBLE = len(MAGIC) + 8  # magic, version, header length
 _DIGEST = 32
 _PAGE = 4096
+_BLOCK_ROWS = 1 << 16  # rows summed at a time when totals are checked on load
 
 # Narrow widths, narrowest first; each dtype is its little-endian ``str``.
 _WIDTHS = ("|u1", "<u2", "<u4", "<i8")
@@ -297,6 +299,16 @@ def load_store(path: str | Path) -> CorpusStore:
         if columns[name].min(initial=0) < 0:
             raise FormatVersionMismatch(f"{path}: column {name} holds a negative count")
     try:
+        # Each year's rows must count its total down to 0, a block at a time so no whole column
+        # is widened; the count stops once a total is overdrawn, before it can wrap.
+        left = columns["lexical_totals"].copy()
+        for start in range(0, header["n_rows"], _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            left -= index_sum(columns["year_offset"][rows], columns["match_count"][rows], len(left))
+            if left.min() < 0:
+                break
+        if left.any():
+            raise FormatVersionMismatch(f"{path}: column lexical_totals disagrees with the rows' match counts")
         return CorpusStore(
             language=header["language"],
             year_start=header["year_start"],
@@ -305,7 +317,7 @@ def load_store(path: str | Path) -> CorpusStore:
             digest=digest.hex(),
             **columns,
         )
-    except ValueError as exc:
+    except (ValueError, CountOverflow) as exc:
         raise FormatVersionMismatch(f"{path}: {exc}") from None
 
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import gzip
 import logging
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -38,7 +38,7 @@ import numpy as np
 from .config import from_json
 from .errors import ConfigInvalid
 from .postags import POS_COUNT, PosTag
-from .serialize import dump_json, write_text_atomic
+from .serialize import dump_json, json_fields, write_text_atomic
 
 log = logging.getLogger(__name__)
 
@@ -61,9 +61,22 @@ DEFAULT_TAG_WEIGHTS: dict[PosTag, float] = {
 }
 
 
+def _tag_map(value: Any) -> dict[PosTag, float] | None:
+    """A ``{"TAG": number}`` object; null or ``{}`` leaves the default, and an unknown tag is a LookupError."""
+    return {PosTag[name]: float(p) for name, p in dict(value or {}).items()} or None
+
+
+def _rank_pair(value: Any) -> tuple[int, int] | None:
+    """A ``[lo, hi]`` rank pair; null leaves no decay group."""
+    if not value:
+        return None
+    lo, hi = value
+    return int(lo), int(hi)
+
+
 @dataclass(frozen=True)
 class SynthConfig:
-    """Parameters of one synthetic corpus."""
+    """Parameters of one synthetic corpus, checked when built: a bad one is a :class:`ConfigInvalid`."""
 
     vocabulary: int
     year_start: int
@@ -74,14 +87,14 @@ class SynthConfig:
     era_length: int = 50
     churn: float = 0.0
     churn_band: int = 0
-    pos_churn: Mapping[PosTag, float] = field(default_factory=dict)
-    tag_weights: Mapping[PosTag, float] = field(default_factory=lambda: dict(DEFAULT_TAG_WEIGHTS))
+    pos_churn: Mapping[PosTag, float] = field(default_factory=dict, metadata={"json": _tag_map})
+    tag_weights: Mapping[PosTag, float] = field(default_factory=DEFAULT_TAG_WEIGHTS.copy, metadata={"json": _tag_map})
     volumes_per_year: int = 2000
-    decay_group: tuple[int, int] | None = None
+    decay_group: tuple[int, int] | None = field(default=None, metadata={"json": _rank_pair})
     decay_factor: float = 1.0
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.vocabulary < 100:
             raise ConfigInvalid("vocabulary must be >= 100")
         if self.zipf_exponent <= 0:
@@ -103,78 +116,33 @@ class SynthConfig:
             raise ConfigInvalid("tokens_per_year must be >= 1")
         if self.volumes_per_year < 1:
             raise ConfigInvalid("volumes_per_year must be >= 1")
-        if self.churn > 0 or self.pos_churn:
-            if not 1 <= self.churn_band <= self.vocabulary:
-                raise ConfigInvalid("churn requires churn_band in 1..vocabulary")
+        if (self.churn > 0 or self.pos_churn) and not 1 <= self.churn_band <= self.vocabulary:
+            raise ConfigInvalid("churn requires churn_band in 1..vocabulary")
         if self.decay_group is not None:
             lo, hi = self.decay_group
             if not 1 <= lo <= hi <= self.vocabulary:
                 raise ConfigInvalid("decay_group ranks must lie in 1..vocabulary")
             if self.decay_factor <= 0:
                 raise ConfigInvalid("decay_factor must be > 0")
-        weights = dict(self.tag_weights)
-        if not weights or any(v < 0 for v in weights.values()) or sum(weights.values()) <= 0:
+        if any(v < 0 for v in self.tag_weights.values()) or sum(self.tag_weights.values()) <= 0:
             raise ConfigInvalid("tag_weights must be non-negative and sum > 0")
-        if self.tokens_per_year < 100 * self.vocabulary:
-            log.warning(
-                "tokens_per_year=%d below the 100*vocabulary=%d recommendation; "
-                "top-K ranks will be noisy",
-                self.tokens_per_year,
-                100 * self.vocabulary,
-            )
 
     @property
     def years(self) -> range:
         return range(self.year_start, self.year_end + 1)
 
     def eras(self) -> list[tuple[int, int]]:
-        spans = []
-        start = self.year_start
-        while start <= self.year_end:
-            spans.append((start, min(start + self.era_length - 1, self.year_end)))
-            start += self.era_length
-        return spans
+        starts = range(self.year_start, self.year_end + 1, self.era_length)
+        return [(start, min(start + self.era_length - 1, self.year_end)) for start in starts]
 
     def to_dict(self) -> dict:
         """The config as JSON values, tags by name; :func:`synth_config_from_dict` reads it back."""
-
-        def json_value(value):
-            if isinstance(value, Mapping):
-                return {tag.name: v for tag, v in value.items()}
-            return list(value) if isinstance(value, tuple) else value
-
-        return {f.name: json_value(getattr(self, f.name)) for f in fields(self)}
-
-
-def _tag_map(value: Any) -> dict[PosTag, float] | None:
-    """A ``{"TAG": number}`` object; null or ``{}`` leaves the default, and an unknown tag is a LookupError."""
-    return {PosTag[name]: float(p) for name, p in dict(value or {}).items()} or None
-
-
-def _rank_pair(value: Any) -> tuple[int, int] | None:
-    """A ``[lo, hi]`` rank pair; null leaves no decay group."""
-    if not value:
-        return None
-    lo, hi = value
-    return int(lo), int(hi)
-
-
-# How each key of a synth config's JSON is read (see :func:`lexcore.config.from_json`).
-_JSON_KINDS = {
-    **dict.fromkeys(("vocabulary", "year_start", "year_end", "tokens_per_year"), int),
-    **dict.fromkeys(("era_length", "churn_band", "volumes_per_year", "seed"), int),
-    **dict.fromkeys(("zipf_exponent", "mandelbrot_offset", "churn", "decay_factor"), float),
-    "pos_churn": _tag_map,
-    "tag_weights": _tag_map,
-    "decay_group": _rank_pair,
-}
+        return json_fields(self)
 
 
 def synth_config_from_dict(data: dict) -> SynthConfig:
-    """A validated SynthConfig from parsed JSON (tags by name); absent keys take the dataclass defaults."""
-    cfg = from_json(SynthConfig, data, _JSON_KINDS, "synth config")
-    cfg.validate()
-    return cfg
+    """A SynthConfig from parsed JSON (tags by name); absent keys take the dataclass defaults."""
+    return from_json(SynthConfig, data, "synth config")
 
 
 PRESETS: dict[str, SynthConfig] = {
@@ -353,9 +321,11 @@ def generate_corpus(
     """Write synthetic shards, a volumes sidecar and the truth sidecar.
 
     Returns the created paths.  Raises :class:`ConfigInvalid` on a bad
-    config; never emits a line the ingest parser would reject.
+    ``shard_years``; never emits a line the ingest parser would reject.
     """
-    config.validate()
+    if config.tokens_per_year < 100 * config.vocabulary:
+        noisy = "tokens_per_year=%d below the 100*vocabulary=%d recommendation; top-K ranks will be noisy"
+        log.warning(noisy, config.tokens_per_year, 100 * config.vocabulary)
     if shard_years < 1:
         raise ConfigInvalid("shard_years must be >= 1")
     out = Path(out_dir)

@@ -424,11 +424,20 @@ class TestCoreCommand:
             ("pos_id", 0, 200, ["pos", "--window", "1900:1904", "--k", "10"]),
             ("year_offset", 0, 250, ["group", "--words", "WORDS"]),
             ("lexical_totals", 0, -1, ["core", "--window", "1900:1902", "--k", "3"]),
+            # Non-negative, but not the sum of 1900's match counts (100).
+            ("lexical_totals", 0, 1, ["core", "--window", "1900:1900", "--k", "3"]),
         ],
-        ids=["word_offsets-past-rows", "word_offsets-descending", "pos_id", "year_offset", "lexical_totals"],
+        ids=[
+            "word_offsets-past-rows",
+            "word_offsets-descending",
+            "pos_id",
+            "year_offset",
+            "lexical_totals",
+            "lexical_totals-disagree",
+        ],
     )
     def test_store_value_out_of_range_is_data_error(self, tmp_path, capsys, column, index, value, query):
-        """A store edited and signed anew verifies, so its column values are bounded on load.
+        """A store edited and signed anew verifies, so its column values and totals are checked on load.
 
         Unbounded, each edit would end its query in an IndexError or a wrong answer.
         """
@@ -1143,6 +1152,9 @@ _RUN_JSON = {"version": 1, "language": "english", "alphabet": "english", "year_s
         ("ingest", dict(_RUN_JSON, alphabet={"letters": ["a", 1]}), "'letters'"),
         ("report", [1], "manifest.json"),
         ("report", {"store_hash": [1]}, "manifest.json"),
+        ("ingest", dict(_RUN_JSON, fold_cse=True), "config: unknown keys: 'fold_cse'"),
+        ("ingest", dict(_RUN_JSON, alphabet={"letters": "abc", "max_apostrophe": 2}), "unknown keys: 'max_apostrophe'"),
+        ("synth", dict(_SYNTH_JSON, zzz=1, churn_bnad=10), "synth config: unknown keys: 'churn_bnad', 'zzz'"),
     ],
     ids=[
         "synth-churn-null",
@@ -1161,6 +1173,9 @@ _RUN_JSON = {"version": 1, "language": "english", "alphabet": "english", "year_s
         "ingest-letters-list-with-number",
         "report-manifest-list",
         "report-store-hash-list",
+        "ingest-unknown-key",
+        "ingest-alphabet-unknown-key",
+        "synth-unknown-keys",
     ],
 )
 def test_hostile_config_is_data_error(tmp_path, capsys, command, doc, named):

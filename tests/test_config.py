@@ -8,7 +8,7 @@ import json
 import pytest
 
 from lexcore.alphabets import PRESETS, AlphabetSpec, alphabet_preset
-from lexcore.config import RunConfig, config_from_dict, load_config, params_hash
+from lexcore.config import RunConfig, config_from_dict, field_reader, load_config, params_hash
 from lexcore.errors import ConfigInvalid
 from lexcore.synth import SynthConfig, synth_config_from_dict
 
@@ -109,3 +109,10 @@ def test_absent_keys_take_the_dataclass_defaults(cls, read, keys):
         if f.name not in keys:
             default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
             assert getattr(config, f.name) == default, f.name
+
+
+@pytest.mark.parametrize("cls", [RunConfig, AlphabetSpec, SynthConfig], ids=["RunConfig", "AlphabetSpec", "SynthConfig"])
+def test_every_field_has_a_reader(cls):
+    """Each field names a JSON reader or has a type that has one; a field with neither is a KeyError."""
+    for f in dataclasses.fields(cls):
+        assert callable(field_reader(f)), f.name

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lexcore.cli import main
 from lexcore.errors import ConfigInvalid
 from lexcore.ingest import build_store
 from lexcore.metrics import coverage_series, dropout_share
@@ -277,37 +278,39 @@ def test_rank_frequency_slope(tmp_path):
 
 
 def test_tokens_below_recommendation_warns(tmp_path, caplog):
-    config = dataclasses.replace(TINY, tokens_per_year=10_000)
+    """A ``lexcore synth --config`` run below the recommendation warns once."""
+    path = tmp_path / "synth.json"
+    path.write_text(json.dumps(dataclasses.replace(TINY, tokens_per_year=10_000).to_dict()), encoding="utf-8")
     with caplog.at_level("WARNING"):
-        config.validate()
-    assert any("recommendation" in rec.message for rec in caplog.records)
+        assert main(["synth", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert sum("recommendation" in rec.message for rec in caplog.records) == 1
 
 
 class TestConfigValidation:
     def test_vocabulary_floor(self):
         with pytest.raises(ConfigInvalid):
-            dataclasses.replace(TINY, vocabulary=50).validate()
+            dataclasses.replace(TINY, vocabulary=50)
 
     def test_churn_requires_band(self):
         with pytest.raises(ConfigInvalid):
-            dataclasses.replace(TINY, churn_band=0).validate()
+            dataclasses.replace(TINY, churn_band=0)
 
     def test_band_within_vocabulary(self):
         with pytest.raises(ConfigInvalid):
-            dataclasses.replace(TINY, churn_band=10_000).validate()
+            dataclasses.replace(TINY, churn_band=10_000)
 
     def test_decay_group_bounds(self):
         with pytest.raises(ConfigInvalid):
-            dataclasses.replace(TINY, decay_group=(400, 600)).validate()
+            dataclasses.replace(TINY, decay_group=(400, 600))
 
     def test_negative_year(self):
         # Year seeds and the ingest parser both take non-negative years only.
         with pytest.raises(ConfigInvalid):
-            dataclasses.replace(TINY, year_start=-1).validate()
+            dataclasses.replace(TINY, year_start=-1)
 
     def test_inverted_years(self):
         with pytest.raises(ConfigInvalid):
-            dataclasses.replace(TINY, year_start=1950, year_end=1900).validate()
+            dataclasses.replace(TINY, year_start=1950, year_end=1900)
 
     def test_from_dict_round_trip(self):
         cfg = synth_config_from_dict(TINY.to_dict())
@@ -342,7 +345,6 @@ class TestConfigValidation:
             decay_factor=draw(st.floats(0.01, 10)),
             seed=draw(st.integers(0, 2**63)),
         )
-        config.validate()
         assert synth_config_from_dict(json.loads(json.dumps(config.to_dict()))) == config
 
     def test_from_dict_rejects_unknown_tag(self):
@@ -353,4 +355,4 @@ class TestConfigValidation:
 
     def test_presets_validate(self):
         for config in PRESETS.values():
-            config.validate()
+            assert synth_config_from_dict(json.loads(json.dumps(config.to_dict()))) == config
