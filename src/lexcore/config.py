@@ -15,9 +15,11 @@ A config dataclass is its own JSON schema: :func:`from_json` reads the
 keys that are its fields and :func:`lexcore.serialize.json_fields`
 writes them.  A field is read by the reader its ``metadata["json"]``
 names, else by its annotated type.  Absent optional keys take the
-dataclass defaults, and booleans must be JSON ``true`` or ``false``.  A
-key that is no field, or a value that cannot be read as its field's
-kind, is a :class:`ConfigInvalid` naming the keys.
+dataclass defaults.  Numbers must be JSON numbers (an integer field
+takes a float only with no fractional part), and booleans must be JSON
+``true`` or ``false``.  A key that is no field, or a value that cannot
+be read as its field's kind, is a :class:`ConfigInvalid` naming the
+keys.
 """
 
 from __future__ import annotations
@@ -62,8 +64,22 @@ def json_str(value: Any) -> str:
     return value
 
 
+def json_int(value: Any) -> int:
+    """A JSON integer, or a number with no fractional part such as 2001.0; 1800.9, ``"1999"`` or true is an error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
+        raise TypeError(value)
+    return int(value)
+
+
+def json_float(value: Any) -> float:
+    """A JSON number, as a float; ``"0.5"`` or true is a TypeError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(value)
+    return float(value)
+
+
 # How a field that names no reader is read, by the text of its annotation (annotations are postponed).
-_KINDS = {"int": int, "float": float, "bool": json_bool, "str": json_str}
+_KINDS = {"int": json_int, "float": json_float, "bool": json_bool, "str": json_str}
 
 
 def field_reader(f: Field) -> Callable[[Any], Any]:

@@ -27,13 +27,20 @@ records each column's dtype and offset.
 :func:`load_store` maps the file and returns read-only views of it, with
 no copy.  The whole file except the trailing digest is checksummed;
 truncation or corruption raises :class:`ChecksumMismatch`, and an unknown
-magic or version, such as a version-1 file, words that do not strictly
-ascend, column values out of range (word offsets that do not ascend
-from 0 to the row count, a pos id or year offset past its bound, a
-negative count), or lexical totals that disagree with the rows' match
-counts raise :class:`FormatVersionMismatch`.  That trailing
+magic or version, such as a version-1 file, or a header that does not
+describe the layout raises :class:`FormatVersionMismatch`.  That trailing
 SHA-256 digest is the store's identity: :func:`save_store` returns it
 and :func:`load_store` records it as :attr:`CorpusStore.digest` (hex).
+
+One contract holds for every store, built or loaded, and
+:class:`CorpusStore` checks it when constructed: words strictly ascend;
+word offsets ascend from 0 to the row count; pos ids are below
+``POS_COUNT`` and year offsets below the span; counts and totals are
+non-negative; within each word, rows strictly ascend by (year offset,
+pos id); and each year's lexical total is the sum of its rows' match
+counts.  A built store that breaks it is a ValueError, and a file that
+verifies but breaks it, as one edited and signed anew might, is a
+:class:`FormatVersionMismatch` naming the file.
 Files are replaced, never rewritten in place, so a mapped file never
 changes under its reader.
 """
@@ -62,7 +69,8 @@ FORMAT_VERSION = 2
 _PREAMBLE = len(MAGIC) + 8  # magic, version, header length
 _DIGEST = 32
 _PAGE = 4096
-_BLOCK_ROWS = 1 << 16  # rows summed at a time when totals are checked on load
+_BLOCK_ROWS = 1 << 16  # rows summed and order-checked at a time
+_OVERFLOW = "a sum of counts reaches 2**63, beyond the int64 counts a store holds"
 
 # Narrow widths, narrowest first; each dtype is its little-endian ``str``.
 _WIDTHS = ("|u1", "<u2", "<u4", "<i8")
@@ -94,9 +102,11 @@ def _narrowest(bound: int) -> np.dtype:
 class CorpusStore:
     """Word-major rows in narrow columns; build one with :meth:`from_rows`.
 
-    ``words`` must be strictly ascending (ValueError otherwise).
-    ``word_id`` and the absolute ``year`` of each row are derived on
-    first use, for callers outside the query path.
+    Construction checks the store contract (see the module docstring)
+    and raises ValueError where it fails, or :class:`CountOverflow` where
+    a year's lexical total reaches 2**63.  ``lexical_totals`` of None are
+    summed from the rows.  ``word_id`` and the absolute ``year`` of each
+    row are derived on first use, for callers outside the query path.
     """
 
     language: str
@@ -108,13 +118,39 @@ class CorpusStore:
     year_offset: np.ndarray
     match_count: np.ndarray
     volume_count: np.ndarray
-    lexical_totals: np.ndarray
+    lexical_totals: np.ndarray | None
     volume_totals: np.ndarray
     digest: str | None = None
 
     def __post_init__(self) -> None:
         if not all(map(operator.lt, self.words, itertools.islice(self.words, 1, None))):
             raise ValueError("store words are not strictly ascending")
+        # Every value a query indexes with or sums is bounded here, once.
+        offsets, n_rows, span = self.word_offsets, len(self.pos_id), self.year_end - self.year_start + 1
+        if offsets[0] != 0 or offsets[-1] != n_rows or np.any(offsets[1:] < offsets[:-1]):
+            raise ValueError("word_offsets do not ascend from 0 to the row count")
+        for name, bound in (("pos_id", POS_COUNT), ("year_offset", span)):  # one total a year
+            if getattr(self, name).max(initial=0) >= bound:
+                raise ValueError(f"column {name} holds a value of {bound} or more")
+        for name in ("match_count", "volume_count", "lexical_totals", "volume_totals"):
+            if getattr(self, name) is not None and getattr(self, name).min(initial=0) < 0:
+                raise ValueError(f"column {name} holds a negative count")
+        # A block of rows at a time, so no whole column is widened: sum each year's match counts, check row order.
+        totals = np.zeros(span, dtype=np.int64)
+        for start in range(0, n_rows, _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            totals += index_sum(self.year_offset[block], self.match_count[block], span)
+            if totals.min() < 0:  # a sum of non-negative counts wraps negative once it reaches 2**63
+                raise CountOverflow(_OVERFLOW)
+            first = max(start - 1, 0)  # the row before the block, to compare across blocks
+            key = self.year_offset[first : block.stop].astype(np.int64) * POS_COUNT + self.pos_id[first : block.stop]
+            later = np.flatnonzero(key[1:] <= key[:-1]) + first + 1
+            if np.any(offsets[np.searchsorted(offsets, later)] != later):
+                raise ValueError("store rows do not ascend by (year, pos id) within a word")
+        if self.lexical_totals is None:
+            self.lexical_totals = totals
+        elif np.any(totals != self.lexical_totals):
+            raise ValueError("column lexical_totals disagrees with the rows' match counts")
 
     @classmethod
     def from_rows(
@@ -128,16 +164,20 @@ class CorpusStore:
         volume_count: np.ndarray,
         volume_totals: np.ndarray,
     ) -> CorpusStore:
-        """A store of rows given by ascending keys, with non-negative counts.
+        """A store of the rows that ``key`` gives, in key order, with their counts.
 
         A row's key is ``(word id * span + year offset) * POS_COUNT + pos
-        id``, so key order is the store's row order.  The narrow columns
-        are decoded from the keys at their own widths, through one int64
-        scratch column, and a count column that is already at its width
-        is kept, not copied.  Each year's lexical total is the sum of its
-        rows' match counts.
+        id``, so key order is the store's row order; keys that do not
+        strictly ascend are a ValueError.  The narrow columns are decoded
+        from the keys at their own widths, through one int64 scratch
+        column, and a count column that is already at its width is kept,
+        not copied.  The store checks itself (see :class:`CorpusStore`),
+        so a key past the vocabulary or a negative count is a ValueError,
+        and it sums each year's lexical total from the rows.
         """
         key = np.asarray(key, dtype=np.int64)
+        if np.any(key[1:] <= key[:-1]):
+            raise ValueError("row keys do not strictly ascend")
         span = year_end - year_start + 1
         offsets = np.searchsorted(key, np.arange(len(words) + 1, dtype=np.int64) * (span * POS_COUNT))
         pos_id = np.empty(len(key), dtype="|u1")
@@ -145,11 +185,10 @@ class CorpusStore:
         # A width that holds the span also holds every window bound, 0..span.
         year_offset = np.empty(len(key), dtype=_narrowest(span))
         np.remainder(key // POS_COUNT, span, out=year_offset, casting="unsafe")
-        lexical_totals = index_sum(year_offset, np.asarray(match_count), span)
 
         def narrow(counts: np.ndarray) -> np.ndarray:
-            counts = np.asarray(counts)
-            return counts.astype(_narrowest(int(counts.max()) if len(counts) else 0), copy=False)
+            bound = int(np.max(counts, initial=0)) if np.min(counts, initial=0) >= 0 else 2**63 - 1  # a negative count stays signed
+            return np.asarray(counts).astype(_narrowest(bound), copy=False)
 
         return cls(
             language=language,
@@ -161,7 +200,7 @@ class CorpusStore:
             year_offset=year_offset,
             match_count=narrow(match_count),
             volume_count=narrow(volume_count),
-            lexical_totals=lexical_totals,
+            lexical_totals=None,
             volume_totals=np.asarray(volume_totals, dtype="<i8"),
         )
 
@@ -287,28 +326,7 @@ def load_store(path: str | Path) -> CorpusStore:
         name: np.frombuffer(mapped, dtype=spec["dtype"], count=lengths[name], offset=spec["offset"])
         for name, spec in layout.items()
     }
-    # A file signed anew after an edit still verifies, so every value a
-    # query indexes with or sums is bounded here, once.
-    offsets = columns["word_offsets"]
-    if offsets[0] != 0 or offsets[-1] != header["n_rows"] or np.any(offsets[1:] < offsets[:-1]):
-        raise FormatVersionMismatch(f"{path}: word_offsets do not ascend from 0 to the row count")
-    for name, bound in (("pos_id", POS_COUNT), ("year_offset", lengths["lexical_totals"])):  # one total a year
-        if columns[name].max(initial=0) >= bound:
-            raise FormatVersionMismatch(f"{path}: column {name} holds a value of {bound} or more")
-    for name in ("match_count", "volume_count", "lexical_totals", "volume_totals"):
-        if columns[name].min(initial=0) < 0:
-            raise FormatVersionMismatch(f"{path}: column {name} holds a negative count")
     try:
-        # Each year's rows must count its total down to 0, a block at a time so no whole column
-        # is widened; the count stops once a total is overdrawn, before it can wrap.
-        left = columns["lexical_totals"].copy()
-        for start in range(0, header["n_rows"], _BLOCK_ROWS):
-            rows = slice(start, start + _BLOCK_ROWS)
-            left -= index_sum(columns["year_offset"][rows], columns["match_count"][rows], len(left))
-            if left.min() < 0:
-                break
-        if left.any():
-            raise FormatVersionMismatch(f"{path}: column lexical_totals disagrees with the rows' match counts")
         return CorpusStore(
             language=header["language"],
             year_start=header["year_start"],
@@ -336,7 +354,7 @@ def _exact(sum_groups, counts: np.ndarray) -> np.ndarray:
     if len(counts) and int(counts.max()) * len(counts) >= 2**63:
         high = sum_groups(counts >> 32) + (sum_groups(counts & 0xFFFFFFFF) >> 32)
         if np.any(high >= 2**31):
-            raise CountOverflow("a sum of counts reaches 2**63, beyond the int64 counts a store holds")
+            raise CountOverflow(_OVERFLOW)
     return sums
 
 

@@ -35,7 +35,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .config import from_json
+from .config import from_json, json_float, json_int
 from .errors import ConfigInvalid
 from .postags import POS_COUNT, PosTag
 from .serialize import dump_json, json_fields, write_text_atomic
@@ -63,7 +63,7 @@ DEFAULT_TAG_WEIGHTS: dict[PosTag, float] = {
 
 def _tag_map(value: Any) -> dict[PosTag, float] | None:
     """A ``{"TAG": number}`` object; null or ``{}`` leaves the default, and an unknown tag is a LookupError."""
-    return {PosTag[name]: float(p) for name, p in dict(value or {}).items()} or None
+    return {PosTag[name]: json_float(p) for name, p in dict(value or {}).items()} or None
 
 
 def _rank_pair(value: Any) -> tuple[int, int] | None:
@@ -71,7 +71,7 @@ def _rank_pair(value: Any) -> tuple[int, int] | None:
     if not value:
         return None
     lo, hi = value
-    return int(lo), int(hi)
+    return json_int(lo), json_int(hi)
 
 
 @dataclass(frozen=True)
@@ -126,6 +126,8 @@ class SynthConfig:
                 raise ConfigInvalid("decay_factor must be > 0")
         if any(v < 0 for v in self.tag_weights.values()) or sum(self.tag_weights.values()) <= 0:
             raise ConfigInvalid("tag_weights must be non-negative and sum > 0")
+        if self.seed < 0:
+            raise ConfigInvalid("seed must be >= 0")
 
     @property
     def years(self) -> range:

@@ -462,6 +462,31 @@ class TestCoreCommand:
         assert err.startswith(f"error: {path}: ") and column in err
         assert "Traceback" not in err
 
+    def test_store_rows_out_of_order_is_data_error(self, tmp_path, capsys):
+        """A store whose first word's first two rows (cat, 1900 and 1901) are swapped and signed anew.
+
+        Its values are all in range and its totals agree, but a window's rows
+        are found by year order within a word, so the query would read the wrong rows.
+        """
+        tiny = Path(__file__).parents[1] / "fixtures" / "tiny"
+        argv = ["ingest", str(tiny / "shard-0.tsv"), "--config", str(tiny / "config.json")]
+        assert main([*argv, "--volumes", str(tiny / "volumes.tsv"), "--out", str(tmp_path / "store")]) == 0
+        path = tmp_path / "store" / "store.lxst"
+        assert load_store(path).year[:2].tolist() == [1900, 1901]
+        payload = bytearray(path.read_bytes()[:-32])
+        header = json.loads(payload[12 : 12 + struct.unpack_from("<I", payload, 8)[0]])
+        for column in ("pos_id", "year_offset", "match_count", "volume_count"):
+            spec = header["columns"][column]
+            values = np.frombuffer(payload, dtype=spec["dtype"], count=header["n_rows"], offset=spec["offset"])
+            values[:2] = values[1::-1].copy()
+        path.write_bytes(bytes(payload) + hashlib.sha256(payload).digest())
+        capsys.readouterr()
+        rc = main(["pos", "--store", str(path), "--window", "1900:1900", "--window2", "1901:1901", "--k", "3", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {path}: ") and "do not ascend" in err
+        assert "Traceback" not in err
+
 
 class TestMetricCommands:
     def test_turnover_reproducible(self, pipeline, tmp_path):
@@ -1155,6 +1180,11 @@ _RUN_JSON = {"version": 1, "language": "english", "alphabet": "english", "year_s
         ("ingest", dict(_RUN_JSON, fold_cse=True), "config: unknown keys: 'fold_cse'"),
         ("ingest", dict(_RUN_JSON, alphabet={"letters": "abc", "max_apostrophe": 2}), "unknown keys: 'max_apostrophe'"),
         ("synth", dict(_SYNTH_JSON, zzz=1, churn_bnad=10), "synth config: unknown keys: 'churn_bnad', 'zzz'"),
+        ("ingest", dict(_RUN_JSON, year_start=1800.9), "'year_start'"),
+        ("ingest", dict(_RUN_JSON, year_end="1999"), "'year_end'"),
+        ("synth", dict(_SYNTH_JSON, churn=True), "'churn'"),
+        ("synth", dict(_SYNTH_JSON, seed=4.7), "'seed'"),
+        ("synth", dict(_SYNTH_JSON, seed=-1), "seed must be >= 0"),
     ],
     ids=[
         "synth-churn-null",
@@ -1176,10 +1206,15 @@ _RUN_JSON = {"version": 1, "language": "english", "alphabet": "english", "year_s
         "ingest-unknown-key",
         "ingest-alphabet-unknown-key",
         "synth-unknown-keys",
+        "ingest-year-start-fractional",
+        "ingest-year-end-string",
+        "synth-churn-bool",
+        "synth-seed-fractional",
+        "synth-seed-negative",
     ],
 )
 def test_hostile_config_is_data_error(tmp_path, capsys, command, doc, named):
-    """A config or manifest of the wrong JSON shape: exit 1 and one error line naming the key or file."""
+    """A config or manifest of the wrong JSON shape: exit 1, one error line naming the key or file, and no output directory."""
     path = tmp_path / ("manifest.json" if command == "report" else f"{command}.json")
     path.write_text(json.dumps(doc), encoding="utf-8")
     shard = tmp_path / "shard.tsv"
@@ -1194,6 +1229,7 @@ def test_hostile_config_is_data_error(tmp_path, capsys, command, doc, named):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_years_outside_store_is_data_error(pipeline, tmp_path, capsys):

@@ -10,6 +10,7 @@ import pytest
 from lexcore.alphabets import PRESETS, AlphabetSpec, alphabet_preset
 from lexcore.config import RunConfig, config_from_dict, field_reader, load_config, params_hash
 from lexcore.errors import ConfigInvalid
+from lexcore.postags import PosTag
 from lexcore.synth import SynthConfig, synth_config_from_dict
 
 
@@ -116,3 +117,15 @@ def test_every_field_has_a_reader(cls):
     """Each field names a JSON reader or has a type that has one; a field with neither is a KeyError."""
     for f in dataclasses.fields(cls):
         assert callable(field_reader(f)), f.name
+
+
+def test_numbers_are_read_by_their_field_kind():
+    """An int field takes a JSON float with no fractional part, as an int; a float field takes a JSON integer, as a float."""
+    config = synth_config_from_dict(
+        {"vocabulary": 5000.0, "year_start": 1800, "year_end": 1999, "tokens_per_year": 10_000, "zipf_exponent": 2,
+         "decay_group": [2001.0, 2400], "tag_weights": {"NOUN": 1}}
+    )
+    assert type(config.vocabulary) is int and config.decay_group == (2001, 2400)
+    assert all(type(rank) is int for rank in config.decay_group)
+    assert type(config.zipf_exponent) is float and type(config.tag_weights[PosTag.NOUN]) is float
+    assert config.to_dict()["zipf_exponent"] == 2.0 and config.to_dict()["vocabulary"] == 5000

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import hashlib
 import json
 import os
@@ -261,6 +263,78 @@ class TestPersistence:
                 key=row_keys([0, 1], [0, 0], [0, 0], 1),
                 match_count=np.array([1, 1]), volume_count=np.array([1, 1]), volume_totals=[2],
             )
+
+    @pytest.mark.parametrize(
+        "key, match_count, volume_count, message",
+        [
+            (row_keys([0, 0], [1, 0], [0, 0], 2), [1, 1], [1, 1], "row keys do not strictly ascend"),
+            (row_keys([0, 0], [0, 0], [3, 3], 2), [1, 1], [1, 1], "row keys do not strictly ascend"),
+            # bb's row before aa's: filed by a search of the keys, it would land under aa.
+            (row_keys([1, 0], [0, 0], [0, 5], 2), [1, 1], [1, 1], "row keys do not strictly ascend"),
+            (row_keys([0, 2], [0, 0], [0, 0], 2), [1, 1], [1, 1], "word_offsets do not ascend"),
+            ([-1, 0], [1, 1], [1, 1], "word_offsets do not ascend"),
+            (row_keys([0, 1], [0, 0], [0, 0], 2), [-1, 1], [1, 1], "column match_count holds a negative count"),
+            (row_keys([0, 1], [0, 0], [0, 0], 2), [1, 1], [1, -(2**40)], "column volume_count holds a negative count"),
+        ],
+        ids=[
+            "descending-in-word",
+            "repeated",
+            "descending-across-words",
+            "past-vocabulary",
+            "negative-key",
+            "negative-match",
+            "negative-volume",
+        ],
+    )
+    def test_from_rows_refuses_rows_outside_the_contract(self, key, match_count, volume_count, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            CorpusStore.from_rows(
+                "english", 1900, 1901, ["aa", "bb"], key=np.array(key),
+                match_count=np.array(match_count), volume_count=np.array(volume_count), volume_totals=[2, 2],
+            )
+
+    @pytest.mark.parametrize("rows_per_word, swap", [(4096, False), (5000, False), (5000, True), (4096, True)])
+    def test_row_order_is_checked_across_blocks(self, rows_per_word, swap):
+        """Rows 65,535 and 65,536 end one block and start the next: with words of 4096
+        rows they start a word, with words of 5000 rows they are both in one, and swapped they descend."""
+        span, n_words = 500, 18
+        key = (np.arange(n_words)[:, None] * span * POS_COUNT + np.arange(rows_per_word)).ravel()
+        ones = np.ones(len(key), dtype=np.int64)
+        store = CorpusStore.from_rows("english", 1, span, [f"w{i:02}" for i in range(n_words)], key, ones, ones, np.ones(span))
+        columns = {name: getattr(store, name).copy() for name in ("pos_id", "year_offset", "match_count", "volume_count")}
+        if swap:
+            for column in columns.values():
+                column[65535:65537] = column[65536:65534:-1]
+        refused = pytest.raises(ValueError, match=re.escape("store rows do not ascend by (year, pos id) within a word"))
+        with refused if swap else contextlib.nullcontext():
+            dataclasses.replace(store, **columns)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 4), st.sampled_from([1, 3, 300]), st.data())
+    def test_every_store_from_rows_accepts_round_trips(self, tmp_path_factory, n_words, span, data):
+        """Ascending keys inside the vocabulary, with counts up to each column width's largest."""
+        words = [f"w{i}" for i in range(n_words)]
+        keys = sorted(data.draw(st.sets(st.integers(0, n_words * span * POS_COUNT - 1), max_size=30)) if n_words else ())
+        # 30 rows of the i8 bound sum below 2**63.
+        bounds = st.sampled_from([2**8 - 1, 2**16 - 1, 2**32 - 1, (2**63 - 1) // 30])
+        match, volume = (data.draw(st.lists(st.integers(0, data.draw(bounds)), min_size=len(keys), max_size=len(keys))) for _ in "mv")
+        volume_totals = data.draw(st.lists(st.integers(0, 2**63 - 1), min_size=span, max_size=span))
+        store = CorpusStore.from_rows(
+            "english", 1900, 1900 + span - 1, words, key=np.array(keys, dtype=np.int64),
+            match_count=np.array(match, dtype=np.int64), volume_count=np.array(volume, dtype=np.int64),
+            volume_totals=volume_totals,
+        )
+        lexical = [0] * span
+        for k, count in zip(keys, match):
+            lexical[k // POS_COUNT % span] += count
+        assert store.lexical_totals.tolist() == lexical
+        path = tmp_path_factory.mktemp("round-trip") / "s.lxst"
+        digest = save_store(store, path)
+        loaded = load_store(path)
+        assert loaded.words == words and loaded.digest == digest
+        for name in ("word_offsets", "pos_id", "year_offset", "match_count", "volume_count", "lexical_totals", "volume_totals"):
+            column = getattr(loaded, name)
+            assert column.dtype == getattr(store, name).dtype and column.tolist() == getattr(store, name).tolist(), name
 
     @pytest.mark.parametrize("words", [b"dog\ncat\n", b"cat\ncat\n"], ids=["unsorted", "duplicated"])
     def test_load_refuses_words_not_ascending(self, hand_store, tmp_path, words):
