@@ -30,7 +30,7 @@ from pathlib import Path
 
 from lexcore.alphabets import alphabet_preset
 from lexcore.config import RunConfig
-from lexcore.errors import FormatVersionMismatch
+from lexcore.errors import ChecksumMismatch, FormatVersionMismatch
 from lexcore.ingest import build_store
 from lexcore.metrics import (
     core_size_for_coverage,
@@ -76,7 +76,7 @@ def main(argv: list[str] | None = None) -> int:
         try:
             store = load_store(store_path)
             print(f"reusing store {store_path}")
-        except FormatVersionMismatch as exc:
+        except (ChecksumMismatch, FormatVersionMismatch) as exc:  # an old, truncated or corrupt store
             print(f"{exc}; rebuilding it from {args.data_dir}")
     if store is None:
         shards = sorted(args.data_dir.glob("googlebooks-eng-all-1gram-*.gz"))

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import MISSING, Field, dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, TypeVar
@@ -72,8 +73,8 @@ def json_int(value: Any) -> int:
 
 
 def json_float(value: Any) -> float:
-    """A JSON number, as a float; ``"0.5"`` or true is a TypeError."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """A finite JSON number, as a float; ``"0.5"``, true, NaN or Infinity is an error."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise TypeError(value)
     return float(value)
 

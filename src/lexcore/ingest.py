@@ -103,9 +103,7 @@ def split_pos(token: str) -> tuple[str, PosTag]:
         if inner in SUFFIX_TAGS:
             raise WildcardToken(token)
     base, sep, tag = token.rpartition("_")
-    if sep and tag in SUFFIX_TAGS:
-        if not base:
-            raise WildcardToken(token)
+    if sep and tag in SUFFIX_TAGS:  # a base is never empty: "_TAG" is refused above
         return base, SUFFIX_TAGS[tag]
     return token, PosTag.UNTAGGED
 

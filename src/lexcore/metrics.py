@@ -11,6 +11,7 @@ import bisect
 import itertools
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -252,13 +253,8 @@ def pearson_correlation(xs: Sequence[float], ys: Sequence[float]) -> float:
 
 def pos_composition(core: Core) -> dict[PosTag, float]:
     """Share of each POS tag among the core's words (sums to 1)."""
-    if len(core) == 0:
-        return {}
-    counts: dict[PosTag, int] = {}
-    for tag in core.pos:
-        counts[tag] = counts.get(tag, 0) + 1
-    n = len(core)
-    return {tag: counts[tag] / n for tag in sorted(counts)}
+    counts = Counter(core.pos)
+    return {tag: counts[tag] / len(core) for tag in sorted(counts)}
 
 
 def pos_dropout(old: Core, new: Core) -> dict[PosTag, float]:
@@ -267,13 +263,9 @@ def pos_dropout(old: Core, new: Core) -> dict[PosTag, float]:
     Tags absent from the old core are omitted.
     """
     new_words = new.word_set
-    totals: dict[PosTag, int] = {}
-    lost: dict[PosTag, int] = {}
-    for word, tag in zip(old.words, old.pos):
-        totals[tag] = totals.get(tag, 0) + 1
-        if word not in new_words:
-            lost[tag] = lost.get(tag, 0) + 1
-    return {tag: lost.get(tag, 0) / totals[tag] for tag in sorted(totals)}
+    totals = Counter(old.pos)
+    lost = Counter(tag for word, tag in zip(old.words, old.pos) if word not in new_words)
+    return {tag: lost[tag] / totals[tag] for tag in sorted(totals)}
 
 
 def core_size_for_coverage(table: WindowTable, target: float) -> int:

@@ -33,8 +33,11 @@ SHA-256 digest is the store's identity: :func:`save_store` returns it
 and :func:`load_store` records it as :attr:`CorpusStore.digest` (hex).
 
 One contract holds for every store, built or loaded, and
-:class:`CorpusStore` checks it when constructed: words strictly ascend;
-word offsets ascend from 0 to the row count; pos ids are below
+:class:`CorpusStore` checks it when constructed: the language is a
+string; words strictly ascend and none is empty; ``word_offsets`` holds
+one entry more than the words, each row column ``word_offsets[-1]``
+values and each year column one per year of the span; word offsets
+ascend from 0 to the row count; pos ids are below
 ``POS_COUNT`` and year offsets below the span; counts and totals are
 non-negative; within each word, rows strictly ascend by (year offset,
 pos id); and each year's lexical total is the sum of its rows' match
@@ -123,10 +126,17 @@ class CorpusStore:
     digest: str | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.language, str):
+            raise ValueError(f"store language {self.language!r} is not a string")
         if not all(map(operator.lt, self.words, itertools.islice(self.words, 1, None))):
             raise ValueError("store words are not strictly ascending")
-        # Every value a query indexes with or sums is bounded here, once.
+        if self.words[:1] == [""]:  # words ascend, so an empty one is first
+            raise ValueError("a store word is empty")
         offsets, n_rows, span = self.word_offsets, len(self.pos_id), self.year_end - self.year_start + 1
+        for name, length in _column_lengths(n_rows, len(self.words), span).items():
+            if (column := getattr(self, name)) is not None and len(column) != length:
+                raise ValueError(f"column {name} holds {len(column)} values, not {length}")
+        # Every value a query indexes with or sums is bounded here, once.
         if offsets[0] != 0 or offsets[-1] != n_rows or np.any(offsets[1:] < offsets[:-1]):
             raise ValueError("word_offsets do not ascend from 0 to the row count")
         for name, bound in (("pos_id", POS_COUNT), ("year_offset", span)):  # one total a year
@@ -219,10 +229,10 @@ class CorpusStore:
         return range(self.year_start, self.year_end + 1)
 
 
-def _column_lengths(header: dict) -> dict[str, int]:
-    n_rows, span = header["n_rows"], header["year_end"] - header["year_start"] + 1
+def _column_lengths(n_rows: int, n_words: int, span: int) -> dict[str, int]:
+    """Each column's length: a word offset per word and one more, a row value per row, a total per year."""
     lengths = dict.fromkeys(_COLUMNS, n_rows)
-    lengths.update(word_offsets=header["n_words"] + 1, lexical_totals=span, volume_totals=span)
+    lengths.update(word_offsets=n_words + 1, lexical_totals=span, volume_totals=span)
     return lengths
 
 
@@ -244,7 +254,10 @@ def save_store(store: CorpusStore, path: str | Path) -> str:
     The file is written beside ``path`` and then renamed over it, so a
     reader that has the old file mapped keeps seeing the old bytes.
     """
-    words_blob = "\n".join(store.words).encode("utf-8")
+    words_blob = "\n".join(store.words)
+    if words_blob.count("\n") > max(len(store.words) - 1, 0):  # the blob is split at newlines on load
+        raise ValueError("a store word holds a newline")
+    words_blob = words_blob.encode("utf-8")
     columns = {}
     for name in _COLUMNS:
         column = np.asarray(getattr(store, name))
@@ -259,11 +272,12 @@ def save_store(store: CorpusStore, path: str | Path) -> str:
         "columns": {},
     }
     dtypes = {name: column.dtype.str for name, column in columns.items()}
+    lengths = {name: len(column) for name, column in columns.items()}
     # The offsets depend on the header's length, which depends on the
     # offsets; both only grow, so this settles within a few rounds.
     while True:
         header_blob = json.dumps(header, sort_keys=True).encode("utf-8")
-        layout, _ = _layout(_PREAMBLE + len(header_blob) + len(words_blob), dtypes, _column_lengths(header))
+        layout, _ = _layout(_PREAMBLE + len(header_blob) + len(words_blob), dtypes, lengths)
         if layout == header["columns"]:
             break
         header["columns"] = layout
@@ -312,7 +326,7 @@ def load_store(path: str | Path) -> CorpusStore:
     try:
         header = json.loads(mapped[_PREAMBLE:pos])
         words_blob = mapped[pos : pos + header["words_bytes"]]
-        lengths = _column_lengths(header)
+        lengths = _column_lengths(header["n_rows"], header["n_words"], header["year_end"] - header["year_start"] + 1)
         recorded = header["columns"]
         layout, stop = _layout(pos + len(words_blob), {name: recorded[name]["dtype"] for name in _COLUMNS}, lengths)
     except (KeyError, TypeError, ValueError) as exc:

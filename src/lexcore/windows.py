@@ -85,11 +85,7 @@ def standard_windows(year_start: int, year_end: int, width: int = 50) -> list[Wi
         raise ValueError("width must be >= 1")
     if year_start > year_end:
         raise ValueError(f"span inverted: {year_start}..{year_end}")
-    specs = []
-    start = year_start
-    while start <= year_end:
-        specs.append(WindowSpec(start, min(start + width - 1, year_end)))
-        start += width
+    specs = [WindowSpec(start, min(start + width - 1, year_end)) for start in range(year_start, year_end + 1, width)]
     if len(specs) < 2:
         raise SpanTooShort(
             f"span {year_start}..{year_end} yields {len(specs)} window(s) of width {width}"

@@ -427,7 +427,7 @@ def test_full_data_script_runs_on_a_synthetic_corpus(tmp_path, capsys):
 
     The published targets do not hold on synthetic data, so it returns 1,
     but it writes all 16 named checks with finite values; a second run
-    reuses the store.
+    reuses the store, and a third rebuilds it once it is truncated.
     """
     config = SynthConfig(vocabulary=300, year_start=1676, year_end=2008, tokens_per_year=30_000, churn=0.0,
                          volumes_per_year=50)
@@ -442,9 +442,12 @@ def test_full_data_script_runs_on_a_synthetic_corpus(tmp_path, capsys):
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     work = tmp_path / "work"
-    for reused in (False, True):
+    for run in ("build", "reuse", "truncated"):
+        if run == "truncated":
+            store = work / "english.lxst"
+            store.write_bytes(store.read_bytes()[:-100])
         assert script.main([str(data), str(work), "--threads", "1"]) == 1
         checks = json.loads((work / "full_data_results.json").read_text(encoding="utf-8"))
         assert len({c["name"] for c in checks}) == len(checks) == 16
         assert all(math.isfinite(c["value"]) for c in checks)
-        assert ("reusing store" in capsys.readouterr().out) == reused
+        assert ("reusing store" in capsys.readouterr().out) == (run == "reuse")

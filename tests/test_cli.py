@@ -448,7 +448,7 @@ class TestCoreCommand:
         payload = bytearray(path.read_bytes()[:-32])
         header = json.loads(payload[12 : 12 + struct.unpack_from("<I", payload, 8)[0]])
         spec = header["columns"][column]
-        count = _column_lengths(header)[column]
+        count = _column_lengths(header["n_rows"], header["n_words"], header["year_end"] - header["year_start"] + 1)[column]
         values = np.frombuffer(payload, dtype=spec["dtype"], count=count, offset=spec["offset"])
         assert values[index] != value
         values[index] = value
@@ -460,6 +460,20 @@ class TestCoreCommand:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith(f"error: {path}: ") and column in err
+        assert "Traceback" not in err
+
+    def test_store_language_not_a_string_is_data_error(self, tmp_path, capsys):
+        """The fixtures/tiny store with its header's language set to a list, padded to length and signed anew."""
+        tiny = Path(__file__).parents[1] / "fixtures" / "tiny"
+        argv = ["ingest", str(tiny / "shard-0.tsv"), "--config", str(tiny / "config.json")]
+        assert main([*argv, "--volumes", str(tiny / "volumes.tsv"), "--out", str(tmp_path / "store")]) == 0
+        path = tmp_path / "store" / "store.lxst"
+        rewrite_store(path, b'"language": "english"', b'"language": [1]      ')
+        capsys.readouterr()
+        rc = main(["core", "--store", str(path), "--window", "1900:1902", "--k", "3", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {path}: ") and "language [1] is not a string" in err
         assert "Traceback" not in err
 
     def test_store_rows_out_of_order_is_data_error(self, tmp_path, capsys):
@@ -1185,6 +1199,12 @@ _RUN_JSON = {"version": 1, "language": "english", "alphabet": "english", "year_s
         ("synth", dict(_SYNTH_JSON, churn=True), "'churn'"),
         ("synth", dict(_SYNTH_JSON, seed=4.7), "'seed'"),
         ("synth", dict(_SYNTH_JSON, seed=-1), "seed must be >= 0"),
+        ("synth", dict(_SYNTH_JSON, zipf_exponent=float("nan")), "'zipf_exponent'"),
+        ("synth", dict(_SYNTH_JSON, zipf_exponent=float("inf")), "'zipf_exponent'"),
+        ("synth", dict(_SYNTH_JSON, decay_factor=float("nan")), "'decay_factor'"),
+        ("synth", dict(_SYNTH_JSON, decay_factor=float("-inf")), "'decay_factor'"),
+        ("synth", dict(_SYNTH_JSON, tag_weights={"NOUN": float("nan")}), "'tag_weights'"),
+        ("synth", dict(_SYNTH_JSON, tag_weights={"NOUN": float("inf")}), "'tag_weights'"),
     ],
     ids=[
         "synth-churn-null",
@@ -1211,6 +1231,12 @@ _RUN_JSON = {"version": 1, "language": "english", "alphabet": "english", "year_s
         "synth-churn-bool",
         "synth-seed-fractional",
         "synth-seed-negative",
+        "synth-zipf-exponent-nan",
+        "synth-zipf-exponent-infinity",
+        "synth-decay-factor-nan",
+        "synth-decay-factor-minus-infinity",
+        "synth-tag-weight-nan",
+        "synth-tag-weight-infinity",
     ],
 )
 def test_hostile_config_is_data_error(tmp_path, capsys, command, doc, named):

@@ -265,16 +265,22 @@ class TestPersistence:
             )
 
     @pytest.mark.parametrize(
-        "key, match_count, volume_count, message",
+        "key, match_count, volume_count, message, changes",
         [
-            (row_keys([0, 0], [1, 0], [0, 0], 2), [1, 1], [1, 1], "row keys do not strictly ascend"),
-            (row_keys([0, 0], [0, 0], [3, 3], 2), [1, 1], [1, 1], "row keys do not strictly ascend"),
+            (row_keys([0, 0], [1, 0], [0, 0], 2), [1, 1], [1, 1], "row keys do not strictly ascend", {}),
+            (row_keys([0, 0], [0, 0], [3, 3], 2), [1, 1], [1, 1], "row keys do not strictly ascend", {}),
             # bb's row before aa's: filed by a search of the keys, it would land under aa.
-            (row_keys([1, 0], [0, 0], [0, 5], 2), [1, 1], [1, 1], "row keys do not strictly ascend"),
-            (row_keys([0, 2], [0, 0], [0, 0], 2), [1, 1], [1, 1], "word_offsets do not ascend"),
-            ([-1, 0], [1, 1], [1, 1], "word_offsets do not ascend"),
-            (row_keys([0, 1], [0, 0], [0, 0], 2), [-1, 1], [1, 1], "column match_count holds a negative count"),
-            (row_keys([0, 1], [0, 0], [0, 0], 2), [1, 1], [1, -(2**40)], "column volume_count holds a negative count"),
+            (row_keys([1, 0], [0, 0], [0, 5], 2), [1, 1], [1, 1], "row keys do not strictly ascend", {}),
+            (row_keys([0, 2], [0, 0], [0, 0], 2), [1, 1], [1, 1], "word_offsets do not ascend", {}),
+            ([-1, 0], [1, 1], [1, 1], "word_offsets do not ascend", {}),
+            (row_keys([0, 1], [0, 0], [0, 0], 2), [-1, 1], [1, 1], "column match_count holds a negative count", {}),
+            (row_keys([0, 1], [0, 0], [0, 0], 2), [1, 1], [1, -(2**40)], "column volume_count holds a negative count", {}),
+            # A store file cannot hold these: page padding would hide the extra value, or the load would refuse it.
+            (row_keys([0, 1], [0, 0], [0, 0], 2), [1, 1], [1, 1, 1], "column volume_count holds 3 values, not 2", {}),
+            (row_keys([0, 1], [0, 0], [0, 0], 1), [1, 1], [1, 1], "column volume_totals holds 2 values, not 1", {"year_end": 1900}),
+            (row_keys([0], [0], [0], 2), [1], [1], "a store word is empty", {"words": [""]}),
+            (row_keys([0, 1], [0, 0], [0, 0], 2), [1, 1], [1, 1], "a store word holds a newline", {"words": ["a\nb", "bb"]}),
+            (row_keys([0, 1], [0, 0], [0, 0], 2), [1, 1], [1, 1], "store language ['x'] is not a string", {"language": ["x"]}),
         ],
         ids=[
             "descending-in-word",
@@ -284,14 +290,29 @@ class TestPersistence:
             "negative-key",
             "negative-match",
             "negative-volume",
+            "volume-count-too-long",
+            "two-totals-one-year",
+            "empty-word",
+            "newline-in-word",
+            "language-not-str",
         ],
     )
-    def test_from_rows_refuses_rows_outside_the_contract(self, key, match_count, volume_count, message):
+    def test_from_rows_refuses_rows_outside_the_contract(self, tmp_path, key, match_count, volume_count, message, changes):
+        """``from_rows`` refuses a store outside the contract, and ``save_store`` one its file cannot hold."""
+        args = {"language": "english", "year_start": 1900, "year_end": 1901, "words": ["aa", "bb"], "volume_totals": [2, 2]}
         with pytest.raises(ValueError, match=re.escape(message)):
-            CorpusStore.from_rows(
-                "english", 1900, 1901, ["aa", "bb"], key=np.array(key),
-                match_count=np.array(match_count), volume_count=np.array(volume_count), volume_totals=[2, 2],
+            store = CorpusStore.from_rows(
+                **{**args, **changes}, key=np.array(key), match_count=np.array(match_count), volume_count=np.array(volume_count)
             )
+            save_store(store, tmp_path / "s.lxst")
+
+    def test_word_offsets_hold_one_entry_more_than_the_words(self):
+        store = CorpusStore.from_rows(
+            "english", 1900, 1901, ["aa", "bb"], key=row_keys([0, 1], [0, 0], [0, 0], 2),
+            match_count=np.array([1, 1]), volume_count=np.array([1, 1]), volume_totals=[2, 2],
+        )
+        with pytest.raises(ValueError, match=re.escape("column word_offsets holds 3 values, not 2")):
+            dataclasses.replace(store, words=["aa"])
 
     @pytest.mark.parametrize("rows_per_word, swap", [(4096, False), (5000, False), (5000, True), (4096, True)])
     def test_row_order_is_checked_across_blocks(self, rows_per_word, swap):
