@@ -6,11 +6,6 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigInvalid
 
-# Both the ASCII apostrophe and the right single quotation mark count as
-# apostrophes; ingestion normalizes the latter to U+0027.
-APOSTROPHE = "'"
-APOSTROPHE_VARIANTS = frozenset({"'", "’"})
-
 _ASCII = "abcdefghijklmnopqrstuvwxyz"
 
 

@@ -5,10 +5,6 @@ class LexcoreError(Exception):
     """Base class for all lexcore errors."""
 
 
-class WildcardToken(LexcoreError):
-    """A POS-only synthetic token (e.g. ``_NOUN_``) that must be discarded."""
-
-
 class EmptyYearError(LexcoreError):
     """A year inside the configured range has no lexical tokens."""
 

@@ -4,11 +4,12 @@ A shard is an (optionally gzip-compressed) TSV file with one record per
 line: ``token<TAB>year<TAB>match_count<TAB>volume_count``, UTF-8.  Tokens
 may carry a trailing ``_TAG`` part-of-speech suffix.
 
-Cleaning applies three rules:
+Cleaning applies two rules:
 
-* only lexical tokens are kept (alphabet letters plus at most one
-  apostrophe, see :mod:`lexcore.alphabets`);
-* POS-only wildcard rows (``_NOUN_``) are discarded;
+* the token rule, whose one home is :meth:`_TokenTable._key_base`:
+  POS-only wildcard rows (``_NOUN_``) are discarded, and a token is kept
+  when, its ``_TAG`` suffix split off, it is a word of the config's
+  alphabet (see :class:`lexcore.alphabets.AlphabetSpec`);
 * for every word, POS variants whose corpus-wide count does not exceed
   1% of the word's total are dropped (the largest variant always stays).
 
@@ -50,15 +51,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .alphabets import APOSTROPHE, APOSTROPHE_VARIANTS, AlphabetSpec
 from .config import RunConfig
-from .errors import LexcoreError, WildcardToken
+from .errors import LexcoreError
 from .postags import POS_COUNT, SUFFIX_TAGS, PosTag
 from .store import CorpusStore, group_sum, index_sum, pos_totals, read_volume_sidecar, run_rows
 
 log = logging.getLogger(__name__)
 
-__all__ = ["IngestStats", "split_pos", "is_lexical", "build_store"]
+__all__ = ["IngestStats", "build_store"]
 
 
 @dataclass
@@ -87,48 +87,6 @@ class IngestStats:
 
     def to_dict(self) -> dict:
         return {**self.__dict__, "empty_years": sorted(self.empty_years)}
-
-
-def split_pos(token: str) -> tuple[str, PosTag]:
-    """Split a ``word_TAG`` token into its word and POS tag.
-
-    Tokens without a recognized suffix come back as ``UNTAGGED``.  Pure
-    wildcard rows such as ``_NOUN_`` or ``_NOUN`` carry no word content
-    and raise :class:`WildcardToken`.
-    """
-    if not token:
-        raise ValueError("empty token")
-    if token[0] == "_":
-        inner = token[1:-1] if len(token) > 2 and token[-1] == "_" else token[1:]
-        if inner in SUFFIX_TAGS:
-            raise WildcardToken(token)
-    base, sep, tag = token.rpartition("_")
-    if sep and tag in SUFFIX_TAGS:  # a base is never empty: "_TAG" is refused above
-        return base, SUFFIX_TAGS[tag]
-    return token, PosTag.UNTAGGED
-
-
-def is_lexical(word: str, alphabet: AlphabetSpec) -> bool:
-    """True iff ``word`` is made of alphabet letters plus allowed apostrophes.
-
-    At least one character must be a letter, and the apostrophe count may
-    not exceed ``alphabet.max_apostrophes``.
-    """
-    if not word:
-        return False
-    letters = 0
-    apostrophes = 0
-    allowed = alphabet.letters
-    for ch in word:
-        if ch in allowed:
-            letters += 1
-        elif ch in APOSTROPHE_VARIANTS:
-            apostrophes += 1
-            if not alphabet.apostrophe_allowed or apostrophes > alphabet.max_apostrophes:
-                return False
-        else:
-            return False
-    return letters >= 1
 
 
 _CHUNK_BYTES = 1 << 20
@@ -160,6 +118,9 @@ class _TokenTable:
 
     def __init__(self, config: RunConfig) -> None:
         self.config, self.span = config, config.year_end - config.year_start + 1
+        alphabet = config.alphabet
+        self.allowed = alphabet.letters | {"'"}
+        self.max_apostrophes = alphabet.max_apostrophes if alphabet.apostrophe_allowed else 0
         self.ids: dict[bytes, int] = {}  # token bytes -> token id
         self.bases = np.empty(1024, dtype=np.int64)  # key base by token id, grown by doubling
         self.word_ids: dict[str, int] = {}
@@ -182,16 +143,31 @@ class _TokenTable:
         return tid, self.bases[tid]
 
     def _key_base(self, raw: bytes) -> int:
+        """The token rule: a token's key base, or the code that drops its rows.
+
+        The token is decoded as UTF-8; a POS-only wildcard (``_NOUN_``,
+        ``_NOUN``) is refused; a known ``_TAG`` suffix is split off as the
+        pos, else the token is untagged; U+2019 becomes ``'``; the case is
+        folded under ``fold_case``.  The word is lexical iff it holds at
+        least one alphabet letter, nothing but letters besides, and at
+        most ``max_apostrophes`` apostrophes (none unless
+        ``apostrophe_allowed``).
+        """
         try:
-            word, pos = split_pos(raw.decode("utf-8"))
+            token = raw.decode("utf-8")
         except UnicodeDecodeError:
             return _NOT_UTF8
-        except WildcardToken:
+        if token[:1] == "_" and token[1:].removesuffix("_") in SUFFIX_TAGS:
             return _WILDCARD
-        # Typographic apostrophes (U+2019) map to the ASCII form.
-        word = word.replace("’", APOSTROPHE)
-        word = word.lower() if self.config.fold_case else word
-        if not is_lexical(word, self.config.alphabet):
+        word, sep, tag = token.rpartition("_")
+        pos = SUFFIX_TAGS.get(tag) if sep else None
+        if pos is None:
+            word, pos = token, PosTag.UNTAGGED
+        word = word.replace("\u2019", "'")
+        if self.config.fold_case:
+            word = word.lower()
+        apostrophes = word.count("'")
+        if apostrophes > self.max_apostrophes or apostrophes == len(word) or not self.allowed.issuperset(word):
             return _NONLEXICAL
         return self.word_ids.setdefault(word, len(self.word_ids)) * self.span * POS_COUNT + int(pos)
 

@@ -27,8 +27,10 @@ records each column's dtype and offset.
 :func:`load_store` maps the file and returns read-only views of it, with
 no copy.  The whole file except the trailing digest is checksummed;
 truncation or corruption raises :class:`ChecksumMismatch`, and an unknown
-magic or version, such as a version-1 file, or a header that does not
-describe the layout raises :class:`FormatVersionMismatch`.  That trailing
+magic or version, such as a version-1 file, or a header any field of
+which disagrees with the file raises :class:`FormatVersionMismatch`: the
+word list holds no NUL and only zero padding follows it, so
+``words_bytes`` is its length.  That trailing
 SHA-256 digest is the store's identity: :func:`save_store` returns it
 and :func:`load_store` records it as :attr:`CorpusStore.digest` (hex).
 
@@ -241,7 +243,7 @@ def _layout(start: int, dtypes: dict[str, str], lengths: dict[str, int]) -> tupl
     layout, pos = {}, start
     for name, allowed in _COLUMNS.items():
         if dtypes[name] not in allowed:
-            raise FormatVersionMismatch(f"column {name}: dtype {dtypes[name]!r} is not one of {allowed}")
+            raise ValueError(f"column {name}: dtype {dtypes[name]!r} is not one of {allowed}")
         pos = -(-pos // _PAGE) * _PAGE
         layout[name] = {"dtype": dtypes[name], "offset": pos}
         pos += np.dtype(dtypes[name]).itemsize * lengths[name]
@@ -257,6 +259,8 @@ def save_store(store: CorpusStore, path: str | Path) -> str:
     words_blob = "\n".join(store.words)
     if words_blob.count("\n") > max(len(store.words) - 1, 0):  # the blob is split at newlines on load
         raise ValueError("a store word holds a newline")
+    if "\0" in words_blob:  # the load tells the blob's end from the zero padding after it
+        raise ValueError("a store word holds a NUL")
     words_blob = words_blob.encode("utf-8")
     columns = {}
     for name in _COLUMNS:
@@ -325,17 +329,25 @@ def load_store(path: str | Path) -> CorpusStore:
     pos = _PREAMBLE + header_len
     try:
         header = json.loads(mapped[_PREAMBLE:pos])
-        words_blob = mapped[pos : pos + header["words_bytes"]]
+        if any(type(header[key]) is not int for key in ("year_start", "year_end", "n_rows", "n_words", "words_bytes")):
+            raise ValueError("a year or count of the header is not an integer")
+        words_end = pos + header["words_bytes"]
+        words_blob = mapped[pos:words_end]
         lengths = _column_lengths(header["n_rows"], header["n_words"], header["year_end"] - header["year_start"] + 1)
         recorded = header["columns"]
-        layout, stop = _layout(pos + len(words_blob), {name: recorded[name]["dtype"] for name in _COLUMNS}, lengths)
+        layout, stop = _layout(words_end, {name: recorded[name]["dtype"] for name in _COLUMNS}, lengths)
+        # The word list holds no NUL, and only zero padding follows it, so
+        # words_bytes is its true length.
+        padding = mapped[words_end : layout["word_offsets"]["offset"]]
+        if len(words_blob) != header["words_bytes"] or b"\0" in words_blob or padding.count(0) != len(padding):
+            raise ValueError(f"words_bytes {header['words_bytes']} is not the length of the word list")
+        words = str(words_blob, "utf-8").split("\n") if words_blob else []
+        if len(words) != header["n_words"]:
+            raise ValueError(f"the word list holds {len(words)} words, not n_words {header['n_words']}")
+        if layout != recorded or stop != end:
+            raise ValueError("the column layout does not match the header")
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatVersionMismatch(f"{path}: header does not describe a version-{FORMAT_VERSION} store ({exc!r})") from None
-    words = str(words_blob, "utf-8").split("\n") if words_blob else []
-    if len(words) != header["n_words"]:
-        raise ChecksumMismatch(f"{path}: dictionary size mismatch")
-    if layout != recorded or stop != end:
-        raise ChecksumMismatch(f"{path}: column layout does not match the header")
     columns = {
         name: np.frombuffer(mapped, dtype=spec["dtype"], count=lengths[name], offset=spec["offset"])
         for name, spec in layout.items()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import re
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
@@ -134,6 +135,19 @@ def rewrite_store(path: Path, old: bytes, new: bytes) -> None:
     path.write_bytes(payload + hashlib.sha256(payload).digest())
 
 
+# Edits of one header field of the fixtures/tiny store, or of the hand
+# fixture's, which has the same words and layout; signed anew, each file
+# verifies, but its header does not describe it.
+HEADER_EDITS = {
+    **{f"words_bytes-{n}": (b'"words_bytes": 32', b'"words_bytes": %d' % n) for n in (30, 31, 33, 40)},
+    "pos_id-dtype": (b'"pos_id": {"dtype": "|u1"', b'"pos_id": {"dtype": "|i1"'),
+    "n_words": (b'"n_words": 7', b'"n_words": 8'),
+    "column-offset": (b'"offset": 8192', b'"offset": 8200'),
+    "year_end": (b'"year_end": 1904', b'"year_end": 1905'),
+    "year_start-float": (b'"year_start": 1900', b'"year_start": 19e2'),
+}
+
+
 def table_words(table: WindowTable) -> list[str]:
     """The words of a window table, decoded from its store ids."""
     return [table.store.words[i] for i in table.word_ids.tolist()]
@@ -179,6 +193,48 @@ def relative_frequency(store: CorpusStore, word: str, year: int) -> float:
     if total == 0:
         raise EmptyYearError(f"year {year} has no lexical tokens")
     return sum(m for w, _, y, m, _ in iter_clean_records(store) if w == word and y == year) / total
+
+
+# ---------------------------------------------------------------- token oracle
+# The token rule written out again without lexcore's code: the
+# reference that ingest's one token function is checked against.
+
+TAG_NAMES = ("NOUN", "VERB", "ADJ", "ADV", "PRON", "DET", "ADP", "NUM", "CONJ", "PRT", "X")  # pos ids 0-10
+UNTAGGED = len(TAG_NAMES)  # the pos id of a token without a tag suffix
+_TAG = "|".join(TAG_NAMES)
+
+
+def classify_token(token: str | bytes, config) -> tuple[str, int] | str:
+    """The (word, pos id) a token's rows count toward, or the counter that drops them.
+
+    A token that is not UTF-8 makes its rows ``malformed``; a POS-only
+    wildcard counts toward ``wildcard_rows``; a word that is not one of
+    ``config.alphabet``'s toward ``nonlexical_rows``.
+    """
+    if isinstance(token, bytes):
+        try:
+            token = token.decode("utf-8")
+        except UnicodeDecodeError:
+            return "malformed"
+    if re.fullmatch(f"_({_TAG})_?", token):
+        return "wildcard_rows"
+    tagged = re.fullmatch(f"(.+)_({_TAG})", token, re.DOTALL)
+    word, pos = (tagged[1], TAG_NAMES.index(tagged[2])) if tagged else (token, UNTAGGED)
+    word = word.replace("\N{RIGHT SINGLE QUOTATION MARK}", "'")
+    if config.fold_case:
+        word = word.lower()
+    alphabet = config.alphabet
+    letters = apostrophes = 0
+    for ch in word:
+        if ch in alphabet.letters:
+            letters += 1
+        elif ch == "'":
+            apostrophes += 1
+        else:
+            return "nonlexical_rows"
+    if letters == 0 or apostrophes > (alphabet.max_apostrophes if alphabet.apostrophe_allowed else 0):
+        return "nonlexical_rows"
+    return word, pos
 
 
 # ---------------------------------------------------------------- shard oracles

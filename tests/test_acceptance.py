@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from lexcore.cli import main
-from lexcore.ingest import build_store, is_lexical, split_pos
+from lexcore.ingest import build_store
 from lexcore.metrics import (
     core_size_for_coverage,
     coverage_series,
@@ -39,7 +39,7 @@ from lexcore.store import load_store, save_store
 from lexcore.synth import SynthConfig, generate_corpus
 from lexcore.windows import WindowSpec, aggregate_window, frequency_core, standard_windows
 
-from conftest import english_config, make_core, one_row_store, read_shard, table_words
+from conftest import classify_token, english_config, make_core, one_row_store, read_shard, table_words
 
 
 def report(n: int, desc: str, ok: bool, detail: str = "") -> None:
@@ -285,8 +285,9 @@ def test_criterion_6_brute_force_equivalence(fixture_10k):
         rows, stats = read_shard(path.read_bytes(), 1990, 1999)
         assert stats["lines"] == len(rows)
         for token, _, match, volumes in rows:
-            word, _ = split_pos(token)
-            assert is_lexical(word, config.alphabet)
+            kept = classify_token(token, config)
+            assert isinstance(kept, tuple), token
+            word = kept[0]
             counts[word] = counts.get(word, 0) + match
             vols[word] = vols.get(word, 0) + volumes
     total = sum(counts.values())

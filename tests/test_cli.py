@@ -21,7 +21,7 @@ from lexcore.config import params_hash
 from lexcore.store import _column_lengths, load_store, save_store
 from lexcore.synth import PRESETS
 
-from conftest import rewrite_store
+from conftest import HEADER_EDITS, rewrite_store
 
 GOOD_LINES = "".join(f"word{chr(97 + i % 26)}\t{1800 + i % 200}\t{i + 1}\t1\n" for i in range(300))
 
@@ -74,6 +74,14 @@ def _corrupt_gzip(data: bytes) -> bytes:
     blob = bytearray(gzip.compress(data, mtime=0))
     blob[40:60] = bytes(b ^ 0xFF for b in blob[40:60])
     return bytes(blob)
+
+
+def _tiny_store(tmp_path: Path) -> Path:
+    """The fixtures/tiny corpus ingested under ``tmp_path``; the store's path."""
+    tiny = Path(__file__).parents[1] / "fixtures" / "tiny"
+    argv = ["ingest", str(tiny / "shard-0.tsv"), "--config", str(tiny / "config.json"), "--volumes", str(tiny / "volumes.tsv")]
+    assert main([*argv, "--out", str(tmp_path / "store")]) == 0
+    return tmp_path / "store" / "store.lxst"
 
 
 def _manifest(run_dir: Path) -> dict:
@@ -441,10 +449,7 @@ class TestCoreCommand:
 
         Unbounded, each edit would end its query in an IndexError or a wrong answer.
         """
-        tiny = Path(__file__).parents[1] / "fixtures" / "tiny"
-        argv = ["ingest", str(tiny / "shard-0.tsv"), "--config", str(tiny / "config.json")]
-        assert main([*argv, "--volumes", str(tiny / "volumes.tsv"), "--out", str(tmp_path / "store")]) == 0
-        path = tmp_path / "store" / "store.lxst"
+        path = _tiny_store(tmp_path)
         payload = bytearray(path.read_bytes()[:-32])
         header = json.loads(payload[12 : 12 + struct.unpack_from("<I", payload, 8)[0]])
         spec = header["columns"][column]
@@ -464,10 +469,7 @@ class TestCoreCommand:
 
     def test_store_language_not_a_string_is_data_error(self, tmp_path, capsys):
         """The fixtures/tiny store with its header's language set to a list, padded to length and signed anew."""
-        tiny = Path(__file__).parents[1] / "fixtures" / "tiny"
-        argv = ["ingest", str(tiny / "shard-0.tsv"), "--config", str(tiny / "config.json")]
-        assert main([*argv, "--volumes", str(tiny / "volumes.tsv"), "--out", str(tmp_path / "store")]) == 0
-        path = tmp_path / "store" / "store.lxst"
+        path = _tiny_store(tmp_path)
         rewrite_store(path, b'"language": "english"', b'"language": [1]      ')
         capsys.readouterr()
         rc = main(["core", "--store", str(path), "--window", "1900:1902", "--k", "3", "--out", str(tmp_path / "out")])
@@ -476,16 +478,25 @@ class TestCoreCommand:
         assert err.startswith(f"error: {path}: ") and "language [1] is not a string" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("old, new", HEADER_EDITS.values(), ids=HEADER_EDITS)
+    def test_store_header_that_disagrees_with_the_file_is_data_error(self, tmp_path, capsys, old, new):
+        """The fixtures/tiny store with one header field edited and signed anew: no core, and an error naming the file."""
+        path = _tiny_store(tmp_path)
+        rewrite_store(path, old, new)
+        capsys.readouterr()
+        rc = main(["core", "--store", str(path), "--window", "1900:1904", "--k", "7", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {path}: header does not describe") and "Traceback" not in err
+        assert not list((tmp_path / "out").glob("core_*"))
+
     def test_store_rows_out_of_order_is_data_error(self, tmp_path, capsys):
         """A store whose first word's first two rows (cat, 1900 and 1901) are swapped and signed anew.
 
         Its values are all in range and its totals agree, but a window's rows
         are found by year order within a word, so the query would read the wrong rows.
         """
-        tiny = Path(__file__).parents[1] / "fixtures" / "tiny"
-        argv = ["ingest", str(tiny / "shard-0.tsv"), "--config", str(tiny / "config.json")]
-        assert main([*argv, "--volumes", str(tiny / "volumes.tsv"), "--out", str(tmp_path / "store")]) == 0
-        path = tmp_path / "store" / "store.lxst"
+        path = _tiny_store(tmp_path)
         assert load_store(path).year[:2].tolist() == [1900, 1901]
         payload = bytearray(path.read_bytes()[:-32])
         header = json.loads(payload[12 : 12 + struct.unpack_from("<I", payload, 8)[0]])
@@ -723,6 +734,56 @@ class TestMetricCommands:
         assert (tmp_path / "out" / "group_top5.csv").exists()
 
 
+def _csv_values(path: Path) -> dict[str, float]:
+    """A CSV output's rows below its header, as key -> value."""
+    return {key: float(value) for key, value in (line.split(",") for line in path.read_text().splitlines()[1:])}
+
+
+def _json_values(doc: dict) -> dict[str, float]:
+    """A JSON output's values, keyed as the rows of its CSV form."""
+    if "points" in doc:
+        return {str(x): y for x, y in doc["points"]}
+    if "values" in doc:
+        return doc["values"]
+    only = {"only_a": len(doc["only_a"]), "only_b": len(doc["only_b"])}
+    counts = {key: doc[key] for key in ("size_a", "size_b", "shared", "overlap_pct", "jaccard")}
+    return {**counts, **only, "symmetric_difference": sum(only.values())}
+
+
+# Each query, and the kind of each of its outputs, by output stem.
+_QUERY_OUTPUTS = [
+    (["turnover", "--k", "200"], {"turnover": "series"}),
+    (["coverage", "--window", "1800:1849", "--k", "200"], {"coverage_1800-1849": "series"}),
+    (["overlap", "--window", "1950:1999", "--threshold", "0.5"], {"overlap": "overlap"}),
+    (["correlate", "--window", "1950:1999"], {"correlation": "correlation"}),
+    (
+        ["pos", "--window", "1800:1849", "--window2", "1850:1899", "--k", "200"],
+        {"pos_composition": "pos_composition", "pos_dropout": "pos_dropout"},
+    ),
+    (
+        ["transition", "--window", "1800:1849", "--window2", "1950:1999", "--k", "200"],
+        {"transition": "transition", "coverage_both": "series", "coverage_only_old": "series", "coverage_only_new": "series"},
+    ),
+    (["group", "--words", "WORDS", "--name", "sample"], {"group_sample": "series"}),
+]
+
+
+@pytest.mark.parametrize("argv, kinds", _QUERY_OUTPUTS, ids=[argv[0] for argv, _ in _QUERY_OUTPUTS])
+def test_json_output_holds_the_csv_values(pipeline, tmp_path, argv, kinds):
+    """Each query's JSON outputs carry their schema, ``lexcore.<kind>/1``, and the values of its CSV outputs."""
+    words = tmp_path / "words.txt"
+    words.write_text("\n".join(load_store(pipeline["store"]).words[::50] + ["absentword"]) + "\n", encoding="utf-8")
+    argv = [str(words) if arg == "WORDS" else arg for arg in argv]
+    for fmt in ("csv", "json"):
+        assert main([*argv, "--store", str(pipeline["store"]), "--format", fmt, "--out", str(tmp_path / fmt)]) == 0
+    docs = {path.stem: json.loads(path.read_text()) for path in (tmp_path / "json").glob("*.json") if path.name != "manifest.json"}
+    assert {stem: doc["schema"] for stem, doc in docs.items()} == {stem: f"lexcore.{kind}/1" for stem, kind in kinds.items()}
+    csvs = sorted((tmp_path / "csv").glob("*.csv"))
+    assert {path.stem for path in csvs} == set(kinds) - {"transition"}
+    for path in csvs:
+        assert _json_values(docs[path.stem]) == _csv_values(path), path.stem
+
+
 class TestReport:
     @pytest.fixture()
     def run_dirs(self, pipeline, tmp_path):
@@ -829,6 +890,15 @@ class TestReport:
         assert (out / "x_t_turnover.svg").read_bytes() != (out / "y_t_turnover.svg").read_bytes()
         svg = (out / "coverage.svg").read_text()
         assert "x/t/coverage_1800-1849" in svg and "y/t/coverage_1800-1849" in svg
+
+    def test_report_with_nothing_to_chart_is_data_error(self, pipeline, tmp_path, capsys):
+        """A core run writes no CSV, so report has no chart to draw."""
+        run = tmp_path / "core"
+        assert main(["core", "--store", str(pipeline["store"]), "--window", "1800:1849", "--k", "5", "--out", str(run)]) == 0
+        capsys.readouterr()
+        assert main(["report", str(run), "--out", str(tmp_path / "figs")]) == 1
+        assert capsys.readouterr().err == "error: no chartable CSV outputs found in the given run directories\n"
+        assert not (tmp_path / "figs").exists()
 
     def test_report_requires_manifest(self, tmp_path):
         bare = tmp_path / "bare"

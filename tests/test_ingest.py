@@ -7,6 +7,7 @@ import sys
 import tempfile
 import threading
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -17,14 +18,18 @@ from hypothesis import strategies as st
 
 from lexcore import ingest
 
-from lexcore.alphabets import alphabet_preset
-from lexcore.errors import CountOverflow, WildcardToken
-from lexcore.ingest import IngestStats, build_store, is_lexical, split_pos
+from lexcore.alphabets import PRESETS, AlphabetSpec, alphabet_preset
+from lexcore.config import RunConfig
+from lexcore.errors import CountOverflow
+from lexcore.ingest import IngestStats, build_store
 from lexcore.postags import POS_COUNT, SUFFIX_TAGS, PosTag
 from lexcore.store import group_sum, save_store
 
 from conftest import (
     HAND_LINES,
+    TAG_NAMES,
+    UNTAGGED,
+    classify_token,
     english_config,
     iter_clean_records,
     one_percent_rule,
@@ -32,68 +37,158 @@ from conftest import (
     write_shards,
 )
 
-EN = alphabet_preset("english")
+def _config(alphabet: str | AlphabetSpec = "english", fold_case: bool = False) -> RunConfig:
+    """A config of the one year 1900 over a preset alphabet, by name, or a custom one."""
+    spec = alphabet_preset(alphabet) if isinstance(alphabet, str) else alphabet
+    return RunConfig(spec.language, spec, 1900, 1900, fold_case)
+
+
+_OUTCOMES = ("malformed", "wildcard_rows", "nonlexical_rows")
+
+
+def _token_outcome(directory: Path, token: str | bytes, config) -> tuple[str, int] | str:
+    """What build_store makes of a one-line shard of ``token``: its row's (word, pos id), or the counter that drops it."""
+    path = directory / "token.tsv"
+    path.write_bytes((token.encode("utf-8") if isinstance(token, str) else token) + b"\t1900\t1\t1\n")
+    store, stats = build_store([path], config)
+    if store.words:
+        return store.words[0], int(store.pos_id[0])
+    (counter,) = [name for name in _OUTCOMES if getattr(stats, name)]
+    return counter
+
+
+def _token_rule(*cases):
+    """A test of the token rule: each (token, config, expected) case is built into a store of its one line.
+
+    ``expected`` is the (word, pos id) of the row, or the counter that drops it.
+    """
+
+    def test(self, tmp_path):
+        assert [_token_outcome(tmp_path, token, config) for token, config, _ in cases] == [c[2] for c in cases]
+
+    return test
+
+
+EN, FR, RU = _config(), _config("french"), _config("russian")
+_ABC = AlphabetSpec("abc", frozenset("abc"))
+NONLEXICAL = "nonlexical_rows"
 
 
 class TestSplitPos:
-    def test_suffix_stripped(self):
-        assert split_pos("time_NOUN") == ("time", PosTag.NOUN)
+    """The token rule's table, first half: the token is decoded, wildcards go and a known ``_TAG`` suffix is split off."""
 
-    def test_no_suffix(self):
-        assert split_pos("time") == ("time", PosTag.UNTAGGED)
-
-    def test_wildcard(self):
-        with pytest.raises(WildcardToken):
-            split_pos("_NOUN_")
-
-    def test_wildcard_without_trailing_underscore(self):
-        with pytest.raises(WildcardToken):
-            split_pos("_VERB")
-
-    def test_unknown_suffix_is_untagged(self):
-        assert split_pos("time_XYZ") == ("time_XYZ", PosTag.UNTAGGED)
-
-    def test_inner_underscore_kept(self):
-        word, pos = split_pos("foo_bar_NOUN")
-        assert (word, pos) == ("foo_bar", PosTag.NOUN)
+    test_suffix_stripped = _token_rule(("time_NOUN", EN, ("time", PosTag.NOUN)))
+    test_no_suffix = _token_rule(("time", EN, ("time", UNTAGGED)))
+    test_wildcard = _token_rule(("_NOUN_", EN, "wildcard_rows"))
+    test_wildcard_without_trailing_underscore = _token_rule(("_VERB", EN, "wildcard_rows"))
+    # An untagged word that keeps its underscore, which is no letter.
+    test_unknown_suffix_is_untagged = _token_rule(("time_XYZ", EN, NONLEXICAL), ("time_noun", EN, NONLEXICAL))
+    test_inner_underscore_kept = _token_rule(("foo_bar_NOUN", EN, NONLEXICAL), ("_NOUN__", EN, NONLEXICAL))
+    test_tag_alone_is_a_word = _token_rule(("NOUN", EN, ("NOUN", UNTAGGED)), ("X_X", EN, ("X", PosTag.X)))
+    test_not_utf8_is_malformed = _token_rule((b"caf\xe9", EN, "malformed"), (b"\xe2\x80_NOUN", EN, "malformed"))
+    test_cyrillic_tagged = _token_rule(("время_NOUN", RU, ("время", PosTag.NOUN)), ("время_NOUN", EN, NONLEXICAL))
 
 
 class TestIsLexical:
-    def test_apostrophe_word(self):
-        assert is_lexical("don't", EN)
+    """The token rule's table, second half: U+2019 becomes ``'``, the case folds and the word is checked against the alphabet."""
 
-    def test_period_rejected(self):
-        assert not is_lexical("vol.", EN)
+    test_apostrophe_word = _token_rule(("don't", EN, ("don't", UNTAGGED)))
+    test_period_rejected = _token_rule(("vol.", EN, NONLEXICAL))
+    test_two_apostrophes_rejected = _token_rule(("it''s", EN, NONLEXICAL))
+    test_digits_rejected = _token_rule(("a1", EN, NONLEXICAL))
+    test_typographic_apostrophe_counts = _token_rule(("don’t", EN, ("don't", UNTAGGED)), ("don’t'", EN, NONLEXICAL))
+    test_apostrophe_only_rejected = _token_rule(("'", EN, NONLEXICAL), ("'_NOUN", EN, NONLEXICAL))
+    test_accented_french = _token_rule(("écœurés", FR, ("écœurés", UNTAGGED)), ("écœurés", EN, NONLEXICAL))
+    test_case_folds_before_the_check = _token_rule(
+        ("CAB_VERB", _config(_ABC, fold_case=True), ("cab", PosTag.VERB)), ("CAB", _config(_ABC), NONLEXICAL)
+    )
+    test_apostrophe_limits = _token_rule(
+        ("a'b", _config(AlphabetSpec("abc", _ABC.letters, apostrophe_allowed=False)), NONLEXICAL),
+        ("a'b", _config(AlphabetSpec("abc", _ABC.letters, max_apostrophes=0)), NONLEXICAL),
+        ("a'b’c", _config(AlphabetSpec("abc", _ABC.letters, max_apostrophes=2)), ("a'b'c", UNTAGGED)),
+        ("''a'", _config(AlphabetSpec("abc", _ABC.letters, max_apostrophes=2)), NONLEXICAL),
+    )
 
-    def test_two_apostrophes_rejected(self):
-        assert not is_lexical("it''s", EN)
-
-    def test_digits_rejected(self):
-        assert not is_lexical("a1", EN)
-
-    def test_typographic_apostrophe_counts(self):
-        assert is_lexical("don’t", EN)
-        assert not is_lexical("don’t'", EN)
-
-    def test_apostrophe_only_rejected(self):
-        assert not is_lexical("'", EN)
-
-    def test_accented_french(self):
-        fr = alphabet_preset("french")
-        assert is_lexical("écœurés", fr)
-        assert not is_lexical("écœurés", EN)
-
+    @settings(deadline=None)
     @given(
         st.text(alphabet="abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ", min_size=1, max_size=12),
         st.integers(min_value=0, max_value=12),
     )
     def test_letters_plus_one_apostrophe_pass(self, letters, pos):
-        assert is_lexical(letters, EN)
-        with_apostrophe = letters[: pos % (len(letters) + 1)] + "'" + letters[pos % (len(letters) + 1) :]
-        assert is_lexical(with_apostrophe, EN)
-        assert not is_lexical(with_apostrophe + "'", EN)
-        assert not is_lexical(letters + "7", EN)
-        assert not is_lexical(letters + "-", EN)
+        at = pos % (len(letters) + 1)
+        with_apostrophe = letters[:at] + "'" + letters[at:]
+        expected = {
+            letters: (letters, UNTAGGED),
+            with_apostrophe: (with_apostrophe, UNTAGGED),
+            with_apostrophe + "'": NONLEXICAL,
+            letters + "7": NONLEXICAL,
+            letters + "-": NONLEXICAL,
+        }
+        with tempfile.TemporaryDirectory() as tmp:
+            assert {token: _token_outcome(Path(tmp), token, EN) for token in expected} == expected
+
+
+_CUSTOM_ALPHABETS = st.builds(
+    AlphabetSpec,
+    st.just("custom"),
+    st.sampled_from([frozenset("aqéжё"), frozenset("aZqß")]),
+    st.booleans(),
+    st.sampled_from([0, 1, 2]),
+)
+_RULE_CONFIGS = st.builds(_config, st.one_of(st.sampled_from(sorted(PRESETS)), _CUSTOM_ALPHABETS), st.booleans())
+# Letters of several scripts; U+212A, the Kelvin sign, folds to "k".
+_SOME_LETTERS = st.sampled_from([*"aZqéÉœßñüÿàìжЯёЁİ", "\u212a"])
+_NOT_LETTERS = st.sampled_from(["'", "’", "_", *TAG_NAMES, "noun", "0", "7", ".", "-", " ", "\x00"])
+
+
+@st.composite
+def _rule_shard(draw) -> tuple[list[bytes], RunConfig]:
+    """A config, and tokens drawn mostly from its alphabet's letters and apostrophes.
+
+    Tokens hold tag suffixes and wildcards, other scripts, digits and
+    punctuation; some pass 32 bytes and some hold bytes that are not UTF-8.
+    """
+    config = draw(_RULE_CONFIGS)
+    own = st.sampled_from(sorted(config.alphabet.letters))
+    pieces = st.one_of(own, own, own, st.sampled_from(["'", "’"]), _SOME_LETTERS, _NOT_LETTERS)
+    words = st.lists(pieces, min_size=1, max_size=8).map("".join)
+    tokens = st.one_of(
+        st.builds(str.__add__, words, st.sampled_from(["", "", "_NOUN", "_X", "_noun", "_"])),
+        st.lists(st.sampled_from(["'", "’", "_", "_NOUN"]), min_size=1, max_size=3).map("".join),
+        st.builds(lambda tag, end: f"_{tag}{end}", st.sampled_from(TAG_NAMES), st.sampled_from(["", "_", "__"])),
+        st.builds(str.__mul__, words, st.integers(9, 20)),
+    ).map(lambda token: token.encode("utf-8"))
+    not_utf8 = st.builds(
+        lambda token, bad: token[: len(token) // 2] + bad + token[len(token) // 2 :],
+        tokens,
+        st.sampled_from([b"\xff", b"\xe9", b"\xe2\x80", b"\xc3", b"\xed\xa0\x80"]),
+    )
+    return draw(st.lists(st.one_of(tokens, tokens, tokens, not_utf8), min_size=4, max_size=40)), config
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rule_shard())
+def test_token_rule_matches_oracle(shard):
+    """A shard of one line per token: the store's words, pos ids and counts and the counters are the reference's.
+
+    Every row counts 1, so no word totals 100 and the 1% rule drops nothing.
+    """
+    tokens, config = shard
+    rows, counters = Counter(), dict.fromkeys(_OUTCOMES, 0)
+    for token in tokens:
+        outcome = classify_token(token, config)
+        if isinstance(outcome, str):
+            counters[outcome] += 1
+        else:
+            rows[outcome] += 1
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "shard.tsv"
+        path.write_bytes(b"".join(token + b"\t1900\t1\t1\n" for token in tokens))
+        store, stats = build_store([path], config)
+    assert store.words == sorted({word for word, _ in rows})
+    kept = zip(store.word_id.tolist(), store.pos_id.tolist(), store.match_count.tolist())
+    assert Counter({(store.words[w], p): m for w, p, m in kept}) == rows
+    assert {name: getattr(stats, name) for name in _OUTCOMES} == counters
 
 
 class TestPosVariantFilter:
@@ -170,16 +265,12 @@ class TestYearlyTotals:
         config = english_config(1900, 1904)
         store, stats = build_store(shards, config)
 
-        # Brute force: read every line, filter by the public predicates.
+        # Brute force: read every line, filter by the reference token rule.
         lexical = []
         for p in shards:
             for token, year, match, volumes in read_shard(p.read_bytes(), 1900, 1904)[0]:
-                try:
-                    word, pos = split_pos(token)
-                except WildcardToken:
-                    continue
-                if is_lexical(word, config.alphabet):
-                    lexical.append((word, pos, year, match, volumes))
+                if isinstance(kept := classify_token(token, config), tuple):
+                    lexical.append((*kept, year, match, volumes))
         totals = dict.fromkeys(range(1900, 1905), 0)
         for _, _, year, match, _ in one_percent_rule(lexical):
             totals[year] += match
@@ -198,26 +289,15 @@ _ORACLE_TOKENS = st.one_of(
 _ORACLE_COUNTS = st.one_of(st.integers(0, 3), st.integers(10**12, 10**15))
 
 
-def _classified(token: str, config) -> tuple[str, PosTag] | str:
-    """The (word, pos) pair a token's rows count toward, or the counter that drops them."""
-    try:
-        word, pos = split_pos(token)
-    except WildcardToken:
-        return "wildcard_rows"
-    word = word.replace("’", "'")
-    word = word.lower() if config.fold_case else word
-    return (word, pos) if is_lexical(word, config.alphabet) else "nonlexical_rows"
-
-
 def _store_oracle(shards: list[Path], config) -> tuple[list[str], dict, dict]:
     """The words, row columns and cleaning counters of ``shards``: dict sums, rows sorted by (word, year, pos)."""
     years = range(config.year_start, config.year_end + 1)
     raw = [row for p in shards for row in read_shard(p.read_bytes(), years[0], years[-1])[0]]
     stats = {"wildcard_rows": 0, "nonlexical_rows": 0}
     stats["duplicate_rows"] = len(raw) - len({(token, year) for token, year, _, _ in raw})
-    sums: dict[tuple[str, PosTag, int], list[int]] = {}
+    sums: dict[tuple[str, int, int], list[int]] = {}
     for token, year, match, volumes in raw:
-        pair = _classified(token, config)
+        pair = classify_token(token, config)
         if isinstance(pair, str):
             stats[pair] += 1
             continue
@@ -327,7 +407,7 @@ class TestBuildStore:
         """Re-filtering the cleaned output changes nothing."""
         store, _ = hand_store
         rows = list(iter_clean_records(store))
-        assert all(is_lexical(word, EN) for word, *_ in rows)
+        assert all(classify_token(word, EN) == (word, UNTAGGED) for word, *_ in rows)
         assert one_percent_rule(rows) == rows
 
     def test_duplicate_rows_are_summed_and_counted(self, tmp_path):
@@ -566,7 +646,7 @@ def _assert_parsed_like_read_shard(parsed, data: bytes, config) -> list:
     counters.update(wildcard_rows=0, nonlexical_rows=0)
     oracle_lexical = []
     for token, year, match, volumes in rows:
-        pair = _classified(token, config)
+        pair = classify_token(token, config)
         if isinstance(pair, str):
             counters[pair] += 1
         else:

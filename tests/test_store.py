@@ -34,6 +34,7 @@ from lexcore.store import (
 from lexcore.windows import WindowSpec, aggregate_window, frequency_core, standard_windows
 
 from conftest import (
+    HEADER_EDITS,
     english_config,
     relative_frequency,
     rewrite_store,
@@ -280,6 +281,7 @@ class TestPersistence:
             (row_keys([0, 1], [0, 0], [0, 0], 1), [1, 1], [1, 1], "column volume_totals holds 2 values, not 1", {"year_end": 1900}),
             (row_keys([0], [0], [0], 2), [1], [1], "a store word is empty", {"words": [""]}),
             (row_keys([0, 1], [0, 0], [0, 0], 2), [1, 1], [1, 1], "a store word holds a newline", {"words": ["a\nb", "bb"]}),
+            (row_keys([0, 1], [0, 0], [0, 0], 2), [1, 1], [1, 1], "a store word holds a NUL", {"words": ["a\0b", "bb"]}),
             (row_keys([0, 1], [0, 0], [0, 0], 2), [1, 1], [1, 1], "store language ['x'] is not a string", {"language": ["x"]}),
         ],
         ids=[
@@ -294,6 +296,7 @@ class TestPersistence:
             "two-totals-one-year",
             "empty-word",
             "newline-in-word",
+            "nul-in-word",
             "language-not-str",
         ],
     )
@@ -365,6 +368,16 @@ class TestPersistence:
         save_store(store, path)
         rewrite_store(path, b"cat\ndog\n", words)
         with pytest.raises(FormatVersionMismatch, match=f"{re.escape(str(path))}: .*not strictly ascending"):
+            load_store(path)
+
+    @pytest.mark.parametrize("old, new", HEADER_EDITS.values(), ids=HEADER_EDITS)
+    def test_load_refuses_a_header_that_disagrees_with_the_file(self, hand_store, tmp_path, old, new):
+        """A file that verifies, but one of whose header fields does not describe it, is refused naming it."""
+        store, _ = hand_store
+        path = tmp_path / "fixture.lxst"
+        save_store(store, path)
+        rewrite_store(path, old, new)
+        with pytest.raises(FormatVersionMismatch, match=f"^{re.escape(str(path))}: header does not describe"):
             load_store(path)
 
     def test_loaded_columns_are_aligned_read_only_views(self, hand_store, tmp_path):
@@ -650,6 +663,14 @@ class TestGroupSum:
         shards = write_shards(tmp_path, ["good\t1900\t5\t2", f"word\t1900\t{2**63 - 1}\t1"])
         with pytest.raises(CountOverflow):
             build_store(shards, english_config(1900, 1900))
+
+    def test_year_total_overflow_across_blocks_is_rejected(self):
+        """Blocks of one row: each block's sum fits int64, and only the year's running total reaches 2**63."""
+        with mock.patch("lexcore.store._BLOCK_ROWS", 1), pytest.raises(CountOverflow):
+            CorpusStore.from_rows(
+                "english", 1900, 1900, ["aa", "bb"], key=row_keys([0, 1], [0, 0], [0, 0], 1),
+                match_count=np.array([2**62, 2**62]), volume_count=np.array([1, 1]), volume_totals=[2],
+            )
 
     @pytest.mark.parametrize("big", ["lexical", "volume"])
     def test_window_total_overflow_is_rejected(self, tmp_path, big):

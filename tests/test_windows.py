@@ -12,8 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lexcore.errors import EmptyWindow, EmptyYearError, SpanTooShort, WildcardToken
-from lexcore.ingest import build_store, is_lexical, split_pos
+from lexcore.errors import EmptyWindow, EmptyYearError, SpanTooShort
+from lexcore.ingest import build_store
 from lexcore.metrics import coverage_series
 from lexcore.postags import PosTag
 from lexcore.store import CorpusStore
@@ -28,7 +28,7 @@ from lexcore.windows import (
     write_core,
 )
 
-from conftest import english_config, read_shard, relative_frequency, row_keys, store_from_lines, table_words
+from conftest import classify_token, english_config, read_shard, relative_frequency, row_keys, store_from_lines, table_words
 
 
 class TestStandardWindows:
@@ -132,18 +132,15 @@ class TestAggregateWindow:
         result, _ = small_synth
         expected: dict[str, int] = {}
         total = 0
-        alphabet = english_config(1800, 1999).alphabet
+        config = english_config(1800, 1999)
         for path in result.shard_paths:
             for token, _, match, _ in read_shard(path.read_bytes(), 1800, 1849)[0]:
-                try:
-                    word, _ = split_pos(token)
-                except WildcardToken:
+                if not isinstance(kept := classify_token(token, config), tuple):
                     continue
-                if not is_lexical(word, alphabet):
-                    continue
+                word = kept[0]
                 expected[word] = expected.get(word, 0) + match
                 total += match
-        store, _ = build_store(result.shard_paths, english_config(1800, 1999))
+        store, _ = build_store(result.shard_paths, config)
         table = aggregate_window(store, WindowSpec(1800, 1849))
         assert dict(zip(table_words(table), table.match_count.tolist())) == expected
         assert table.lexical_total == total
