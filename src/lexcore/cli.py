@@ -5,11 +5,30 @@ Exit codes: 0 success, 1 data error (bad file, bad store, empty window),
 its outputs recording the resolved parameters and their hash; the
 ``report`` command refuses inputs whose manifests disagree on the
 underlying store.
+
+A CLI run is short, so two rules keep its fixed cost down:
+
+* Layers run on first use.  Importing this module registers every
+  lexcore module in ``sys.modules`` through
+  :class:`importlib.util.LazyLoader`, and commands reach layer functions
+  through their modules when they call them.  A module's code, and numpy
+  with it, runs only when a command first reads one of its names:
+  ``report`` never loads numpy, and a query never loads ``ingest``,
+  ``synth`` or ``svgchart``.  Every layer is still registered, because a
+  tool that wraps the public functions of the loaded lexcore modules,
+  such as perfbench's tracer, finds them in ``sys.modules``; calls go
+  through module attributes, so its wrappers see every call.
+* The heap is frozen before exit.  :func:`main_entry` calls
+  :func:`gc.freeze` once the command has returned, so the interpreter's
+  final collection skips every live object.  Every output is closed by
+  then; ``atexit`` handlers and module teardown still run.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
+import importlib.util
 import logging
 import os
 import re
@@ -18,51 +37,39 @@ import time
 from datetime import datetime, timezone
 from functools import cached_property, partial
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .config import load_config, params_hash, read_json_object
-from .errors import LexcoreError
-from .ingest import build_store
-from .metrics import (
-    coverage_series,
-    group_frequency_series,
-    overlap_report,
-    partition_core_transition,
-    pearson_correlation,
-    pos_composition,
-    pos_dropout,
-    turnover_series,
-)
-from .serialize import (
-    dump_json,
-    mapping_to_csv,
-    mapping_to_json,
-    overlap_to_csv,
-    overlap_to_json,
-    partition_to_json,
-    series_to_csv,
-    series_to_json,
-    write_text_atomic,
-)
-from .store import CorpusStore, load_store, save_store
-from .svgchart import bar_chart, line_chart
-from .synth import PRESETS, generate_corpus, synth_config_from_dict
-from .windows import (
-    CORE_1800_WINDOW,
-    CORE_2000_WINDOW,
-    Core,
-    WindowSpec,
-    aggregate_window,
-    bookshare_core,
-    frequency_core,
-    standard_windows,
-    write_core,
-)
+
+if TYPE_CHECKING:
+    from .store import CorpusStore
+
+
+def _register_lazily(name: str) -> None:
+    """Register ``lexcore.<name>``, bound on the package as an import would bind it.
+
+    The module's code runs when one of its names is first read.
+    """
+    fullname = f"{__package__}.{name}"
+    if fullname in sys.modules:
+        return
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    setattr(sys.modules[__package__], name, module)
+
+
+for _name in "alphabets config errors ingest metrics postags serialize store svgchart synth windows".split():
+    _register_lazily(_name)
+
+# Registered above, so these bind the lazy modules and load none of them.
+from . import config, errors, ingest, metrics, serialize, svgchart, synth, windows  # noqa: E402
 
 log = logging.getLogger(__name__)
 
 MANIFEST_NAME = "manifest.json"
-_WINDOW_PRESETS = {"core1800": CORE_1800_WINDOW, "core2000": CORE_2000_WINDOW}
 
 
 def _utcnow() -> str:
@@ -100,6 +107,8 @@ class _Run:
 
     @cached_property
     def store(self) -> CorpusStore:
+        from .store import load_store
+
         store = load_store(_resolve_input(self.args.store))
         self.store_hash = store.digest
         return store
@@ -109,12 +118,12 @@ class _Run:
         """``--years``, defaulting to the store's year range."""
         return self.args.years or self.store.years
 
-    def core(self, window: WindowSpec) -> Core:
+    def core(self, window: windows.WindowSpec) -> windows.Core:
         """The core of ``window`` that ``--k`` or ``--threshold`` asks for; argparse requires exactly one."""
-        table = aggregate_window(self.store, window)
+        table = windows.aggregate_window(self.store, window)
         if self.args.k is not None:
-            return frequency_core(table, self.args.k)
-        return bookshare_core(table, self.args.threshold)
+            return windows.frequency_core(table, self.args.k)
+        return windows.bookshare_core(table, self.args.threshold)
 
     @cached_property
     def out(self) -> Path:
@@ -125,13 +134,13 @@ class _Run:
     def emit(self, name: str, text: str) -> None:
         """Write ``text`` to ``name`` under ``--out``, atomically, and record its path."""
         path = self.out / name
-        write_text_atomic(path, text)
+        serialize.write_text_atomic(path, text)
         self.paths.append(path)
 
     def write(self, stem: str, result, to_csv, to_json) -> None:
         """Emit ``result`` as ``stem.csv`` or ``stem.json``, as ``--format`` says."""
         if self.args.format == "json":
-            self.emit(f"{stem}.json", dump_json(to_json(result)))
+            self.emit(f"{stem}.json", serialize.dump_json(to_json(result)))
         else:
             self.emit(f"{stem}.csv", to_csv(result))
 
@@ -147,7 +156,7 @@ class _Run:
             "schema": "lexcore.manifest/1",
             "subcommand": args.subcommand,
             "params": params,
-            "params_hash": params_hash(params),
+            "params_hash": config.params_hash(params),
             "inputs": self.inputs,
             "output_dir": str(self.out),
             "store_hash": self.store_hash,
@@ -155,7 +164,7 @@ class _Run:
             "created_utc": self.created,
             "completed_utc": _utcnow(),
         }
-        write_text_atomic(self.out / MANIFEST_NAME, dump_json(doc))
+        serialize.write_text_atomic(self.out / MANIFEST_NAME, serialize.dump_json(doc))
         for p in self.paths:
             print(p)
         return 0
@@ -165,91 +174,91 @@ class _Run:
 
 
 def cmd_ingest(args, run: _Run):
-    config = load_config(_resolve_input(args.config))
+    from .store import save_store
+
+    run_config = config.load_config(_resolve_input(args.config))
     shards = [_resolve_input(p) for p in args.shards]
     missing = [str(p) for p in shards if not p.exists()]
     if missing:
         raise FileNotFoundError(f"shard(s) not found: {', '.join(missing)}")
     volumes = _resolve_input(args.volumes) if args.volumes else None
-    store, stats = build_store(shards, config, volume_sidecar=volumes, threads=args.threads)
+    store, stats = ingest.build_store(shards, run_config, volume_sidecar=volumes, threads=args.threads)
     store_path = run.out / "store.lxst"
     started = time.perf_counter()
     run.store_hash = save_store(store, store_path)
     run.paths.append(store_path)
     stats.record("save", time.perf_counter() - started)
-    write_text_atomic(run.out / "ingest_stats.json", dump_json(stats.to_dict()))
+    serialize.write_text_atomic(run.out / "ingest_stats.json", serialize.dump_json(stats.to_dict()))
     run.inputs = [str(p) for p in shards]
-    return {"config": config.to_dict(), "threads": args.threads, "volumes": str(volumes) if volumes else None}
+    return {"config": run_config.to_dict(), "threads": args.threads, "volumes": str(volumes) if volumes else None}
 
 
 def cmd_synth(args, run: _Run):
-    if args.preset:
-        config = PRESETS[args.preset]
-    else:
-        config = synth_config_from_dict(read_json_object(_resolve_input(args.config)))
-    result = generate_corpus(config, run.out, shard_years=args.shard_years, gzip_output=args.gzip)
+    synth_config = args.preset or synth.synth_config_from_dict(config.read_json_object(_resolve_input(args.config)))
+    result = synth.generate_corpus(synth_config, run.out, shard_years=args.shard_years, gzip_output=args.gzip)
     run.paths.extend(result.shard_paths)
-    return {"synth_config": config.to_dict(), "gzip": args.gzip, "shard_years": args.shard_years}
+    return {"synth_config": synth_config.to_dict(), "gzip": args.gzip, "shard_years": args.shard_years}
 
 
 def cmd_core(args, run: _Run):
     core = run.core(args.window)
     path = run.out / f"core_{core.method}_{core.param:g}_{args.window.label}.tsv"
-    write_core(core, path)
+    windows.write_core(core, path)
     run.paths.append(path)
     return {}
 
 
 def cmd_turnover(args, run: _Run):
     store = run.store
-    specs = args.windows or standard_windows(store.year_start, store.year_end, width=args.width)
-    run.write("turnover", turnover_series([run.core(s) for s in specs]), series_to_csv, series_to_json)
+    specs = args.windows or windows.standard_windows(store.year_start, store.year_end, width=args.width)
+    series = metrics.turnover_series([run.core(s) for s in specs])
+    run.write("turnover", series, serialize.series_to_csv, serialize.series_to_json)
     return {"windows": [s.label for s in specs]}
 
 
 def cmd_coverage(args, run: _Run):
     stem = f"coverage_{args.window.label}"
-    series = coverage_series(run.core(args.window), run.store, run.years, name=stem)
-    run.write(stem, series, series_to_csv, series_to_json)
+    series = metrics.coverage_series(run.core(args.window), run.store, run.years, name=stem)
+    run.write(stem, series, serialize.series_to_csv, serialize.series_to_json)
     return {}
 
 
 def cmd_overlap(args, run: _Run):
-    table = aggregate_window(run.store, args.window)
-    share_core = bookshare_core(table, args.threshold)
+    table = windows.aggregate_window(run.store, args.window)
+    share_core = windows.bookshare_core(table, args.threshold)
     k = args.k if args.k is not None else max(len(share_core), 1)
-    report = overlap_report(frequency_core(table, k), share_core)
-    run.write("overlap", report, overlap_to_csv, overlap_to_json)
+    report = metrics.overlap_report(windows.frequency_core(table, k), share_core)
+    run.write("overlap", report, serialize.overlap_to_csv, serialize.overlap_to_json)
     return {"k": k}
 
 
 def cmd_correlate(args, run: _Run):
-    table = aggregate_window(run.store, args.window)
+    table = windows.aggregate_window(run.store, args.window)
     idx = table.rank_order[: args.k] if args.k is not None else slice(None)
     xs = table.rel_freq[idx].tolist()
     ys = table.volume_share[idx].tolist()
-    items = {"pearson_r": pearson_correlation(xs, ys), "n_words": len(xs)}
-    run.write("correlation", items, mapping_to_csv, partial(mapping_to_json, "correlation"))
+    items = {"pearson_r": metrics.pearson_correlation(xs, ys), "n_words": len(xs)}
+    run.write("correlation", items, serialize.mapping_to_csv, partial(serialize.mapping_to_json, "correlation"))
     return {}
 
 
 def cmd_pos(args, run: _Run):
     core = run.core(args.window)
-    comp = {tag.name: share for tag, share in pos_composition(core).items()}
-    run.write("pos_composition", comp, mapping_to_csv, partial(mapping_to_json, "pos_composition"))
+    comp = {tag.name: share for tag, share in metrics.pos_composition(core).items()}
+    run.write("pos_composition", comp, serialize.mapping_to_csv, partial(serialize.mapping_to_json, "pos_composition"))
     window2_text, window2 = args.window2 or (None, None)
     if window2:
-        drop = {tag.name: v for tag, v in pos_dropout(core, run.core(window2)).items()}
-        run.write("pos_dropout", drop, mapping_to_csv, partial(mapping_to_json, "pos_dropout"))
+        drop = {tag.name: v for tag, v in metrics.pos_dropout(core, run.core(window2)).items()}
+        run.write("pos_dropout", drop, serialize.mapping_to_csv, partial(serialize.mapping_to_json, "pos_dropout"))
     return {"window2": window2_text}
 
 
 def cmd_transition(args, run: _Run):
-    partition = partition_core_transition(run.core(args.window), run.core(args.window2))
-    run.emit("transition.json", dump_json(partition_to_json(partition)))
+    partition = metrics.partition_core_transition(run.core(args.window), run.core(args.window2))
+    run.emit("transition.json", serialize.dump_json(serialize.partition_to_json(partition)))
     for name in ("both", "only_old", "only_new"):
-        series = coverage_series(getattr(partition, name), run.store, run.years, name=name)
-        run.write(f"coverage_{name}", series, series_to_csv, series_to_json)
+        series = metrics.coverage_series(getattr(partition, name), run.store, run.years, name=name)
+        run.write(f"coverage_{name}", series, serialize.series_to_csv, serialize.series_to_json)
     return {"window2": args.window2.label}
 
 
@@ -260,8 +269,8 @@ def cmd_group(args, run: _Run):
         for line in _resolve_input(args.words).read_text(encoding="utf-8").splitlines()
         if line.strip() and not line.startswith("#")
     ]
-    series = group_frequency_series(words, store, run.years, name=args.name)
-    run.write(f"group_{args.name}", series, series_to_csv, series_to_json)
+    series = metrics.group_frequency_series(words, store, run.years, name=args.name)
+    run.write(f"group_{args.name}", series, serialize.series_to_csv, serialize.series_to_json)
     return {"words": str(args.words), "name": args.name}
 
 
@@ -276,7 +285,7 @@ def _read_csv(path: Path, key=float) -> list[tuple]:
             first, second = line.split(",", 1)
             rows.append((key(first), float(second)))
         except ValueError:
-            raise LexcoreError(f"{path}:{lineno}: malformed row {line!r}") from None
+            raise errors.LexcoreError(f"{path}:{lineno}: malformed row {line!r}") from None
     return rows
 
 
@@ -310,13 +319,13 @@ def cmd_report(args, run: _Run):
     for d in run_dirs:
         mpath = Path(d) / MANIFEST_NAME
         if not mpath.exists():
-            raise LexcoreError(f"{d}: no {MANIFEST_NAME}; not a lexcore run directory")
-        store_hash = read_json_object(mpath).get("store_hash")
+            raise errors.LexcoreError(f"{d}: no {MANIFEST_NAME}; not a lexcore run directory")
+        store_hash = config.read_json_object(mpath).get("store_hash")
         if not isinstance(store_hash, (str, type(None))):
-            raise LexcoreError(f"{mpath}: store_hash must be a string or null")
+            raise errors.LexcoreError(f"{mpath}: store_hash must be a string or null")
         hashes.add(store_hash)
     if len(hashes) > 1:
-        raise LexcoreError("mismatched manifests: run directories were produced from different stores")
+        raise errors.LexcoreError("mismatched manifests: run directories were produced from different stores")
     (run.store_hash,) = hashes
     run.inputs = [str(d) for d in run_dirs]
     timestamp = None if args.no_timestamp else _utcnow()
@@ -327,11 +336,12 @@ def cmd_report(args, run: _Run):
     for label, path in charts["turnover"]:
         points = _read_csv(path)
         bars = [("dropout share", [y for _, y in points])]
-        svg = bar_chart([f"{int(x)}" for x, _ in points], bars, title="Core turnover per window", timestamp=timestamp)
+        ends = [f"{int(x)}" for x, _ in points]
+        svg = svgchart.bar_chart(ends, bars, title="Core turnover per window", timestamp=timestamp)
         run.emit(f"{label.replace('/', '_')}.svg", svg)
     if charts["coverage"]:
         series = [(label, _read_csv(path)) for label, path in charts["coverage"]]
-        run.emit("coverage.svg", line_chart(series, title="Coverage dynamics", timestamp=timestamp))
+        run.emit("coverage.svg", svgchart.line_chart(series, title="Coverage dynamics", timestamp=timestamp))
     for kind in ("pos_composition", "pos_dropout"):
         if not charts[kind]:
             continue
@@ -340,10 +350,10 @@ def cmd_report(args, run: _Run):
         for _, items in tables:
             labels.extend(k for k in items if k not in labels)
         groups = [(name, [items.get(k, 0.0) for k in labels]) for name, items in tables]
-        run.emit(f"{kind}.svg", bar_chart(labels, groups, title=kind.replace("_", " "), timestamp=timestamp))
+        run.emit(f"{kind}.svg", svgchart.bar_chart(labels, groups, title=kind.replace("_", " "), timestamp=timestamp))
 
     if not run.paths:
-        raise LexcoreError("no chartable CSV outputs found in the given run directories")
+        raise errors.LexcoreError("no chartable CSV outputs found in the given run directories")
     return {"runs": run.inputs, "no_timestamp": args.no_timestamp}
 
 
@@ -372,6 +382,14 @@ _positive_int = _number(int, lambda v: v >= 1, "an integer >= 1")
 _share = _number(float, lambda v: 0 < v <= 1, "a number in (0, 1]")
 
 
+def _preset(name: str):
+    """An argparse type: the config of one of synth's presets, by name."""
+    try:
+        return synth.PRESETS[name]
+    except KeyError:
+        raise _flag_error(f"one of {', '.join(sorted(synth.PRESETS))}", name) from None
+
+
 def _start_end(text: str, expected: str) -> tuple[int, int]:
     """The two numbers of a 'START:END' value; any other text is an error naming ``expected``."""
     m = re.fullmatch(r"(\d+):(\d+)", text)
@@ -380,22 +398,25 @@ def _start_end(text: str, expected: str) -> tuple[int, int]:
     return int(m.group(1)), int(m.group(2))
 
 
-def _parse_window(text: str) -> WindowSpec:
+def _parse_window(text: str) -> windows.WindowSpec:
     """An argparse type: 'START:END', 'core1800' or 'core2000'."""
-    if text in _WINDOW_PRESETS:
-        return _WINDOW_PRESETS[text]
+    if text == "core1800":
+        return windows.CORE_1800_WINDOW
+    if text == "core2000":
+        return windows.CORE_2000_WINDOW
+    start, end = _start_end(text, "'START:END', 'core1800' or 'core2000'")
     try:
-        return WindowSpec(*_start_end(text, "'START:END', 'core1800' or 'core2000'"))
+        return windows.WindowSpec(start, end)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _window_as_given(text: str) -> tuple[str, WindowSpec]:
+def _window_as_given(text: str) -> tuple[str, windows.WindowSpec]:
     """An argparse type: a window and its text, which ``pos`` records in its manifest."""
     return text, _parse_window(text)
 
 
-def _parse_windows(text: str) -> list[WindowSpec] | None:
+def _parse_windows(text: str) -> list[windows.WindowSpec] | None:
     """An argparse type: two or more comma-separated windows, or None for 'standard'."""
     if text == "standard":
         return None
@@ -447,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate a synthetic corpus with known truth")
     source = p.add_mutually_exclusive_group(required=True)
-    source.add_argument("--preset", choices=sorted(PRESETS), help="a built-in corpus preset")
+    source.add_argument("--preset", type=_preset, help="a built-in corpus preset (an unknown name lists them)")
     source.add_argument("--config", help="synth config JSON")
     p.add_argument("--gzip", action="store_true", help="write gzip-compressed shards")
     p.add_argument("--shard-years", type=_positive_int, default=25, help="years per shard file (>= 1)")
@@ -523,10 +544,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         run = _Run(args)
         return run.finish(args.func(args, run))
-    except (LexcoreError, OSError, ValueError) as exc:
+    except (errors.LexcoreError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
 
 def main_entry() -> None:
-    sys.exit(main())
+    code = main()
+    gc.freeze()
+    sys.exit(code)

@@ -347,7 +347,8 @@ def load_store(path: str | Path) -> CorpusStore:
         if layout != recorded or stop != end:
             raise ValueError("the column layout does not match the header")
     except (KeyError, TypeError, ValueError) as exc:
-        raise FormatVersionMismatch(f"{path}: header does not describe a version-{FORMAT_VERSION} store ({exc!r})") from None
+        detail = f"missing header key {exc}" if isinstance(exc, KeyError) else exc
+        raise FormatVersionMismatch(f"{path}: header does not describe a version-{FORMAT_VERSION} store ({detail})") from None
     columns = {
         name: np.frombuffer(mapped, dtype=spec["dtype"], count=lengths[name], offset=spec["offset"])
         for name, spec in layout.items()

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from lexcore.alphabets import alphabet_preset
+from lexcore.cli import main
 from lexcore.config import RunConfig
 from lexcore.errors import EmptyYearError
 from lexcore.ingest import build_store
@@ -125,6 +126,14 @@ def make_core(words, pos=None, window=(1800, 1849), method=RANK_K, param=None) -
         store=store,
         runs=np.stack((store.word_offsets[ids], np.ones(n, dtype=np.int64)), axis=1),
     )
+
+
+def tiny_store(directory: Path) -> Path:
+    """The fixtures/tiny corpus ingested by ``lexcore ingest`` under ``directory``; the store's path."""
+    tiny = Path(__file__).parents[1] / "fixtures" / "tiny"
+    argv = ["ingest", str(tiny / "shard-0.tsv"), "--config", str(tiny / "config.json"), "--volumes", str(tiny / "volumes.tsv")]
+    assert main([*argv, "--out", str(directory / "store")]) == 0
+    return directory / "store" / "store.lxst"
 
 
 def rewrite_store(path: Path, old: bytes, new: bytes) -> None:

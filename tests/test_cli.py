@@ -21,7 +21,7 @@ from lexcore.config import params_hash
 from lexcore.store import _column_lengths, load_store, save_store
 from lexcore.synth import PRESETS
 
-from conftest import HEADER_EDITS, rewrite_store
+from conftest import HEADER_EDITS, rewrite_store, tiny_store
 
 GOOD_LINES = "".join(f"word{chr(97 + i % 26)}\t{1800 + i % 200}\t{i + 1}\t1\n" for i in range(300))
 
@@ -74,14 +74,6 @@ def _corrupt_gzip(data: bytes) -> bytes:
     blob = bytearray(gzip.compress(data, mtime=0))
     blob[40:60] = bytes(b ^ 0xFF for b in blob[40:60])
     return bytes(blob)
-
-
-def _tiny_store(tmp_path: Path) -> Path:
-    """The fixtures/tiny corpus ingested under ``tmp_path``; the store's path."""
-    tiny = Path(__file__).parents[1] / "fixtures" / "tiny"
-    argv = ["ingest", str(tiny / "shard-0.tsv"), "--config", str(tiny / "config.json"), "--volumes", str(tiny / "volumes.tsv")]
-    assert main([*argv, "--out", str(tmp_path / "store")]) == 0
-    return tmp_path / "store" / "store.lxst"
 
 
 def _manifest(run_dir: Path) -> dict:
@@ -449,7 +441,7 @@ class TestCoreCommand:
 
         Unbounded, each edit would end its query in an IndexError or a wrong answer.
         """
-        path = _tiny_store(tmp_path)
+        path = tiny_store(tmp_path)
         payload = bytearray(path.read_bytes()[:-32])
         header = json.loads(payload[12 : 12 + struct.unpack_from("<I", payload, 8)[0]])
         spec = header["columns"][column]
@@ -469,7 +461,7 @@ class TestCoreCommand:
 
     def test_store_language_not_a_string_is_data_error(self, tmp_path, capsys):
         """The fixtures/tiny store with its header's language set to a list, padded to length and signed anew."""
-        path = _tiny_store(tmp_path)
+        path = tiny_store(tmp_path)
         rewrite_store(path, b'"language": "english"', b'"language": [1]      ')
         capsys.readouterr()
         rc = main(["core", "--store", str(path), "--window", "1900:1902", "--k", "3", "--out", str(tmp_path / "out")])
@@ -481,14 +473,31 @@ class TestCoreCommand:
     @pytest.mark.parametrize("old, new", HEADER_EDITS.values(), ids=HEADER_EDITS)
     def test_store_header_that_disagrees_with_the_file_is_data_error(self, tmp_path, capsys, old, new):
         """The fixtures/tiny store with one header field edited and signed anew: no core, and an error naming the file."""
-        path = _tiny_store(tmp_path)
+        path = tiny_store(tmp_path)
         rewrite_store(path, old, new)
         capsys.readouterr()
         rc = main(["core", "--store", str(path), "--window", "1900:1904", "--k", "7", "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith(f"error: {path}: header does not describe") and "Traceback" not in err
+        assert "ValueError(" not in err and "KeyError(" not in err
         assert not list((tmp_path / "out").glob("core_*"))
+
+    @pytest.mark.parametrize(
+        "old, new, detail",
+        [
+            (b'"words_bytes": 32', b'"words_bytes": 30', "words_bytes 30 is not the length of the word list"),
+            (b'"columns"', b'"columnz"', "missing header key 'columns'"),
+        ],
+        ids=["words_bytes-30", "no-columns"],
+    )
+    def test_store_header_error_reads_as_prose(self, tmp_path, capsys, old, new, detail):
+        """A refused header's reason is the sentence that names it, not the exception's repr."""
+        path = tiny_store(tmp_path)
+        rewrite_store(path, old, new)
+        capsys.readouterr()
+        assert main(["core", "--store", str(path), "--window", "1900:1904", "--k", "7", "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {path}: header does not describe a version-2 store ({detail})\n"
 
     def test_store_rows_out_of_order_is_data_error(self, tmp_path, capsys):
         """A store whose first word's first two rows (cat, 1900 and 1901) are swapped and signed anew.
@@ -496,7 +505,7 @@ class TestCoreCommand:
         Its values are all in range and its totals agree, but a window's rows
         are found by year order within a word, so the query would read the wrong rows.
         """
-        path = _tiny_store(tmp_path)
+        path = tiny_store(tmp_path)
         assert load_store(path).year[:2].tolist() == [1900, 1901]
         payload = bytearray(path.read_bytes()[:-32])
         header = json.loads(payload[12 : 12 + struct.unpack_from("<I", payload, 8)[0]])
@@ -1342,8 +1351,8 @@ def test_version_flag(capsys):
 
 
 def _lexcore(*argv: str) -> subprocess.CompletedProcess:
-    """Run the CLI in a fresh interpreter, where its logging setup takes effect."""
-    code = "import sys; from lexcore.cli import main; sys.exit(main(sys.argv[1:]))"
+    """Run the CLI through its console-script entry point in a fresh interpreter, where its logging setup takes effect."""
+    code = "from lexcore.cli import main_entry; main_entry()"
     env = {**os.environ, "PYTHONPATH": str(Path(lexcore.__file__).parents[1])}
     return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env)
 
@@ -1358,6 +1367,39 @@ def test_log_level_warning_hides_info(tmp_path):
     assert quiet.returncode == 0
     assert "INFO" not in quiet.stderr
     assert (tmp_path / "quiet" / "truth.json").exists()
+
+
+def test_entry_point_exit_codes(tmp_path):
+    """``main_entry`` exits 0 with every output complete, 1 on a corrupt store, and 2 on a bad flag."""
+    store = tiny_store(tmp_path)
+    query = ["coverage", "--store", str(store), "--window", "1900:1902"]
+    ok = _lexcore(*query, "--k", "3", "--out", str(tmp_path / "ok"))
+    assert ok.returncode == 0, ok.stderr
+    csv = tmp_path / "ok" / "coverage_1900-1902.csv"
+    assert ok.stdout.splitlines() == [str(csv)]
+    assert csv.read_text(encoding="utf-8") == "x,y\n1900,0.7\n1901,0.5\n1902,1.0\n1903,0.5\n1904,0.5\n"
+
+    corrupt = tmp_path / "corrupt.lxst"
+    data = bytearray(store.read_bytes())
+    data[len(data) // 2] ^= 0xFF
+    corrupt.write_bytes(bytes(data))
+    bad_store = _lexcore("coverage", "--store", str(corrupt), "--window", "1900:1902", "--k", "3", "--out", str(tmp_path / "bad"))
+    assert bad_store.returncode == 1
+    assert bad_store.stderr.splitlines() == [f"error: {corrupt}: checksum does not verify (truncated or corrupt)"]
+
+    bad_flag = _lexcore(*query, "--k", "0", "--out", str(tmp_path / "usage"))
+    assert bad_flag.returncode == 2
+    assert "error: argument --k: expected an integer >= 1, got '0'" in bad_flag.stderr
+    assert "Traceback" not in bad_flag.stderr + bad_store.stderr
+    assert not (tmp_path / "bad").exists() and not (tmp_path / "usage").exists()
+
+
+def test_unknown_preset_in_a_fresh_process_names_every_preset(tmp_path):
+    result = _lexcore("synth", "--preset", "nope", "--out", str(tmp_path / "D"))
+    assert result.returncode == 2
+    assert "error: argument --preset:" in result.stderr and "Traceback" not in result.stderr
+    assert all(name in result.stderr for name in PRESETS) and len(PRESETS) == 5
+    assert not (tmp_path / "D").exists()
 
 
 def test_unknown_log_level_is_usage_error(tmp_path, capsys):

@@ -4,6 +4,7 @@ package imports only the layers a caller asks for."""
 from __future__ import annotations
 
 import importlib
+import json
 import os
 import pkgutil
 import re
@@ -14,6 +15,9 @@ from pathlib import Path
 import pytest
 
 import lexcore
+from lexcore.cli import main
+
+from conftest import tiny_store
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -34,18 +38,66 @@ def test_all_names_resolve(name):
     assert missing == []
 
 
+def _python(*argv: str) -> str:
+    """What ``python argv`` prints, run from the repository root in a fresh interpreter that imports this lexcore."""
+    env = {**os.environ, "PYTHONPATH": str(Path(lexcore.__file__).parents[1])}
+    return subprocess.run([sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True, check=True).stdout
+
+
 def _lexcore_modules(statement: str) -> list[str]:
     """The lexcore modules a fresh interpreter holds after `statement`."""
-    code = f"{statement}; import sys; print(*sorted(m for m in sys.modules if m.startswith('lexcore.')))"
-    env = {**os.environ, "PYTHONPATH": str(Path(lexcore.__file__).parents[1])}
-    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout.split()
+    return _python("-c", f"{statement}; import sys; print(*sorted(m for m in sys.modules if m.startswith('lexcore.')))").split()
+
+
+def _loaded_after_main(argv: list[str], names: list[str]) -> list[str]:
+    """Those of ``names`` whose code a fresh interpreter has run after ``main(argv)`` succeeds.
+
+    A lexcore layer that the CLI registered but no command used is still
+    a lazy module, not a loaded one.
+    """
+    code = f"""
+import sys, types
+from lexcore.cli import main
+assert main({argv!r}) == 0
+print(*[n for n in {names!r} if type(sys.modules.get(n)) is types.ModuleType])
+"""
+    return _python("-c", code).splitlines()[-1].split()  # below the output paths that main prints
 
 
 def test_importing_the_package_loads_no_layer():
     assert _lexcore_modules("import lexcore") == []
 
 
-def test_importing_the_cli_loads_every_layer():
-    # perfbench's tracer wraps the layers that `import lexcore.cli` loads.
+def test_importing_the_cli_registers_every_layer():
+    # perfbench's tracer wraps the layers that `import lexcore.cli` registers.
     layers = "alphabets cli config errors ingest metrics postags serialize store svgchart synth windows"
     assert _lexcore_modules("import lexcore.cli") == [f"lexcore.{m}" for m in layers.split()]
+
+
+def test_importing_the_cli_loads_no_numpy():
+    assert _python("-c", "import sys, lexcore.cli; print('numpy' in sys.modules)").strip() == "False"
+
+
+def test_report_never_loads_numpy(tmp_path):
+    store = tiny_store(tmp_path)
+    assert main(["coverage", "--store", str(store), "--window", "1900:1902", "--k", "3", "--out", str(tmp_path / "cov")]) == 0
+    argv = ["report", "--no-timestamp", str(tmp_path / "cov"), "--out", str(tmp_path / "fig")]
+    assert _loaded_after_main(argv, ["numpy", "lexcore.svgchart"]) == ["lexcore.svgchart"]
+    assert (tmp_path / "fig" / "coverage.svg").is_file()
+
+
+def test_a_query_runs_only_the_layers_it_uses(tmp_path):
+    store = tiny_store(tmp_path)
+    argv = ["core", "--store", str(store), "--window", "1900:1902", "--k", "3", "--out", str(tmp_path / "core")]
+    unused = ["gzip", "concurrent.futures", "lexcore.ingest", "lexcore.synth", "lexcore.svgchart"]
+    assert _loaded_after_main(argv, ["lexcore.windows", *unused]) == ["lexcore.windows"]
+
+
+def test_tracer_sees_the_calls_of_a_lazily_loaded_cli(tmp_path):
+    """perfbench's tracer, run as a script, records a span for each layer call of a command."""
+    store = tiny_store(tmp_path)
+    spans = tmp_path / "spans.json"
+    argv = ["core", "--store", str(store), "--window", "1900:1902", "--k", "3", "--out", str(tmp_path / "core")]
+    _python("perfbench/tracing.py", str(spans), *argv)
+    names = {span[0] for span in json.loads(spans.read_text(encoding="utf-8"))["spans"]}
+    assert {"store.load_store", "windows.aggregate_window", "windows.frequency_core", "windows.write_core"} <= names
