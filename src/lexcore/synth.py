@@ -23,22 +23,40 @@ from its own seed derived from (seed, year), so any generation schedule
 produces byte-identical shards, gzip ones included (their headers carry
 mtime 0).  Each year's rows are formatted from whole arrays into one
 ``bytes`` write.
+
+The schedule: worker threads, one per CPU this process may run on
+(``os.sched_getaffinity``, else ``os.cpu_count()``) and at most 4, each
+draw and format whole years; numpy releases the GIL while it draws.
+The calling thread applies each era's churn, hands every year its
+era's token snapshot, and writes the years in year order, with at most
+as many years pending ahead of it as there are workers, since each one
+in flight holds tens of MB at a million words.  On a 2-core VM two
+workers took a 200-year, 1.5M-line corpus from 1.28 to 0.84 s and a
+1M-word, 20-year one from about 4.3 to 2.8 s, at 120 MB more peak RSS;
+more than two CPUs is unmeasured.  Each shard is written beside its
+final name and renamed into place when whole, so a failed or killed
+run never leaves a torn shard.
 """
 
 from __future__ import annotations
 
 import gzip
 import logging
+import os
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, BinaryIO, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .config import from_json, json_float, json_int
 from .errors import ConfigInvalid
 from .postags import POS_COUNT, PosTag
-from .serialize import dump_json, json_fields, write_text_atomic
+from .serialize import dump_json, json_fields, replacing, write_text_atomic
 
 log = logging.getLogger(__name__)
 
@@ -314,6 +332,64 @@ def _apply_churn(
     return [int(r) + 1 for r in replaced]
 
 
+def _draw_year(config: SynthConfig, year: int, probs: np.ndarray, tokens: np.ndarray) -> bytes:
+    """One year's rows, drawn from the year's own seed: multinomial counts
+    over ``probs`` and binomial volumes, for the ``tokens`` of its era."""
+    rng = _rng(config.seed, 2, year)
+    counts = rng.multinomial(config.tokens_per_year, probs)
+    vol_p = -np.expm1(-counts / config.volumes_per_year)
+    vols = rng.binomial(config.volumes_per_year, vol_p)
+    vols = np.minimum(vols, counts)
+    vols = np.where(counts > 0, np.maximum(vols, 1), 0)
+    nz = np.flatnonzero(counts)
+    return _format_rows(tokens[nz], year, counts[nz], vols[nz])
+
+
+_MAX_WORKERS = 4  # each year in flight holds tens of MB at a million words
+
+
+def _workers() -> int:
+    """The CPUs this process may run on, at most ``_MAX_WORKERS``."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, _MAX_WORKERS)
+
+
+def _in_order(fn: Callable[..., bytes], jobs: Iterable[tuple], workers: int) -> Iterator[bytes]:
+    """``fn(*job)`` for every job, run on ``workers`` threads and yielded in job order.
+
+    Jobs are taken from ``jobs`` on the calling thread, one at a time, so
+    that at most ``workers`` are pending while the caller handles a result.
+    Closing the iterator cancels the jobs not yet started and waits for the rest.
+    """
+    with ThreadPoolExecutor(max_workers=workers) as executor:
+        pending: deque = deque()
+        try:
+            for job in jobs:
+                pending.append(executor.submit(fn, *job))
+                if len(pending) > workers:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
+
+
+@contextmanager
+def _shard(path: Path, gzip_output: bool) -> Iterator[BinaryIO]:
+    """A shard's write handle; the shard appears, whole, when the block ends (see ``replacing``)."""
+    with replacing(path) as fh:
+        if not gzip_output:
+            yield fh
+            return
+        # filename keeps the temp name, and mtime=0 the time of the run, out of the gzip header.
+        with gzip.GzipFile(filename=str(path), mode="wb", fileobj=fh, mtime=0) as gz:
+            yield gz
+
+
 def generate_corpus(
     config: SynthConfig,
     out_dir: str | Path,
@@ -346,49 +422,32 @@ def generate_corpus(
     eras = config.eras()
     boundaries = []
     span = config.year_end - config.year_start
-    era_index = 0
 
-    shard_paths: list[Path] = []
-    chunk_start = config.year_start
-    # mtime=0 keeps the time of the run out of the gzip header.
-    opener = (lambda p: gzip.GzipFile(p, "wb", mtime=0)) if gzip_output else (lambda p: open(p, "wb"))
-    suffix = ".tsv.gz" if gzip_output else ".tsv"
-
-    while chunk_start <= config.year_end:
-        chunk_end = min(chunk_start + shard_years - 1, config.year_end)
-        path = out / f"synth-{chunk_start}-{chunk_end}{suffix}"
-        with opener(path) as fh:
-            for year in range(chunk_start, chunk_end + 1):
-                new_era = (year - config.year_start) // config.era_length
-                if new_era != era_index:
-                    era_index = new_era
-                    replaced = _apply_churn(alive, pool, config, era_index, pinned)
-                    boundaries.append(
-                        {
-                            "era_start": eras[era_index][0],
-                            "replaced": len(replaced),
-                            "replaced_ranks": replaced,
-                        }
-                    )
-
+    def year_jobs() -> Iterator[tuple]:
+        """Each year's draw arguments, in year order, churning each era as it is reached."""
+        for era_index, (era_start, era_end) in enumerate(eras):
+            if era_index:
+                replaced = _apply_churn(alive, pool, config, era_index, pinned)
+                boundaries.append({"era_start": era_start, "replaced": len(replaced), "replaced_ranks": replaced})
+            tokens = pool.tokens[alive]  # a copy: the next era's churn cannot reach this era's years
+            for year in range(era_start, era_end + 1):
                 weights = base_weights
                 if config.decay_group is not None and span > 0:
                     g = 1.0 + (config.decay_factor - 1.0) * (year - config.year_start) / span
                     weights = base_weights.copy()
                     weights[pinned] *= g
-                probs = weights / weights.sum()
+                yield config, year, weights / weights.sum(), tokens
 
-                rng = _rng(config.seed, 2, year)
-                counts = rng.multinomial(config.tokens_per_year, probs)
-                vol_p = -np.expm1(-counts / config.volumes_per_year)
-                vols = rng.binomial(config.volumes_per_year, vol_p)
-                vols = np.minimum(vols, counts)
-                vols = np.where(counts > 0, np.maximum(vols, 1), 0)
-
-                nz = np.flatnonzero(counts)
-                fh.write(_format_rows(pool.tokens[alive[nz]], year, counts[nz], vols[nz]))
-        shard_paths.append(path)
-        chunk_start = chunk_end + 1
+    shard_paths: list[Path] = []
+    suffix = ".tsv.gz" if gzip_output else ".tsv"
+    with closing(_in_order(_draw_year, year_jobs(), _workers())) as years:
+        for chunk_start in range(config.year_start, config.year_end + 1, shard_years):
+            chunk_end = min(chunk_start + shard_years - 1, config.year_end)
+            path = out / f"synth-{chunk_start}-{chunk_end}{suffix}"
+            with _shard(path, gzip_output) as fh:
+                for rows in islice(years, chunk_end - chunk_start + 1):
+                    fh.write(rows)
+            shard_paths.append(path)
 
     volumes_path = out / "volumes.tsv"
     write_text_atomic(volumes_path, "".join(f"{y}\t{config.volumes_per_year}\n" for y in config.years))

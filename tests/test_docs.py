@@ -101,3 +101,15 @@ def test_tracer_sees_the_calls_of_a_lazily_loaded_cli(tmp_path):
     _python("perfbench/tracing.py", str(spans), *argv)
     names = {span[0] for span in json.loads(spans.read_text(encoding="utf-8"))["spans"]}
     assert {"store.load_store", "windows.aggregate_window", "windows.frequency_core", "windows.write_core"} <= names
+
+
+def test_traced_synth_is_one_top_level_span(tmp_path):
+    """Synth's worker threads call no traced layer, so the tracer's one span stack holds: a synth
+    run is one ``generate_corpus`` span, with only its sidecar writes beneath it."""
+    spans_path = tmp_path / "spans.json"
+    _python("perfbench/tracing.py", str(spans_path), "synth", "--preset", "churn15-small", "--out", str(tmp_path / "corpus"))
+    spans = json.loads(spans_path.read_text(encoding="utf-8"))["spans"]
+    top = [i for i, span in enumerate(spans) if span[3] < 0 and span[0].startswith("synth.")]
+    assert [spans[i][0] for i in top] == ["synth.generate_corpus"]
+    beneath = [span[0] for span in spans if span[3] in top]
+    assert beneath == ["serialize.write_text_atomic", "serialize.dump_json", "serialize.write_text_atomic"]

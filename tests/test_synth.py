@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import gzip
 import hashlib
 import json
+import os
+import threading
 import types
 
 import numpy as np
@@ -16,6 +19,7 @@ from lexcore.cli import main
 from lexcore.errors import ConfigInvalid
 from lexcore.ingest import build_store
 from lexcore.metrics import coverage_series, dropout_share
+from lexcore import synth
 from lexcore.postags import PosTag
 from lexcore.synth import PRESETS, SynthConfig, _format_rows, generate_corpus, synth_config_from_dict
 from lexcore.windows import WindowSpec, aggregate_window, frequency_core
@@ -174,18 +178,79 @@ GOLDEN_SHA256 = {
 }
 
 
+def _force_cpus(monkeypatch, cpus: int) -> None:
+    """Make this process look as if it may run on ``cpus`` CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    assert synth._workers() == cpus
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
-def test_golden_digests(tmp_path, name):
-    """Every output file hashes as it did before the writer became whole-array.
+def test_golden_digests(tmp_path, monkeypatch, name):
+    """Every output file hashes as it did before the writer became whole-array, at one worker and at four.
 
     The digests were recorded from the per-line f-string writer (one
     ``f"{token}\t{year}\t{count}\t{volumes}"`` per row), so a rewrite
-    of the write path that changes a single byte fails here.
+    of the write path that changes a single byte fails here, and so does
+    a schedule that lets the worker count reach a file.
     """
     config, shard_years = GOLDEN_CASES[name]
-    generate_corpus(config, tmp_path, shard_years=shard_years)
-    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
-    assert got == GOLDEN_SHA256[name]
+    for cpus in (1, 4):
+        _force_cpus(monkeypatch, cpus)
+        out = tmp_path / str(cpus)
+        generate_corpus(config, out, shard_years=shard_years)
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert got == GOLDEN_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_gzip_shards_same_bytes_at_one_and_four_workers(tmp_path, monkeypatch, name):
+    """Gzip shards match byte for byte across worker counts, and unpack to the recorded plain shards."""
+    config, shard_years = GOLDEN_CASES[name]
+    shards = {}
+    for cpus in (1, 4):
+        _force_cpus(monkeypatch, cpus)
+        result = generate_corpus(config, tmp_path / str(cpus), shard_years=shard_years, gzip_output=True)
+        shards[cpus] = {p.name: p.read_bytes() for p in result.shard_paths}
+    assert shards[1] == shards[4]
+    unpacked = {name[: -len(".gz")]: hashlib.sha256(gzip.decompress(data)).hexdigest() for name, data in shards[1].items()}
+    assert unpacked == {k: v for k, v in GOLDEN_SHA256[name].items() if k.startswith("synth-")}
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_years_pending_ahead_of_the_writer_are_bounded(workers):
+    """Results come back in job order, and no more than ``workers`` jobs are taken ahead of the one handed out."""
+    taken = 0
+
+    def jobs():
+        nonlocal taken
+        for year in range(20):
+            taken += 1
+            yield (year,)
+
+    for written, year in enumerate(synth._in_order(lambda year: year, jobs(), workers)):
+        assert year == written
+        assert taken - (written + 1) <= workers
+
+
+@pytest.mark.parametrize("gzip_output", [False, True])
+@pytest.mark.parametrize("cpus", [1, 4])
+def test_a_failing_year_leaves_no_torn_shard_and_no_thread(tmp_path, monkeypatch, cpus, gzip_output):
+    """A worker's error ends the run with that error; the shard holding its year is never written."""
+    _force_cpus(monkeypatch, cpus)
+    format_rows = synth._format_rows
+
+    def fail_in_1930(tokens, year, counts, volumes):
+        if year == 1930:
+            raise RuntimeError("no rows for 1930")
+        return format_rows(tokens, year, counts, volumes)
+
+    monkeypatch.setattr(synth, "_format_rows", fail_in_1930)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="no rows for 1930"):
+        generate_corpus(TINY, tmp_path, shard_years=25, gzip_output=gzip_output)
+    # 1900-1924 is whole before 1930 is written; 1925-1939 never appears, nor a temp file or sidecar.
+    assert [p.name for p in tmp_path.iterdir()] == ["synth-1900-1924.tsv" + (".gz" if gzip_output else "")]
+    assert threading.active_count() == threads
 
 
 def test_different_seed_different_bytes(tmp_path):
