@@ -143,7 +143,7 @@ def _frequency_sum_series(store: CorpusStore, ids: np.ndarray, years: Iterable[i
     # Each word's rows are one slice of the store.
     starts = store.word_offsets[ids]
     rows = run_rows(starts, store.word_offsets[ids + 1] - starts)
-    sums = index_sum(store.year_offset[rows], store.match_count[rows], len(totals)).tolist()
+    sums = index_sum(store.year_offset[rows], store.counts("match", rows), len(totals)).tolist()
     points = tuple((y, sums[y - store.year_start] / totals[y - store.year_start]) for y in year_list)
     return MetricSeries(name=name, points=points)
 

@@ -6,11 +6,22 @@ is word order.  Rows are sorted by (word id, year, pos id), so all
 rows of one word are a contiguous slice, ``word_offsets[i]`` to
 ``word_offsets[i + 1]``, and a per-word query costs O(years),
 independent of vocabulary size.  Each row holds a pos id, its year as
-an offset from ``year_start``, and its match and volume counts; the
-year and count columns are held at the narrowest width that fits them,
-and every sum widens them to int64 first.
+an offset from ``year_start`` (at the narrowest width that fits the
+span), and its match and volume counts.
 
-On-disk layout, format version 2 (little-endian)::
+Counts are Zipf-shaped, so a count column is held narrow and its rare
+large values apart (patched frame of reference).  The width rule: a
+column whose largest count is at most 255 is u1 and has no exceptions;
+any other is u2, and there the slot value 65,535 is a sentinel.  A row
+whose slot holds the sentinel takes its count from the column's
+exception list, which holds those counts (each at least 65,535) in row
+order, at the narrowest width that holds the largest.  The exception
+rows are not stored: they are the sentinel slots, found when the store
+is checked and kept (8 bytes an exception).  :meth:`CorpusStore.counts`
+is the one reader of counts: it gathers slots, widens them to int64 and
+patches the exceptions among them, and every sum starts from it.
+
+On-disk layout, format version 3 (little-endian)::
 
     magic "LXST" | u32 version | u32 header_len | header JSON
     | words blob (utf-8, newline-joined)
@@ -19,18 +30,20 @@ On-disk layout, format version 2 (little-endian)::
 
 The columns, in file order: ``word_offsets`` (i8, words + 1),
 ``pos_id`` (u1), ``year_offset`` (u1 under 256 years of span, u2 under
-65,536, else u4), ``match_count`` and ``volume_count`` (the narrowest of
-u1, u2, u4 and i8 that holds the column's maximum), then
-``lexical_totals`` and ``volume_totals`` (i8, one per year).  The header
-records each column's dtype and offset.
+65,536, else u4), ``match_slots`` (u1 or u2, one per row),
+``match_exceptions`` (u2, u4 or i8), ``volume_slots`` and
+``volume_exceptions`` likewise, then ``lexical_totals`` and
+``volume_totals`` (i8, one per year).  The header records each column's
+dtype and offset, and each exception list's length
+(``n_match_exceptions``, ``n_volume_exceptions``).
 
 :func:`load_store` maps the file and returns read-only views of it, with
 no copy.  The whole file except the trailing digest is checksummed;
 truncation or corruption raises :class:`ChecksumMismatch`, and an unknown
-magic or version, such as a version-1 file, or a header any field of
-which disagrees with the file raises :class:`FormatVersionMismatch`: the
-word list holds no NUL and only zero padding follows it, so
-``words_bytes`` is its length.  That trailing
+magic or version, such as a version-1 or version-2 file, or a header any
+field of which disagrees with the file raises
+:class:`FormatVersionMismatch`: the word list holds no NUL and only zero
+padding follows it, so ``words_bytes`` is its length.  That trailing
 SHA-256 digest is the store's identity: :func:`save_store` returns it
 and :func:`load_store` records it as :attr:`CorpusStore.digest` (hex).
 
@@ -38,11 +51,13 @@ One contract holds for every store, built or loaded, and
 :class:`CorpusStore` checks it when constructed: the language is a
 string; words strictly ascend and none is empty; ``word_offsets`` holds
 one entry more than the words, each row column ``word_offsets[-1]``
-values and each year column one per year of the span; word offsets
-ascend from 0 to the row count; pos ids are below
-``POS_COUNT`` and year offsets below the span; counts and totals are
-non-negative; within each word, rows strictly ascend by (year offset,
-pos id); and each year's lexical total is the sum of its rows' match
+values and each year column one per year of the span; each column is at
+one of its widths above; word offsets ascend from 0 to the row count;
+pos ids are below ``POS_COUNT`` and year offsets below the span; totals
+are non-negative; a u1 count column has no exceptions, a u2 one has as
+many sentinel slots as exceptions, and every exception is at least
+65,535; within each word, rows strictly ascend by (year offset, pos
+id); and each year's lexical total is the sum of its rows' match
 counts.  A built store that breaks it is a ValueError, and a file that
 verifies but breaks it, as one edited and signed anew might, is a
 :class:`FormatVersionMismatch` naming the file.
@@ -70,22 +85,26 @@ from .postags import POS_COUNT
 from .serialize import replacing
 
 MAGIC = b"LXST"
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 _PREAMBLE = len(MAGIC) + 8  # magic, version, header length
 _DIGEST = 32
 _PAGE = 4096
 _BLOCK_ROWS = 1 << 16  # rows summed and order-checked at a time
 _OVERFLOW = "a sum of counts reaches 2**63, beyond the int64 counts a store holds"
+_SENTINEL = 0xFFFF  # a u2 count slot holding this takes its count from the exception list
 
 # Narrow widths, narrowest first; each dtype is its little-endian ``str``.
 _WIDTHS = ("|u1", "<u2", "<u4", "<i8")
+_COUNTS = ("match", "volume")
 # Every column in file order, with the dtypes it may be stored at.
 _COLUMNS = {
     "word_offsets": ("<i8",),
     "pos_id": ("|u1",),
     "year_offset": _WIDTHS[:3],
-    "match_count": _WIDTHS,
-    "volume_count": _WIDTHS,
+    "match_slots": _WIDTHS[:2],
+    "match_exceptions": _WIDTHS[1:],
+    "volume_slots": _WIDTHS[:2],
+    "volume_exceptions": _WIDTHS[1:],
     "lexical_totals": ("<i8",),
     "volume_totals": ("<i8",),
 }
@@ -110,8 +129,10 @@ class CorpusStore:
     Construction checks the store contract (see the module docstring)
     and raises ValueError where it fails, or :class:`CountOverflow` where
     a year's lexical total reaches 2**63.  ``lexical_totals`` of None are
-    summed from the rows.  ``word_id`` and the absolute ``year`` of each
-    row are derived on first use, for callers outside the query path.
+    summed from the rows.  ``word_id``, the absolute ``year`` and the
+    exact ``match_count`` and ``volume_count`` of each row are derived on
+    first use, for callers outside the query path; queries read counts
+    through :meth:`counts`.
     """
 
     language: str
@@ -121,8 +142,10 @@ class CorpusStore:
     word_offsets: np.ndarray
     pos_id: np.ndarray
     year_offset: np.ndarray
-    match_count: np.ndarray
-    volume_count: np.ndarray
+    match_slots: np.ndarray
+    match_exceptions: np.ndarray
+    volume_slots: np.ndarray
+    volume_exceptions: np.ndarray
     lexical_totals: np.ndarray | None
     volume_totals: np.ndarray
     digest: str | None = None
@@ -135,23 +158,44 @@ class CorpusStore:
         if self.words[:1] == [""]:  # words ascend, so an empty one is first
             raise ValueError("a store word is empty")
         offsets, n_rows, span = self.word_offsets, len(self.pos_id), self.year_end - self.year_start + 1
-        for name, length in _column_lengths(n_rows, len(self.words), span).items():
-            if (column := getattr(self, name)) is not None and len(column) != length:
+        n_exceptions = (len(self.match_exceptions), len(self.volume_exceptions))
+        for name, length in _column_lengths(n_rows, len(self.words), span, *n_exceptions).items():
+            if (column := getattr(self, name)) is None:
+                continue
+            if len(column) != length:
                 raise ValueError(f"column {name} holds {len(column)} values, not {length}")
+            if column.dtype.newbyteorder("<").str not in _COLUMNS[name]:
+                raise ValueError(f"column {name} is stored as {column.dtype.str}, not one of {_COLUMNS[name]}")
         # Every value a query indexes with or sums is bounded here, once.
         if offsets[0] != 0 or offsets[-1] != n_rows or np.any(offsets[1:] < offsets[:-1]):
             raise ValueError("word_offsets do not ascend from 0 to the row count")
         for name, bound in (("pos_id", POS_COUNT), ("year_offset", span)):  # one total a year
             if getattr(self, name).max(initial=0) >= bound:
                 raise ValueError(f"column {name} holds a value of {bound} or more")
-        for name in ("match_count", "volume_count", "lexical_totals", "volume_totals"):
+        for name in ("lexical_totals", "volume_totals"):
             if getattr(self, name) is not None and getattr(self, name).min(initial=0) < 0:
                 raise ValueError(f"column {name} holds a negative count")
+        # The exception rows are the sentinel slots of a u2 column, found a block at a time.
+        self._exception_rows = {}
+        for count in _COUNTS:
+            slots, exceptions = getattr(self, f"{count}_slots"), getattr(self, f"{count}_exceptions")
+            if slots.itemsize == 1 and len(exceptions):
+                raise ValueError(f"column {count}_slots is u1, but {count}_exceptions holds {len(exceptions)} values")
+            rows = [np.empty(0, dtype=np.int64)]
+            for start in range(0, n_rows if slots.itemsize == 2 else 0, _BLOCK_ROWS):
+                rows.append(np.flatnonzero(slots[start : start + _BLOCK_ROWS] == _SENTINEL) + start)
+            rows = self._exception_rows[count] = np.concatenate(rows)
+            if len(rows) != len(exceptions):
+                raise ValueError(
+                    f"column {count}_slots holds {len(rows)} sentinels, but {count}_exceptions {len(exceptions)} values"
+                )
+            if exceptions.min(initial=_SENTINEL) < _SENTINEL:
+                raise ValueError(f"column {count}_exceptions holds a value below {_SENTINEL}")
         # A block of rows at a time, so no whole column is widened: sum each year's match counts, check row order.
         totals = np.zeros(span, dtype=np.int64)
         for start in range(0, n_rows, _BLOCK_ROWS):
             block = slice(start, start + _BLOCK_ROWS)
-            totals += index_sum(self.year_offset[block], self.match_count[block], span)
+            totals += index_sum(self.year_offset[block], self.counts("match", block), span)
             if totals.min() < 0:  # a sum of non-negative counts wraps negative once it reaches 2**63
                 raise CountOverflow(_OVERFLOW)
             first = max(start - 1, 0)  # the row before the block, to compare across blocks
@@ -182,10 +226,12 @@ class CorpusStore:
         id``, so key order is the store's row order; keys that do not
         strictly ascend are a ValueError.  The narrow columns are decoded
         from the keys at their own widths, through one int64 scratch
-        column, and a count column that is already at its width is kept,
-        not copied.  The store checks itself (see :class:`CorpusStore`),
-        so a key past the vocabulary or a negative count is a ValueError,
-        and it sums each year's lexical total from the rows.
+        column.  Each count column is split by the width rule (see the
+        module docstring) with no int64 scratch column; a u1 column that
+        is already u1 is kept, not copied.  A negative count is a
+        ValueError, and the store checks itself (see
+        :class:`CorpusStore`), so a key past the vocabulary is one too;
+        it sums each year's lexical total from the rows.
         """
         key = np.asarray(key, dtype=np.int64)
         if np.any(key[1:] <= key[:-1]):
@@ -198,9 +244,17 @@ class CorpusStore:
         year_offset = np.empty(len(key), dtype=_narrowest(span))
         np.remainder(key // POS_COUNT, span, out=year_offset, casting="unsafe")
 
-        def narrow(counts: np.ndarray) -> np.ndarray:
-            bound = int(np.max(counts, initial=0)) if np.min(counts, initial=0) >= 0 else 2**63 - 1  # a negative count stays signed
-            return np.asarray(counts).astype(_narrowest(bound), copy=False)
+        def narrow(count: str, counts: np.ndarray) -> dict[str, np.ndarray]:
+            counts = np.asarray(counts)
+            if np.min(counts, initial=0) < 0:
+                raise ValueError(f"column {count}_count holds a negative count")
+            top = int(np.max(counts, initial=0))
+            if top <= 0xFF:
+                return {f"{count}_slots": counts.astype("|u1", copy=False), f"{count}_exceptions": np.empty(0, dtype="<u2")}
+            rows = np.flatnonzero(counts >= _SENTINEL)
+            slots = counts.astype("<u2")  # a count past u2 wraps here, and its slot is overwritten next
+            slots[rows] = _SENTINEL
+            return {f"{count}_slots": slots, f"{count}_exceptions": counts[rows].astype(_narrowest(top))}
 
         return cls(
             language=language,
@@ -210,11 +264,37 @@ class CorpusStore:
             word_offsets=offsets.astype("<i8", copy=False),
             pos_id=pos_id,
             year_offset=year_offset,
-            match_count=narrow(match_count),
-            volume_count=narrow(volume_count),
+            **narrow("match", match_count),
+            **narrow("volume", volume_count),
             lexical_totals=None,
             volume_totals=np.asarray(volume_totals, dtype="<i8"),
         )
+
+    def counts(self, count: str, rows: np.ndarray | slice) -> np.ndarray:
+        """The exact int64 ``"match"`` or ``"volume"`` counts of ``rows``.
+
+        ``rows`` are row indices in any order, or a slice with a start.
+        The slots are gathered and widened, and each sentinel among them
+        takes its row's exception.  Every read of a count goes through here.
+        """
+        slots = getattr(self, f"{count}_slots")[rows]
+        counts = slots.astype(np.int64)
+        exception_rows = self._exception_rows[count]
+        if len(exception_rows):
+            hits = np.flatnonzero(slots == _SENTINEL)
+            at = hits + rows.start if isinstance(rows, slice) else rows[hits]
+            counts[hits] = getattr(self, f"{count}_exceptions")[np.searchsorted(exception_rows, at)]
+        return counts
+
+    @cached_property
+    def match_count(self) -> np.ndarray:
+        """Exact match count of each row (int64)."""
+        return self.counts("match", slice(0, len(self.pos_id)))
+
+    @cached_property
+    def volume_count(self) -> np.ndarray:
+        """Exact volume count of each row (int64)."""
+        return self.counts("volume", slice(0, len(self.pos_id)))
 
     @cached_property
     def word_id(self) -> np.ndarray:
@@ -231,10 +311,11 @@ class CorpusStore:
         return range(self.year_start, self.year_end + 1)
 
 
-def _column_lengths(n_rows: int, n_words: int, span: int) -> dict[str, int]:
-    """Each column's length: a word offset per word and one more, a row value per row, a total per year."""
+def _column_lengths(n_rows: int, n_words: int, span: int, n_match_exceptions: int, n_volume_exceptions: int) -> dict[str, int]:
+    """Each column's length: a word offset per word and one more, a row value per row, a total per year, and the exceptions."""
     lengths = dict.fromkeys(_COLUMNS, n_rows)
-    lengths.update(word_offsets=n_words + 1, lexical_totals=span, volume_totals=span)
+    lengths.update(word_offsets=n_words + 1, lexical_totals=span, volume_totals=span,
+                   match_exceptions=n_match_exceptions, volume_exceptions=n_volume_exceptions)
     return lengths
 
 
@@ -273,6 +354,8 @@ def save_store(store: CorpusStore, path: str | Path) -> str:
         "n_rows": int(len(store.pos_id)),
         "n_words": len(store.words),
         "words_bytes": len(words_blob),
+        "n_match_exceptions": len(store.match_exceptions),
+        "n_volume_exceptions": len(store.volume_exceptions),
         "columns": {},
     }
     dtypes = {name: column.dtype.str for name, column in columns.items()}
@@ -329,11 +412,16 @@ def load_store(path: str | Path) -> CorpusStore:
     pos = _PREAMBLE + header_len
     try:
         header = json.loads(mapped[_PREAMBLE:pos])
-        if any(type(header[key]) is not int for key in ("year_start", "year_end", "n_rows", "n_words", "words_bytes")):
+        sizes = ("n_rows", "n_words", "words_bytes", "n_match_exceptions", "n_volume_exceptions")
+        if any(type(header[key]) is not int for key in ("year_start", "year_end", *sizes)):
             raise ValueError("a year or count of the header is not an integer")
+        if min(header[key] for key in sizes) < 0:
+            raise ValueError("a count of the header is negative")
         words_end = pos + header["words_bytes"]
         words_blob = mapped[pos:words_end]
-        lengths = _column_lengths(header["n_rows"], header["n_words"], header["year_end"] - header["year_start"] + 1)
+        span = header["year_end"] - header["year_start"] + 1
+        exceptions = header["n_match_exceptions"], header["n_volume_exceptions"]
+        lengths = _column_lengths(header["n_rows"], header["n_words"], span, *exceptions)
         recorded = header["columns"]
         layout, stop = _layout(words_end, {name: recorded[name]["dtype"] for name in _COLUMNS}, lengths)
         # The word list holds no NUL, and only zero padding follows it, so

@@ -148,10 +148,8 @@ def aggregate_window(store: CorpusStore, spec: WindowSpec) -> WindowTable:
     run_lengths = np.diff(bounds)
     word_ids = np.flatnonzero(run_lengths)
     starts = bounds[word_ids]
-    # Each gathered count column goes straight to _exact, the only holder
-    # of its narrow copy, which it drops once the column is widened.
-    word_match = _exact(lambda c: np.add.reduceat(c, starts), store.match_count[rows])
-    word_vol = _exact(lambda c: np.add.reduceat(c, starts), store.volume_count[rows])
+    word_match = _exact(lambda c: np.add.reduceat(c, starts), store.counts("match", rows))
+    word_vol = _exact(lambda c: np.add.reduceat(c, starts), store.counts("volume", rows))
     volume_share = (
         word_vol / volume_total if volume_total > 0 else np.zeros(len(word_ids), dtype=np.float64)
     )
@@ -204,7 +202,7 @@ class Core:
         first, count = self.runs.T
         rows = run_rows(first, count)
         slot = np.repeat(np.arange(0, n * POS_COUNT, POS_COUNT), count) + self.store.pos_id[rows]
-        _, _, dominant = pos_totals(slot, self.store.match_count[rows], n)
+        _, _, dominant = pos_totals(slot, self.store.counts("match", rows), n)
         return tuple(map(_POS_TAGS.__getitem__, dominant.tolist()))
 
 

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import re
+import struct
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
@@ -103,6 +104,23 @@ def one_row_store(words, year: int, counts=None, pos=None) -> CorpusStore:
     )
 
 
+def wide_store() -> CorpusStore:
+    """A store of 1900-1901 both of whose count columns are u2 with exceptions.
+
+    Rows: aa 1900 and 1901 (NOUN), bb 1900 (VERB), cc 1900 and 1901 (ADJ).
+    Its match exceptions are 70,000, 2**40 and 65,535 (at i8), its volume
+    exceptions 65,535 and 2**20 (at u4).
+    """
+    tags = [int(PosTag.NOUN), int(PosTag.NOUN), int(PosTag.VERB), int(PosTag.ADJ), int(PosTag.ADJ)]
+    return CorpusStore.from_rows(
+        "english", 1900, 1901, ["aa", "bb", "cc"],
+        key=row_keys([0, 0, 1, 2, 2], [0, 1, 0, 0, 1], tags, 2),
+        match_count=np.array([70_000, 5, 2**40, 65_535, 300]),
+        volume_count=np.array([65_535, 3, 300, 2**20, 1]),
+        volume_totals=np.array([2**21, 2**20]),
+    )
+
+
 def make_core(words, pos=None, window=(1800, 1849), method=RANK_K, param=None) -> Core:
     """A core of the distinct ``words`` in the given order, each with its tag from ``pos`` (default NOUN).
 
@@ -144,6 +162,15 @@ def rewrite_store(path: Path, old: bytes, new: bytes) -> None:
     path.write_bytes(payload + hashlib.sha256(payload).digest())
 
 
+def rewrite_column(path: Path, column: str, row: int, value: int) -> None:
+    """Set the value of one stored column of a store file at ``row``, and sign the payload anew."""
+    payload = bytearray(path.read_bytes()[:-32])
+    (header_len,) = struct.unpack_from("<I", payload, 8)
+    spec = json.loads(payload[12 : 12 + header_len])["columns"][column]
+    np.frombuffer(payload, dtype=spec["dtype"], count=row + 1, offset=spec["offset"])[row] = value
+    path.write_bytes(bytes(payload) + hashlib.sha256(payload).digest())
+
+
 # Edits of one header field of the fixtures/tiny store, or of the hand
 # fixture's, which has the same words and layout; signed anew, each file
 # verifies, but its header does not describe it.
@@ -154,6 +181,8 @@ HEADER_EDITS = {
     "column-offset": (b'"offset": 8192', b'"offset": 8200'),
     "year_end": (b'"year_end": 1904', b'"year_end": 1905'),
     "year_start-float": (b'"year_start": 1900', b'"year_start": 19e2'),
+    "n_match_exceptions": (b'"n_match_exceptions": 0', b'"n_match_exceptions": 1'),
+    "n_volume_exceptions-negative": (b'"n_volume_exceptions": 0,', b'"n_volume_exceptions":-1,'),
 }
 
 

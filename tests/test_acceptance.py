@@ -10,9 +10,11 @@ runs against the library.
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import json
 import math
+import struct
 import time
 from dataclasses import replace
 from fractions import Fraction
@@ -428,7 +430,8 @@ def test_full_data_script_runs_on_a_synthetic_corpus(tmp_path, capsys):
 
     The published targets do not hold on synthetic data, so it returns 1,
     but it writes all 16 named checks with finite values; a second run
-    reuses the store, and a third rebuilds it once it is truncated.
+    reuses the store, a third rebuilds it once its version field reads 2
+    (signed anew), and a fourth once it is truncated.
     """
     config = SynthConfig(vocabulary=300, year_start=1676, year_end=2008, tokens_per_year=30_000, churn=0.0,
                          volumes_per_year=50)
@@ -443,12 +446,19 @@ def test_full_data_script_runs_on_a_synthetic_corpus(tmp_path, capsys):
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     work = tmp_path / "work"
-    for run in ("build", "reuse", "truncated"):
+    store = work / "english.lxst"
+    for run in ("build", "reuse", "version-2", "truncated"):
+        if run == "version-2":
+            payload = bytearray(store.read_bytes()[:-32])
+            struct.pack_into("<I", payload, 4, 2)
+            store.write_bytes(bytes(payload) + hashlib.sha256(payload).digest())
         if run == "truncated":
-            store = work / "english.lxst"
             store.write_bytes(store.read_bytes()[:-100])
         assert script.main([str(data), str(work), "--threads", "1"]) == 1
         checks = json.loads((work / "full_data_results.json").read_text(encoding="utf-8"))
         assert len({c["name"] for c in checks}) == len(checks) == 16
         assert all(math.isfinite(c["value"]) for c in checks)
-        assert ("reusing store" in capsys.readouterr().out) == (run == "reuse")
+        out = capsys.readouterr().out
+        assert ("reusing store" in out) == (run == "reuse")
+        assert ("store format version 2, this lexcore reads version 3" in out) == (run == "version-2")
+        assert ("rebuilding it" in out) == (run in ("version-2", "truncated"))

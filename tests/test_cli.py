@@ -368,7 +368,11 @@ class TestCoreCommand:
         assert rc == 1
 
     def test_version_1_store_is_data_error(self, pipeline, tmp_path, capsys):
-        """A store in the version-1 layout (wide columns, word ids) is refused with a rebuild hint."""
+        """A store of an older format, version 1 or 2, is refused with a rebuild hint.
+
+        Version 1 is its own layout (wide columns, word ids); version 2 is
+        this store with its version field rewritten and signed anew.
+        """
         store = load_store(pipeline["store"])
         words = "\n".join(store.words).encode("utf-8")
         header = json.dumps(
@@ -392,15 +396,21 @@ class TestCoreCommand:
             store.lexical_totals,
             store.volume_totals,
         ]
-        payload = b"LXST" + struct.pack("<II", 1, len(header)) + header + words + b"".join(c.tobytes() for c in columns)
-        path = tmp_path / "v1.lxst"
-        path.write_bytes(payload + hashlib.sha256(payload).digest())
-        rc = main(["core", "--store", str(path), "--window", "1800:1849", "--k", "10", "--out", str(tmp_path / "out")])
-        err = capsys.readouterr().err
-        assert rc == 1
-        assert err.startswith("error: ") and "rebuild it with `lexcore ingest`" in err
-        assert "Traceback" not in err
-
+        version_2 = bytearray(pipeline["store"].read_bytes()[:-32])
+        struct.pack_into("<I", version_2, 4, 2)
+        payloads = {
+            1: b"LXST" + struct.pack("<II", 1, len(header)) + header + words + b"".join(c.tobytes() for c in columns),
+            2: bytes(version_2),
+        }
+        for version, payload in payloads.items():
+            path = tmp_path / f"v{version}.lxst"
+            path.write_bytes(payload + hashlib.sha256(payload).digest())
+            rc = main(["core", "--store", str(path), "--window", "1800:1849", "--k", "10", "--out", str(tmp_path / "out")])
+            err = capsys.readouterr().err
+            assert rc == 1
+            assert err.startswith(f"error: {path}: store format version {version}, this lexcore reads version 3")
+            assert "rebuild it with `lexcore ingest`" in err
+            assert "Traceback" not in err
 
     @pytest.mark.parametrize("words", [b"dog\ncat\n", b"cat\ncat\n"], ids=["unsorted", "duplicated"])
     def test_store_words_not_ascending_is_data_error(self, hand_store, tmp_path, capsys, words):
@@ -423,6 +433,8 @@ class TestCoreCommand:
             ("word_offsets", 1, 17, ["core", "--window", "1900:1902", "--k", "3"]),
             ("pos_id", 0, 200, ["pos", "--window", "1900:1904", "--k", "10"]),
             ("year_offset", 0, 250, ["group", "--words", "WORDS"]),
+            # A sentinel slot with no exception to give its count.
+            ("match_slots", 0, 2**16 - 1, ["core", "--window", "1900:1902", "--k", "3"]),
             ("lexical_totals", 0, -1, ["core", "--window", "1900:1902", "--k", "3"]),
             # Non-negative, but not the sum of 1900's match counts (100).
             ("lexical_totals", 0, 1, ["core", "--window", "1900:1900", "--k", "3"]),
@@ -432,6 +444,7 @@ class TestCoreCommand:
             "word_offsets-descending",
             "pos_id",
             "year_offset",
+            "match_slots",
             "lexical_totals",
             "lexical_totals-disagree",
         ],
@@ -445,7 +458,8 @@ class TestCoreCommand:
         payload = bytearray(path.read_bytes()[:-32])
         header = json.loads(payload[12 : 12 + struct.unpack_from("<I", payload, 8)[0]])
         spec = header["columns"][column]
-        count = _column_lengths(header["n_rows"], header["n_words"], header["year_end"] - header["year_start"] + 1)[column]
+        span = header["year_end"] - header["year_start"] + 1
+        count = _column_lengths(header["n_rows"], header["n_words"], span, header["n_match_exceptions"], header["n_volume_exceptions"])[column]
         values = np.frombuffer(payload, dtype=spec["dtype"], count=count, offset=spec["offset"])
         assert values[index] != value
         values[index] = value
@@ -497,7 +511,7 @@ class TestCoreCommand:
         rewrite_store(path, old, new)
         capsys.readouterr()
         assert main(["core", "--store", str(path), "--window", "1900:1904", "--k", "7", "--out", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err == f"error: {path}: header does not describe a version-2 store ({detail})\n"
+        assert capsys.readouterr().err == f"error: {path}: header does not describe a version-3 store ({detail})\n"
 
     def test_store_rows_out_of_order_is_data_error(self, tmp_path, capsys):
         """A store whose first word's first two rows (cat, 1900 and 1901) are swapped and signed anew.
@@ -509,7 +523,7 @@ class TestCoreCommand:
         assert load_store(path).year[:2].tolist() == [1900, 1901]
         payload = bytearray(path.read_bytes()[:-32])
         header = json.loads(payload[12 : 12 + struct.unpack_from("<I", payload, 8)[0]])
-        for column in ("pos_id", "year_offset", "match_count", "volume_count"):
+        for column in ("pos_id", "year_offset", "match_slots", "volume_slots"):
             spec = header["columns"][column]
             values = np.frombuffer(payload, dtype=spec["dtype"], count=header["n_rows"], offset=spec["offset"])
             values[:2] = values[1::-1].copy()

@@ -113,3 +113,15 @@ def test_traced_synth_is_one_top_level_span(tmp_path):
     assert [spans[i][0] for i in top] == ["synth.generate_corpus"]
     beneath = [span[0] for span in spans if span[3] in top]
     assert beneath == ["serialize.write_text_atomic", "serialize.dump_json", "serialize.write_text_atomic"]
+
+
+def test_documented_store_format_version_is_the_one_written():
+    """README's store bullet and the store module's docstring state the version ``save_store`` writes."""
+    from lexcore import store
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    stated = {
+        "README.md": re.findall(r"magic `LXST`, format version (\d+)", readme),
+        "store.py": re.findall(r"On-disk layout, format version (\d+)", store.__doc__),
+    }
+    assert stated == dict.fromkeys(stated, [str(store.FORMAT_VERSION)])

@@ -615,7 +615,10 @@ def _parsed(path: Path, config) -> tuple[list, list, IngestStats]:
 
 def _whole(store, stats) -> tuple:
     """Everything a build yields: words, each column's dtype and values, and the counters."""
-    columns = ("word_offsets", "pos_id", "year_offset", "match_count", "volume_count", "lexical_totals", "volume_totals")
+    columns = (
+        "word_offsets", "pos_id", "year_offset", "match_slots", "match_exceptions", "volume_slots", "volume_exceptions",
+        "lexical_totals", "volume_totals",
+    )
     return store.words, {c: (getattr(store, c).dtype.str, getattr(store, c).tolist()) for c in columns}, stats
 
 

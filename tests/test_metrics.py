@@ -273,6 +273,11 @@ class TestOverlapReport:
         assert len(rep.only_a) + len(rep.only_b) == 4
         assert rep.jaccard == pytest.approx(4 / 8, abs=1e-12)
 
+    def test_percentage_uses_the_larger_core(self):
+        """Two of the larger core's four words are shared: 50%, not the smaller core's 100%."""
+        small, large = make_core(["a", "b"]), make_core(["a", "b", "c", "d"])
+        assert [overlap_report(a, b).overlap_pct for a, b in ((large, small), (small, large))] == [0.5, 0.5]
+
     def test_size_identities(self):
         a = make_core(["a", "b", "c", "d"])
         b = make_core(["c", "d", "e"])
@@ -447,6 +452,12 @@ class TestCoreSizeForCoverage:
         table = aggregate_window(small_store, WindowSpec(1800, 1849))
         ks = [core_size_for_coverage(table, t) for t in (0.3, 0.5, 0.7, 0.9)]
         assert ks == sorted(ks)
+
+    def test_prefix_that_reaches_the_target_exactly(self):
+        """Ranked shares 1/2, 1/4, 1/4 reach a target of 3/4 at K = 2, exactly."""
+        table = aggregate_window(one_row_store(["a", "b", "c"], 1900, [2, 1, 1]), WindowSpec(1900, 1900))
+        assert table.rel_freq.tolist() == [0.5, 0.25, 0.25]
+        assert core_size_for_coverage(table, 0.75) == 2
 
     def test_unreachable_target(self):
         table = make_table(["a", "b"], [0.3, 0.2], counts=[3, 2])

@@ -19,10 +19,11 @@ from hypothesis import strategies as st
 
 from lexcore.errors import ChecksumMismatch, CountOverflow, EmptyYearError, FormatVersionMismatch
 from lexcore.ingest import build_store
-from lexcore.metrics import coverage_series, turnover_series
+from lexcore.metrics import core_size_for_coverage, coverage_series, group_frequency_series, turnover_series
 from lexcore.postags import POS_COUNT, PosTag
 from lexcore.serialize import replacing, write_text_atomic
 from lexcore.store import (
+    FORMAT_VERSION,
     CorpusStore,
     group_sum,
     index_sum,
@@ -31,15 +32,17 @@ from lexcore.store import (
     read_volume_sidecar,
     save_store,
 )
-from lexcore.windows import WindowSpec, aggregate_window, frequency_core, standard_windows
+from lexcore.windows import WindowSpec, aggregate_window, bookshare_core, frequency_core, standard_windows
 
 from conftest import (
     HEADER_EDITS,
     english_config,
     relative_frequency,
+    rewrite_column,
     rewrite_store,
     row_keys,
     table_words,
+    wide_store,
     write_shards,
     year_slice,
 )
@@ -118,6 +121,13 @@ class TestYearSlice:
                 assert relative_frequency(store, word, year) == match / sl.lexical_total
 
 
+# Every stored column, in file order.
+COLUMNS = [
+    "word_offsets", "pos_id", "year_offset", "match_slots", "match_exceptions", "volume_slots", "volume_exceptions",
+    "lexical_totals", "volume_totals",
+]
+
+
 class TestPersistence:
     def test_round_trip_queries_identical(self, hand_store, tmp_path):
         store, _ = hand_store
@@ -145,7 +155,7 @@ class TestPersistence:
         assert store.digest is None
 
     def test_file_layout_is_payload_then_its_digest(self, hand_store, tmp_path):
-        """The streamed file is byte for byte the documented version-2 layout."""
+        """The streamed file is byte for byte the documented version-3 layout."""
         store, _ = hand_store
         path = tmp_path / "fixture.lxst"
         save_store(store, path)
@@ -153,21 +163,27 @@ class TestPersistence:
         magic, version, header_len = struct.unpack_from("<4sII", blob)
         header = json.loads(blob[12 : 12 + header_len])
         words = "\n".join(store.words).encode("utf-8")
-        assert (magic, version) == (b"LXST", 2)
-        assert {k: header[k] for k in ("language", "year_start", "year_end", "n_rows", "n_words", "words_bytes")} == {
+        assert (magic, version) == (b"LXST", 3) and FORMAT_VERSION == 3
+        header_keys = (
+            "language", "year_start", "year_end", "n_rows", "n_words", "words_bytes", "n_match_exceptions", "n_volume_exceptions",
+        )
+        assert {k: header[k] for k in header_keys} == {
             "language": "english", "year_start": 1900, "year_end": 1904,
-            "n_rows": 15, "n_words": 7, "words_bytes": len(words),
+            "n_rows": 15, "n_words": 7, "words_bytes": len(words), "n_match_exceptions": 0, "n_volume_exceptions": 0,
         }
         # Spans under 256 years take u1 offsets; the largest match count
-        # is 990 (u2) and the largest volume count 10 (u1).
+        # is 990 (u2 slots) and the largest volume count 10 (u1 slots);
+        # neither reaches 65,535, so both exception lists are empty (u2).
         # Rows per word: cat 3, dog 2, don't 1, new 1, press 1, the 4, time 3.
         assert store.words == ["cat", "dog", "don't", "new", "press", "the", "time"]
         columns = [
             ("word_offsets", "<i8", [0, 3, 5, 6, 7, 8, 12, 15]),
             ("pos_id", "|u1", store.pos_id),
             ("year_offset", "|u1", store.year - 1900),
-            ("match_count", "<u2", store.match_count),
-            ("volume_count", "|u1", store.volume_count),
+            ("match_slots", "<u2", store.match_count),
+            ("match_exceptions", "<u2", []),
+            ("volume_slots", "|u1", store.volume_count),
+            ("volume_exceptions", "<u2", []),
             ("lexical_totals", "<i8", [100, 100, 1000, 0, 100]),
             ("volume_totals", "<i8", [10] * 5),
         ]
@@ -176,7 +192,7 @@ class TestPersistence:
         for name, dtype, values in columns:
             offset = header["columns"][name]["offset"]
             assert header["columns"][name]["dtype"] == dtype
-            assert offset % 4096 == 0 and 0 < offset - len(payload) <= 4096, name
+            assert offset == -(-len(payload) // 4096) * 4096, name  # the next page boundary
             payload += bytes(offset - len(payload)) + np.asarray(values).astype(dtype).tobytes()
         assert blob == payload + hashlib.sha256(payload).digest()
         assert not list(tmp_path.glob("*.tmp"))
@@ -202,7 +218,7 @@ class TestPersistence:
     @pytest.mark.parametrize("size", [0, 1, 43])
     def test_empty_or_cut_file_is_refused_before_mapping(self, tmp_path, size):
         path = tmp_path / "short.lxst"
-        path.write_bytes(b"LXST\x02\x00\x00\x00".ljust(size, b"\x00")[:size])
+        path.write_bytes(b"LXST\x03\x00\x00\x00".ljust(size, b"\x00")[:size])
         with mock.patch("lexcore.store.mmap.mmap", side_effect=AssertionError("mapped")):
             with pytest.raises(ChecksumMismatch):
                 load_store(path)
@@ -235,8 +251,8 @@ class TestPersistence:
         [b"not json", b"[]", b"{}", b'{"columns": [], "n_rows": 0, "n_words": 0, "words_bytes": 0, "year_start": 1, "year_end": 1}'],
     )
     def test_header_of_another_layout(self, tmp_path, header):
-        """A file that verifies but whose header does not describe the version-2 columns."""
-        payload = b"LXST" + struct.pack("<II", 2, len(header)) + header
+        """A file that verifies but whose header does not describe the version-3 columns."""
+        payload = b"LXST" + struct.pack("<II", FORMAT_VERSION, len(header)) + header
         path = tmp_path / "odd.lxst"
         path.write_bytes(payload + hashlib.sha256(payload).digest())
         with pytest.raises(FormatVersionMismatch):
@@ -277,7 +293,7 @@ class TestPersistence:
             (row_keys([0, 1], [0, 0], [0, 0], 2), [-1, 1], [1, 1], "column match_count holds a negative count", {}),
             (row_keys([0, 1], [0, 0], [0, 0], 2), [1, 1], [1, -(2**40)], "column volume_count holds a negative count", {}),
             # A store file cannot hold these: page padding would hide the extra value, or the load would refuse it.
-            (row_keys([0, 1], [0, 0], [0, 0], 2), [1, 1], [1, 1, 1], "column volume_count holds 3 values, not 2", {}),
+            (row_keys([0, 1], [0, 0], [0, 0], 2), [1, 1], [1, 1, 1], "column volume_slots holds 3 values, not 2", {}),
             (row_keys([0, 1], [0, 0], [0, 0], 1), [1, 1], [1, 1], "column volume_totals holds 2 values, not 1", {"year_end": 1900}),
             (row_keys([0], [0], [0], 2), [1], [1], "a store word is empty", {"words": [""]}),
             (row_keys([0, 1], [0, 0], [0, 0], 2), [1, 1], [1, 1], "a store word holds a newline", {"words": ["a\nb", "bb"]}),
@@ -325,7 +341,7 @@ class TestPersistence:
         key = (np.arange(n_words)[:, None] * span * POS_COUNT + np.arange(rows_per_word)).ravel()
         ones = np.ones(len(key), dtype=np.int64)
         store = CorpusStore.from_rows("english", 1, span, [f"w{i:02}" for i in range(n_words)], key, ones, ones, np.ones(span))
-        columns = {name: getattr(store, name).copy() for name in ("pos_id", "year_offset", "match_count", "volume_count")}
+        columns = {name: getattr(store, name).copy() for name in ("pos_id", "year_offset", "match_slots", "volume_slots")}
         if swap:
             for column in columns.values():
                 column[65535:65537] = column[65536:65534:-1]
@@ -333,10 +349,27 @@ class TestPersistence:
         with refused if swap else contextlib.nullcontext():
             dataclasses.replace(store, **columns)
 
+    def test_exceptions_are_patched_in_every_block(self, tmp_path):
+        """Rows 5,000 and 70,000 hold exceptions: one in the first block of 65,536 rows the contract sums, one in the second."""
+        span, n_words = 500, 18
+        key = (np.arange(n_words)[:, None] * span * POS_COUNT + np.arange(4096)).ravel()
+        match, ones = np.ones(len(key), dtype=np.int64), np.ones(len(key), dtype=np.int64)
+        match[[5000, 70_000]] = [2**20, 2**40]
+        year = key // POS_COUNT % span
+        expected = np.bincount(year, minlength=span)
+        expected[year[[5000, 70_000]]] += [2**20 - 1, 2**40 - 1]
+        store = CorpusStore.from_rows("english", 1, span, [f"w{i:02}" for i in range(n_words)], key, match, ones, np.ones(span))
+        save_store(store, tmp_path / "s.lxst")
+        loaded = load_store(tmp_path / "s.lxst")
+        for built in (store, loaded):
+            assert built.lexical_totals.tolist() == expected.tolist()
+            assert built.match_exceptions.tolist() == [2**20, 2**40]
+            assert built.counts("match", slice(65_536, 73_728)).tolist() == match[65_536:].tolist()
+
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 4), st.sampled_from([1, 3, 300]), st.data())
     def test_every_store_from_rows_accepts_round_trips(self, tmp_path_factory, n_words, span, data):
-        """Ascending keys inside the vocabulary, with counts up to each column width's largest."""
+        """Ascending keys inside the vocabulary, with counts up to each width's largest, so exceptions of every width."""
         words = [f"w{i}" for i in range(n_words)]
         keys = sorted(data.draw(st.sets(st.integers(0, n_words * span * POS_COUNT - 1), max_size=30)) if n_words else ())
         # 30 rows of the i8 bound sum below 2**63.
@@ -356,9 +389,10 @@ class TestPersistence:
         digest = save_store(store, path)
         loaded = load_store(path)
         assert loaded.words == words and loaded.digest == digest
-        for name in ("word_offsets", "pos_id", "year_offset", "match_count", "volume_count", "lexical_totals", "volume_totals"):
+        for name in COLUMNS:
             column = getattr(loaded, name)
             assert column.dtype == getattr(store, name).dtype and column.tolist() == getattr(store, name).tolist(), name
+        assert loaded.match_count.tolist() == match and loaded.volume_count.tolist() == volume
 
     @pytest.mark.parametrize("words", [b"dog\ncat\n", b"cat\ncat\n"], ids=["unsorted", "duplicated"])
     def test_load_refuses_words_not_ascending(self, hand_store, tmp_path, words):
@@ -368,6 +402,63 @@ class TestPersistence:
         save_store(store, path)
         rewrite_store(path, b"cat\ndog\n", words)
         with pytest.raises(FormatVersionMismatch, match=f"{re.escape(str(path))}: .*not strictly ascending"):
+            load_store(path)
+
+    def test_load_refuses_a_word_that_repeats_a_row(self, hand_store, tmp_path):
+        """A signed file in which time's (1900, VERB) row is made a second (1900, NOUN) row.
+
+        Its totals still agree, and from_rows refuses such keys before any
+        store is built, so only the loaded file's row-order check can see it.
+        """
+        store, _ = hand_store
+        path = tmp_path / "fixture.lxst"
+        save_store(store, path)
+        time = store.words.index("time")
+        first = int(store.word_offsets[time])
+        assert store.year[first : first + 2].tolist() == [1900, 1900]
+        assert store.pos_id[first : first + 2].tolist() == [PosTag.NOUN, PosTag.VERB]
+        rewrite_column(path, "pos_id", first + 1, PosTag.NOUN)
+        with pytest.raises(FormatVersionMismatch, match=f"^{re.escape(str(path))}: store rows do not ascend"):
+            load_store(path)
+
+    # One edit of a conftest.wide_store column that breaks each format-3 rule:
+    # its dtype in the header, or its value at one row.
+    @pytest.mark.parametrize(
+        "column, dtype, row, value, message",
+        [
+            ("match_slots", "<u4", None, None, "match_slots.*<u4.*not one of"),
+            ("volume_slots", "|u1", None, None, "column volume_slots is u1, but volume_exceptions holds 2 values"),
+            ("match_slots", None, 1, 2**16 - 1, "column match_slots holds 4 sentinels, but match_exceptions 3 values"),
+            ("volume_slots", None, 0, 7, "column volume_slots holds 1 sentinels, but volume_exceptions 2 values"),
+            ("volume_exceptions", None, 0, 2**16 - 2, "column volume_exceptions holds a value below 65535"),
+            ("match_exceptions", None, 0, 70_001, "column lexical_totals disagrees with the rows' match counts"),
+        ],
+        ids=[
+            "slots-u4",
+            "u1-slots-with-exceptions",
+            "sentinel-without-exception",
+            "exception-without-sentinel",
+            "exception-below-sentinel",
+            "exception-off-the-totals",
+        ],
+    )
+    def test_count_column_rules_refuse_a_built_store_and_a_signed_file(self, tmp_path, column, dtype, row, value, message):
+        """The store built with the edited column is a ValueError; its file, signed anew, a data error naming it."""
+        store = wide_store()
+        stored = getattr(store, column)
+        edited = stored.astype(dtype or stored.dtype)
+        if row is not None:
+            edited[row] = value
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(store, **{column: edited})
+        path = tmp_path / "wide.lxst"
+        save_store(store, path)
+        if dtype:
+            spec = f'"{column}": {{"dtype": "{stored.dtype.str}"'
+            rewrite_store(path, spec.encode(), spec.replace(stored.dtype.str, dtype).encode())
+        else:
+            rewrite_column(path, column, row, value)
+        with pytest.raises(FormatVersionMismatch, match=f"^{re.escape(str(path))}: .*{message}"):
             load_store(path)
 
     @pytest.mark.parametrize("old, new", HEADER_EDITS.values(), ids=HEADER_EDITS)
@@ -380,14 +471,12 @@ class TestPersistence:
         with pytest.raises(FormatVersionMismatch, match=f"^{re.escape(str(path))}: header does not describe"):
             load_store(path)
 
-    def test_loaded_columns_are_aligned_read_only_views(self, hand_store, tmp_path):
-        store, _ = hand_store
+    def test_loaded_columns_are_aligned_read_only_views(self, tmp_path):
+        store = wide_store()
         path = tmp_path / "fixture.lxst"
         save_store(store, path)
         loaded = load_store(path)
-        for name in (
-            "word_offsets", "pos_id", "year_offset", "match_count", "volume_count", "lexical_totals", "volume_totals",
-        ):
+        for name in COLUMNS:
             column = getattr(loaded, name)
             assert column.flags.c_contiguous and column.flags.aligned, name
             assert not column.flags.writeable and not column.flags.owndata, name
@@ -395,26 +484,36 @@ class TestPersistence:
             assert (column == getattr(store, name)).all(), name
             with pytest.raises(ValueError):
                 column[:1] = 0
-        for name in ("word_id", "year"):
+        for name in ("word_id", "year", "match_count", "volume_count"):
             assert (getattr(loaded, name) == getattr(store, name)).all(), name
 
-    # Each width's largest value, and the first value past it.
+    # The width rule's edges: u1 slots up to 255, u2 slots past it, and from
+    # 65,535 on an exception in the list, at the narrowest width of its value.
+    # Each id is the count and the narrowest width that holds it.
     @pytest.mark.parametrize(
-        "count, dtype",
-        [(255, "u1"), (256, "u2"), (2**16 - 1, "u2"), (2**16, "u4"), (2**32 - 1, "u4"), (2**32, "i8"), (2**63 - 1, "i8")],
+        "count, slots, n_exceptions, exceptions",
+        [
+            (255, "u1", 0, "u2"), (256, "u2", 0, "u2"), (2**16 - 2, "u2", 0, "u2"), (2**16 - 1, "u2", 1, "u2"),
+            (2**16, "u2", 1, "u4"), (2**32 - 1, "u2", 1, "u4"), (2**32, "u2", 1, "i8"), (2**63 - 1, "u2", 1, "i8"),
+        ],
+        ids=["255-u1", "256-u2", "65534-u2", "65535-u2", "65536-u4", "4294967295-u4", "4294967296-i8", "9223372036854775807-i8"],
     )
-    def test_round_trip_at_each_count_width(self, tmp_path, count, dtype):
+    def test_round_trip_at_each_count_width(self, tmp_path, count, slots, n_exceptions, exceptions):
         store = CorpusStore.from_rows(
             "english", 1900, 1901, ["aa", "bb"],
             key=row_keys([0, 0, 1], [0, 0, 1], [0, 1, 0], 2),
             match_count=np.array([count, 0, 1]), volume_count=np.array([0, count, 1]),
             volume_totals=[count, count],
         )
-        assert store.match_count.dtype == store.volume_count.dtype == np.dtype(dtype)
         save_store(store, tmp_path / "s.lxst")
         loaded = load_store(tmp_path / "s.lxst")
-        assert loaded.match_count.dtype == loaded.volume_count.dtype == np.dtype(dtype)
-        assert loaded.match_count.tolist() == [count, 0, 1] and loaded.volume_count.tolist() == [0, count, 1]
+        for built in (store, loaded):
+            assert built.match_slots.dtype == built.volume_slots.dtype == np.dtype(slots)
+            assert built.match_exceptions.dtype == built.volume_exceptions.dtype == np.dtype(exceptions)
+            assert built.match_slots.tolist() == [min(count, 2**16 - 1), 0, 1]
+            assert built.volume_slots.tolist() == [0, min(count, 2**16 - 1), 1]
+            assert built.match_exceptions.tolist() == built.volume_exceptions.tolist() == [count] * n_exceptions
+            assert built.match_count.tolist() == [count, 0, 1] and built.volume_count.tolist() == [0, count, 1]
         table = aggregate_window(loaded, WindowSpec(1900, 1900))
         assert table.match_count.tolist() == [count] and table.volume_count.tolist() == [count]
 
@@ -452,6 +551,20 @@ class TestPersistence:
         assert downstream(small_store) == downstream(loaded)
         # The query path reads the narrow columns only.
         assert "word_id" not in vars(loaded) and "year" not in vars(loaded)
+
+    @pytest.mark.parametrize("which, window", [("small", (1800, 1849)), ("wide", (1900, 1901))], ids=["small", "wide"])
+    def test_queries_never_build_the_derived_columns(self, small_store, tmp_path, which, window):
+        """Every query reads counts through ``counts``: no whole-column ``match_count`` or ``volume_count`` is built."""
+        path = tmp_path / "s.lxst"
+        save_store(small_store if which == "small" else wide_store(), path)
+        store = load_store(path)
+        table = aggregate_window(store, WindowSpec(*window))
+        core = frequency_core(table, 200)
+        assert len(core.pos) == len(core) and len(bookshare_core(table, 1e-9).pos) == len(table)
+        coverage_series(core, store, store.years)
+        group_frequency_series(store.words[::7], store, store.years)
+        core_size_for_coverage(table, 0.5)
+        assert not {"word_id", "year", "match_count", "volume_count"} & vars(store).keys()
 
 
 
@@ -502,11 +615,15 @@ class TestAtomicWrite:
         assert path.read_bytes() == b"first"  # the writer that finished last wins
         assert list(tmp_path.iterdir()) == [path]
 
-COLUMNS = ["word_offsets", "pos_id", "year_offset", "match_count", "volume_count", "lexical_totals", "volume_totals"]
-# The year column's region keeps the name "year"; it holds offsets from year_start.
+# Regions keep the names of the format-2 columns they replace: the count
+# slots' are "match_count" and "volume_count", and the year column's data
+# region is "year" (it holds offsets from year_start).
+_REGION = {"match_slots": "match_count", "volume_slots": "volume_count"}
 REGIONS = [
     "magic", "version", "header", "words",
-    *(region for column in COLUMNS for region in (f"{column}_padding", "year" if column == "year_offset" else column)),
+    *(region for column in COLUMNS for region in (
+        f"{_REGION.get(column, column)}_padding", "year" if column == "year_offset" else _REGION.get(column, column),
+    )),
     "digest",
 ]
 
@@ -518,6 +635,7 @@ def _regions(path) -> dict[str, tuple[int, int]]:
     header = json.loads(blob[12 : 12 + header_len])
     n, span = header["n_rows"], header["year_end"] - header["year_start"] + 1
     lengths = dict.fromkeys(COLUMNS, n) | {"word_offsets": header["n_words"] + 1, "lexical_totals": span, "volume_totals": span}
+    lengths |= {f"{count}_exceptions": header[f"n_{count}_exceptions"] for count in ("match", "volume")}
     sizes = [4, 4, 4 + header_len, header["words_bytes"]]
     pos = sum(sizes)
     for column in COLUMNS:
@@ -536,14 +654,17 @@ def _regions(path) -> dict[str, tuple[int, int]]:
 
 
 class TestCorruption:
-    """Any damaged byte or cut is caught by the checksum over the file view."""
+    """Any damaged byte or cut is caught by the checksum over the file view.
+
+    The store is :func:`conftest.wide_store`, whose exception lists are not
+    empty, so every region holds at least one byte.
+    """
 
     @pytest.mark.parametrize("region", REGIONS)
     @pytest.mark.parametrize("where", ["first", "last"])
-    def test_flipped_byte_in_each_region(self, hand_store, tmp_path, region, where):
-        store, _ = hand_store
+    def test_flipped_byte_in_each_region(self, tmp_path, region, where):
         path = tmp_path / "fixture.lxst"
-        save_store(store, path)
+        save_store(wide_store(), path)
         offset, size = _regions(path)[region]
         blob = bytearray(path.read_bytes())
         blob[offset if where == "first" else offset + size - 1] ^= 0x5A
@@ -552,10 +673,9 @@ class TestCorruption:
             load_store(path)
 
     @pytest.mark.parametrize("region", REGIONS)
-    def test_truncated_in_each_region(self, hand_store, tmp_path, region):
-        store, _ = hand_store
+    def test_truncated_in_each_region(self, tmp_path, region):
         path = tmp_path / "fixture.lxst"
-        save_store(store, path)
+        save_store(wide_store(), path)
         offset, size = _regions(path)[region]
         blob = path.read_bytes()
         for cut in {offset, offset + size // 2, offset + size - 1}:

@@ -383,9 +383,10 @@ def oracle_coverage(rows, lexical_totals, words, years):
 
 @st.composite
 def window_stores(draw):
-    """Small stores rich in ties: shared counts, multi-POS words, gaps."""
+    """Small stores rich in ties: shared counts, multi-POS words, gaps, and counts at the width rule's edges."""
     span = draw(st.integers(1, 6))
-    count = st.integers(0, 4) | st.integers(0, 2**40)
+    # Counts near 255 and 65,535 mix u1, u2 and exception rows within a window.
+    count = st.integers(0, 4) | st.integers(0, 2**40) | st.integers(250, 260) | st.integers(2**16 - 4, 2**16 + 4)
     rows = draw(
         st.dictionaries(
             st.tuples(
