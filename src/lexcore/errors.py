@@ -12,7 +12,7 @@ class EmptyYearError(LexcoreError):
 class FormatVersionMismatch(LexcoreError):
     """Store file has an unknown magic number, format version or header layout, or verifies but
     breaks the store contract that every built store meets too: unsorted words, column values out
-    of range, rows out of (year, pos id) order within a word, or lexical totals that disagree with its rows."""
+    of range, or rows out of (year, pos id) order within a word."""
 
 
 class ChecksumMismatch(LexcoreError):

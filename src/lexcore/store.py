@@ -10,55 +10,55 @@ an offset from ``year_start`` (at the narrowest width that fits the
 span), and its match and volume counts.
 
 Counts are Zipf-shaped, so a count column is held narrow and its rare
-large values apart (patched frame of reference).  The width rule: a
-column whose largest count is at most 255 is u1 and has no exceptions;
-any other is u2, and there the slot value 65,535 is a sentinel.  A row
-whose slot holds the sentinel takes its count from the column's
-exception list, which holds those counts (each at least 65,535) in row
-order, at the narrowest width that holds the largest.  The exception
-rows are not stored: they are the sentinel slots, found when the store
-is checked and kept (8 bytes an exception).  :meth:`CorpusStore.counts`
-is the one reader of counts: it gathers slots, widens them to int64 and
-patches the exceptions among them, and every sum starts from it.
+large values apart (patched frame of reference).  Each count column
+holds one u2 slot a row, and the slot value 65,535 is a sentinel.  A
+row whose slot holds the sentinel takes its count from the column's
+exception list, which holds those counts (each at least 65,535, at i8)
+in row order.  The exception rows are not stored: they are the sentinel
+slots, found when the store is checked and kept (8 bytes an exception).
+:meth:`CorpusStore.counts` is the one reader of counts: it gathers
+slots, widens them to int64 and patches the exceptions among them, and
+every sum starts from it.  Nor are the yearly lexical totals stored:
+the check sums each year's match counts into ``lexical_totals``.
 
-On-disk layout, format version 3 (little-endian)::
+On-disk layout, format version 4 (little-endian)::
 
     magic "LXST" | u32 version | u32 header_len | header JSON
     | words blob (utf-8, newline-joined)
     | for each column: zero padding to a 4096-byte boundary, the column
     | sha256 digest
 
-The columns, in file order: ``word_offsets`` (i8, words + 1),
-``pos_id`` (u1), ``year_offset`` (u1 under 256 years of span, u2 under
-65,536, else u4), ``match_slots`` (u1 or u2, one per row),
-``match_exceptions`` (u2, u4 or i8), ``volume_slots`` and
-``volume_exceptions`` likewise, then ``lexical_totals`` and
-``volume_totals`` (i8, one per year).  The header records each column's
-dtype and offset, and each exception list's length
-(``n_match_exceptions``, ``n_volume_exceptions``).
+The header records the language, ``year_start`` and ``year_end``, the
+row count ``n_rows``, the blob's length ``words_bytes`` and each
+exception list's length (``n_match_exceptions``,
+``n_volume_exceptions``).  The layout follows from those counts and
+the number of words.  The columns, in file order: ``word_offsets`` (i8,
+words + 1), ``pos_id`` (u1), ``year_offset`` (u1 under 256 years of
+span, u2 under 65,536, else u4), ``match_slots`` (u2, one per row),
+``match_exceptions`` (i8), ``volume_slots`` and ``volume_exceptions``
+likewise, then ``volume_totals`` (i8, one per year).
 
 :func:`load_store` maps the file and returns read-only views of it, with
 no copy.  The whole file except the trailing digest is checksummed;
 truncation or corruption raises :class:`ChecksumMismatch`, and an unknown
-magic or version, such as a version-1 or version-2 file, or a header any
-field of which disagrees with the file raises
-:class:`FormatVersionMismatch`: the word list holds no NUL and only zero
-padding follows it, so ``words_bytes`` is its length.  That trailing
-SHA-256 digest is the store's identity: :func:`save_store` returns it
-and :func:`load_store` records it as :attr:`CorpusStore.digest` (hex).
+magic or version, such as a file of version 1, 2 or 3, or a header that
+does not describe the file raises :class:`FormatVersionMismatch`: the
+word list holds no NUL and only zero padding follows it, so
+``words_bytes`` is its length, and the file ends where the layout ends.
+That trailing SHA-256 digest is the store's identity: :func:`save_store`
+returns it and :func:`load_store` records it as :attr:`CorpusStore.digest`
+(hex).
 
 One contract holds for every store, built or loaded, and
 :class:`CorpusStore` checks it when constructed: the language is a
-string; words strictly ascend and none is empty; ``word_offsets`` holds
-one entry more than the words, each row column ``word_offsets[-1]``
-values and each year column one per year of the span; each column is at
-one of its widths above; word offsets ascend from 0 to the row count;
-pos ids are below ``POS_COUNT`` and year offsets below the span; totals
-are non-negative; a u1 count column has no exceptions, a u2 one has as
-many sentinel slots as exceptions, and every exception is at least
-65,535; within each word, rows strictly ascend by (year offset, pos
-id); and each year's lexical total is the sum of its rows' match
-counts.  A built store that breaks it is a ValueError, and a file that
+string; words strictly ascend and none is empty; each column has the
+dtype and length of the layout above; word offsets ascend from 0 to the
+row count; pos ids are below ``POS_COUNT`` and year offsets below the
+span; volume totals are non-negative; a count column has as many
+sentinel slots as exceptions, and every exception is at least 65,535;
+within each word, rows strictly ascend by (year offset, pos id); and no
+year's lexical total reaches 2**63.  A built store that breaks it is a
+ValueError (:class:`CountOverflow` for a total), and a file that
 verifies but breaks it, as one edited and signed anew might, is a
 :class:`FormatVersionMismatch` naming the file.
 Files are replaced, never rewritten in place, so a mapped file never
@@ -74,7 +74,7 @@ import mmap
 import operator
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -85,29 +85,14 @@ from .postags import POS_COUNT
 from .serialize import replacing
 
 MAGIC = b"LXST"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 _PREAMBLE = len(MAGIC) + 8  # magic, version, header length
 _DIGEST = 32
 _PAGE = 4096
 _BLOCK_ROWS = 1 << 16  # rows summed and order-checked at a time
 _OVERFLOW = "a sum of counts reaches 2**63, beyond the int64 counts a store holds"
-_SENTINEL = 0xFFFF  # a u2 count slot holding this takes its count from the exception list
-
-# Narrow widths, narrowest first; each dtype is its little-endian ``str``.
-_WIDTHS = ("|u1", "<u2", "<u4", "<i8")
+_SENTINEL = 0xFFFF  # a count slot holding this takes its count from the exception list
 _COUNTS = ("match", "volume")
-# Every column in file order, with the dtypes it may be stored at.
-_COLUMNS = {
-    "word_offsets": ("<i8",),
-    "pos_id": ("|u1",),
-    "year_offset": _WIDTHS[:3],
-    "match_slots": _WIDTHS[:2],
-    "match_exceptions": _WIDTHS[1:],
-    "volume_slots": _WIDTHS[:2],
-    "volume_exceptions": _WIDTHS[1:],
-    "lexical_totals": ("<i8",),
-    "volume_totals": ("<i8",),
-}
 
 __all__ = [
     "CorpusStore",
@@ -118,8 +103,25 @@ __all__ = [
 
 
 def _narrowest(bound: int) -> np.dtype:
-    """The first of u1, u2, u4 and i8 that holds ``bound`` (at most 2**63 - 1)."""
-    return next(np.dtype(width) for width in _WIDTHS if bound <= np.iinfo(width).max)
+    """The first of u1, u2 and u4 that holds ``bound``; ValueError if none does."""
+    for width in ("|u1", "<u2", "<u4"):
+        if bound <= np.iinfo(width).max:
+            return np.dtype(width)
+    raise ValueError(f"no year offset width holds a span of {bound} years")
+
+
+def _columns(n_rows: int, n_words: int, span: int, n_match_exceptions: int, n_volume_exceptions: int) -> dict:
+    """Each stored column's (dtype, length), in file order."""
+    return {
+        "word_offsets": ("<i8", n_words + 1),
+        "pos_id": ("|u1", n_rows),
+        "year_offset": (_narrowest(span).str, n_rows),
+        "match_slots": ("<u2", n_rows),
+        "match_exceptions": ("<i8", n_match_exceptions),
+        "volume_slots": ("<u2", n_rows),
+        "volume_exceptions": ("<i8", n_volume_exceptions),
+        "volume_totals": ("<i8", span),
+    }
 
 
 @dataclass(eq=False)
@@ -128,9 +130,9 @@ class CorpusStore:
 
     Construction checks the store contract (see the module docstring)
     and raises ValueError where it fails, or :class:`CountOverflow` where
-    a year's lexical total reaches 2**63.  ``lexical_totals`` of None are
-    summed from the rows.  ``word_id``, the absolute ``year`` and the
-    exact ``match_count`` and ``volume_count`` of each row are derived on
+    a year's lexical total reaches 2**63; it sums ``lexical_totals`` from
+    the rows.  ``word_id``, the absolute ``year`` and the exact
+    ``match_count`` and ``volume_count`` of each row are derived on
     first use, for callers outside the query path; queries read counts
     through :meth:`counts`.
     """
@@ -146,9 +148,9 @@ class CorpusStore:
     match_exceptions: np.ndarray
     volume_slots: np.ndarray
     volume_exceptions: np.ndarray
-    lexical_totals: np.ndarray | None
     volume_totals: np.ndarray
     digest: str | None = None
+    lexical_totals: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.language, str):
@@ -159,30 +161,26 @@ class CorpusStore:
             raise ValueError("a store word is empty")
         offsets, n_rows, span = self.word_offsets, len(self.pos_id), self.year_end - self.year_start + 1
         n_exceptions = (len(self.match_exceptions), len(self.volume_exceptions))
-        for name, length in _column_lengths(n_rows, len(self.words), span, *n_exceptions).items():
-            if (column := getattr(self, name)) is None:
-                continue
+        for name, (dtype, length) in _columns(n_rows, len(self.words), span, *n_exceptions).items():
+            column = getattr(self, name)
             if len(column) != length:
                 raise ValueError(f"column {name} holds {len(column)} values, not {length}")
-            if column.dtype.newbyteorder("<").str not in _COLUMNS[name]:
-                raise ValueError(f"column {name} is stored as {column.dtype.str}, not one of {_COLUMNS[name]}")
+            if column.dtype.newbyteorder("<").str != dtype:
+                raise ValueError(f"column {name} is stored as {column.dtype.str}, not {dtype}")
         # Every value a query indexes with or sums is bounded here, once.
         if offsets[0] != 0 or offsets[-1] != n_rows or np.any(offsets[1:] < offsets[:-1]):
             raise ValueError("word_offsets do not ascend from 0 to the row count")
         for name, bound in (("pos_id", POS_COUNT), ("year_offset", span)):  # one total a year
             if getattr(self, name).max(initial=0) >= bound:
                 raise ValueError(f"column {name} holds a value of {bound} or more")
-        for name in ("lexical_totals", "volume_totals"):
-            if getattr(self, name) is not None and getattr(self, name).min(initial=0) < 0:
-                raise ValueError(f"column {name} holds a negative count")
-        # The exception rows are the sentinel slots of a u2 column, found a block at a time.
+        if self.volume_totals.min(initial=0) < 0:
+            raise ValueError("column volume_totals holds a negative count")
+        # The exception rows are the sentinel slots, found a block at a time.
         self._exception_rows = {}
         for count in _COUNTS:
             slots, exceptions = getattr(self, f"{count}_slots"), getattr(self, f"{count}_exceptions")
-            if slots.itemsize == 1 and len(exceptions):
-                raise ValueError(f"column {count}_slots is u1, but {count}_exceptions holds {len(exceptions)} values")
             rows = [np.empty(0, dtype=np.int64)]
-            for start in range(0, n_rows if slots.itemsize == 2 else 0, _BLOCK_ROWS):
+            for start in range(0, n_rows, _BLOCK_ROWS):
                 rows.append(np.flatnonzero(slots[start : start + _BLOCK_ROWS] == _SENTINEL) + start)
             rows = self._exception_rows[count] = np.concatenate(rows)
             if len(rows) != len(exceptions):
@@ -203,10 +201,7 @@ class CorpusStore:
             later = np.flatnonzero(key[1:] <= key[:-1]) + first + 1
             if np.any(offsets[np.searchsorted(offsets, later)] != later):
                 raise ValueError("store rows do not ascend by (year, pos id) within a word")
-        if self.lexical_totals is None:
-            self.lexical_totals = totals
-        elif np.any(totals != self.lexical_totals):
-            raise ValueError("column lexical_totals disagrees with the rows' match counts")
+        self.lexical_totals = totals
 
     @classmethod
     def from_rows(
@@ -226,12 +221,12 @@ class CorpusStore:
         id``, so key order is the store's row order; keys that do not
         strictly ascend are a ValueError.  The narrow columns are decoded
         from the keys at their own widths, through one int64 scratch
-        column.  Each count column is split by the width rule (see the
-        module docstring) with no int64 scratch column; a u1 column that
-        is already u1 is kept, not copied.  A negative count is a
-        ValueError, and the store checks itself (see
-        :class:`CorpusStore`), so a key past the vocabulary is one too;
-        it sums each year's lexical total from the rows.
+        column.  Each count column is split into slots and exceptions
+        (see the module docstring) with no int64 scratch column.  A
+        count below 0 or of 2**63 or more is a ValueError, and the store
+        checks itself (see :class:`CorpusStore`), so a key past the
+        vocabulary is one too; it sums each year's lexical total from
+        the rows.
         """
         key = np.asarray(key, dtype=np.int64)
         if np.any(key[1:] <= key[:-1]):
@@ -248,13 +243,12 @@ class CorpusStore:
             counts = np.asarray(counts)
             if np.min(counts, initial=0) < 0:
                 raise ValueError(f"column {count}_count holds a negative count")
-            top = int(np.max(counts, initial=0))
-            if top <= 0xFF:
-                return {f"{count}_slots": counts.astype("|u1", copy=False), f"{count}_exceptions": np.empty(0, dtype="<u2")}
+            if int(np.max(counts, initial=0)) >= 2**63:
+                raise ValueError(f"column {count}_count holds a count of 2**63 or more")
             rows = np.flatnonzero(counts >= _SENTINEL)
             slots = counts.astype("<u2")  # a count past u2 wraps here, and its slot is overwritten next
             slots[rows] = _SENTINEL
-            return {f"{count}_slots": slots, f"{count}_exceptions": counts[rows].astype(_narrowest(top))}
+            return {f"{count}_slots": slots, f"{count}_exceptions": counts[rows].astype("<i8")}
 
         return cls(
             language=language,
@@ -266,7 +260,6 @@ class CorpusStore:
             year_offset=year_offset,
             **narrow("match", match_count),
             **narrow("volume", volume_count),
-            lexical_totals=None,
             volume_totals=np.asarray(volume_totals, dtype="<i8"),
         )
 
@@ -311,26 +304,6 @@ class CorpusStore:
         return range(self.year_start, self.year_end + 1)
 
 
-def _column_lengths(n_rows: int, n_words: int, span: int, n_match_exceptions: int, n_volume_exceptions: int) -> dict[str, int]:
-    """Each column's length: a word offset per word and one more, a row value per row, a total per year, and the exceptions."""
-    lengths = dict.fromkeys(_COLUMNS, n_rows)
-    lengths.update(word_offsets=n_words + 1, lexical_totals=span, volume_totals=span,
-                   match_exceptions=n_match_exceptions, volume_exceptions=n_volume_exceptions)
-    return lengths
-
-
-def _layout(start: int, dtypes: dict[str, str], lengths: dict[str, int]) -> tuple[dict, int]:
-    """Each column's dtype and page-aligned offset after byte ``start``, and the end of the last."""
-    layout, pos = {}, start
-    for name, allowed in _COLUMNS.items():
-        if dtypes[name] not in allowed:
-            raise ValueError(f"column {name}: dtype {dtypes[name]!r} is not one of {allowed}")
-        pos = -(-pos // _PAGE) * _PAGE
-        layout[name] = {"dtype": dtypes[name], "offset": pos}
-        pos += np.dtype(dtypes[name]).itemsize * lengths[name]
-    return layout, pos
-
-
 def save_store(store: CorpusStore, path: str | Path) -> str:
     """Write the store atomically with a whole-file checksum; returns its digest.
 
@@ -343,37 +316,23 @@ def save_store(store: CorpusStore, path: str | Path) -> str:
     if "\0" in words_blob:  # the load tells the blob's end from the zero padding after it
         raise ValueError("a store word holds a NUL")
     words_blob = words_blob.encode("utf-8")
-    columns = {}
-    for name in _COLUMNS:
-        column = np.asarray(getattr(store, name))
-        columns[name] = np.ascontiguousarray(column, dtype=column.dtype.newbyteorder("<"))
     header = {
         "language": store.language,
         "year_start": store.year_start,
         "year_end": store.year_end,
         "n_rows": int(len(store.pos_id)),
-        "n_words": len(store.words),
         "words_bytes": len(words_blob),
         "n_match_exceptions": len(store.match_exceptions),
         "n_volume_exceptions": len(store.volume_exceptions),
-        "columns": {},
     }
-    dtypes = {name: column.dtype.str for name, column in columns.items()}
-    lengths = {name: len(column) for name, column in columns.items()}
-    # The offsets depend on the header's length, which depends on the
-    # offsets; both only grow, so this settles within a few rounds.
-    while True:
-        header_blob = json.dumps(header, sort_keys=True).encode("utf-8")
-        layout, _ = _layout(_PREAMBLE + len(header_blob) + len(words_blob), dtypes, lengths)
-        if layout == header["columns"]:
-            break
-        header["columns"] = layout
+    header_blob = json.dumps(header, sort_keys=True).encode("utf-8")
     parts = [MAGIC, struct.pack("<II", FORMAT_VERSION, len(header_blob)), header_blob, words_blob]
     pos = sum(len(p) for p in parts)
-    for name, column in columns.items():
-        parts.append(bytes(layout[name]["offset"] - pos))
-        parts.append(column)
-        pos = layout[name]["offset"] + column.nbytes
+    exceptions = header["n_match_exceptions"], header["n_volume_exceptions"]
+    for name, (dtype, _) in _columns(header["n_rows"], len(store.words), len(store.years), *exceptions).items():
+        column = np.ascontiguousarray(getattr(store, name), dtype=dtype)
+        parts += [bytes(-pos % _PAGE), column]
+        pos += -pos % _PAGE + column.nbytes
     # Stream each part to disk and into the checksum; no joined copy.
     sha = hashlib.sha256()
     with replacing(path) as fh:
@@ -412,38 +371,39 @@ def load_store(path: str | Path) -> CorpusStore:
     pos = _PREAMBLE + header_len
     try:
         header = json.loads(mapped[_PREAMBLE:pos])
-        sizes = ("n_rows", "n_words", "words_bytes", "n_match_exceptions", "n_volume_exceptions")
+        language = header["language"]
+        sizes = ("n_rows", "words_bytes", "n_match_exceptions", "n_volume_exceptions")
         if any(type(header[key]) is not int for key in ("year_start", "year_end", *sizes)):
             raise ValueError("a year or count of the header is not an integer")
         if min(header[key] for key in sizes) < 0:
             raise ValueError("a count of the header is negative")
-        words_end = pos + header["words_bytes"]
-        words_blob = mapped[pos:words_end]
-        span = header["year_end"] - header["year_start"] + 1
-        exceptions = header["n_match_exceptions"], header["n_volume_exceptions"]
-        lengths = _column_lengths(header["n_rows"], header["n_words"], span, *exceptions)
-        recorded = header["columns"]
-        layout, stop = _layout(words_end, {name: recorded[name]["dtype"] for name in _COLUMNS}, lengths)
+        words_blob = mapped[pos : pos + header["words_bytes"]]
+        pos += header["words_bytes"]
         # The word list holds no NUL, and only zero padding follows it, so
         # words_bytes is its true length.
-        padding = mapped[words_end : layout["word_offsets"]["offset"]]
+        padding = mapped[pos : min(pos + -pos % _PAGE, end)]
         if len(words_blob) != header["words_bytes"] or b"\0" in words_blob or padding.count(0) != len(padding):
             raise ValueError(f"words_bytes {header['words_bytes']} is not the length of the word list")
         words = str(words_blob, "utf-8").split("\n") if words_blob else []
-        if len(words) != header["n_words"]:
-            raise ValueError(f"the word list holds {len(words)} words, not n_words {header['n_words']}")
-        if layout != recorded or stop != end:
-            raise ValueError("the column layout does not match the header")
+        span = header["year_end"] - header["year_start"] + 1
+        exceptions = header["n_match_exceptions"], header["n_volume_exceptions"]
+        layout = {}
+        for name, (dtype, length) in _columns(header["n_rows"], len(words), span, *exceptions).items():
+            pos += -pos % _PAGE
+            layout[name] = (dtype, length, pos)
+            pos += np.dtype(dtype).itemsize * length
+        if pos != end:
+            raise ValueError(f"the header's counts give a file of {pos + _DIGEST} bytes, not {size}")
     except (KeyError, TypeError, ValueError) as exc:
         detail = f"missing header key {exc}" if isinstance(exc, KeyError) else exc
         raise FormatVersionMismatch(f"{path}: header does not describe a version-{FORMAT_VERSION} store ({detail})") from None
     columns = {
-        name: np.frombuffer(mapped, dtype=spec["dtype"], count=lengths[name], offset=spec["offset"])
-        for name, spec in layout.items()
+        name: np.frombuffer(mapped, dtype=dtype, count=length, offset=offset)
+        for name, (dtype, length, offset) in layout.items()
     }
     try:
         return CorpusStore(
-            language=header["language"],
+            language=language,
             year_start=header["year_start"],
             year_end=header["year_end"],
             words=words,

@@ -430,7 +430,7 @@ def test_full_data_script_runs_on_a_synthetic_corpus(tmp_path, capsys):
 
     The published targets do not hold on synthetic data, so it returns 1,
     but it writes all 16 named checks with finite values; a second run
-    reuses the store, a third rebuilds it once its version field reads 2
+    reuses the store, a third rebuilds it once its version field reads 3
     (signed anew), and a fourth once it is truncated.
     """
     config = SynthConfig(vocabulary=300, year_start=1676, year_end=2008, tokens_per_year=30_000, churn=0.0,
@@ -447,10 +447,10 @@ def test_full_data_script_runs_on_a_synthetic_corpus(tmp_path, capsys):
     spec.loader.exec_module(script)
     work = tmp_path / "work"
     store = work / "english.lxst"
-    for run in ("build", "reuse", "version-2", "truncated"):
-        if run == "version-2":
+    for run in ("build", "reuse", "version-3", "truncated"):
+        if run == "version-3":
             payload = bytearray(store.read_bytes()[:-32])
-            struct.pack_into("<I", payload, 4, 2)
+            struct.pack_into("<I", payload, 4, 3)
             store.write_bytes(bytes(payload) + hashlib.sha256(payload).digest())
         if run == "truncated":
             store.write_bytes(store.read_bytes()[:-100])
@@ -460,5 +460,5 @@ def test_full_data_script_runs_on_a_synthetic_corpus(tmp_path, capsys):
         assert all(math.isfinite(c["value"]) for c in checks)
         out = capsys.readouterr().out
         assert ("reusing store" in out) == (run == "reuse")
-        assert ("store format version 2, this lexcore reads version 3" in out) == (run == "version-2")
-        assert ("rebuilding it" in out) == (run in ("version-2", "truncated"))
+        assert ("store format version 3, this lexcore reads version 4" in out) == (run == "version-3")
+        assert ("rebuilding it" in out) == (run in ("version-3", "truncated"))

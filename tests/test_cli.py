@@ -18,10 +18,10 @@ import pytest
 import lexcore
 from lexcore.cli import main
 from lexcore.config import params_hash
-from lexcore.store import _column_lengths, load_store, save_store
+from lexcore.store import load_store, save_store
 from lexcore.synth import PRESETS
 
-from conftest import HEADER_EDITS, rewrite_store, tiny_store
+from conftest import HEADER_EDITS, rewrite_column, rewrite_store, store_layout, tiny_store
 
 GOOD_LINES = "".join(f"word{chr(97 + i % 26)}\t{1800 + i % 200}\t{i + 1}\t1\n" for i in range(300))
 
@@ -368,10 +368,10 @@ class TestCoreCommand:
         assert rc == 1
 
     def test_version_1_store_is_data_error(self, pipeline, tmp_path, capsys):
-        """A store of an older format, version 1 or 2, is refused with a rebuild hint.
+        """A store of an older format, version 1, 2 or 3, is refused with a rebuild hint.
 
-        Version 1 is its own layout (wide columns, word ids); version 2 is
-        this store with its version field rewritten and signed anew.
+        Version 1 is its own layout (wide columns, word ids); versions 2 and
+        3 are this store with its version field rewritten and signed anew.
         """
         store = load_store(pipeline["store"])
         words = "\n".join(store.words).encode("utf-8")
@@ -396,19 +396,17 @@ class TestCoreCommand:
             store.lexical_totals,
             store.volume_totals,
         ]
-        version_2 = bytearray(pipeline["store"].read_bytes()[:-32])
-        struct.pack_into("<I", version_2, 4, 2)
-        payloads = {
-            1: b"LXST" + struct.pack("<II", 1, len(header)) + header + words + b"".join(c.tobytes() for c in columns),
-            2: bytes(version_2),
-        }
+        payloads = {1: b"LXST" + struct.pack("<II", 1, len(header)) + header + words + b"".join(c.tobytes() for c in columns)}
+        for version in (2, 3):
+            payloads[version] = bytearray(pipeline["store"].read_bytes()[:-32])
+            struct.pack_into("<I", payloads[version], 4, version)
         for version, payload in payloads.items():
             path = tmp_path / f"v{version}.lxst"
             path.write_bytes(payload + hashlib.sha256(payload).digest())
             rc = main(["core", "--store", str(path), "--window", "1800:1849", "--k", "10", "--out", str(tmp_path / "out")])
             err = capsys.readouterr().err
             assert rc == 1
-            assert err.startswith(f"error: {path}: store format version {version}, this lexcore reads version 3")
+            assert err.startswith(f"error: {path}: store format version {version}, this lexcore reads version 4")
             assert "rebuild it with `lexcore ingest`" in err
             assert "Traceback" not in err
 
@@ -435,9 +433,7 @@ class TestCoreCommand:
             ("year_offset", 0, 250, ["group", "--words", "WORDS"]),
             # A sentinel slot with no exception to give its count.
             ("match_slots", 0, 2**16 - 1, ["core", "--window", "1900:1902", "--k", "3"]),
-            ("lexical_totals", 0, -1, ["core", "--window", "1900:1902", "--k", "3"]),
-            # Non-negative, but not the sum of 1900's match counts (100).
-            ("lexical_totals", 0, 1, ["core", "--window", "1900:1900", "--k", "3"]),
+            ("volume_totals", 0, -1, ["core", "--window", "1900:1902", "--k", "3"]),
         ],
         ids=[
             "word_offsets-past-rows",
@@ -445,8 +441,7 @@ class TestCoreCommand:
             "pos_id",
             "year_offset",
             "match_slots",
-            "lexical_totals",
-            "lexical_totals-disagree",
+            "volume_totals",
         ],
     )
     def test_store_value_out_of_range_is_data_error(self, tmp_path, capsys, column, index, value, query):
@@ -455,15 +450,7 @@ class TestCoreCommand:
         Unbounded, each edit would end its query in an IndexError or a wrong answer.
         """
         path = tiny_store(tmp_path)
-        payload = bytearray(path.read_bytes()[:-32])
-        header = json.loads(payload[12 : 12 + struct.unpack_from("<I", payload, 8)[0]])
-        spec = header["columns"][column]
-        span = header["year_end"] - header["year_start"] + 1
-        count = _column_lengths(header["n_rows"], header["n_words"], span, header["n_match_exceptions"], header["n_volume_exceptions"])[column]
-        values = np.frombuffer(payload, dtype=spec["dtype"], count=count, offset=spec["offset"])
-        assert values[index] != value
-        values[index] = value
-        path.write_bytes(bytes(payload) + hashlib.sha256(payload).digest())
+        assert rewrite_column(path, column, index, value) != value
         (tmp_path / "words.txt").write_text("cat\n", encoding="utf-8")
         query = [str(tmp_path / "words.txt") if arg == "WORDS" else arg for arg in query]
         capsys.readouterr()
@@ -501,9 +488,9 @@ class TestCoreCommand:
         "old, new, detail",
         [
             (b'"words_bytes": 32', b'"words_bytes": 30', "words_bytes 30 is not the length of the word list"),
-            (b'"columns"', b'"columnz"', "missing header key 'columns'"),
+            (b'"n_rows"', b'"n_rowz"', "missing header key 'n_rows'"),
         ],
-        ids=["words_bytes-30", "no-columns"],
+        ids=["words_bytes-30", "no-n_rows"],
     )
     def test_store_header_error_reads_as_prose(self, tmp_path, capsys, old, new, detail):
         """A refused header's reason is the sentence that names it, not the exception's repr."""
@@ -511,7 +498,19 @@ class TestCoreCommand:
         rewrite_store(path, old, new)
         capsys.readouterr()
         assert main(["core", "--store", str(path), "--window", "1900:1904", "--k", "7", "--out", str(tmp_path / "out")]) == 1
-        assert capsys.readouterr().err == f"error: {path}: header does not describe a version-3 store ({detail})\n"
+        assert capsys.readouterr().err == f"error: {path}: header does not describe a version-4 store ({detail})\n"
+
+    def test_store_year_span_past_u4_is_data_error(self, tmp_path, capsys):
+        """A signed header whose year span, 2**32 years, no year offset width holds: exit 1 naming the file."""
+        header = {"language": "english", "year_start": 1, "year_end": 2**32, "n_rows": 0, "words_bytes": 0}
+        header = json.dumps({**header, "n_match_exceptions": 0, "n_volume_exceptions": 0}).encode("utf-8")
+        payload = b"LXST" + struct.pack("<II", 4, len(header)) + header
+        path = tmp_path / "span.lxst"
+        path.write_bytes(payload + hashlib.sha256(payload).digest())
+        rc = main(["core", "--store", str(path), "--window", "1900:1902", "--k", "3", "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == f"error: {path}: header does not describe a version-4 store (no year offset width holds a span of {2**32} years)\n"
 
     def test_store_rows_out_of_order_is_data_error(self, tmp_path, capsys):
         """A store whose first word's first two rows (cat, 1900 and 1901) are swapped and signed anew.
@@ -522,10 +521,10 @@ class TestCoreCommand:
         path = tiny_store(tmp_path)
         assert load_store(path).year[:2].tolist() == [1900, 1901]
         payload = bytearray(path.read_bytes()[:-32])
-        header = json.loads(payload[12 : 12 + struct.unpack_from("<I", payload, 8)[0]])
+        layout = store_layout(payload)
         for column in ("pos_id", "year_offset", "match_slots", "volume_slots"):
-            spec = header["columns"][column]
-            values = np.frombuffer(payload, dtype=spec["dtype"], count=header["n_rows"], offset=spec["offset"])
+            dtype, length, offset = layout[column]
+            values = np.frombuffer(payload, dtype=dtype, count=length, offset=offset)
             values[:2] = values[1::-1].copy()
         path.write_bytes(bytes(payload) + hashlib.sha256(payload).digest())
         capsys.readouterr()

@@ -41,6 +41,7 @@ from conftest import (
     rewrite_column,
     rewrite_store,
     row_keys,
+    store_layout,
     table_words,
     wide_store,
     write_shards,
@@ -124,7 +125,7 @@ class TestYearSlice:
 # Every stored column, in file order.
 COLUMNS = [
     "word_offsets", "pos_id", "year_offset", "match_slots", "match_exceptions", "volume_slots", "volume_exceptions",
-    "lexical_totals", "volume_totals",
+    "volume_totals",
 ]
 
 
@@ -155,46 +156,43 @@ class TestPersistence:
         assert store.digest is None
 
     def test_file_layout_is_payload_then_its_digest(self, hand_store, tmp_path):
-        """The streamed file is byte for byte the documented version-3 layout."""
-        store, _ = hand_store
-        path = tmp_path / "fixture.lxst"
-        save_store(store, path)
-        blob = path.read_bytes()
-        magic, version, header_len = struct.unpack_from("<4sII", blob)
-        header = json.loads(blob[12 : 12 + header_len])
-        words = "\n".join(store.words).encode("utf-8")
-        assert (magic, version) == (b"LXST", 3) and FORMAT_VERSION == 3
-        header_keys = (
-            "language", "year_start", "year_end", "n_rows", "n_words", "words_bytes", "n_match_exceptions", "n_volume_exceptions",
-        )
-        assert {k: header[k] for k in header_keys} == {
-            "language": "english", "year_start": 1900, "year_end": 1904,
-            "n_rows": 15, "n_words": 7, "words_bytes": len(words), "n_match_exceptions": 0, "n_volume_exceptions": 0,
-        }
-        # Spans under 256 years take u1 offsets; the largest match count
-        # is 990 (u2 slots) and the largest volume count 10 (u1 slots);
-        # neither reaches 65,535, so both exception lists are empty (u2).
-        # Rows per word: cat 3, dog 2, don't 1, new 1, press 1, the 4, time 3.
-        assert store.words == ["cat", "dog", "don't", "new", "press", "the", "time"]
-        columns = [
-            ("word_offsets", "<i8", [0, 3, 5, 6, 7, 8, 12, 15]),
-            ("pos_id", "|u1", store.pos_id),
-            ("year_offset", "|u1", store.year - 1900),
-            ("match_slots", "<u2", store.match_count),
-            ("match_exceptions", "<u2", []),
-            ("volume_slots", "|u1", store.volume_count),
-            ("volume_exceptions", "<u2", []),
-            ("lexical_totals", "<i8", [100, 100, 1000, 0, 100]),
-            ("volume_totals", "<i8", [10] * 5),
+        """The streamed file is byte for byte the documented version-4 layout, for the hand
+        fixture (no exceptions) and for ``wide_store`` (both exception lists non-empty)."""
+        assert FORMAT_VERSION == 4
+        # hand: spans under 256 years take u1 offsets; no count reaches
+        # 65,535, so both exception lists are empty. Rows per word: cat 3,
+        # dog 2, don't 1, new 1, press 1, the 4, time 3.
+        hand = hand_store[0]
+        assert hand.words == ["cat", "dog", "don't", "new", "press", "the", "time"]
+        hand_columns = [
+            [0, 3, 5, 6, 7, 8, 12, 15], hand.pos_id, hand.year - 1900, hand.match_count, [],
+            hand.volume_count, [], [10] * 5,
         ]
-        assert sorted(header["columns"]) == sorted(name for name, _, _ in columns)
-        payload = blob[: 12 + header_len] + words
-        for name, dtype, values in columns:
-            offset = header["columns"][name]["offset"]
-            assert header["columns"][name]["dtype"] == dtype
-            assert offset == -(-len(payload) // 4096) * 4096, name  # the next page boundary
-            payload += bytes(offset - len(payload)) + np.asarray(values).astype(dtype).tobytes()
-        assert blob == payload + hashlib.sha256(payload).digest()
+        # wide: a sentinel slot for each count of 65,535 or more, whose count is its column's next exception.
+        wide = wide_store()
+        wide_columns = [
+            [0, 2, 3, 5], [PosTag.NOUN, PosTag.NOUN, PosTag.VERB, PosTag.ADJ, PosTag.ADJ], [0, 1, 0, 0, 1],
+            [65_535, 5, 65_535, 65_535, 300], [70_000, 2**40, 65_535],
+            [65_535, 3, 300, 65_535, 1], [65_535, 2**20], [2**21, 2**20],
+        ]
+        dtypes = ["<i8", "|u1", "|u1", "<u2", "<i8", "<u2", "<i8", "<i8"]
+        for name, store, values, exceptions in (("hand", hand, hand_columns, (0, 0)), ("wide", wide, wide_columns, (3, 2))):
+            path = tmp_path / f"{name}.lxst"
+            save_store(store, path)
+            blob = path.read_bytes()
+            magic, version, header_len = struct.unpack_from("<4sII", blob)
+            words = "\n".join(store.words).encode("utf-8")
+            assert (magic, version) == (b"LXST", 4)
+            assert json.loads(blob[12 : 12 + header_len]) == {
+                "language": "english", "year_start": store.year_start, "year_end": store.year_end,
+                "n_rows": len(store.pos_id), "words_bytes": len(words),
+                "n_match_exceptions": exceptions[0], "n_volume_exceptions": exceptions[1],
+            }
+            payload = blob[: 12 + header_len] + words
+            for column, dtype, column_values in zip(COLUMNS, dtypes, values, strict=True):
+                assert getattr(store, column).tolist() == np.asarray(column_values).tolist(), (name, column)
+                payload += bytes(-len(payload) % 4096) + np.asarray(column_values).astype(dtype).tobytes()
+            assert blob == payload + hashlib.sha256(payload).digest(), name
         assert not list(tmp_path.glob("*.tmp"))
 
     def test_empty_store_round_trip(self, tmp_path):
@@ -218,7 +216,7 @@ class TestPersistence:
     @pytest.mark.parametrize("size", [0, 1, 43])
     def test_empty_or_cut_file_is_refused_before_mapping(self, tmp_path, size):
         path = tmp_path / "short.lxst"
-        path.write_bytes(b"LXST\x03\x00\x00\x00".ljust(size, b"\x00")[:size])
+        path.write_bytes(b"LXST\x04\x00\x00\x00".ljust(size, b"\x00")[:size])
         with mock.patch("lexcore.store.mmap.mmap", side_effect=AssertionError("mapped")):
             with pytest.raises(ChecksumMismatch):
                 load_store(path)
@@ -251,7 +249,7 @@ class TestPersistence:
         [b"not json", b"[]", b"{}", b'{"columns": [], "n_rows": 0, "n_words": 0, "words_bytes": 0, "year_start": 1, "year_end": 1}'],
     )
     def test_header_of_another_layout(self, tmp_path, header):
-        """A file that verifies but whose header does not describe the version-3 columns."""
+        """A file that verifies but whose header does not describe the version-4 columns."""
         payload = b"LXST" + struct.pack("<II", FORMAT_VERSION, len(header)) + header
         path = tmp_path / "odd.lxst"
         path.write_bytes(payload + hashlib.sha256(payload).digest())
@@ -292,6 +290,8 @@ class TestPersistence:
             ([-1, 0], [1, 1], [1, 1], "word_offsets do not ascend", {}),
             (row_keys([0, 1], [0, 0], [0, 0], 2), [-1, 1], [1, 1], "column match_count holds a negative count", {}),
             (row_keys([0, 1], [0, 0], [0, 0], 2), [1, 1], [1, -(2**40)], "column volume_count holds a negative count", {}),
+            # An unsigned count no i8 exception holds.
+            (row_keys([0, 1], [0, 0], [0, 0], 2), [2**63, 1], [1, 1], "column match_count holds a count of 2**63 or more", {}),
             # A store file cannot hold these: page padding would hide the extra value, or the load would refuse it.
             (row_keys([0, 1], [0, 0], [0, 0], 2), [1, 1], [1, 1, 1], "column volume_slots holds 3 values, not 2", {}),
             (row_keys([0, 1], [0, 0], [0, 0], 1), [1, 1], [1, 1], "column volume_totals holds 2 values, not 1", {"year_end": 1900}),
@@ -308,6 +308,7 @@ class TestPersistence:
             "negative-key",
             "negative-match",
             "negative-volume",
+            "match-2-63",
             "volume-count-too-long",
             "two-totals-one-year",
             "empty-word",
@@ -369,7 +370,7 @@ class TestPersistence:
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 4), st.sampled_from([1, 3, 300]), st.data())
     def test_every_store_from_rows_accepts_round_trips(self, tmp_path_factory, n_words, span, data):
-        """Ascending keys inside the vocabulary, with counts up to each width's largest, so exceptions of every width."""
+        """Ascending keys inside the vocabulary, with counts up to each width's largest, so slots with and without exceptions."""
         words = [f"w{i}" for i in range(n_words)]
         keys = sorted(data.draw(st.sets(st.integers(0, n_words * span * POS_COUNT - 1), max_size=30)) if n_words else ())
         # 30 rows of the i8 bound sum below 2**63.
@@ -384,11 +385,11 @@ class TestPersistence:
         lexical = [0] * span
         for k, count in zip(keys, match):
             lexical[k // POS_COUNT % span] += count
-        assert store.lexical_totals.tolist() == lexical
         path = tmp_path_factory.mktemp("round-trip") / "s.lxst"
         digest = save_store(store, path)
         loaded = load_store(path)
         assert loaded.words == words and loaded.digest == digest
+        assert store.lexical_totals.tolist() == loaded.lexical_totals.tolist() == lexical
         for name in COLUMNS:
             column = getattr(loaded, name)
             assert column.dtype == getattr(store, name).dtype and column.tolist() == getattr(store, name).tolist(), name
@@ -407,7 +408,7 @@ class TestPersistence:
     def test_load_refuses_a_word_that_repeats_a_row(self, hand_store, tmp_path):
         """A signed file in which time's (1900, VERB) row is made a second (1900, NOUN) row.
 
-        Its totals still agree, and from_rows refuses such keys before any
+        Its counts are unchanged, and from_rows refuses such keys before any
         store is built, so only the loaded file's row-order check can see it.
         """
         store, _ = hand_store
@@ -421,44 +422,52 @@ class TestPersistence:
         with pytest.raises(FormatVersionMismatch, match=f"^{re.escape(str(path))}: store rows do not ascend"):
             load_store(path)
 
-    # One edit of a conftest.wide_store column that breaks each format-3 rule:
-    # its dtype in the header, or its value at one row.
+    # One edit of a conftest.wide_store column that breaks each format-4 rule:
+    # its dtype, or its value at one row.
     @pytest.mark.parametrize(
         "column, dtype, row, value, message",
         [
-            ("match_slots", "<u4", None, None, "match_slots.*<u4.*not one of"),
-            ("volume_slots", "|u1", None, None, "column volume_slots is u1, but volume_exceptions holds 2 values"),
+            ("match_slots", "<u4", None, None, "column match_slots is stored as <u4, not <u2"),
+            ("volume_slots", "|u1", None, None, "column volume_slots is stored as |u1, not <u2"),
             ("match_slots", None, 1, 2**16 - 1, "column match_slots holds 4 sentinels, but match_exceptions 3 values"),
             ("volume_slots", None, 0, 7, "column volume_slots holds 1 sentinels, but volume_exceptions 2 values"),
             ("volume_exceptions", None, 0, 2**16 - 2, "column volume_exceptions holds a value below 65535"),
-            ("match_exceptions", None, 0, 70_001, "column lexical_totals disagrees with the rows' match counts"),
         ],
         ids=[
             "slots-u4",
-            "u1-slots-with-exceptions",
+            "slots-u1",
             "sentinel-without-exception",
             "exception-without-sentinel",
             "exception-below-sentinel",
-            "exception-off-the-totals",
         ],
     )
     def test_count_column_rules_refuse_a_built_store_and_a_signed_file(self, tmp_path, column, dtype, row, value, message):
-        """The store built with the edited column is a ValueError; its file, signed anew, a data error naming it."""
+        """The store built with the edited column is a ValueError; its file, signed anew, a data error naming it.
+
+        The layout fixes each width, so a file whose column was written at
+        another width has the column's bytes read at the layout's: there,
+        wide_store's sentinel slots are no longer as many as its exceptions.
+        """
         store = wide_store()
         stored = getattr(store, column)
         edited = stored.astype(dtype or stored.dtype)
         if row is not None:
             edited[row] = value
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=re.escape(message)):
             dataclasses.replace(store, **{column: edited})
         path = tmp_path / "wide.lxst"
         save_store(store, path)
         if dtype:
-            spec = f'"{column}": {{"dtype": "{stored.dtype.str}"'
-            rewrite_store(path, spec.encode(), spec.replace(stored.dtype.str, dtype).encode())
+            payload = bytearray(path.read_bytes()[:-32])
+            _, _, offset = store_layout(payload)[column]
+            data = edited.tobytes().ljust(stored.nbytes, b"\0")
+            payload[offset : offset + len(data)] = data
+            path.write_bytes(bytes(payload) + hashlib.sha256(payload).digest())
+            message = f"column {column} holds [0-9]+ sentinels"
         else:
             rewrite_column(path, column, row, value)
-        with pytest.raises(FormatVersionMismatch, match=f"^{re.escape(str(path))}: .*{message}"):
+            message = re.escape(message)
+        with pytest.raises(FormatVersionMismatch, match=f"^{re.escape(str(path))}: {message}"):
             load_store(path)
 
     @pytest.mark.parametrize("old, new", HEADER_EDITS.values(), ids=HEADER_EDITS)
@@ -487,18 +496,15 @@ class TestPersistence:
         for name in ("word_id", "year", "match_count", "volume_count"):
             assert (getattr(loaded, name) == getattr(store, name)).all(), name
 
-    # The width rule's edges: u1 slots up to 255, u2 slots past it, and from
-    # 65,535 on an exception in the list, at the narrowest width of its value.
+    # The slot rule's edges: a count up to 65,534 is its u2 slot, and from
+    # 65,535 on it is a sentinel slot and an exception (i8) in the list.
     # Each id is the count and the narrowest width that holds it.
     @pytest.mark.parametrize(
-        "count, slots, n_exceptions, exceptions",
-        [
-            (255, "u1", 0, "u2"), (256, "u2", 0, "u2"), (2**16 - 2, "u2", 0, "u2"), (2**16 - 1, "u2", 1, "u2"),
-            (2**16, "u2", 1, "u4"), (2**32 - 1, "u2", 1, "u4"), (2**32, "u2", 1, "i8"), (2**63 - 1, "u2", 1, "i8"),
-        ],
+        "count, n_exceptions",
+        [(255, 0), (256, 0), (2**16 - 2, 0), (2**16 - 1, 1), (2**16, 1), (2**32 - 1, 1), (2**32, 1), (2**63 - 1, 1)],
         ids=["255-u1", "256-u2", "65534-u2", "65535-u2", "65536-u4", "4294967295-u4", "4294967296-i8", "9223372036854775807-i8"],
     )
-    def test_round_trip_at_each_count_width(self, tmp_path, count, slots, n_exceptions, exceptions):
+    def test_round_trip_at_each_count_width(self, tmp_path, count, n_exceptions):
         store = CorpusStore.from_rows(
             "english", 1900, 1901, ["aa", "bb"],
             key=row_keys([0, 0, 1], [0, 0, 1], [0, 1, 0], 2),
@@ -508,8 +514,8 @@ class TestPersistence:
         save_store(store, tmp_path / "s.lxst")
         loaded = load_store(tmp_path / "s.lxst")
         for built in (store, loaded):
-            assert built.match_slots.dtype == built.volume_slots.dtype == np.dtype(slots)
-            assert built.match_exceptions.dtype == built.volume_exceptions.dtype == np.dtype(exceptions)
+            assert built.match_slots.dtype == built.volume_slots.dtype == np.dtype("<u2")
+            assert built.match_exceptions.dtype == built.volume_exceptions.dtype == np.dtype("<i8")
             assert built.match_slots.tolist() == [min(count, 2**16 - 1), 0, 1]
             assert built.volume_slots.tolist() == [0, min(count, 2**16 - 1), 1]
             assert built.match_exceptions.tolist() == built.volume_exceptions.tolist() == [count] * n_exceptions
@@ -629,20 +635,15 @@ REGIONS = [
 
 
 def _regions(path) -> dict[str, tuple[int, int]]:
-    """(offset, length) of every region of a store file, from its header."""
+    """(offset, length) of every region of a store file, by README's layout rule."""
     blob = path.read_bytes()
     (header_len,) = struct.unpack_from("<I", blob, 8)
-    header = json.loads(blob[12 : 12 + header_len])
-    n, span = header["n_rows"], header["year_end"] - header["year_start"] + 1
-    lengths = dict.fromkeys(COLUMNS, n) | {"word_offsets": header["n_words"] + 1, "lexical_totals": span, "volume_totals": span}
-    lengths |= {f"{count}_exceptions": header[f"n_{count}_exceptions"] for count in ("match", "volume")}
-    sizes = [4, 4, 4 + header_len, header["words_bytes"]]
+    sizes = [4, 4, 4 + header_len, json.loads(blob[12 : 12 + header_len])["words_bytes"]]
     pos = sum(sizes)
-    for column in COLUMNS:
-        spec = header["columns"][column]
-        size = np.dtype(spec["dtype"]).itemsize * lengths[column]
-        sizes += [spec["offset"] - pos, size]
-        pos = spec["offset"] + size
+    for dtype, length, offset in store_layout(blob).values():
+        size = np.dtype(dtype).itemsize * length
+        sizes += [offset - pos, size]
+        pos = offset + size
     sizes.append(32)
     regions, pos = {}, 0
     for name, size in zip(REGIONS, sizes, strict=True):
