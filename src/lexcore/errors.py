@@ -12,7 +12,7 @@ class EmptyYearError(LexcoreError):
 class FormatVersionMismatch(LexcoreError):
     """Store file has an unknown magic number, format version or header layout, or verifies but
     breaks the store contract that every built store meets too: unsorted words, column values out
-    of range, or rows out of (year, pos id) order within a word."""
+    of range, rows out of (year, pos id) order within a word, or counts that total 2**63 or more."""
 
 
 class ChecksumMismatch(LexcoreError):
@@ -20,7 +20,7 @@ class ChecksumMismatch(LexcoreError):
 
 
 class CountOverflow(LexcoreError):
-    """A sum of counts reaches 2**63, beyond the int64 counts a store holds."""
+    """A corpus's or built store's match or volume counts total 2**63 or more, so its sums could wrap."""
 
 
 class SpanTooShort(LexcoreError):

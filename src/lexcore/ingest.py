@@ -54,7 +54,7 @@ import numpy as np
 from .config import RunConfig
 from .errors import LexcoreError
 from .postags import POS_COUNT, SUFFIX_TAGS, PosTag
-from .store import CorpusStore, group_sum, index_sum, pos_totals, read_volume_sidecar, run_rows
+from .store import CorpusStore, check_count_total, group_sum, index_sum, pos_totals, read_volume_sidecar, run_rows
 
 log = logging.getLogger(__name__)
 
@@ -488,6 +488,8 @@ def build_store(
     rows, vocabulary = _merge(shards, table, stats)
     del shards
     lap("merge")
+    for count, counts in zip(("match", "volume"), rows[1:]):  # so that every sum from here on is exact
+        check_count_total(count, counts)
     # Sums rows with equal keys (after shard overlap, case folding or
     # apostrophe normalization) in place, which also sorts them.
     rows = group_sum(*rows)

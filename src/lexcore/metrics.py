@@ -130,21 +130,22 @@ def _word_ids(store: CorpusStore, words: Iterable[str]) -> np.ndarray:
 
 def _frequency_sum_series(store: CorpusStore, ids: np.ndarray, years: Iterable[int], name: str) -> MetricSeries:
     """Summed relative frequency of the words with distinct store ``ids`` for each requested year."""
-    year_list = sorted(set(int(y) for y in years))
-    if not year_list:
-        raise ValueError("no years requested")
     totals = store.lexical_totals.tolist()
-    for y in year_list:
+    wanted = set()
+    for y in map(int, years):  # checked as they come: a huge range fails at its first year outside the store
         if y not in store.years:
             raise ValueError(f"year {y} outside store range {store.year_start}..{store.year_end}")
         if totals[y - store.year_start] == 0:
             raise EmptyYearError(f"year {y} has no lexical tokens")
+        wanted.add(y)
+    if not wanted:
+        raise ValueError("no years requested")
 
     # Each word's rows are one slice of the store.
     starts = store.word_offsets[ids]
     rows = run_rows(starts, store.word_offsets[ids + 1] - starts)
     sums = index_sum(store.year_offset[rows], store.counts("match", rows), len(totals)).tolist()
-    points = tuple((y, sums[y - store.year_start] / totals[y - store.year_start]) for y in year_list)
+    points = tuple((y, sums[y - store.year_start] / totals[y - store.year_start]) for y in sorted(wanted))
     return MetricSeries(name=name, points=points)
 
 

@@ -56,9 +56,10 @@ dtype and length of the layout above; word offsets ascend from 0 to the
 row count; pos ids are below ``POS_COUNT`` and year offsets below the
 span; volume totals are non-negative; a count column has as many
 sentinel slots as exceptions, and every exception is at least 65,535;
-within each word, rows strictly ascend by (year offset, pos id); and no
-year's lexical total reaches 2**63.  A built store that breaks it is a
-ValueError (:class:`CountOverflow` for a total), and a file that
+within each word, rows strictly ascend by (year offset, pos id); and
+each count column totals below 2**63, so no int64 sum of its counts
+wraps (see :func:`check_count_total`).  A built store that breaks it is
+a ValueError (:class:`CountOverflow` for a total), and a file that
 verifies but breaks it, as one edited and signed anew might, is a
 :class:`FormatVersionMismatch` naming the file.
 Files are replaced, never rewritten in place, so a mapped file never
@@ -90,7 +91,6 @@ _PREAMBLE = len(MAGIC) + 8  # magic, version, header length
 _DIGEST = 32
 _PAGE = 4096
 _BLOCK_ROWS = 1 << 16  # rows summed and order-checked at a time
-_OVERFLOW = "a sum of counts reaches 2**63, beyond the int64 counts a store holds"
 _SENTINEL = 0xFFFF  # a count slot holding this takes its count from the exception list
 _COUNTS = ("match", "volume")
 
@@ -130,7 +130,7 @@ class CorpusStore:
 
     Construction checks the store contract (see the module docstring)
     and raises ValueError where it fails, or :class:`CountOverflow` where
-    a year's lexical total reaches 2**63; it sums ``lexical_totals`` from
+    a count column totals 2**63 or more; it sums ``lexical_totals`` from
     the rows.  ``word_id``, the absolute ``year`` and the exact
     ``match_count`` and ``volume_count`` of each row are derived on
     first use, for callers outside the query path; queries read counts
@@ -189,13 +189,12 @@ class CorpusStore:
                 )
             if exceptions.min(initial=_SENTINEL) < _SENTINEL:
                 raise ValueError(f"column {count}_exceptions holds a value below {_SENTINEL}")
+            check_count_total(count, exceptions, slots)
         # A block of rows at a time, so no whole column is widened: sum each year's match counts, check row order.
         totals = np.zeros(span, dtype=np.int64)
         for start in range(0, n_rows, _BLOCK_ROWS):
             block = slice(start, start + _BLOCK_ROWS)
             totals += index_sum(self.year_offset[block], self.counts("match", block), span)
-            if totals.min() < 0:  # a sum of non-negative counts wraps negative once it reaches 2**63
-                raise CountOverflow(_OVERFLOW)
             first = max(start - 1, 0)  # the row before the block, to compare across blocks
             key = self.year_offset[first : block.stop].astype(np.int64) * POS_COUNT + self.pos_id[first : block.stop]
             later = np.flatnonzero(key[1:] <= key[:-1]) + first + 1
@@ -375,6 +374,9 @@ def load_store(path: str | Path) -> CorpusStore:
         sizes = ("n_rows", "words_bytes", "n_match_exceptions", "n_volume_exceptions")
         if any(type(header[key]) is not int for key in ("year_start", "year_end", *sizes)):
             raise ValueError("a year or count of the header is not an integer")
+        unknown = set(header) - {"language", "year_start", "year_end", *sizes}
+        if unknown:
+            raise ValueError(f"unknown header key {min(unknown)!r}")
         if min(header[key] for key in sizes) < 0:
             raise ValueError("a count of the header is negative")
         words_blob = mapped[pos : pos + header["words_bytes"]]
@@ -414,23 +416,21 @@ def load_store(path: str | Path) -> CorpusStore:
         raise FormatVersionMismatch(f"{path}: {exc}") from None
 
 
-def _exact(sum_groups, counts: np.ndarray) -> np.ndarray:
-    """``sum_groups(counts)``, raising :class:`CountOverflow` where a sum reaches 2**63.
+def check_count_total(count: str, counts: np.ndarray, slots: np.ndarray | None = None) -> None:
+    """Raise :class:`CountOverflow` unless the ``count`` counts total below 2**63: the one bound on counts.
 
-    ``counts`` are non-negative integers of any width; they are widened to
-    int64 here, before any sum, so a narrow column cannot wrap.
-    ``sum_groups`` adds int64 counts per group.  No sum can wrap when
-    ``max(counts) * len(counts) < 2**63``; otherwise the groups are summed
-    again over each count's 32-bit halves, which cannot wrap, to find any
-    sum of 2**63 or more.
+    ``counts`` are non-negative int64 counts or, with ``slots``, the
+    exception list of those u2 slots.  The exact total is summed as a
+    Python int: the slots in uint64, less 65,535 for each exception, and
+    the counts over their 32-bit halves a block at a time, so no whole
+    column is widened.
     """
-    counts = counts.astype(np.int64, copy=False)
-    sums = sum_groups(counts)
-    if len(counts) and int(counts.max()) * len(counts) >= 2**63:
-        high = sum_groups(counts >> 32) + (sum_groups(counts & 0xFFFFFFFF) >> 32)
-        if np.any(high >= 2**31):
-            raise CountOverflow(_OVERFLOW)
-    return sums
+    total = 0 if slots is None else int(np.sum(slots, dtype=np.uint64)) - _SENTINEL * len(counts)
+    for start in range(0, len(counts), _BLOCK_ROWS):
+        block = counts[start : start + _BLOCK_ROWS]
+        total += (int(np.sum(block >> 32)) << 32) + int(np.sum(block & 0xFFFFFFFF))
+    if total >= 2**63:
+        raise CountOverflow(f"the {count} counts total {total}, 2**63 or more: lexcore sums counts in int64")
 
 
 def group_sum(key: np.ndarray, *values: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -440,10 +440,8 @@ def group_sum(key: np.ndarray, *values: np.ndarray) -> tuple[np.ndarray, ...]:
     spare column: ``key`` and each of ``values`` (writable int64 columns
     of one length) are reordered by a stable sort on ``key``, then the
     unique keys and each column's sums overwrite their first rows and
-    come back as views of them.  Sums are exact: one that reaches 2**63
-    raises :class:`CountOverflow`.  Where a column's largest count times
-    its length reaches 2**63, that check (see :func:`_exact`) holds one
-    more row-length column.
+    come back as views of them.  Sums are exact where each column totals
+    below 2**63.
     """
     columns = (key, *values)
     order = np.argsort(key, kind="stable")
@@ -461,7 +459,7 @@ def group_sum(key: np.ndarray, *values: np.ndarray) -> tuple[np.ndarray, ...]:
     del first
     key[: len(starts)] = key[starts]
     for column in values:
-        column[: len(starts)] = _exact(lambda c: np.add.reduceat(c, starts), column)
+        column[: len(starts)] = np.add.reduceat(column, starts)
     return tuple(column[: len(starts)] for column in columns)
 
 
@@ -471,23 +469,19 @@ def run_rows(first: np.ndarray, count: np.ndarray) -> np.ndarray:
 
 
 def index_sum(index: np.ndarray, counts: np.ndarray, length: int) -> np.ndarray:
-    """Sum counts per index in ``range(length)`` without sorting; exact as :func:`group_sum`."""
-
-    def sum_groups(c: np.ndarray) -> np.ndarray:
-        sums = np.zeros(length, dtype=np.int64)
-        np.add.at(sums, index, c)
-        return sums
-
-    return _exact(sum_groups, counts)
+    """Sum counts per index in ``range(length)`` into int64, without sorting: exact where they total below 2**63."""
+    sums = np.zeros(length, dtype=np.int64)
+    np.add.at(sums, index, counts)
+    return sums
 
 
 def pos_totals(slot: np.ndarray, counts: np.ndarray, n_words: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Sum counts into ``n_words * POS_COUNT`` slots, ``word * POS_COUNT + pos id``.
 
-    Returns the slot totals (exact as :func:`index_sum`), which slots
-    occur, and each word's dominant pos id: the present slot with the
-    largest total wins, ties go to the smallest pos id.  A present slot
-    may total 0, so an absent one counts as -1.
+    Returns the slot totals (exact where ``counts`` total below 2**63),
+    which slots occur, and each word's dominant pos id: the present slot
+    with the largest total wins, ties go to the smallest pos id.  A
+    present slot may total 0, so an absent one counts as -1.
     """
     totals = index_sum(slot, counts, n_words * POS_COUNT)
     present = np.zeros(n_words * POS_COUNT, dtype=bool)

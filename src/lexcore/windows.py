@@ -28,7 +28,7 @@ import numpy as np
 from .errors import EmptyWindow, SpanTooShort
 from .postags import POS_COUNT, PosTag
 from .serialize import write_text_atomic
-from .store import CorpusStore, _exact, pos_totals, run_rows
+from .store import CorpusStore, pos_totals, run_rows
 
 # PosTag by value: tag values run 0..POS_COUNT-1.
 _POS_TAGS = tuple(PosTag)
@@ -136,10 +136,11 @@ def aggregate_window(store: CorpusStore, spec: WindowSpec) -> WindowTable:
         raise ValueError(f"window {spec.label} outside store range {store.year_start}..{store.year_end}")
     lo = spec.start_year - store.year_start
     hi = spec.end_year - store.year_start + 1
-    lexical_total = int(_exact(np.sum, store.lexical_totals[lo:hi]))
+    # Python-int sums, exact at any size: the sidecar's volume totals are bounded only year by year.
+    lexical_total = sum(store.lexical_totals[lo:hi].tolist())
     if lexical_total == 0:
         raise EmptyWindow(f"window {spec.label} has no lexical tokens")
-    volume_total = int(_exact(np.sum, store.volume_totals[lo:hi]))
+    volume_total = sum(store.volume_totals[lo:hi].tolist())
 
     rows = np.flatnonzero((store.year_offset >= lo) & (store.year_offset < hi))
     # Rows are word-major, so the selected rows of each word are one run,
@@ -148,8 +149,8 @@ def aggregate_window(store: CorpusStore, spec: WindowSpec) -> WindowTable:
     run_lengths = np.diff(bounds)
     word_ids = np.flatnonzero(run_lengths)
     starts = bounds[word_ids]
-    word_match = _exact(lambda c: np.add.reduceat(c, starts), store.counts("match", rows))
-    word_vol = _exact(lambda c: np.add.reduceat(c, starts), store.counts("volume", rows))
+    word_match = np.add.reduceat(store.counts("match", rows), starts)
+    word_vol = np.add.reduceat(store.counts("volume", rows), starts)
     volume_share = (
         word_vol / volume_total if volume_total > 0 else np.zeros(len(word_ids), dtype=np.float64)
     )

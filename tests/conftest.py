@@ -211,6 +211,11 @@ HEADER_EDITS = {
     "n_match_exceptions": (b'"n_match_exceptions": 0', b'"n_match_exceptions": 1'),
     "n_volume_exceptions-negative": (b'"n_volume_exceptions": 0,', b'"n_volume_exceptions":-1,'),
     "no-language": (b'"language"', b'"languagX"'),
+    # One more key, in the room of the spaces the other keys give up.
+    "extra-key": (
+        b'"n_volume_exceptions": 0, "words_bytes": 32, "year_end": 1904, "year_start": 1900}',
+        b'"n_volume_exceptions":0,"words_bytes":32,"year_end":1904,"year_start":1900,"x": 0}',
+    ),
 }
 
 

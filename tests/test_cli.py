@@ -489,8 +489,9 @@ class TestCoreCommand:
         [
             (b'"words_bytes": 32', b'"words_bytes": 30', "words_bytes 30 is not the length of the word list"),
             (b'"n_rows"', b'"n_rowz"', "missing header key 'n_rows'"),
+            (*HEADER_EDITS["extra-key"], "unknown header key 'x'"),
         ],
-        ids=["words_bytes-30", "no-n_rows"],
+        ids=["words_bytes-30", "no-n_rows", "extra-key"],
     )
     def test_store_header_error_reads_as_prose(self, tmp_path, capsys, old, new, detail):
         """A refused header's reason is the sentence that names it, not the exception's repr."""
@@ -1356,6 +1357,27 @@ def test_years_outside_store_is_data_error(pipeline, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: year 1700 outside store range 1800..1999")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["coverage", "--window", "1900:1904", "--k", "2"],
+        ["transition", "--window", "1900:1901", "--window2", "1903:1904", "--k", "2"],
+        ["group", "--words", "WORDS"],
+    ],
+    ids=["coverage", "transition", "group"],
+)
+def test_years_far_past_the_store_fail_at_its_first_year_outside(tmp_path, capsys, command):
+    """A range of 10**15 years is refused at 1905, the first year past the fixtures/tiny store."""
+    path = tiny_store(tmp_path)
+    words = tmp_path / "words.txt"
+    words.write_text("the\n", encoding="utf-8")
+    argv = [str(words) if arg == "WORDS" else arg for arg in command]
+    capsys.readouterr()
+    assert main([*argv, "--store", str(path), "--years", "1900:1000000000000000", "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: year 1905 outside store range 1900..1904\n"
 
 
 def test_version_flag(capsys):

@@ -629,7 +629,7 @@ def _sidecar(directory: Path, years) -> Path:
 
 
 def _build_or_overflow(paths, config):
-    """build_store's (store, stats), or None when a sum of counts reaches 2**63."""
+    """build_store's (store, stats), or None when its lexical counts total 2**63 or more."""
     try:
         return build_store(paths, config)
     except CountOverflow:
@@ -673,10 +673,10 @@ class TestShardParser:
                 built = _build_or_overflow([path], config)
             words, columns, counters = _store_oracle([path], config)
         rows = _assert_parsed_like_read_shard(parsed, data, config)
-        # A build overflows only when the kept counts can.
-        if built is None:
-            assert sum(r[2] for r in rows) >= 2**63 or sum(r[3] for r in rows) >= 2**63
-        else:
+        # A build overflows exactly when the lexical rows' match or volume counts total 2**63 or more.
+        lexical = [r for r in rows if not isinstance(classify_token(r[0], config), str)]
+        assert (built is None) == any(sum(r[i] for r in lexical) >= 2**63 for i in (2, 3))
+        if built is not None:
             store, stats = built
             assert store.words == words
             assert {name: getattr(store, name).tolist() for name in columns} == columns

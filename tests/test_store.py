@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -14,10 +15,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lexcore.errors import ChecksumMismatch, CountOverflow, EmptyYearError, FormatVersionMismatch
+from lexcore.errors import ChecksumMismatch, CountOverflow, EmptyWindow, EmptyYearError, FormatVersionMismatch
 from lexcore.ingest import build_store
 from lexcore.metrics import core_size_for_coverage, coverage_series, group_frequency_series, turnover_series
 from lexcore.postags import POS_COUNT, PosTag
@@ -25,6 +26,7 @@ from lexcore.serialize import replacing, write_text_atomic
 from lexcore.store import (
     FORMAT_VERSION,
     CorpusStore,
+    check_count_total,
     group_sum,
     index_sum,
     load_store,
@@ -508,7 +510,7 @@ class TestPersistence:
         store = CorpusStore.from_rows(
             "english", 1900, 1901, ["aa", "bb"],
             key=row_keys([0, 0, 1], [0, 0, 1], [0, 1, 0], 2),
-            match_count=np.array([count, 0, 1]), volume_count=np.array([0, count, 1]),
+            match_count=np.array([count, 0, 0]), volume_count=np.array([0, count, 0]),
             volume_totals=[count, count],
         )
         save_store(store, tmp_path / "s.lxst")
@@ -516,12 +518,23 @@ class TestPersistence:
         for built in (store, loaded):
             assert built.match_slots.dtype == built.volume_slots.dtype == np.dtype("<u2")
             assert built.match_exceptions.dtype == built.volume_exceptions.dtype == np.dtype("<i8")
-            assert built.match_slots.tolist() == [min(count, 2**16 - 1), 0, 1]
-            assert built.volume_slots.tolist() == [0, min(count, 2**16 - 1), 1]
+            assert built.match_slots.tolist() == [min(count, 2**16 - 1), 0, 0]
+            assert built.volume_slots.tolist() == [0, min(count, 2**16 - 1), 0]
             assert built.match_exceptions.tolist() == built.volume_exceptions.tolist() == [count] * n_exceptions
-            assert built.match_count.tolist() == [count, 0, 1] and built.volume_count.tolist() == [0, count, 1]
+            assert built.match_count.tolist() == [count, 0, 0] and built.volume_count.tolist() == [0, count, 0]
         table = aggregate_window(loaded, WindowSpec(1900, 1900))
         assert table.match_count.tolist() == [count] and table.volume_count.tolist() == [count]
+
+    @pytest.mark.parametrize("count", ["match", "volume"])
+    def test_a_count_beside_the_i8_top_is_refused(self, count):
+        """The i8 round trip's store with a count of 1 more: its column totals 2**63."""
+        counts = {"match_count": np.array([2**63 - 1, 0, 0]), "volume_count": np.array([0, 2**63 - 1, 0])}
+        counts[f"{count}_count"][2] = 1
+        with pytest.raises(CountOverflow):
+            CorpusStore.from_rows(
+                "english", 1900, 1901, ["aa", "bb"], key=row_keys([0, 0, 1], [0, 0, 1], [0, 1, 0], 2),
+                volume_totals=[2**63 - 1, 2**63 - 1], **counts,
+            )
 
     @pytest.mark.parametrize("year_start, year_end, dtype", [(1900, 2154, "u1"), (1900, 2155, "u2"), (1676, 2008, "u2")])
     def test_round_trip_at_each_year_width(self, tmp_path, year_start, year_end, dtype):
@@ -687,11 +700,11 @@ class TestCorruption:
 
 class TestGroupSum:
     def test_large_sums_are_exact(self):
-        """Counts large enough to take the exact check, sums still below 2**63."""
+        """Counts up to 2**52 whose column total stays below 2**63: every group's sum is exact."""
         rng = np.random.default_rng(3)
         key = rng.integers(0, 50, 2_000)
-        counts = rng.integers(0, 2**55, 2_000)
-        assert int(counts.max()) * len(counts) >= 2**63
+        counts = rng.integers(0, 2**52, 2_000)
+        check_count_total("match", counts)
         expected: dict[int, int] = {}
         for k, c in zip(key.tolist(), counts.tolist()):
             expected[k] = expected.get(k, 0) + c
@@ -711,19 +724,51 @@ class TestGroupSum:
         ],
     )
     def test_overflow_at_exactly_two_to_the_63(self, counts, overflows):
-        """The counts form one group, beside a small second group."""
-        key = np.array([7] * len(counts) + [9], dtype=np.int64)
-        values = np.array(counts + [5], dtype=np.int64)
-        dense = np.array([0] * len(counts) + [1])
-        if overflows:
-            with pytest.raises(CountOverflow):
-                group_sum(key, values)
-            with pytest.raises(CountOverflow):
-                index_sum(dense, values, 2)
-        else:
-            assert index_sum(dense, values, 2).tolist() == [sum(counts), 5]
+        """The total check and a built store, in either count column, refuse a total of 2**63 or more.
+
+        The store holds the counts as rows of distinct words in one year.
+        Below the bound, the counts form one group of the sums, beside a
+        second group of a zero count.
+        """
+        values = np.array(counts, dtype=np.int64)
+        n = len(counts)
+        for count, other in (("match", "volume"), ("volume", "match")):
+            build = functools.partial(
+                CorpusStore.from_rows, "english", 1900, 1900, [f"w{i}" for i in range(n)],
+                key=row_keys(range(n), [0] * n, [0] * n, 1), volume_totals=[1],
+                **{f"{count}_count": values, f"{other}_count": np.ones(n, dtype=np.int64)},
+            )
+            if overflows:
+                with pytest.raises(CountOverflow, match=re.escape("2**63")):
+                    check_count_total(count, values)
+                with pytest.raises(CountOverflow):
+                    build()
+            else:
+                check_count_total(count, values)
+                assert sum(getattr(build(), f"{count}_count").tolist()) == sum(counts)
+        if not overflows:
+            key = np.array([7] * n + [9], dtype=np.int64)
+            values = np.append(values, 0)
+            assert index_sum(np.array([0] * n + [1]), values, 2).tolist() == [sum(counts), 0]
             keys, sums = group_sum(key, values)
-            assert keys.tolist() == [7, 9] and sums.tolist() == [sum(counts), 5]
+            assert keys.tolist() == [7, 9] and sums.tolist() == [sum(counts), 0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 2**63 - 1), max_size=6), st.integers(1, 4))
+    @example(counts=[2**62, 2**62], block_rows=1)  # exactly 2**63, across a block boundary
+    @example(counts=[2**62, 2**62 - 1], block_rows=1)
+    def test_total_check_matches_a_python_int_oracle(self, counts, block_rows):
+        """Blocks of a few rows, so the total runs across blocks; plain int64 counts, and those of a built store."""
+        values = np.array(counts, dtype=np.int64)
+        n = len(counts)
+        with mock.patch("lexcore.store._BLOCK_ROWS", block_rows):
+            with pytest.raises(CountOverflow) if sum(counts) >= 2**63 else contextlib.nullcontext():
+                check_count_total("match", values)
+            with pytest.raises(CountOverflow) if sum(counts) >= 2**63 else contextlib.nullcontext():
+                CorpusStore.from_rows(
+                    "english", 1900, 1900, [f"w{i}" for i in range(n)], key=row_keys(range(n), [0] * n, [0] * n, 1),
+                    match_count=np.ones(n, dtype=np.int64), volume_count=values, volume_totals=[1],
+                )
 
     @pytest.mark.parametrize("dtype", ["u1", "<u2", "<u4"])
     def test_narrow_counts_are_widened_before_summing(self, dtype):
@@ -742,12 +787,17 @@ class TestGroupSum:
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(st.integers(0, 9), min_size=1, max_size=40),
-        st.lists(st.sampled_from([2**8 - 1, 2**32 - 1, 2**63 - 1]), min_size=1, max_size=3),
+        # At most 40 rows of the largest bound total below 2**63.
+        st.lists(st.sampled_from([2**8 - 1, 2**32 - 1, (2**63 - 1) // 40]), min_size=1, max_size=3),
         st.sampled_from([None, 2**63 - 1, 2**63]),
         st.data(),
     )
     def test_matches_dict_oracle_in_place(self, keys, bounds, big_sum, data):
-        """Random keys with repeats and int64 columns of counts up to each bound; the arguments end as documented."""
+        """Random keys with repeats and int64 columns of counts up to each bound; the arguments end as documented.
+
+        A column of counts that total 2**63 is refused by the total check,
+        which every caller of group_sum runs first.
+        """
         key = np.array(keys, dtype=np.int64)
         columns = [
             np.array(data.draw(st.lists(st.integers(0, bound), min_size=len(keys), max_size=len(keys))), dtype=np.int64)
@@ -759,6 +809,12 @@ class TestGroupSum:
             columns = [np.append(c, [0, 0]) for c in columns]
             columns.append(np.zeros(len(key), dtype=np.int64))
             columns[-1][-2:] = [2**62, big_sum - 2**62]
+        if big_sum == 2**63:
+            with pytest.raises(CountOverflow):
+                check_count_total("match", columns[-1])
+            return
+        for column in columns:
+            check_count_total("match", column)
         expected: dict[int, list[int]] = {}
         for i, k in enumerate(key.tolist()):
             row = expected.setdefault(k, [0] * len(columns))
@@ -766,10 +822,6 @@ class TestGroupSum:
                 row[j] += int(column[i])
         order = np.argsort(key, kind="stable")
         reordered = [key[order], *(column[order] for column in columns)]
-        if any(total >= 2**63 for row in expected.values() for total in row):
-            with pytest.raises(CountOverflow):
-                group_sum(key, *columns)
-            return
         out_key, *sums = group_sum(key, *columns)
         assert out_key.tolist() == sorted(expected)
         assert {k: [int(s[i]) for s in sums] for i, k in enumerate(out_key.tolist())} == expected
@@ -785,26 +837,123 @@ class TestGroupSum:
         with pytest.raises(CountOverflow):
             build_store(shards, english_config(1900, 1900))
 
-    def test_year_total_overflow_across_blocks_is_rejected(self):
-        """Blocks of one row: each block's sum fits int64, and only the year's running total reaches 2**63."""
-        with mock.patch("lexcore.store._BLOCK_ROWS", 1), pytest.raises(CountOverflow):
-            CorpusStore.from_rows(
-                "english", 1900, 1900, ["aa", "bb"], key=row_keys([0, 1], [0, 0], [0, 0], 1),
-                match_count=np.array([2**62, 2**62]), volume_count=np.array([1, 1]), volume_totals=[2],
-            )
+    def test_one_row_given_three_times_at_the_top_is_rejected_at_ingest(self, tmp_path):
+        """One (token, year) at 2**63 - 1 in each of three shards.
+
+        Its int64 sum wraps twice, back to 2**63 - 3, a count the store
+        would hold, so only the check before the rows are summed sees it.
+        """
+        shards = write_shards(tmp_path, [f"word\t1900\t{2**63 - 1}\t1"] * 3, n_shards=3)
+        with pytest.raises(CountOverflow):
+            build_store(shards, english_config(1900, 1900))
+
+    def test_year_total_overflow_across_blocks_is_rejected(self, tmp_path):
+        """Blocks of one row: each block's sum fits int64, and only the column's running total reaches 2**63."""
+        with mock.patch("lexcore.store._BLOCK_ROWS", 1):
+            with pytest.raises(CountOverflow):
+                CorpusStore.from_rows(
+                    "english", 1900, 1900, ["aa", "bb"], key=row_keys([0, 1], [0, 0], [0, 0], 1),
+                    match_count=np.array([2**62, 2**62]), volume_count=np.array([1, 1]), volume_totals=[2],
+                )
+            shards = write_shards(tmp_path, [f"aa\t1900\t{2**62}\t1", f"bb\t1900\t{2**62}\t1"])
+            with pytest.raises(CountOverflow):
+                build_store(shards, english_config(1900, 1900))
+
+    @pytest.mark.parametrize("count, row", [("match", 1), ("volume", 1)])
+    def test_load_refuses_counts_that_total_two_to_the_63(self, tmp_path, count, row):
+        """A signed file whose one exception brings its column's total to 2**63 - 1 loads; at 2**63 it is refused."""
+        store = wide_store()
+        rest = sum(getattr(store, f"{count}_count").tolist()) - int(getattr(store, f"{count}_exceptions")[row])
+        path = tmp_path / "wide.lxst"
+        save_store(store, path)
+        rewrite_column(path, f"{count}_exceptions", row, 2**63 - 1 - rest)
+        assert sum(getattr(load_store(path), f"{count}_count").tolist()) == 2**63 - 1
+        rewrite_column(path, f"{count}_exceptions", row, 2**63 - rest)
+        with pytest.raises(FormatVersionMismatch, match=f"^{re.escape(str(path))}: the {count} counts total {2**63}"):
+            load_store(path)
 
     @pytest.mark.parametrize("big", ["lexical", "volume"])
     def test_window_total_overflow_is_rejected(self, tmp_path, big):
-        """Year totals that fit int64 but whose window total does not."""
+        """Year totals that fit int64 but whose two-year sum reaches 2**63.
+
+        Match counts that total 2**63 are refused when the store is built;
+        the sidecar's volume totals are bounded year by year, and a
+        window's volume total is exact past int64.
+        """
         count = 2**62 if big == "lexical" else 5
         shards = write_shards(tmp_path, [f"aa\t1900\t{count}\t1", f"bb\t1901\t{count}\t1"])
         sidecar = tmp_path / "volumes.tsv"
         volumes = 2**62 if big == "volume" else 10
         sidecar.write_text(f"1900\t{volumes}\n1901\t{volumes}\n", encoding="utf-8")
+        if big == "lexical":
+            with pytest.raises(CountOverflow):
+                build_store(shards, english_config(1900, 1901), volume_sidecar=sidecar)
+            return
         store, _ = build_store(shards, english_config(1900, 1901), volume_sidecar=sidecar)
-        aggregate_window(store, WindowSpec(1900, 1900))
-        with pytest.raises(CountOverflow):
-            aggregate_window(store, WindowSpec(1900, 1901))
+        assert aggregate_window(store, WindowSpec(1900, 1900)).volume_total == 2**62
+        table = aggregate_window(store, WindowSpec(1900, 1901))
+        assert table.volume_total == 2**63 and table.volume_share.tolist() == [2.0**-63, 2.0**-63]
+
+
+class TestExactSums:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.dictionaries(
+            st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 3)),
+            st.tuples(st.integers(0, 1000), st.integers(0, 1000)),
+            min_size=1,
+            max_size=12,
+        ),
+        st.integers(2**63 - 2**40, 2**63 - 1),
+        st.integers(2**63 - 2**40, 2**63 - 1),
+        st.lists(st.integers(2**62, 2**63 - 1), min_size=3, max_size=3),
+    )
+    def test_every_sum_matches_a_python_int_oracle_near_two_to_the_63(self, shares, match_total, volume_total, volume_totals):
+        """Count columns that total just below 2**63, split among rows by ``shares``.
+
+        Each window's per-word sums and totals, each coverage point and
+        each core word's dominant POS is checked against Python ints.
+        """
+        keys = sorted(shares)
+
+        def split(total: int, i: int) -> list[int]:
+            weights = [shares[k][i] for k in keys]
+            return [total * w // max(sum(weights), 1) for w in weights]
+
+        rows = [(*k, m, v) for k, m, v in zip(keys, split(match_total, 0), split(volume_total, 1))]
+        words, year_offsets, pos_ids, match, volume = (list(column) for column in zip(*rows))
+        store = CorpusStore.from_rows(
+            "english", 1900, 1902, ["aa", "bb", "cc"], key=row_keys(words, year_offsets, pos_ids, 3),
+            match_count=np.array(match), volume_count=np.array(volume), volume_totals=volume_totals,
+        )
+        lexical = [sum(r[3] for r in rows if r[1] == y) for y in range(3)]
+        assert store.lexical_totals.tolist() == lexical
+        for lo in range(3):
+            for hi in range(lo + 1, 4):
+                spec = WindowSpec(1900 + lo, 1899 + hi)
+                if not any(lexical[lo:hi]):
+                    with pytest.raises(EmptyWindow):
+                        aggregate_window(store, spec)
+                    continue
+                inside = [r for r in rows if lo <= r[1] < hi]
+                present = sorted({r[0] for r in inside})
+                table = aggregate_window(store, spec)
+                assert table.word_ids.tolist() == present
+                assert table.match_count.tolist() == [sum(r[3] for r in inside if r[0] == w) for w in present]
+                assert table.volume_count.tolist() == [sum(r[4] for r in inside if r[0] == w) for w in present]
+                assert (table.lexical_total, table.volume_total) == (sum(lexical[lo:hi]), sum(volume_totals[lo:hi]))
+                core = frequency_core(table, 3)
+                for w, tag in zip(core.word_ids.tolist(), core.pos):
+                    tags = {r[2]: 0 for r in inside if r[0] == w}
+                    for r in inside:
+                        if r[0] == w:
+                            tags[r[2]] += r[3]
+                    assert int(tag) == min(tags, key=lambda p: (-tags[p], p))
+        years = [1900 + y for y in range(3) if lexical[y]]
+        for chosen in ([0], [1, 2], [0, 1, 2]) if years else ():
+            series = coverage_series([store.words[w] for w in chosen], store, years)
+            expected = [(y, sum(r[3] for r in rows if r[0] in chosen and r[1] == y - 1900) / lexical[y - 1900]) for y in years]
+            assert list(series.points) == expected
 
 
 class TestDominantPos:
