@@ -27,16 +27,17 @@ stage works in place on the three row columns with at most one spare
 row-length column.  Only the collapse sorts, and it also holds its sort
 order, 16 bytes per row in all; the POS 1% rule sums into dense slots,
 12 int64 slots plus a 12-byte mask per word.  Freed heap pages go back
-to the OS at each stage boundary and after each shard's columns are
-merged.  At one thread the collapse sets the process's RSS peak, just
-above the parse's; at two threads the parse sets it, or the merge that
+to the OS at each stage boundary, after each shard's columns are merged
+and after the collapse's sort, whose scratch would otherwise stay
+resident under the gathers that follow it.  At one thread the parse
+sets the process's RSS peak on the benchmark's gbn-mix corpus, with the
+collapse below it; at two threads the parse sets it, or the merge that
 copies its buffers.  :attr:`IngestStats.stage_peak_rss_mb` shows which
 stage it was.
 """
 
 from __future__ import annotations
 
-import functools
 import gzip
 import itertools
 import logging
@@ -54,7 +55,16 @@ import numpy as np
 from .config import RunConfig
 from .errors import LexcoreError
 from .postags import POS_COUNT, SUFFIX_TAGS, PosTag
-from .store import CorpusStore, check_count_total, group_sum, index_sum, pos_totals, read_volume_sidecar, run_rows
+from .store import (
+    CorpusStore,
+    check_count_total,
+    group_sum,
+    index_sum,
+    pos_totals,
+    read_volume_sidecar,
+    release_freed_memory,
+    run_rows,
+)
 
 log = logging.getLogger(__name__)
 
@@ -327,34 +337,8 @@ def _merged(shards: Sequence[_Columns], column: int) -> np.ndarray:
             out[at : at + len(chunk)] = chunk
             at += len(chunk)
         columns[column].clear()
-        _release_freed_memory()
+        release_freed_memory()
     return out
-
-
-@functools.cache
-def _malloc_trim():
-    """The C library's ``malloc_trim``, or None where it has none (it is glibc's)."""
-    import ctypes
-
-    try:
-        return ctypes.CDLL(None).malloc_trim
-    except (AttributeError, OSError, TypeError):
-        return None
-
-
-def _release_freed_memory() -> None:
-    """Hand the heap pages freed so far back to the OS.
-
-    glibc keeps freed blocks below its adaptive mmap threshold (which
-    grows up to 32 MiB as large blocks are freed) in the heap.  Without
-    this, the next phase's arrays land in whichever of those holes fit,
-    and the peak RSS of an ingest depends on where earlier temporaries
-    happened to fall rather than on the data: 140 to 161 MB on one
-    corpus for the same code run from differently named checkouts.
-    """
-    trim = _malloc_trim()
-    if trim is not None:
-        trim(0)
 
 
 def _parse(paths: Sequence[Path], table: _TokenTable, threads: int, stats: IngestStats) -> list[_Columns]:
@@ -477,7 +461,7 @@ def build_store(
 
     def lap(stage: str) -> None:
         nonlocal clock
-        _release_freed_memory()  # so the next stage's arrays do not land in this one's holes
+        release_freed_memory()  # so the next stage's arrays do not land in this one's holes
         now = time.perf_counter()
         stats.record(stage, now - clock)
         clock = now

@@ -2,7 +2,10 @@
 
 Every function here is pure: identical inputs give bit-identical
 outputs regardless of thread count, so callers may evaluate them
-concurrently without coordination.
+concurrently without coordination.  Coverage and group series sum their
+words' store rows a block of about 65,536 rows at a time, so besides
+the series they hold one block's temporaries, however many rows the
+words have.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .errors import (
     TargetUnreachable,
 )
 from .postags import PosTag
-from .store import CorpusStore, index_sum, run_rows
+from .store import CorpusStore, index_sum, run_blocks
 from .windows import Core, WindowTable
 
 __all__ = [
@@ -141,10 +144,12 @@ def _frequency_sum_series(store: CorpusStore, ids: np.ndarray, years: Iterable[i
     if not wanted:
         raise ValueError("no years requested")
 
-    # Each word's rows are one slice of the store.
+    # Each word's rows are one slice of the store, summed a block of rows at a time.
     starts = store.word_offsets[ids]
-    rows = run_rows(starts, store.word_offsets[ids + 1] - starts)
-    sums = index_sum(store.year_offset[rows], store.counts("match", rows), len(totals)).tolist()
+    sums = np.zeros(len(totals), dtype=np.int64)
+    for _, rows in run_blocks(starts, store.word_offsets[ids + 1] - starts):
+        sums += index_sum(store.year_offset[rows], store.counts("match", rows), len(totals))
+    sums = sums.tolist()
     points = tuple((y, sums[y - store.year_start] / totals[y - store.year_start]) for y in sorted(wanted))
     return MetricSeries(name=name, points=points)
 

@@ -21,6 +21,12 @@ slots, widens them to int64 and patches the exceptions among them, and
 every sum starts from it.  Nor are the yearly lexical totals stored:
 the check sums each year's match counts into ``lexical_totals``.
 
+The rows fall into word-aligned blocks of about 65,536 rows, each from
+a word's first row (:attr:`CorpusStore.blocks`).  The store's check
+and its queries walk the rows a block at a time, so none of them holds
+a temporary as long as a column: a query holds its outputs plus one
+block's temporaries.
+
 On-disk layout, format version 4 (little-endian)::
 
     magic "LXST" | u32 version | u32 header_len | header JSON
@@ -76,8 +82,9 @@ import operator
 import os
 import struct
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -90,7 +97,7 @@ FORMAT_VERSION = 4
 _PREAMBLE = len(MAGIC) + 8  # magic, version, header length
 _DIGEST = 32
 _PAGE = 4096
-_BLOCK_ROWS = 1 << 16  # rows summed and order-checked at a time
+_BLOCK_ROWS = 1 << 16  # rows a block holds, about: see block_edges
 _SENTINEL = 0xFFFF  # a count slot holding this takes its count from the exception list
 _COUNTS = ("match", "volume")
 
@@ -131,10 +138,12 @@ class CorpusStore:
     Construction checks the store contract (see the module docstring)
     and raises ValueError where it fails, or :class:`CountOverflow` where
     a count column totals 2**63 or more; it sums ``lexical_totals`` from
-    the rows.  ``word_id``, the absolute ``year`` and the exact
-    ``match_count`` and ``volume_count`` of each row are derived on
-    first use, for callers outside the query path; queries read counts
-    through :meth:`counts`.
+    the rows.  ``blocks`` holds each block's words and rows as a pair of
+    slices, in row order (see :func:`block_edges`); the check and the
+    queries walk the rows by them.  ``word_id``, the absolute ``year``
+    and the exact ``match_count`` and ``volume_count`` of each row are
+    derived on first use, for callers outside the query path; queries
+    read counts through :meth:`counts`.
     """
 
     language: str
@@ -151,6 +160,7 @@ class CorpusStore:
     volume_totals: np.ndarray
     digest: str | None = None
     lexical_totals: np.ndarray = field(init=False)
+    blocks: tuple[tuple[slice, slice], ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.language, str):
@@ -175,14 +185,18 @@ class CorpusStore:
                 raise ValueError(f"column {name} holds a value of {bound} or more")
         if self.volume_totals.min(initial=0) < 0:
             raise ValueError("column volume_totals holds a negative count")
-        # The exception rows are the sentinel slots, found a block at a time.
+        # Word-aligned blocks: every pass over the rows, here and in queries, takes one block at a time.
+        edges = block_edges(offsets).tolist()
+        starts = offsets[edges].tolist()
+        self.blocks = tuple(
+            (slice(w0, w1), slice(r0, r1)) for w0, w1, r0, r1 in zip(edges, edges[1:], starts, starts[1:])
+        )
+        # The exception rows are the sentinel slots.
         self._exception_rows = {}
         for count in _COUNTS:
             slots, exceptions = getattr(self, f"{count}_slots"), getattr(self, f"{count}_exceptions")
-            rows = [np.empty(0, dtype=np.int64)]
-            for start in range(0, n_rows, _BLOCK_ROWS):
-                rows.append(np.flatnonzero(slots[start : start + _BLOCK_ROWS] == _SENTINEL) + start)
-            rows = self._exception_rows[count] = np.concatenate(rows)
+            rows = [np.flatnonzero(slots[block] == _SENTINEL) + block.start for _, block in self.blocks]
+            rows = self._exception_rows[count] = np.concatenate([np.empty(0, dtype=np.int64), *rows])
             if len(rows) != len(exceptions):
                 raise ValueError(
                     f"column {count}_slots holds {len(rows)} sentinels, but {count}_exceptions {len(exceptions)} values"
@@ -190,15 +204,20 @@ class CorpusStore:
             if exceptions.min(initial=_SENTINEL) < _SENTINEL:
                 raise ValueError(f"column {count}_exceptions holds a value below {_SENTINEL}")
             check_count_total(count, exceptions, slots)
-        # A block of rows at a time, so no whole column is widened: sum each year's match counts, check row order.
+        # Sum each year's match counts and check row order, so no whole column is widened.  A block
+        # starts at a word start, and within it rows may descend only where a word starts.
+        key_type = np.int32 if span * POS_COUNT <= np.iinfo(np.int32).max else np.int64
         totals = np.zeros(span, dtype=np.int64)
-        for start in range(0, n_rows, _BLOCK_ROWS):
-            block = slice(start, start + _BLOCK_ROWS)
-            totals += index_sum(self.year_offset[block], self.counts("match", block), span)
-            first = max(start - 1, 0)  # the row before the block, to compare across blocks
-            key = self.year_offset[first : block.stop].astype(np.int64) * POS_COUNT + self.pos_id[first : block.stop]
-            later = np.flatnonzero(key[1:] <= key[:-1]) + first + 1
-            if np.any(offsets[np.searchsorted(offsets, later)] != later):
+        for words, block in self.blocks:
+            year_offset = self.year_offset[block]
+            totals += index_sum(year_offset, self.counts("match", block), span)
+            key = np.multiply(year_offset, POS_COUNT, dtype=key_type)
+            key += self.pos_id[block]
+            word_start = np.zeros(len(key) + 1, dtype=bool)  # a word with no rows may start at the block's end
+            word_start[offsets[words] - block.start] = True
+            ascends = key[1:] > key[:-1]
+            ascends |= word_start[1:-1]
+            if not ascends.all():
                 raise ValueError("store rows do not ascend by (year, pos id) within a word")
         self.lexical_totals = totals
 
@@ -262,17 +281,23 @@ class CorpusStore:
             volume_totals=np.asarray(volume_totals, dtype="<i8"),
         )
 
-    def counts(self, count: str, rows: np.ndarray | slice) -> np.ndarray:
+    def counts(self, count: str, rows: np.ndarray | slice, block: slice | None = None) -> np.ndarray:
         """The exact int64 ``"match"`` or ``"volume"`` counts of ``rows``.
 
-        ``rows`` are row indices in any order, or a slice with a start.
-        The slots are gathered and widened, and each sentinel among them
-        takes its row's exception.  Every read of a count goes through here.
+        ``rows`` are row indices in any order, or a slice with a start and
+        a stop.  The slots are gathered and widened, and each sentinel
+        among them takes its row's exception; the slots are scanned for
+        sentinels only where an exception row falls in the slice, or in
+        ``block``, a slice of rows that holds every index.  Every read of
+        a count goes through here.
         """
         slots = getattr(self, f"{count}_slots")[rows]
         counts = slots.astype(np.int64)
         exception_rows = self._exception_rows[count]
-        if len(exception_rows):
+        within = rows if isinstance(rows, slice) else block
+        if len(exception_rows) and (
+            within is None or exception_rows.searchsorted(within.start) < exception_rows.searchsorted(within.stop)
+        ):
             hits = np.flatnonzero(slots == _SENTINEL)
             at = hits + rows.start if isinstance(rows, slice) else rows[hits]
             counts[hits] = getattr(self, f"{count}_exceptions")[np.searchsorted(exception_rows, at)]
@@ -433,6 +458,32 @@ def check_count_total(count: str, counts: np.ndarray, slots: np.ndarray | None =
         raise CountOverflow(f"the {count} counts total {total}, 2**63 or more: lexcore sums counts in int64")
 
 
+@cache
+def _malloc_trim():
+    """The C library's ``malloc_trim``, or None where it has none (it is glibc's)."""
+    import ctypes
+
+    try:
+        return ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return None
+
+
+def release_freed_memory() -> None:
+    """Hand the heap pages freed so far back to the OS.
+
+    glibc keeps freed blocks below its adaptive mmap threshold (which
+    grows up to 32 MiB as large blocks are freed) in the heap.  Without
+    this, the next phase's arrays land in whichever of those holes fit,
+    and the peak RSS of an ingest depends on where earlier temporaries
+    happened to fall rather than on the data: 140 to 161 MB on one
+    corpus for the same code run from differently named checkouts.
+    """
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
+
+
 def group_sum(key: np.ndarray, *values: np.ndarray) -> tuple[np.ndarray, ...]:
     """Sum parallel int64 count columns over equal keys; returns (unique_keys, sums...).
 
@@ -445,6 +496,7 @@ def group_sum(key: np.ndarray, *values: np.ndarray) -> tuple[np.ndarray, ...]:
     """
     columns = (key, *values)
     order = np.argsort(key, kind="stable")
+    release_freed_memory()  # the sort's scratch, so where it fell does not set the gathers' peak
     spare = np.empty(len(key), dtype=np.int64)
     for column in columns:
         # mode="clip" gathers straight into the spare, where "raise" would buffer a copy.
@@ -463,9 +515,35 @@ def group_sum(key: np.ndarray, *values: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(column[: len(starts)] for column in columns)
 
 
+def block_edges(offsets: np.ndarray) -> np.ndarray:
+    """The edges of word-aligned blocks of about ``_BLOCK_ROWS`` rows, as word ids.
+
+    ``offsets`` ascend from 0 to the row count, one more than the words,
+    as ``word_offsets`` do.  Block ``i`` holds words ``edges[i]`` to
+    ``edges[i + 1]``: a block starts at the first word that starts at or
+    after a multiple of ``_BLOCK_ROWS`` rows, so it holds fewer than
+    ``_BLOCK_ROWS`` rows beyond its last word's.  Without rows there is
+    no block.
+    """
+    edges = np.append(np.searchsorted(offsets, np.arange(0, offsets[-1], _BLOCK_ROWS)), len(offsets) - 1)
+    return edges[np.diff(edges, prepend=-1) != 0]
+
+
 def run_rows(first: np.ndarray, count: np.ndarray) -> np.ndarray:
     """The row indices of runs of rows, each ``count`` rows from ``first``, run after run."""
     return np.arange(int(count.sum())) + np.repeat(first - (np.cumsum(count) - count), count)
+
+
+def run_blocks(first: np.ndarray, count: np.ndarray, extra: int = 0) -> Iterator[tuple[slice, np.ndarray]]:
+    """Runs of rows, each ``count`` rows from ``first``, in blocks of about ``_BLOCK_ROWS`` rows.
+
+    Yields each block's slice of the runs and its runs' row indices (see
+    :func:`run_rows`); a run is never split.  Each run weighs ``extra``
+    rows more, for a caller that holds ``extra`` values a run.
+    """
+    edges = block_edges(np.concatenate(([0], np.cumsum(count + extra)))).tolist()
+    for start, stop in zip(edges, edges[1:]):
+        yield slice(start, stop), run_rows(first[start:stop], count[start:stop])
 
 
 def index_sum(index: np.ndarray, counts: np.ndarray, length: int) -> np.ndarray:

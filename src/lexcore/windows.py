@@ -10,11 +10,14 @@ A window table lives in word-id space.  Store words are ascending, so
 id order is word order: a table holds the ascending ids of the words
 present in the window, and for each word its sums and its window rows
 as one run of store rows (first row, row count).  It is summed without
-a sort, one ``reduceat`` over the window's rows, and its rank orders
-are stable sorts of one numeric column.  A core decodes only its own
-words, and keeps their runs (16 bytes a word) and the store, not the
-table; each word's dominant POS tag is computed from those runs when
-the core's ``pos`` is first read.
+a sort, one block of store rows at a time (see ``CorpusStore.blocks``):
+each block's per-word sums are written straight into the table's
+columns, so aggregation holds the table plus one block's temporaries,
+whatever the window or store.  Its rank orders are stable sorts of one
+numeric column.  A core decodes only its own words, and keeps their
+runs (16 bytes a word) and the store, not the table; each word's
+dominant POS tag is computed from those runs, a block of rows at a
+time, when the core's ``pos`` is first read.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 from .errors import EmptyWindow, SpanTooShort
 from .postags import POS_COUNT, PosTag
 from .serialize import write_text_atomic
-from .store import CorpusStore, pos_totals, run_rows
+from .store import CorpusStore, pos_totals, run_blocks
 
 # PosTag by value: tag values run 0..POS_COUNT-1.
 _POS_TAGS = tuple(PosTag)
@@ -142,15 +145,31 @@ def aggregate_window(store: CorpusStore, spec: WindowSpec) -> WindowTable:
         raise EmptyWindow(f"window {spec.label} has no lexical tokens")
     volume_total = sum(store.volume_totals[lo:hi].tolist())
 
-    rows = np.flatnonzero((store.year_offset >= lo) & (store.year_offset < hi))
-    # Rows are word-major, so the selected rows of each word are one run,
-    # and the runs of the present words tile ``rows``.
-    bounds = np.searchsorted(rows, store.word_offsets)
-    run_lengths = np.diff(bounds)
-    word_ids = np.flatnonzero(run_lengths)
-    starts = bounds[word_ids]
-    word_match = np.add.reduceat(store.counts("match", rows), starts)
-    word_vol = np.add.reduceat(store.counts("volume", rows), starts)
+    width = hi - lo
+    # Sized for every store word and cut to the words present at the end,
+    # so each block's per-word results go straight into place.
+    columns = word_ids, first_row, row_count, word_match, word_vol = [np.empty(len(store.words), dtype=np.int64) for _ in range(5)]
+    n = 0
+    for words, block in store.blocks:
+        year_offset = store.year_offset[block]
+        # An offset below lo wraps past the width: its dtype holds the span.
+        rows = np.flatnonzero(np.subtract(year_offset, lo, dtype=year_offset.dtype) < width)
+        rows += block.start
+        # Rows are word-major and year-sorted within a word, so the window
+        # rows of each word are one run, and the runs tile ``rows``.
+        bounds = np.searchsorted(rows, store.word_offsets[words.start : words.stop + 1])
+        run_lengths = np.diff(bounds)
+        present = np.flatnonzero(run_lengths)
+        starts = bounds[present]
+        out = slice(n, n + len(present))
+        n = out.stop
+        np.add(present, words.start, out=word_ids[out])
+        np.take(rows, starts, out=first_row[out])
+        np.take(run_lengths, present, out=row_count[out])
+        np.add.reduceat(store.counts("match", rows, block), starts, out=word_match[out])
+        np.add.reduceat(store.counts("volume", rows, block), starts, out=word_vol[out])
+    for column in columns:
+        column.resize(n, refcheck=False)  # in place: no view of these columns is left
     volume_share = (
         word_vol / volume_total if volume_total > 0 else np.zeros(len(word_ids), dtype=np.float64)
     )
@@ -158,8 +177,8 @@ def aggregate_window(store: CorpusStore, spec: WindowSpec) -> WindowTable:
         spec=spec,
         store=store,
         word_ids=word_ids,
-        first_row=rows[starts],
-        row_count=run_lengths[word_ids],
+        first_row=first_row,
+        row_count=row_count,
         match_count=word_match,
         volume_count=word_vol,
         rel_freq=word_match / lexical_total,
@@ -199,11 +218,13 @@ class Core:
 
     @cached_property
     def pos(self) -> tuple[PosTag, ...]:
-        n = len(self.words)
         first, count = self.runs.T
-        rows = run_rows(first, count)
-        slot = np.repeat(np.arange(0, n * POS_COUNT, POS_COUNT), count) + self.store.pos_id[rows]
-        _, _, dominant = pos_totals(slot, self.store.counts("match", rows), n)
+        dominant = np.empty(len(self.words), dtype=np.int64)
+        # Each word holds POS_COUNT slot totals, so they weigh in the blocks too.
+        for words, rows in run_blocks(first, count, extra=POS_COUNT):
+            n = words.stop - words.start
+            slot = np.repeat(np.arange(0, n * POS_COUNT, POS_COUNT), count[words]) + self.store.pos_id[rows]
+            dominant[words] = pos_totals(slot, self.store.counts("match", rows), n)[2]
         return tuple(map(_POS_TAGS.__getitem__, dominant.tolist()))
 
 

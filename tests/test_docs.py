@@ -93,6 +93,34 @@ def test_a_query_runs_only_the_layers_it_uses(tmp_path):
     assert _loaded_after_main(argv, ["lexcore.windows", *unused]) == ["lexcore.windows"]
 
 
+def test_no_query_loads_numpy_ma(tmp_path):
+    """Each query command, run in turn in one fresh interpreter, leaves ``numpy.ma`` unloaded:
+    its import (``np.unique`` triggers one) would cost every query child 10 ms or more."""
+    store = tiny_store(tmp_path)
+    words = tmp_path / "words.txt"
+    words.write_text("the\ncat\n", encoding="utf-8")
+    queries = [
+        ["core", "--window", "1900:1902", "--k", "3"],
+        ["turnover", "--width", "2", "--k", "3"],
+        ["coverage", "--window", "1900:1902", "--k", "3"],
+        ["overlap", "--window", "1900:1902", "--threshold", "0.2"],
+        ["correlate", "--window", "1900:1902"],
+        ["pos", "--window", "1900:1901", "--window2", "1902:1904", "--k", "3"],
+        ["transition", "--window", "1900:1901", "--window2", "1902:1904", "--k", "3"],
+        ["group", "--words", str(words)],
+    ]
+    argvs = [[name, "--store", str(store), *rest, "--out", str(tmp_path / name)] for name, *rest in queries]
+    code = f"""
+import sys
+from lexcore.cli import main
+for argv in {argvs!r}:
+    assert main(argv) == 0
+    if "numpy.ma" in sys.modules:
+        sys.exit(f"numpy.ma loaded by {{argv[0]}}")
+"""
+    _python("-c", code)
+
+
 def test_tracer_sees_the_calls_of_a_lazily_loaded_cli(tmp_path):
     """perfbench's tracer, run as a script, records a span for each layer call of a command."""
     store = tiny_store(tmp_path)

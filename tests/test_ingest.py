@@ -388,13 +388,13 @@ class TestBuildStore:
         config = english_config(1900, 1904)
         shards = write_shards(tmp_path, HAND_LINES, n_shards=2)
         calls = []
-        with mock.patch.object(ingest, "_malloc_trim", return_value=lambda pad: calls.append(pad)):
+        with mock.patch("lexcore.store._malloc_trim", return_value=lambda pad: calls.append(pad)):
             s1, _ = build_store(shards, config)
-        with mock.patch.object(ingest, "_malloc_trim", return_value=None):
+        with mock.patch("lexcore.store._malloc_trim", return_value=None):
             s2, _ = build_store(shards, config)
-        # Once per shard for each of the four merged columns, then at the
-        # end of each of the five stages.
-        assert calls == [0] * (4 * len(shards) + 5)
+        # Once per shard for each of the four merged columns, once after
+        # the collapse's sort, then at the end of each of the five stages.
+        assert calls == [0] * (4 * len(shards) + 1 + 5)
         assert _same_store(s1, s2)
 
     def test_conservation_per_year(self, hand_store):

@@ -338,8 +338,9 @@ class TestPersistence:
 
     @pytest.mark.parametrize("rows_per_word, swap", [(4096, False), (5000, False), (5000, True), (4096, True)])
     def test_row_order_is_checked_across_blocks(self, rows_per_word, swap):
-        """Rows 65,535 and 65,536 end one block and start the next: with words of 4096
-        rows they start a word, with words of 5000 rows they are both in one, and swapped they descend."""
+        """Rows 65,535 and 65,536, swapped, descend.  With words of 4096 rows they end one
+        block and start the next, at a word start; with words of 5000 rows both are inside one
+        word, so inside one block, which ends at the word start 70,000."""
         span, n_words = 500, 18
         key = (np.arange(n_words)[:, None] * span * POS_COUNT + np.arange(rows_per_word)).ravel()
         ones = np.ones(len(key), dtype=np.int64)

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from lexcore.errors import EmptyWindow, EmptyYearError, SpanTooShort
 from lexcore.ingest import build_store
-from lexcore.metrics import coverage_series
-from lexcore.postags import PosTag
+from lexcore.metrics import coverage_series, group_frequency_series
+from lexcore.postags import POS_COUNT, PosTag
 from lexcore.store import CorpusStore
 from lexcore.windows import (
     CORE_1800_WINDOW,
@@ -272,12 +272,12 @@ class TestQueryMemory:
     def test_aggregate_peak_per_window_row(self, small_store):
         """The traced peak of one window table, per row in the window.
 
-        The window is a quarter of the store's span.  The year mask costs
-        a byte per store row, the row index 8 bytes per window row, and
-        each count column a narrow and an int64 copy of the window's rows;
-        the per-word columns add little.  The bound is the measured 18.9
-        bytes with 22% headroom (a table with 12 POS slots per word and a
-        string array took 28.9).
+        The window is a quarter of the store's span.  The table's seven
+        8-byte columns a word and one block's temporaries make the peak:
+        5.0 bytes a window row, so the bound has 20% headroom.  A year
+        mask over the whole store, a row index and int64 counts as long
+        as the window took 18.9 bytes, and a table with 12 POS slots per
+        word and a string array 28.9.
         """
         spec = WindowSpec(1800, 1849)
         window_rows = np.count_nonzero(small_store.year_offset < 50)
@@ -290,7 +290,61 @@ class TestQueryMemory:
         finally:
             tracemalloc.stop()
         assert len(table) > 0
-        assert peak / window_rows <= 23
+        assert peak / window_rows <= 6
+
+
+def repeated_span(store: CorpusStore, times: int) -> CorpusStore:
+    """``store`` with its span repeated ``times`` times, each copy of a word's rows a span later: ``times`` times the rows."""
+    span, rows = len(store.years), slice(0, len(store.pos_id))
+    word_id = np.repeat(np.arange(len(store.words)), np.diff(store.word_offsets))
+    keys = (word_id * (span * times) + store.year_offset) * POS_COUNT + store.pos_id
+    keys = (keys + (np.arange(times) * (span * POS_COUNT))[:, None]).ravel()
+    order = np.argsort(keys, kind="stable")
+    match, volume = (np.tile(store.counts(count, rows), times)[order] for count in ("match", "volume"))
+    return CorpusStore.from_rows(
+        store.language, store.year_start, store.year_start + span * times - 1, store.words, keys[order],
+        match, volume, np.tile(store.volume_totals, times),
+    )
+
+
+def peak_beyond_result(call) -> int:
+    """The traced peak of ``call()`` beyond what it still holds on return, its result, in bytes."""
+    tracemalloc.start()
+    try:
+        result = call()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result is not None
+    return peak - current
+
+
+# A query holds its result and the temporaries of one block of about 65,536
+# store rows at a time, whatever its window or store.  The bound is the
+# largest peak measured beyond the result, 2.07 MB (a core's POS on the
+# store of four spans), with 25% headroom.  With whole-store temporaries a
+# whole-span table of that store peaked 28.8 MB beyond its result.
+QUERY_PEAK_BEYOND_RESULT = 2_600_000
+
+
+class TestQueryBound:
+    @pytest.fixture(scope="class", params=[1, 4], ids=["churn15-small", "four-spans"])
+    def store(self, request, small_store):
+        return small_store if request.param == 1 else repeated_span(small_store, request.param)
+
+    @pytest.mark.parametrize("years", [1, 50, None], ids=["one-year", "fifty-years", "whole-span"])
+    def test_window_table(self, store, years):
+        spec = WindowSpec(store.year_start, store.year_end if years is None else store.year_start + years - 1)
+        aggregate_window(store, spec)
+        assert peak_beyond_result(lambda: aggregate_window(store, spec)) <= QUERY_PEAK_BEYOND_RESULT
+
+    def test_coverage_and_pos_of_a_core(self, store):
+        """A core of 1000 words from the whole span, so its runs hold 200 or 800 rows a word."""
+        table = aggregate_window(store, WindowSpec(store.year_start, store.year_end))
+        warm, core = frequency_core(table, 1000), frequency_core(table, 1000)
+        assert len(core) == 1000 and len(warm.pos) == 1000
+        assert peak_beyond_result(lambda: coverage_series(core, store, store.years)) <= QUERY_PEAK_BEYOND_RESULT
+        assert peak_beyond_result(lambda: core.pos) <= QUERY_PEAK_BEYOND_RESULT
 
 
 class TestCoreExport:
@@ -412,6 +466,66 @@ def window_stores(draw):
     return rows, vocabulary, lexical_totals, volume_totals, lo, hi, k, threshold, extra, years
 
 
+def check_window_oracle(case) -> None:
+    """One drawn case against the dict oracles: aggregate_window, both cores
+    with their POS, and coverage_series and group_frequency_series."""
+    rows, vocabulary, lexical_totals, volume_totals, lo, hi, k, threshold, extra, years = case
+    store = store_of(rows, vocabulary, volume_totals)
+    expected, lexical, volume = oracle_window(rows, lexical_totals, volume_totals, lo, hi)
+    spec = WindowSpec(lo, hi)
+    if lexical == 0:
+        with pytest.raises(EmptyWindow):
+            aggregate_window(store, spec)
+        return
+    table = aggregate_window(store, spec)
+    assert (table.lexical_total, table.volume_total) == (lexical, volume)
+    everything = frequency_core(table, len(table))
+    pos = dict(zip(everything.words, everything.pos))
+    got = {
+        w: {"match": m, "volume": v, "rel_freq": f, "volume_share": s, "pos": pos[w]}
+        for w, m, v, f, s in zip(
+            table_words(table),
+            table.match_count.tolist(),
+            table.volume_count.tolist(),
+            table.rel_freq.tolist(),
+            table.volume_share.tolist(),
+        )
+    }
+    assert got == expected
+
+    def check_core(core, words):
+        assert core.words == tuple(words)
+        assert core.rel_freq == tuple(expected[w]["rel_freq"] for w in words)
+        assert core.volume_share == tuple(expected[w]["volume_share"] for w in words)
+        assert core.pos == tuple(PosTag(expected[w]["pos"]) for w in words)
+        assert all(type(t) is PosTag for t in core.pos)
+
+    by_count = sorted(expected, key=lambda w: (-expected[w]["match"], w))
+    check_core(frequency_core(table, k), by_count[:k])
+    if volume <= 0:
+        with pytest.raises(EmptyWindow):
+            bookshare_core(table, threshold)
+    else:
+        by_share = sorted(expected, key=lambda w: (-expected[w]["volume_share"], w))
+        check_core(
+            bookshare_core(table, threshold),
+            [w for w in by_share if expected[w]["volume_share"] >= threshold],
+        )
+
+    core = frequency_core(table, k)
+    words = set(core.words) | set(extra)
+    want = oracle_coverage(rows, lexical_totals, words, years)
+    if want is None:
+        with pytest.raises(EmptyYearError):
+            coverage_series(words, store, years)
+        with pytest.raises(EmptyYearError):
+            group_frequency_series(words, store, years)
+    else:
+        assert coverage_series(words, store, years).points == want
+        assert group_frequency_series(words, store, years).points == want
+        assert coverage_series(core, store, years).points == oracle_coverage(rows, lexical_totals, set(core.words), years)
+
+
 class TestWindowOracle:
     """aggregate_window, both cores and coverage_series against dict-of-int sums."""
 
@@ -421,56 +535,15 @@ class TestWindowOracle:
     # argmax that does not mask absent pairs would give it pos 0.
     @example(({("ant", 0, Y0): (3, 1), ("bee", 2, Y0): (0, 1)}, ["ant", "bee"], [3], [5], Y0, Y0, 2, 0.25, [], [Y0]))
     def test_matches_dict_oracle(self, case):
-        rows, vocabulary, lexical_totals, volume_totals, lo, hi, k, threshold, extra, years = case
-        store = store_of(rows, vocabulary, volume_totals)
-        expected, lexical, volume = oracle_window(rows, lexical_totals, volume_totals, lo, hi)
-        spec = WindowSpec(lo, hi)
-        if lexical == 0:
-            with pytest.raises(EmptyWindow):
-                aggregate_window(store, spec)
-            return
-        table = aggregate_window(store, spec)
-        assert (table.lexical_total, table.volume_total) == (lexical, volume)
-        everything = frequency_core(table, len(table))
-        pos = dict(zip(everything.words, everything.pos))
-        got = {
-            w: {"match": m, "volume": v, "rel_freq": f, "volume_share": s, "pos": pos[w]}
-            for w, m, v, f, s in zip(
-                table_words(table),
-                table.match_count.tolist(),
-                table.volume_count.tolist(),
-                table.rel_freq.tolist(),
-                table.volume_share.tolist(),
-            )
-        }
-        assert got == expected
+        check_window_oracle(case)
 
-        def check_core(core, words):
-            assert core.words == tuple(words)
-            assert core.rel_freq == tuple(expected[w]["rel_freq"] for w in words)
-            assert core.volume_share == tuple(expected[w]["volume_share"] for w in words)
-            assert core.pos == tuple(PosTag(expected[w]["pos"]) for w in words)
-            assert all(type(t) is PosTag for t in core.pos)
-
-        by_count = sorted(expected, key=lambda w: (-expected[w]["match"], w))
-        check_core(frequency_core(table, k), by_count[:k])
-        if volume <= 0:
-            with pytest.raises(EmptyWindow):
-                bookshare_core(table, threshold)
-        else:
-            by_share = sorted(expected, key=lambda w: (-expected[w]["volume_share"], w))
-            check_core(
-                bookshare_core(table, threshold),
-                [w for w in by_share if expected[w]["volume_share"] >= threshold],
-            )
-
-        words = set(frequency_core(table, k).words) | set(extra)
-        want = oracle_coverage(rows, lexical_totals, words, years)
-        if want is None:
-            with pytest.raises(EmptyYearError):
-                coverage_series(words, store, years)
-        else:
-            assert coverage_series(words, store, years).points == want
+    @given(window_stores(), st.integers(1, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_dict_oracle_in_blocks_of_a_few_rows(self, case, block_rows):
+        """Blocks of 1 to 3 rows, so nearly every word is a block of its own: the window
+        table, both cores' POS, coverage and group sums cross a block edge at almost every word."""
+        with mock.patch("lexcore.store._BLOCK_ROWS", block_rows):
+            check_window_oracle(case)
 
     def test_coverage_sums_beyond_float_precision(self):
         """Per-year sums above 2**53 are exact: one big count then 1001 ones."""
