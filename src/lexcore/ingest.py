@@ -20,20 +20,23 @@ year, pos) as they parse.  The merge ranks the words and sums rows with
 equal keys, so any shard order, partition or thread count yields the
 same store.
 
-Memory: the parse keeps 8 bytes per line for its (token, year) key plus
-24 per lexical row; at one thread the traced peak is about 59 bytes per
-input line, set in the parse (the tests hold it under 64).  Each later
-stage works in place on the three row columns with at most one spare
-row-length column.  Only the collapse sorts, and it also holds its sort
-order, 16 bytes per row in all; the POS 1% rule sums into dense slots,
-12 int64 slots plus a 12-byte mask per word.  Freed heap pages go back
-to the OS at each stage boundary, after each shard's columns are merged
-and after the collapse's sort, whose scratch would otherwise stay
-resident under the gathers that follow it.  At one thread the parse
-sets the process's RSS peak on the benchmark's gbn-mix corpus, with the
-collapse below it; at two threads the parse sets it, or the merge that
-copies its buffers.  :attr:`IngestStats.stage_peak_rss_mb` shows which
-stage it was.
+Memory: the parse keeps 16 bytes per lexical row, its int64 key and its
+counts as uint32 (int64 in a chunk whose largest count does not fit),
+and one bit per (token, year) cell for the duplicate count, span / 8
+bytes per distinct token; at one thread the traced peak is about 45
+bytes per input line, set in the parse (the tests hold it under 50).
+The merge widens the counts to int64 as it copies them.  Each later stage
+works in place on the three row columns with at most one spare
+row-length column.  Only the collapse sorts: it sorts the key column
+itself, each key packed with its row index, so it holds no sort order (a
+stable argsort's, where a key packed with its row index does not fit in
+an int64).  The POS 1% rule sums into dense slots, 12 int64 slots plus a
+12-byte mask per word.  Freed heap pages go back to the OS at each stage
+boundary, after each shard's columns are merged and after the collapse's
+sort.  At two threads the parse sets the process's RSS peak on the
+benchmark's clean-churn15 corpus; at one thread the layout,
+:meth:`CorpusStore.from_rows`, sets it on both benchmark corpora.
+:attr:`IngestStats.stage_peak_rss_mb` shows which stage it was.
 """
 
 from __future__ import annotations
@@ -110,7 +113,8 @@ _LOW_BYTES = np.array([(1 << (8 * r)) - 1 for r in range(9)], dtype=np.uint64)
 
 _NOT_UTF8, _WILDCARD, _NONLEXICAL = -1, -2, -3  # key bases of tokens that yield no store row
 _Rows = tuple[np.ndarray, np.ndarray, np.ndarray]  # the (key, match, volume) columns of the kept rows
-_Columns = tuple[list[np.ndarray], ...]  # one shard's (raw key, key, match, volume) rows, an array per chunk
+_Columns = tuple[list[np.ndarray], ...]  # one shard's (key, match, volume) rows, an array per chunk
+_BITS = np.array([1 << k for k in range(8)], dtype=np.uint8)  # _BITS[k] sets bit k of a byte
 
 
 class _TokenTable:
@@ -124,6 +128,13 @@ class _TokenTable:
     offset * POS_COUNT``, else one of the negative codes above.  Word ids
     are provisional, numbered as words are first met, so they depend on
     thread timing; :func:`build_store` replaces them by each word's rank.
+
+    Repeated rows are counted with one bit for each (token id, year
+    offset) cell, ``token id * span + year offset``: each chunk marks its
+    rows' cells, under the lock, and adds its row count, so
+    :meth:`duplicate_rows`, the rows marked less the bits set, does not
+    depend on thread timing or shard order.  The bits cost span / 8
+    bytes per distinct token, in an array grown by doubling.
     """
 
     def __init__(self, config: RunConfig) -> None:
@@ -134,6 +145,8 @@ class _TokenTable:
         self.ids: dict[bytes, int] = {}  # token bytes -> token id
         self.bases = np.empty(1024, dtype=np.int64)  # key base by token id, grown by doubling
         self.word_ids: dict[str, int] = {}
+        self.cells = np.zeros(64, dtype=np.uint8)  # a bit per (token, year) cell, grown by doubling
+        self.marked = 0  # rows marked
         self.lock = threading.Lock()
 
     def lookup(self, raw_tokens: Sequence[bytes]) -> tuple[np.ndarray, np.ndarray]:
@@ -151,6 +164,29 @@ class _TokenTable:
                 tid[i] = ids[raw]
         # Read after the ids: every base they name is in this array.
         return tid, self.bases[tid]
+
+    def mark(self, cells: np.ndarray) -> None:
+        """Set the bits of rows' (token, year) cells, and count the rows."""
+        byte, bit = cells >> 3, _BITS[cells & 7]
+        top = int(byte.max(initial=0))
+        with self.lock:
+            size = len(self.cells)
+            while size <= top:
+                size *= 2
+            if size > len(self.cells):
+                grown = np.zeros(size, dtype=np.uint8)
+                grown[: len(self.cells)] = self.cells
+                self.cells = grown
+            np.bitwise_or.at(self.cells, byte, bit)
+            self.marked += len(cells)
+
+    def duplicate_rows(self) -> int:
+        """Rows marked beyond the first of their (token, year) cell."""
+        block = 1 << 16
+        bits_set = sum(
+            int(np.count_nonzero(np.unpackbits(self.cells[at : at + block]))) for at in range(0, len(self.cells), block)
+        )
+        return self.marked - bits_set
 
     def _key_base(self, raw: bytes) -> int:
         """The token rule: a token's key base, or the code that drops its rows.
@@ -254,10 +290,12 @@ def _parse_chunk(table: _TokenTable, stats: IngestStats, columns: _Columns, chun
     2**63, and its token is UTF-8.  A year of 2**63 or more is out of
     range.  The counters apply in a fixed order: malformed, then
     out_of_range, then invalid_counts, then wildcard_rows and
-    nonlexical_rows.  ``columns`` gathers, one array per chunk, the raw
-    key ``token id * span + year offset`` of every row that passes the
-    line rules, then the store key ``(word id * span + year offset) *
-    POS_COUNT + pos id``, match and volume of each lexical row.
+    nonlexical_rows.  Every row that passes the line rules has its (token,
+    year) cell marked in the table, and ``columns`` gathers, one array
+    per chunk, the store key ``(word id * span + year offset) *
+    POS_COUNT + pos id``, match and volume of each lexical row: 16 bytes
+    a row, as the counts are held as uint32 wherever a chunk's largest
+    fits, else as int64.
     """
     buf = np.frombuffer(chunk, dtype=np.uint8)
     ends = np.flatnonzero(buf == 10)
@@ -294,11 +332,16 @@ def _parse_chunk(table: _TokenTable, stats: IngestStats, columns: _Columns, chun
     offset, kept_base = year - table.config.year_start, base[kept]
     stats.wildcard_rows += int(np.count_nonzero(kept_base == _WILDCARD))
     stats.nonlexical_rows += int(np.count_nonzero(kept_base == _NONLEXICAL))
+    table.mark(tid[kept] * table.span + offset[kept])
     lexical = kept & (base >= 0)
-    rows = (tid[kept] * table.span + offset[kept], base[lexical] + offset[lexical] * POS_COUNT,
-            match[lexical], vol[lexical])
+    rows = (base[lexical] + offset[lexical] * POS_COUNT, _narrow(match[lexical]), _narrow(vol[lexical]))
     for column, rows_of_chunk in zip(columns, rows):
         column.append(rows_of_chunk)
+
+
+def _narrow(counts: np.ndarray) -> np.ndarray:
+    """Non-negative int64 counts as uint32 where the largest fits, else as they are."""
+    return counts.astype(np.uint32) if counts.max(initial=0) <= np.iinfo(np.uint32).max else counts
 
 
 def _parse_shard(path: Path, table: _TokenTable) -> tuple[IngestStats, _Columns]:
@@ -308,7 +351,7 @@ def _parse_shard(path: Path, table: _TokenTable) -> tuple[IngestStats, _Columns]
     LF, so no CRLF straddles two chunks.  In a chunk that holds a CR,
     CRLF and lone CR become LF, which splits lines as text mode would.
     """
-    stats, columns = IngestStats(), ([], [], [], [])
+    stats, columns = IngestStats(), ([], [], [])
     opener = gzip.open if path.suffix == ".gz" else open
     try:
         with opener(path, "rb") as fh:
@@ -325,10 +368,10 @@ def _parse_shard(path: Path, table: _TokenTable) -> tuple[IngestStats, _Columns]
 
 
 def _merged(shards: Sequence[_Columns], column: int) -> np.ndarray:
-    """One column of every shard's rows, in one array.
+    """One column of every shard's rows, in one int64 array.
 
-    Each shard's chunks are freed, and their pages handed back, as soon
-    as they are copied.
+    Each shard's chunks are widened as they are copied, then freed, and
+    their pages handed back.
     """
     out = np.empty(sum(len(chunk) for columns in shards for chunk in columns[column]), dtype=np.int64)
     at = 0
@@ -366,14 +409,11 @@ def _merge(shards: Sequence[_Columns], table: _TokenTable, stats: IngestStats) -
     temporary.
     """
     # Re-ingested (token, year) rows are summed but worth a warning count.
-    raw_key = _merged(shards, 0)
-    raw_key.sort()
-    stats.duplicate_rows = int(np.count_nonzero(raw_key[1:] == raw_key[:-1]))
-    del raw_key
+    stats.duplicate_rows = table.duplicate_rows()
     if stats.duplicate_rows:
         log.warning("%d duplicate (token, year) rows merged by addition", stats.duplicate_rows)
     stride = table.span * POS_COUNT
-    keys = [chunk for columns in shards for chunk in columns[1]]
+    keys = [chunk for columns in shards for chunk in columns[0]]
     used = np.zeros(len(table.word_ids), dtype=bool)
     for chunk in keys:
         used[chunk // stride] = True
@@ -384,7 +424,7 @@ def _merge(shards: Sequence[_Columns], table: _TokenTable, stats: IngestStats) -
     for chunk in keys:
         chunk += shift[chunk // stride]
     del keys
-    return tuple(_merged(shards, column) for column in (1, 2, 3)), vocabulary
+    return tuple(_merged(shards, column) for column in range(3)), vocabulary
 
 
 def _compacted(column: np.ndarray, keep: np.ndarray) -> np.ndarray:

@@ -487,32 +487,58 @@ def release_freed_memory() -> None:
 def group_sum(key: np.ndarray, *values: np.ndarray) -> tuple[np.ndarray, ...]:
     """Sum parallel int64 count columns over equal keys; returns (unique_keys, sums...).
 
-    Works in place, holding only its arguments, the sort order and one
-    spare column: ``key`` and each of ``values`` (writable int64 columns
-    of one length) are reordered by a stable sort on ``key``, then the
-    unique keys and each column's sums overwrite their first rows and
-    come back as views of them.  Sums are exact where each column totals
-    below 2**63.
+    Works in place: ``key`` and each of ``values`` (writable int64
+    columns of one length) are reordered as a stable sort on ``key``
+    would order them, then the unique keys and each column's sums
+    overwrite their first rows and come back as views of them.  Where
+    ``key << b | row`` fits in an int64 for every row, ``b`` the width
+    of a row index, the key column itself is packed so and sorted, and
+    each block's rows are masked back out of it as the other columns are
+    gathered; otherwise a stable argsort gives the order.  Beside its
+    arguments it holds one spare column, plus the argsort's order where
+    that runs.  Sums are exact where each column totals below 2**63.
     """
     columns = (key, *values)
-    order = np.argsort(key, kind="stable")
+    n = len(key)
+    b = max(n - 1, 1).bit_length()
+    blocks = [slice(at, min(at + _BLOCK_ROWS, n)) for at in range(0, n, _BLOCK_ROWS)]
+    packed = n > 0 and -(1 << (63 - b)) <= int(key.min()) and int(key.max()) < 1 << (63 - b)
+    if packed:
+        key <<= b
+        for block in blocks:
+            key[block] |= np.arange(block.start, block.stop)
+        key.sort()  # packed rows are distinct, so any sort orders them by key, then row
+        order = None
+    else:
+        order = np.argsort(key, kind="stable")
     release_freed_memory()  # the sort's scratch, so where it fell does not set the gathers' peak
-    spare = np.empty(len(key), dtype=np.int64)
-    for column in columns:
-        # mode="clip" gathers straight into the spare, where "raise" would buffer a copy.
-        column[...] = np.take(column, order, out=spare, mode="clip")
+    spare = np.empty(n, dtype=np.int64)
+    for column in values if packed else columns:
+        for block in blocks:
+            rows = key[block] & ((1 << b) - 1) if packed else order[block]
+            # mode="clip" gathers straight into the spare, where "raise" would buffer a copy.
+            np.take(column, rows, out=spare[block], mode="clip")
+        column[...] = spare
     del order, spare
-    first = np.ones(len(key), dtype=bool)
+    if packed:
+        key >>= b  # the keys, sorted
+    first = np.ones(n, dtype=bool)
     np.not_equal(key[1:], key[:-1], out=first[1:])
     if first.all():
         # No key repeats: each sum is its one count.
         return columns
     starts = np.flatnonzero(first)
     del first
-    key[: len(starts)] = key[starts]
-    for column in values:
-        column[: len(starts)] = np.add.reduceat(column, starts)
-    return tuple(column[: len(starts)] for column in columns)
+    groups = len(starts)
+    # A block of groups at a time: group g is written to row g, at or
+    # before its first row, so no row is overwritten before it is read.
+    for at in range(0, groups, _BLOCK_ROWS):
+        block = slice(at, min(at + _BLOCK_ROWS, groups))
+        first_rows, stop = starts[block], int(starts[block.stop]) if block.stop < groups else n
+        key[block] = key[first_rows]
+        for column in values:
+            column[block] = np.add.reduceat(column[first_rows[0] : stop], first_rows - first_rows[0])
+    return tuple(column[:groups] for column in columns)
 
 
 def block_edges(offsets: np.ndarray) -> np.ndarray:

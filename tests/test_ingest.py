@@ -392,9 +392,9 @@ class TestBuildStore:
             s1, _ = build_store(shards, config)
         with mock.patch("lexcore.store._malloc_trim", return_value=None):
             s2, _ = build_store(shards, config)
-        # Once per shard for each of the four merged columns, once after
+        # Once per shard for each of the three merged columns, once after
         # the collapse's sort, then at the end of each of the five stages.
-        assert calls == [0] * (4 * len(shards) + 1 + 5)
+        assert calls == [0] * (3 * len(shards) + 1 + 5)
         assert _same_store(s1, s2)
 
     def test_conservation_per_year(self, hand_store):
@@ -418,6 +418,50 @@ class TestBuildStore:
         )
         assert stats.duplicate_rows == 1
         assert store.lexical_totals[0] == 12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 4),  # few tokens, so rows repeat
+                st.sampled_from(["", "_NOUN", "1", "_NOUN_"]),  # lexical, tagged, non-lexical, wildcard
+                st.one_of(st.sampled_from([0, 7, 8, 15]), st.integers(-1, 16)),
+                st.booleans(),
+            ),
+            max_size=60,
+        ),
+        st.integers(0, 300),
+        st.integers(1, 4),
+        st.sampled_from([256, 1 << 20]),
+    )
+    def test_duplicate_rows_match_a_set_oracle_at_any_thread_count_and_order(self, rows, fill, n_shards, chunk_bytes):
+        """Repeated (token, year) rows within a chunk, across chunks and across shards, against a Python set.
+
+        Over a 16-year span, year offsets 0, 7, 8 and 15 put a token's
+        cells on the edges of the bit table's bytes; up to 300 filler
+        tokens grow its 64 bytes as many as four times.  A row out of the
+        year range, or of matches in zero volumes, is not counted.
+        """
+        config = english_config(1900, 1915)
+        records = [("abcde"[t] + kind, 1900 + offset, int(volumes)) for t, kind, offset, volumes in rows]
+        records += [(f"fill{i}", 1900, 1) for i in range(fill)]
+        kept = [(token, year) for token, year, volumes in records if 1900 <= year <= 1915 and volumes]
+        expected = len(kept) - len(set(kept))
+        lines = [f"{token}\t{year}\t1\t{volumes}" for token, year, volumes in records]
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.object(ingest, "_CHUNK_BYTES", chunk_bytes):
+            shards = write_shards(Path(tmp), lines, n_shards)
+            for paths in (shards, shards[::-1]):
+                for threads in (1, 2, 4):
+                    assert build_store(paths, config, threads=threads)[1].duplicate_rows == expected, (paths, threads)
+
+    @pytest.mark.parametrize("chunk_bytes", [16, 1 << 20], ids=["chunk-per-line", "one-chunk"])
+    def test_counts_either_side_of_uint32_are_exact(self, tmp_path, chunk_bytes):
+        """A chunk holds its counts as uint32 only where its largest fits; every count reaches the store whole."""
+        counts = [2**32 - 1, 2**32, 1, 2**32 + 1]
+        lines = [f"w{'abcd'[i]}\t1900\t{c}\t{c}" for i, c in enumerate(counts)]
+        with mock.patch.object(ingest, "_CHUNK_BYTES", chunk_bytes):
+            store, _ = build_store(write_shards(tmp_path, lines), english_config(1900, 1900))
+        assert store.match_count.tolist() == counts and store.volume_count.tolist() == counts
 
     @pytest.mark.parametrize("verb, kept", [(2**57, True), (2**62 // 100, False)])
     def test_one_percent_rule_on_counts_near_int64(self, tmp_path, verb, kept):
@@ -477,9 +521,10 @@ class TestBuildStore:
 
 
 class TestMemoryContract:
-    # The traced peak is 59.1 bytes per input line; a merge that holds
-    # the parsed rows twice, as concatenated copies, reaches 86.8.
-    PEAK_BYTES_PER_LINE = 64
+    # The traced peak is 44.7 bytes per input line, set in the parse,
+    # which holds 16 bytes per lexical row; a parse that also keeps an
+    # int64 (token, year) key per line and int64 counts reaches 58.5.
+    PEAK_BYTES_PER_LINE = 50
 
     def test_traced_peak_per_input_line(self, small_synth):
         """build_store's traced peak stays under a fixed number of bytes per input line.
@@ -501,7 +546,11 @@ class TestMemoryContract:
         assert peak / stats.lines < self.PEAK_BYTES_PER_LINE
 
     def test_collapse_holds_the_order_and_one_spare_column(self):
-        """Beyond its three input columns, the collapse's traced peak is the sort order plus one spare column."""
+        """Beyond its three input columns, the collapse's traced peak is the sort order plus one spare column.
+
+        Each key packs with its row index into an int64, so the packed
+        sort runs, and the stable argsort does not.
+        """
         n = 200_000
         rng = np.random.default_rng(5)
         key, match, vol = rng.integers(0, n // 2, n), rng.integers(0, 1000, n), rng.integers(0, 100, n)
@@ -512,7 +561,8 @@ class TestMemoryContract:
         try:
             tracemalloc.reset_peak()
             held = tracemalloc.get_traced_memory()[0]
-            key, match, vol = group_sum(key, match, vol)
+            with mock.patch.object(np, "argsort", side_effect=AssertionError("the stable argsort ran")):
+                key, match, vol = group_sum(key, match, vol)
             peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             if not tracing:
@@ -596,16 +646,19 @@ def _parsed(path: Path, config) -> tuple[list, list, IngestStats]:
     """One shard parsed alone, decoded through its token table.
 
     Returns the sorted (token, year) of every row that passes the line
-    rules, the sorted (word, pos, year, match, volumes) of the lexical
-    ones, and the shard's counters.
+    rules, from the cells handed to the table's mark method, so a
+    repeated row is there twice; the sorted (word, pos, year, match,
+    volumes) of the lexical ones; and the shard's counters.
     """
     table = ingest._TokenTable(config)
-    stats, columns = ingest._parse_shard(path, table)
+    with mock.patch.object(table, "mark", wraps=table.mark) as mark:
+        stats, columns = ingest._parse_shard(path, table)
     span = config.year_end - config.year_start + 1
     tokens = {tid: raw.decode("utf-8") for raw, tid in table.ids.items() if table.bases[tid] != ingest._NOT_UTF8}
     words = list(table.word_ids)
-    raw_key, key, match, vol = (np.concatenate(c).tolist() if c else [] for c in columns)
-    keys = sorted((tokens[k // span], config.year_start + k % span) for k in raw_key)
+    cells = [cell for (chunk_cells,), _ in mark.call_args_list for cell in chunk_cells.tolist()]
+    keys = sorted((tokens[c // span], config.year_start + c % span) for c in cells)
+    key, match, vol = (np.concatenate(c).tolist() if c else [] for c in columns)
     rows = sorted(
         (words[k // span // POS_COUNT], PosTag(k % POS_COUNT), config.year_start + k // POS_COUNT % span, m, v)
         for k, m, v in zip(key, match, vol)

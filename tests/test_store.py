@@ -791,22 +791,28 @@ class TestGroupSum:
         # At most 40 rows of the largest bound total below 2**63.
         st.lists(st.sampled_from([2**8 - 1, 2**32 - 1, (2**63 - 1) // 40]), min_size=1, max_size=3),
         st.sampled_from([None, 2**63 - 1, 2**63]),
+        st.sampled_from([0, -10, 2**62, -(2**62) - 20]),
+        st.sampled_from([1, 3, 1 << 16]),
         st.data(),
     )
-    def test_matches_dict_oracle_in_place(self, keys, bounds, big_sum, data):
+    def test_matches_dict_oracle_in_place(self, keys, bounds, big_sum, offset, block_rows, data):
         """Random keys with repeats and int64 columns of counts up to each bound; the arguments end as documented.
 
-        A column of counts that total 2**63 is refused by the total check,
-        which every caller of group_sum runs first.
+        Keys near 0 pack with their row indices into an int64, so the
+        packed sort runs; keys moved out to 2**62 either side do not, so
+        the stable argsort runs.  Blocks of a few rows put block edges
+        inside runs of equal keys.  A column of counts that total 2**63
+        is refused by the total check, which every caller of group_sum
+        runs first.
         """
-        key = np.array(keys, dtype=np.int64)
+        key = np.array(keys, dtype=np.int64) + offset
         columns = [
             np.array(data.draw(st.lists(st.integers(0, bound), min_size=len(keys), max_size=len(keys))), dtype=np.int64)
             for bound in bounds
         ]
         if big_sum is not None:
             # One more group: two rows whose counts sum to big_sum.
-            key = np.append(key, [10, 10])
+            key = np.append(key, [offset + 10, offset + 10])
             columns = [np.append(c, [0, 0]) for c in columns]
             columns.append(np.zeros(len(key), dtype=np.int64))
             columns[-1][-2:] = [2**62, big_sum - 2**62]
@@ -823,7 +829,10 @@ class TestGroupSum:
                 row[j] += int(column[i])
         order = np.argsort(key, kind="stable")
         reordered = [key[order], *(column[order] for column in columns)]
-        out_key, *sums = group_sum(key, *columns)
+        with mock.patch("lexcore.store._BLOCK_ROWS", block_rows):
+            with mock.patch.object(np, "argsort", wraps=np.argsort) as argsort:
+                out_key, *sums = group_sum(key, *columns)
+        assert argsort.called == (abs(offset) >= 2**62)
         assert out_key.tolist() == sorted(expected)
         assert {k: [int(s[i]) for s in sums] for i, k in enumerate(out_key.tolist())} == expected
         # Reordered in place, then the first rows overwritten: keys and
