@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
-"""Run lexcore's query children on the 1M-word scale corpus and report what each cost.
+"""Run lexcore's ingest and query children on the 1M-word scale corpus and report what each cost.
 
 The scale corpus is one 20-year shard of a 1,000,000-word vocabulary at
 3M tokens a year (below synth's advised 100 tokens a word, so it warns).
-The script synthesises it, ingests it at one thread, then runs five
-query commands, each in a child process of its own:
+The script synthesises it and ingests it at one thread twice: as synth
+wrote it, year-major, and sorted by token (``LC_ALL=C sort -s -t$'\\t'
+-k1,1``), the order of real Google Books shards.  It fails unless both
+ingests write the same store.  It then runs five query commands on that
+store, each in a child process of its own:
 
   * ``core --window 1800:1809 --k 1000``
   * ``turnover --width 5 --k 1000``
@@ -13,12 +16,15 @@ query commands, each in a child process of its own:
   * ``correlate --window 1800:1809``
 
 For every child it prints the wall time, the CPU seconds (user plus
-system), the peak RSS and a digest of the files it wrote.  The peak RSS
-is the child's own: Linux carries a process's peak over ``exec`` from
-its spawner, and this script, which imports neither numpy nor lexcore
-and reads files a megabyte at a time, stays far smaller than any child.
-Synth takes about 3 s and 290 MB, ingest about 15 s and 770 MB, and the
-store is 67,281,088 bytes.  Usage, from the root of a checkout::
+system), the peak RSS and a digest of the files it wrote, and for each
+ingest the process's peak RSS at the end of each stage
+(``stage_peak_rss_mb`` of its ``ingest_stats.json``).  The peak RSS is
+the child's own: Linux carries a process's peak over ``exec`` from its
+spawner, and this script, which imports neither numpy nor lexcore and
+reads files a megabyte at a time, stays far smaller than any child.
+Synth takes about 3 s and 290 MB, each ingest about 10 to 15 s and
+under 600 MB, and the store is 67,281,088 bytes.  Usage, from the root
+of a checkout::
 
     python scripts/scale_check.py <work-dir>
 """
@@ -93,16 +99,34 @@ def main(argv: list[str]) -> int:
     config.update(year_start=SYNTH_CONFIG["year_start"], year_end=SYNTH_CONFIG["year_end"])
     (work / "config.json").write_text(json.dumps(config), encoding="utf-8")
 
-    row = "{:<10} {:>8} {:>8} {:>10}  {}"
+    row = "{:<14} {:>8} {:>8} {:>10}  {}"
     print(row.format("step", "wall s", "cpu s", "peak MB", "digest"))
-    synth = ["synth", "--config", "synth.json", "--shard-years", "20", "--out", "corpus"]
-    ingest = ["ingest", "corpus/synth-1800-1819.tsv", "--config", "config.json", "--volumes", "corpus/volumes.tsv"]
-    steps = [("synth", synth), ("ingest", [*ingest, "--threads", "1", "--out", "store"])]
-    steps += [(name, [name, "--store", "store/store.lxst", *rest, "--out", f"out/{name}"]) for name, rest in QUERIES.items()]
-    for name, argv in steps:
+
+    def step(name: str, argv: list[str]) -> str:
         wall, cpu, peak = lexcore(work, argv)
-        print(row.format(name, f"{wall:.2f}", f"{cpu:.2f}", f"{peak:.1f}", digest(work / argv[-1])), flush=True)
-    print(f"store.lxst: {(work / 'store' / 'store.lxst').stat().st_size:,} bytes")
+        found = digest(work / argv[-1])
+        print(row.format(name, f"{wall:.2f}", f"{cpu:.2f}", f"{peak:.1f}", found), flush=True)
+        if name.startswith("ingest"):
+            stats = json.loads((work / argv[-1] / "ingest_stats.json").read_text(encoding="utf-8"))
+            stages = ", ".join(f"{stage} {mb:.1f}" for stage, mb in stats["stage_peak_rss_mb"].items())
+            print(f"  stage peak RSS MB: {stages}", flush=True)
+        return found
+
+    step("synth", ["synth", "--config", "synth.json", "--shard-years", "20", "--out", "corpus"])
+    shard = "synth-1800-1819.tsv"
+    (work / "sorted").mkdir(exist_ok=True)
+    with open(work / "sorted" / shard, "wb") as out:
+        sort = ["sort", "-s", "-t", "\t", "-k1,1", "-S", "256M", "-T", str(work / "sorted")]
+        subprocess.run([*sort, str(work / "corpus" / shard)], stdout=out, check=True, env={**os.environ, "LC_ALL": "C"})
+    digests = {}
+    for order, directory in (("synth", "corpus"), ("token", "sorted")):
+        argv = ["ingest", f"{directory}/{shard}", "--config", "config.json", "--volumes", "corpus/volumes.tsv"]
+        digests[order] = step(f"ingest {order}", [*argv, "--threads", "1", "--out", f"store-{order}"])
+    if digests["synth"] != digests["token"]:
+        raise SystemExit(f"the two shard orders gave different stores: {digests}")
+    for name, rest in QUERIES.items():
+        step(name, [name, "--store", "store-synth/store.lxst", *rest, "--out", f"out/{name}"])
+    print(f"store.lxst: {(work / 'store-synth' / 'store.lxst').stat().st_size:,} bytes")
     return 0
 
 

@@ -25,17 +25,22 @@ counts as uint32 (int64 in a chunk whose largest count does not fit),
 and one bit per (token, year) cell for the duplicate count, span / 8
 bytes per distinct token; at one thread the traced peak is about 45
 bytes per input line, set in the parse (the tests hold it under 50).
-The merge widens the counts to int64 as it copies them.  Each later stage
-works in place on the three row columns with at most one spare
-row-length column.  Only the collapse sorts: it sorts the key column
-itself, each key packed with its row index, so it holds no sort order (a
-stable argsort's, where a key packed with its row index does not fit in
-an int64).  The POS 1% rule sums into dense slots, 12 int64 slots plus a
-12-byte mask per word.  Freed heap pages go back to the OS at each stage
-boundary, after each shard's columns are merged and after the collapse's
-sort.  At two threads the parse sets the process's RSS peak on the
-benchmark's clean-churn15 corpus; at one thread the layout,
-:meth:`CorpusStore.from_rows`, sets it on both benchmark corpora.
+Every later stage holds the three row columns at those widths, plus one
+block of about 65,536 rows (or words) of temporaries and at most one
+spare column: the merge keeps a count column uint32 where every chunk
+of it is, and frees each chunk as it is copied; the collapse sorts the
+key column itself, each key packed with its row index, so it holds no
+sort order (a stable argsort's, where a key packed with its row index
+does not fit in an int64), gathers into one spare column of the
+gathered column's width and finds and sums groups a block at a time,
+widening a uint32 column only where a sum does not fit; the POS 1% rule
+runs a block of rows at a time; the layout adds the store's own columns,
+decoded a block at a time.  Freed heap pages go back
+to the OS at each stage boundary, during the merge and after the
+collapse's sort.  So the parse sets the process's RSS peak on both
+benchmark corpora at one thread and at two; on the 1M-word scale corpus
+(``scripts/scale_check.py``), where the store's own columns outweigh
+the parse's per-chunk temporaries, the layout sets it.
 :attr:`IngestStats.stage_peak_rss_mb` shows which stage it was.
 """
 
@@ -51,7 +56,7 @@ import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -62,10 +67,10 @@ from .store import (
     CorpusStore,
     check_count_total,
     group_sum,
-    index_sum,
     pos_totals,
     read_volume_sidecar,
     release_freed_memory,
+    row_blocks,
     run_rows,
 )
 
@@ -103,6 +108,7 @@ class IngestStats:
 
 
 _CHUNK_BYTES = 1 << 20
+_TRIM_ROWS = 1 << 20  # rows merged between two hand-backs of freed pages
 _TOKEN_BYTES = 32  # longest token grouped by its uint64 words; a longer one gets a group of its own
 _DIGITS = 19  # trailing digits of a numeric field parsed in uint64: 10**19 - 1 < 2**64
 _TOO_BIG = np.iinfo(np.int64).min  # a parsed value of 2**63 or more: below any count or year range
@@ -368,18 +374,28 @@ def _parse_shard(path: Path, table: _TokenTable) -> tuple[IngestStats, _Columns]
 
 
 def _merged(shards: Sequence[_Columns], column: int) -> np.ndarray:
-    """One column of every shard's rows, in one int64 array.
+    """One column of every shard's rows, in one array.
 
-    Each shard's chunks are widened as they are copied, then freed, and
-    their pages handed back.
+    The keys are int64; a count column is uint32 where every chunk of it
+    is, else int64.  Each chunk is freed once it is copied, and the freed
+    pages are handed back after each shard and every :data:`_TRIM_ROWS`
+    rows, so a large shard's chunks and the merged column are never
+    both held whole.
     """
-    out = np.empty(sum(len(chunk) for columns in shards for chunk in columns[column]), dtype=np.int64)
-    at = 0
+    narrow = column and all(chunk.dtype == np.uint32 for columns in shards for chunk in columns[column])
+    n_rows = sum(len(chunk) for columns in shards for chunk in columns[column])
+    out = np.empty(n_rows, dtype=np.uint32 if narrow else np.int64)
+    at = trimmed = 0
     for columns in shards:
-        for chunk in columns[column]:
+        chunks = columns[column]
+        for i, chunk in enumerate(chunks):
             out[at : at + len(chunk)] = chunk
             at += len(chunk)
-        columns[column].clear()
+            chunks[i] = None
+            if at - trimmed >= _TRIM_ROWS:
+                release_freed_memory()
+                trimmed = at
+        chunks.clear()
         release_freed_memory()
     return out
 
@@ -427,46 +443,60 @@ def _merge(shards: Sequence[_Columns], table: _TokenTable, stats: IngestStats) -
     return tuple(_merged(shards, column) for column in range(3)), vocabulary
 
 
-def _compacted(column: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """``column[keep]`` written over the first rows of ``column``; returns a view of them."""
-    kept = column[keep]
-    column[: len(kept)] = kept
-    return column[: len(kept)]
+def _compacted(rows: _Rows, blocks: Sequence[slice], keep: Callable[[slice], np.ndarray]) -> _Rows:
+    """The rows that ``keep(block)`` marks, moved forward in place a block at a time; views of the first rows.
+
+    ``blocks`` cover the rows in order.  A block's kept rows are written
+    at or before its first row, after its mask is taken, so no row is
+    overwritten before it is read.
+    """
+    kept = 0
+    for block in blocks:
+        mask = keep(block)
+        n_kept = int(np.count_nonzero(mask))
+        if kept == block.start and n_kept == len(mask):
+            kept = block.stop  # no row dropped yet: the rows stay where they are
+            continue
+        for column in rows:
+            column[kept : kept + n_kept] = column[block][mask]
+        kept += n_kept
+    return tuple(column[:kept] for column in rows)
 
 
-def _pos_rule(rows: _Rows, n_words: int, span: int, stats: IngestStats) -> _Rows:
+def _pos_rule(rows: _Rows, span: int, stats: IngestStats) -> _Rows:
     """Drop the POS variants at or below 1% of their word's corpus-wide count.
 
-    Each (word, pos) pair's count is summed into one of ``n_words *
-    POS_COUNT`` slots, without a sort, and each word's dominant variant
-    is one argmax over its slots.  So beside the rows the rule holds one
-    row-length column (each row's pair), 12 int64 slots and a 12-byte
-    presence mask per word, and arrays of a few slots per word.  The
-    kept rows are compacted in place, one column at a time.
+    The rows are unique and sorted by key, so each word's rows are
+    contiguous, and the rule runs over blocks of whole words, each from
+    the first row of the word that holds a multiple of 65,536 rows.  In a
+    block, each (word, pos) pair's count is summed into one of
+    ``POS_COUNT`` slots per word, without a sort, each word's dominant
+    variant is one argmax over its slots, and the kept rows are moved
+    forward in place.  So beside the rows the rule holds one block's
+    temporaries.
     """
     key, match, _ = rows
-    pair = np.floor_divide(key, span * POS_COUNT)
-    pair *= POS_COUNT
-    pos = np.empty(len(key), dtype=np.uint8)
-    np.remainder(key, POS_COUNT, out=pos, casting="unsafe")
-    pair += pos
-    del pos
-    # Every word has a row, so each has a dominant variant.
-    totals, lookup, dominant = pos_totals(pair, match, n_words)
-    dominant += np.arange(0, n_words * POS_COUNT, POS_COUNT)
-    pair_ids = np.flatnonzero(lookup)
-    pair_totals, pair_words = totals[pair_ids], pair_ids // POS_COUNT
-    word_totals = index_sum(pair_words, pair_totals, n_words)
-    # Drop pair <= word / 100, in a form that cannot wrap.
-    lookup[pair_ids[pair_totals <= word_totals[pair_words] // 100]] = False
-    # Always retain each word's dominant variant.
-    lookup[dominant] = True
-    stats.dropped_pos_variants = len(pair_ids) - int(np.count_nonzero(lookup))
-    keep = lookup[pair]
-    del pair
-    if not keep.all():
-        rows = tuple(_compacted(column, keep) for column in rows)
-    return rows
+    stride = span * POS_COUNT
+    starts = [block.start for block in row_blocks(len(key))]
+    edges = sorted({*np.searchsorted(key, key[starts] // stride * stride).tolist(), len(key)})
+
+    def keep(block: slice) -> np.ndarray:
+        keys = key[block]
+        word = keys // stride
+        slot = (word - word[0]) * POS_COUNT + keys % POS_COUNT
+        n_words = int(word[-1] - word[0]) + 1
+        # Every word has a row, so each has a dominant variant.
+        totals, lookup, dominant = pos_totals(slot, match[block].astype(np.int64), n_words)
+        pairs = int(np.count_nonzero(lookup))
+        totals, kept = totals.reshape(n_words, POS_COUNT), lookup.reshape(n_words, POS_COUNT)
+        # Drop pair <= word / 100, in a form that cannot wrap.
+        kept &= totals > totals.sum(axis=1, keepdims=True) // 100
+        # Always retain each word's dominant variant.
+        kept[np.arange(n_words), dominant] = True
+        stats.dropped_pos_variants += pairs - int(np.count_nonzero(lookup))
+        return lookup[slot]
+
+    return _compacted(rows, [slice(a, b) for a, b in zip(edges, edges[1:])], keep)
 
 
 def build_store(
@@ -518,7 +548,7 @@ def build_store(
     # apostrophe normalization) in place, which also sorts them.
     rows = group_sum(*rows)
     lap("collapse")
-    rows = _pos_rule(rows, len(vocabulary), span, stats)
+    rows = _pos_rule(rows, span, stats)
     lap("pos_rule")
     store = CorpusStore.from_rows(config.language, config.year_start, config.year_end, vocabulary, *rows, volume_totals)
     del rows

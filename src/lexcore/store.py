@@ -237,25 +237,27 @@ class CorpusStore:
 
         A row's key is ``(word id * span + year offset) * POS_COUNT + pos
         id``, so key order is the store's row order; keys that do not
-        strictly ascend are a ValueError.  The narrow columns are decoded
-        from the keys at their own widths, through one int64 scratch
-        column.  Each count column is split into slots and exceptions
-        (see the module docstring) with no int64 scratch column.  A
-        count below 0 or of 2**63 or more is a ValueError, and the store
-        checks itself (see :class:`CorpusStore`), so a key past the
-        vocabulary is one too; it sums each year's lexical total from
-        the rows.
+        strictly ascend are a ValueError.  The counts may be uint32 or
+        int64.  The narrow columns are decoded from the keys, and each
+        count column is split into slots and exceptions (see the module
+        docstring), a block of rows at a time, so the temporaries are one
+        block's.  A count below 0 or of 2**63 or more is a ValueError,
+        and the store checks itself (see :class:`CorpusStore`), so a key
+        past the vocabulary is one too; it sums each year's lexical total
+        from the rows.
         """
         key = np.asarray(key, dtype=np.int64)
-        if np.any(key[1:] <= key[:-1]):
-            raise ValueError("row keys do not strictly ascend")
         span = year_end - year_start + 1
-        offsets = np.searchsorted(key, np.arange(len(words) + 1, dtype=np.int64) * (span * POS_COUNT))
         pos_id = np.empty(len(key), dtype="|u1")
-        np.remainder(key, POS_COUNT, out=pos_id, casting="unsafe")
         # A width that holds the span also holds every window bound, 0..span.
         year_offset = np.empty(len(key), dtype=_narrowest(span))
-        np.remainder(key // POS_COUNT, span, out=year_offset, casting="unsafe")
+        for block in row_blocks(len(key)):
+            keys = key[block]
+            if np.any(keys[1:] <= keys[:-1]) or (block.start and keys[0] <= key[block.start - 1]):
+                raise ValueError("row keys do not strictly ascend")
+            np.remainder(keys, POS_COUNT, out=pos_id[block], casting="unsafe")
+            np.remainder(keys // POS_COUNT, span, out=year_offset[block], casting="unsafe")
+        offsets = np.searchsorted(key, np.arange(len(words) + 1, dtype=np.int64) * (span * POS_COUNT))
 
         def narrow(count: str, counts: np.ndarray) -> dict[str, np.ndarray]:
             counts = np.asarray(counts)
@@ -263,10 +265,15 @@ class CorpusStore:
                 raise ValueError(f"column {count}_count holds a negative count")
             if int(np.max(counts, initial=0)) >= 2**63:
                 raise ValueError(f"column {count}_count holds a count of 2**63 or more")
-            rows = np.flatnonzero(counts >= _SENTINEL)
-            slots = counts.astype("<u2")  # a count past u2 wraps here, and its slot is overwritten next
-            slots[rows] = _SENTINEL
-            return {f"{count}_slots": slots, f"{count}_exceptions": counts[rows].astype("<i8")}
+            slots = np.empty(len(counts), dtype="<u2")
+            exceptions = [np.empty(0, dtype="<i8")]
+            for block in row_blocks(len(counts)):
+                rows = np.flatnonzero(counts[block] >= _SENTINEL)
+                # A count past u2 wraps here, and its slot is overwritten next.
+                np.copyto(slots[block], counts[block], casting="unsafe")
+                slots[block][rows] = _SENTINEL
+                exceptions.append(counts[block][rows].astype("<i8"))
+            return {f"{count}_slots": slots, f"{count}_exceptions": np.concatenate(exceptions)}
 
         return cls(
             language=language,
@@ -444,15 +451,15 @@ def load_store(path: str | Path) -> CorpusStore:
 def check_count_total(count: str, counts: np.ndarray, slots: np.ndarray | None = None) -> None:
     """Raise :class:`CountOverflow` unless the ``count`` counts total below 2**63: the one bound on counts.
 
-    ``counts`` are non-negative int64 counts or, with ``slots``, the
+    ``counts`` are non-negative uint32 or int64 counts or, with ``slots``, the
     exception list of those u2 slots.  The exact total is summed as a
     Python int: the slots in uint64, less 65,535 for each exception, and
     the counts over their 32-bit halves a block at a time, so no whole
     column is widened.
     """
     total = 0 if slots is None else int(np.sum(slots, dtype=np.uint64)) - _SENTINEL * len(counts)
-    for start in range(0, len(counts), _BLOCK_ROWS):
-        block = counts[start : start + _BLOCK_ROWS]
+    for block in row_blocks(len(counts)):
+        block = counts[block]
         total += (int(np.sum(block >> 32)) << 32) + int(np.sum(block & 0xFFFFFFFF))
     if total >= 2**63:
         raise CountOverflow(f"the {count} counts total {total}, 2**63 or more: lexcore sums counts in int64")
@@ -485,23 +492,28 @@ def release_freed_memory() -> None:
 
 
 def group_sum(key: np.ndarray, *values: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Sum parallel int64 count columns over equal keys; returns (unique_keys, sums...).
+    """Sum parallel count columns over equal keys; returns (unique_keys, sums...).
 
-    Works in place: ``key`` and each of ``values`` (writable int64
-    columns of one length) are reordered as a stable sort on ``key``
-    would order them, then the unique keys and each column's sums
-    overwrite their first rows and come back as views of them.  Where
-    ``key << b | row`` fits in an int64 for every row, ``b`` the width
-    of a row index, the key column itself is packed so and sorted, and
-    each block's rows are masked back out of it as the other columns are
-    gathered; otherwise a stable argsort gives the order.  Beside its
-    arguments it holds one spare column, plus the argsort's order where
-    that runs.  Sums are exact where each column totals below 2**63.
+    Works in place: ``key`` (a writable int64 column) and each of
+    ``values`` (writable columns of counts of one length, uint32 or
+    int64) are reordered as a stable sort on ``key`` would order them,
+    then the unique keys and each column's sums overwrite their first
+    rows and come back as views of them.  Where ``key << b | row`` fits
+    in an int64 for every row, ``b`` the width of a row index, the key
+    column itself is packed so and sorted, and each block's rows are
+    masked back out of it as the other columns are gathered; otherwise a
+    stable argsort gives the order.  Groups are found and summed a block
+    of rows at a time, in int64; a uint32 column takes an int64 copy the
+    first time a sum does not fit in it, and that copy comes back.
+    Beside its arguments it holds one spare column, of the dtype of the
+    column being gathered, the argsort's order where that runs, and one
+    block's temporaries.  Sums are exact where each column totals below
+    2**63.
     """
-    columns = (key, *values)
+    columns = [key, *values]
     n = len(key)
     b = max(n - 1, 1).bit_length()
-    blocks = [slice(at, min(at + _BLOCK_ROWS, n)) for at in range(0, n, _BLOCK_ROWS)]
+    blocks = row_blocks(n)
     packed = n > 0 and -(1 << (63 - b)) <= int(key.min()) and int(key.max()) < 1 << (63 - b)
     if packed:
         key <<= b
@@ -512,32 +524,40 @@ def group_sum(key: np.ndarray, *values: np.ndarray) -> tuple[np.ndarray, ...]:
     else:
         order = np.argsort(key, kind="stable")
     release_freed_memory()  # the sort's scratch, so where it fell does not set the gathers' peak
-    spare = np.empty(n, dtype=np.int64)
     for column in values if packed else columns:
+        spare = np.empty(n, dtype=column.dtype)
         for block in blocks:
             rows = key[block] & ((1 << b) - 1) if packed else order[block]
             # mode="clip" gathers straight into the spare, where "raise" would buffer a copy.
             np.take(column, rows, out=spare[block], mode="clip")
         column[...] = spare
-    del order, spare
+        del spare
+    del order
     if packed:
         key >>= b  # the keys, sorted
-    first = np.ones(n, dtype=bool)
-    np.not_equal(key[1:], key[:-1], out=first[1:])
-    if first.all():
-        # No key repeats: each sum is its one count.
-        return columns
-    starts = np.flatnonzero(first)
-    del first
-    groups = len(starts)
-    # A block of groups at a time: group g is written to row g, at or
-    # before its first row, so no row is overwritten before it is read.
-    for at in range(0, groups, _BLOCK_ROWS):
-        block = slice(at, min(at + _BLOCK_ROWS, groups))
-        first_rows, stop = starts[block], int(starts[block.stop]) if block.stop < groups else n
-        key[block] = key[first_rows]
-        for column in values:
-            column[block] = np.add.reduceat(column[first_rows[0] : stop], first_rows - first_rows[0])
+    # Group g is written to row g, at or before its first row, so no row
+    # is overwritten before it is read.  A group that runs on from the
+    # block before adds its rows here to the sum written there.
+    groups = 0
+    for block in blocks:
+        keys = key[block]
+        first = np.empty(len(keys), dtype=bool)
+        first[0] = block.start == 0 or keys[0] != key[block.start - 1]
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        if groups == block.start and first.all():
+            groups = block.stop  # no key has repeated yet: each sum is its one count
+            continue
+        starts = np.flatnonzero(first)
+        at, edges = (groups, starts) if first[0] else (groups - 1, np.append(0, starts))
+        key[groups : groups + len(starts)] = keys[starts]
+        for i, column in enumerate(columns[1:], 1):
+            sums = np.add.reduceat(column[block].astype(np.int64, copy=False), edges)
+            if not first[0]:
+                sums[0] += column[at]
+            if sums.max() > np.iinfo(column.dtype).max:
+                column = columns[i] = column.astype(np.int64)
+            column[at : at + len(sums)] = sums
+        groups += len(starts)
     return tuple(column[:groups] for column in columns)
 
 
@@ -553,6 +573,11 @@ def block_edges(offsets: np.ndarray) -> np.ndarray:
     """
     edges = np.append(np.searchsorted(offsets, np.arange(0, offsets[-1], _BLOCK_ROWS)), len(offsets) - 1)
     return edges[np.diff(edges, prepend=-1) != 0]
+
+
+def row_blocks(n: int) -> list[slice]:
+    """``range(n)`` in slices of ``_BLOCK_ROWS`` rows; the last may be shorter."""
+    return [slice(at, min(at + _BLOCK_ROWS, n)) for at in range(0, n, _BLOCK_ROWS)]
 
 
 def run_rows(first: np.ndarray, count: np.ndarray) -> np.ndarray:

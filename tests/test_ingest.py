@@ -326,12 +326,17 @@ class TestBuildStore:
         st.lists(st.tuples(_ORACLE_TOKENS, st.integers(1900, 1904), _ORACLE_COUNTS, _ORACLE_COUNTS), max_size=40),
         st.integers(1, 3),
         st.booleans(),
+        st.sampled_from([1, 3, 1 << 16]),
     )
-    def test_whole_store_matches_dict_oracle(self, records, n_shards, fold_case):
-        """Every column and cleaning counter equals a dict re-aggregation of the shards."""
+    def test_whole_store_matches_dict_oracle(self, records, n_shards, fold_case, block_rows):
+        """Every column and cleaning counter equals a dict re-aggregation of the shards.
+
+        Blocks of a few rows split groups of repeated rows and runs of a
+        word's rows over blocks, in the collapse, the POS rule and the layout.
+        """
         config = english_config(1900, 1904, fold_case=fold_case)
         lines = [f"{token}\t{year}\t{match}\t{volumes}" for token, year, match, volumes in records]
-        with tempfile.TemporaryDirectory() as tmp:
+        with tempfile.TemporaryDirectory() as tmp, mock.patch("lexcore.store._BLOCK_ROWS", block_rows):
             shards = write_shards(Path(tmp), lines, n_shards)
             store, stats = build_store(shards, config)
             words, columns, counters = _store_oracle(shards, config)
@@ -463,6 +468,37 @@ class TestBuildStore:
             store, _ = build_store(write_shards(tmp_path, lines), english_config(1900, 1900))
         assert store.match_count.tolist() == counts and store.volume_count.tolist() == counts
 
+    @pytest.mark.parametrize("block_rows", [1, 1 << 16], ids=["row-blocks", "one-block"])
+    def test_sums_past_uint32_are_exact_at_any_thread_count_and_order(self, tmp_path, block_rows):
+        """Repeated rows whose counts fit in uint32 but whose sums do not: the store holds the sums.
+
+        Each chunk holds its counts as uint32, so the collapse sums them
+        in int64 and widens only the column whose sums pass 2**32 - 1.
+        Blocks of one row split every group over two blocks.  The store is
+        the bytes of one built from single lines that hold the sums.
+        """
+        config = english_config(1900, 1901)
+        lines = [
+            "the\t1900\t3000000000\t3000000000", "the\t1900\t3000000000\t3000000000",  # both sums pass 2**32 - 1
+            "cat\t1900\t4294967294\t1", "cat\t1900\t1\t1",  # a match sum of exactly 2**32 - 1
+            "dog\t1901\t2\t4294967295", "dog\t1901\t1\t2",  # a volume sum past it
+            "emu\t1900\t7\t3", "emu_NOUN\t1901\t5\t4",
+        ]
+        summed = [
+            "the\t1900\t6000000000\t6000000000", "cat\t1900\t4294967295\t2", "dog\t1901\t3\t4294967297",
+            "emu\t1900\t7\t3", "emu_NOUN\t1901\t5\t4",
+        ]
+        save_store(build_store(write_shards(tmp_path / "summed", summed), config)[0], tmp_path / "summed.lxst")
+        expected = (tmp_path / "summed.lxst").read_bytes()
+        shards = write_shards(tmp_path / "shards", lines, n_shards=2)
+        with mock.patch("lexcore.store._BLOCK_ROWS", block_rows):
+            for paths in (shards, shards[::-1]):
+                for threads in (1, 2):
+                    store, stats = build_store(paths, config, threads=threads)
+                    save_store(store, tmp_path / "built.lxst")
+                    assert (tmp_path / "built.lxst").read_bytes() == expected, (paths, threads)
+                    assert stats.duplicate_rows == 3
+
     @pytest.mark.parametrize("verb, kept", [(2**57, True), (2**62 // 100, False)])
     def test_one_percent_rule_on_counts_near_int64(self, tmp_path, verb, kept):
         """100 x a variant's count passes 2**63; the rule must still hold."""
@@ -545,15 +581,55 @@ class TestMemoryContract:
         assert (stats.lines, len(result.shard_paths)) == (400_000, 8)
         assert peak / stats.lines < self.PEAK_BYTES_PER_LINE
 
+    def test_no_stage_after_the_parse_passes_its_traced_peak(self, small_synth, tmp_path):
+        """At one thread, the traced peak from the merge on stays below the parse's.
+
+        The shards are given twice, so every row repeats and the collapse
+        sums groups; one more shard tags rows of the first with a rare
+        variant, which the 1% rule drops, so the kept rows are compacted.
+        The rows stay at their parsed widths (an int64 key and uint32
+        counts), and each later stage holds one spare column at most
+        beside them, and one block's temporaries.
+        """
+        result, _ = small_synth
+        variants = tmp_path / "variants.tsv"
+        with open(result.shard_paths[0], encoding="utf-8") as fh:
+            rows = [line.split("\t") for line in fh]
+        variants.write_text("".join(f"{token}_ADJ\t{year}\t1\t1\n" for token, year, *_ in rows), encoding="utf-8")
+        peaks = {}
+        merge = ingest._merge
+
+        def traced_merge(*args):
+            peaks["parse"] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            return merge(*args)
+
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            with mock.patch.object(ingest, "_merge", traced_merge):
+                _, stats = build_store([*result.shard_paths, variants, *result.shard_paths], english_config(1800, 1999))
+            peaks["after"] = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert stats.duplicate_rows >= 400_000 and stats.dropped_pos_variants > 0
+        assert peaks["after"] < peaks["parse"], peaks
+
     def test_collapse_holds_the_order_and_one_spare_column(self):
-        """Beyond its three input columns, the collapse's traced peak is the sort order plus one spare column.
+        """Beyond its three input columns, the collapse's traced peak is one spare column and a few blocks.
 
         Each key packs with its row index into an int64, so the packed
-        sort runs, and the stable argsort does not.
+        sort runs, and the stable argsort does not.  Almost every key is
+        distinct, so group starts held for the whole column would take
+        about as much again as the spare; found a block of rows at a
+        time, they take one block's worth.
         """
-        n = 200_000
+        n, block_rows = 1_000_000, 1 << 13
         rng = np.random.default_rng(5)
-        key, match, vol = rng.integers(0, n // 2, n), rng.integers(0, 1000, n), rng.integers(0, 100, n)
+        key, match, vol = rng.permutation(n), rng.integers(0, 1000, n), rng.integers(0, 100, n)
+        key[1::100] = key[::100]
         unique = np.unique(key)
         expected = (unique, np.bincount(key, match)[unique], int(vol.sum()))
         tracing = tracemalloc.is_tracing()
@@ -561,14 +637,15 @@ class TestMemoryContract:
         try:
             tracemalloc.reset_peak()
             held = tracemalloc.get_traced_memory()[0]
-            with mock.patch.object(np, "argsort", side_effect=AssertionError("the stable argsort ran")):
-                key, match, vol = group_sum(key, match, vol)
+            with mock.patch("lexcore.store._BLOCK_ROWS", block_rows):
+                with mock.patch.object(np, "argsort", side_effect=AssertionError("the stable argsort ran")):
+                    key, match, vol = group_sum(key, match, vol)
             peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             if not tracing:
                 tracemalloc.stop()
         assert (key == expected[0]).all() and (match == expected[1]).all() and int(vol.sum()) == expected[2]
-        assert peak <= 2 * 8 * n + 65536
+        assert peak <= 8 * n + 4 * 8 * block_rows
 
 
 # ------------------------------------------------- byte-level shard parser

@@ -778,6 +778,24 @@ class TestGroupSum:
         values = np.array([top, 1, top], dtype=dtype)
         assert index_sum(np.array([0, 1, 0]), values, 2).tolist() == [2 * top, 1]
 
+    @pytest.mark.parametrize("block_rows", [1, 2, 1 << 16])
+    def test_uint32_columns_are_summed_in_int64(self, block_rows):
+        """A uint32 column whose sums pass 2**32 - 1 comes back as an int64 copy; one whose sums fit, in place.
+
+        Blocks of one or two rows carry a group's sum into the next block,
+        where it first passes 2**32 - 1.
+        """
+        top = 2**32 - 1
+        key = np.array([5, 3, 5, 3, 7, 5], dtype=np.int64)
+        wide = np.array([top, 1, top, top - 1, 0, 2], dtype=np.uint32)
+        narrow = np.array([1, 2, 3, 4, 5, 6], dtype=np.uint32)
+        with mock.patch("lexcore.store._BLOCK_ROWS", block_rows):
+            keys, wide_sums, narrow_sums = group_sum(key, wide, narrow)
+        assert keys.tolist() == [3, 5, 7]
+        assert wide_sums.dtype == np.int64 and wide_sums.tolist() == [top, 2 * top + 2, 0]
+        assert narrow_sums.dtype == np.uint32 and narrow_sums.tolist() == [6, 10, 5]
+        assert narrow_sums.ctypes.data == narrow.ctypes.data
+
     def test_distinct_keys(self):
         """With no key repeated, keys come back sorted and each sum is its one count."""
         keys, sums = group_sum(np.array([9, 2, 5]), np.array([1, 2, 3]))
@@ -793,17 +811,20 @@ class TestGroupSum:
         st.sampled_from([None, 2**63 - 1, 2**63]),
         st.sampled_from([0, -10, 2**62, -(2**62) - 20]),
         st.sampled_from([1, 3, 1 << 16]),
+        st.booleans(),
         st.data(),
     )
-    def test_matches_dict_oracle_in_place(self, keys, bounds, big_sum, offset, block_rows, data):
-        """Random keys with repeats and int64 columns of counts up to each bound; the arguments end as documented.
+    def test_matches_dict_oracle_in_place(self, keys, bounds, big_sum, offset, block_rows, narrow, data):
+        """Random keys with repeats and columns of counts up to each bound; the arguments end as documented.
 
         Keys near 0 pack with their row indices into an int64, so the
         packed sort runs; keys moved out to 2**62 either side do not, so
         the stable argsort runs.  Blocks of a few rows put block edges
-        inside runs of equal keys.  A column of counts that total 2**63
-        is refused by the total check, which every caller of group_sum
-        runs first.
+        inside runs of equal keys.  Under ``narrow``, a column whose
+        counts fit in uint32 is given as uint32, and its sums may not fit:
+        that column alone comes back as an int64 copy.  A column of counts
+        that total 2**63 is refused by the total check, which every caller
+        of group_sum runs first.
         """
         key = np.array(keys, dtype=np.int64) + offset
         columns = [
@@ -820,6 +841,8 @@ class TestGroupSum:
             with pytest.raises(CountOverflow):
                 check_count_total("match", columns[-1])
             return
+        if narrow:
+            columns = [c.astype(np.uint32) if c.max() < 2**32 else c for c in columns]
         for column in columns:
             check_count_total("match", column)
         expected: dict[int, list[int]] = {}
@@ -836,10 +859,15 @@ class TestGroupSum:
         assert out_key.tolist() == sorted(expected)
         assert {k: [int(s[i]) for s in sums] for i, k in enumerate(out_key.tolist())} == expected
         # Reordered in place, then the first rows overwritten: keys and
-        # sums are views of them.
+        # sums are views of them, but for a uint32 column whose sums do
+        # not all fit, which comes back widened.
         g = len(out_key)
         for column, before, total in zip([key, *columns], reordered, [out_key, *sums]):
-            assert total.ctypes.data == column.ctypes.data and (column[g:] == before[g:]).all()
+            if column.dtype == np.uint32 and max(total.tolist()) >= 2**32:
+                assert total.dtype == np.int64 and (total.base if total.base is not None else total) is not column
+            else:
+                assert total.dtype == column.dtype
+                assert total.ctypes.data == column.ctypes.data and (column[g:] == before[g:]).all()
 
     def test_yearly_total_overflow_is_rejected_at_ingest(self, tmp_path):
         """Two words that each fit int64 but whose year total does not."""
