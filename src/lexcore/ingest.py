@@ -1,4 +1,4 @@
-"""Shard parsing and cleaning: lexical filter, POS handling, yearly totals.
+"""Store building: shard parsing and cleaning, the row collapse, yearly volume totals, heap trims.
 
 A shard is an (optionally gzip-compressed) TSV file with one record per
 line: ``token<TAB>year<TAB>match_count<TAB>volume_count``, UTF-8.  Tokens
@@ -35,10 +35,10 @@ does not fit in an int64), gathers into one spare column of the
 gathered column's width and finds and sums groups a block at a time,
 widening a uint32 column only where a sum does not fit; the POS 1% rule
 runs a block of rows at a time; the layout adds the store's own columns,
-decoded a block at a time.  Freed heap pages go back
-to the OS at each stage boundary, during the merge and after the
-collapse's sort.  So the parse sets the process's RSS peak on both
-benchmark corpora at one thread and at two; on the 1M-word scale corpus
+decoded a block at a time.  Freed heap pages go back to the OS (glibc's
+``malloc_trim``) at each stage boundary and during the merge.  So the
+parse sets the process's RSS peak on both benchmark corpora at one
+thread and at two; on the 1M-word scale corpus
 (``scripts/scale_check.py``), where the store's own columns outweigh
 the parse's per-chunk temporaries, the layout sets it.
 :attr:`IngestStats.stage_peak_rss_mb` shows which stage it was.
@@ -50,33 +50,26 @@ import gzip
 import itertools
 import logging
 import resource
+import sys
 import threading
 import time
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
+from functools import cache
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .config import RunConfig
-from .errors import LexcoreError
+from .errors import ConfigInvalid, LexcoreError
 from .postags import POS_COUNT, SUFFIX_TAGS, PosTag
-from .store import (
-    CorpusStore,
-    check_count_total,
-    group_sum,
-    pos_totals,
-    read_volume_sidecar,
-    release_freed_memory,
-    row_blocks,
-    run_rows,
-)
+from .store import CorpusStore, check_count_total, pos_totals, row_blocks, run_rows
 
 log = logging.getLogger(__name__)
 
-__all__ = ["IngestStats", "build_store"]
+__all__ = ["IngestStats", "build_store", "read_volume_sidecar"]
 
 
 @dataclass
@@ -100,7 +93,8 @@ class IngestStats:
     def record(self, stage: str, seconds: float) -> None:
         """Telemetry of a finished stage: its seconds and the process's peak RSS so far."""
         self.timings[stage] = seconds
-        self.peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # Linux reports KiB
+        maxrss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # bytes on macOS, KiB on Linux and the BSDs
+        self.peak_rss_mb = maxrss / (1 << 20 if sys.platform == "darwin" else 1 << 10)
         self.stage_peak_rss_mb[stage] = self.peak_rss_mb
 
     def to_dict(self) -> dict:
@@ -140,7 +134,7 @@ class _TokenTable:
     rows' cells, under the lock, and adds its row count, so
     :meth:`duplicate_rows`, the rows marked less the bits set, does not
     depend on thread timing or shard order.  The bits cost span / 8
-    bytes per distinct token, in an array grown by doubling.
+    bytes per distinct token, in an array of a power of two bytes.
     """
 
     def __init__(self, config: RunConfig) -> None:
@@ -151,7 +145,7 @@ class _TokenTable:
         self.ids: dict[bytes, int] = {}  # token bytes -> token id
         self.bases = np.empty(1024, dtype=np.int64)  # key base by token id, grown by doubling
         self.word_ids: dict[str, int] = {}
-        self.cells = np.zeros(64, dtype=np.uint8)  # a bit per (token, year) cell, grown by doubling
+        self.cells = np.zeros(64, dtype=np.uint8)  # a bit per (token, year) cell, a power of two bytes
         self.marked = 0  # rows marked
         self.lock = threading.Lock()
 
@@ -176,11 +170,8 @@ class _TokenTable:
         byte, bit = cells >> 3, _BITS[cells & 7]
         top = int(byte.max(initial=0))
         with self.lock:
-            size = len(self.cells)
-            while size <= top:
-                size *= 2
-            if size > len(self.cells):
-                grown = np.zeros(size, dtype=np.uint8)
+            if top >= len(self.cells):
+                grown = np.zeros(1 << top.bit_length(), dtype=np.uint8)
                 grown[: len(self.cells)] = self.cells
                 self.cells = grown
             np.bitwise_or.at(self.cells, byte, bit)
@@ -188,10 +179,7 @@ class _TokenTable:
 
     def duplicate_rows(self) -> int:
         """Rows marked beyond the first of their (token, year) cell."""
-        block = 1 << 16
-        bits_set = sum(
-            int(np.count_nonzero(np.unpackbits(self.cells[at : at + block]))) for at in range(0, len(self.cells), block)
-        )
+        bits_set = sum(int(np.count_nonzero(np.unpackbits(self.cells[block]))) for block in row_blocks(len(self.cells)))
         return self.marked - bits_set
 
     def _key_base(self, raw: bytes) -> int:
@@ -373,6 +361,32 @@ def _parse_shard(path: Path, table: _TokenTable) -> tuple[IngestStats, _Columns]
     return stats, columns
 
 
+@cache
+def _malloc_trim():
+    """The C library's ``malloc_trim``, or None where it has none (it is glibc's)."""
+    import ctypes
+
+    try:
+        return ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return None
+
+
+def release_freed_memory() -> None:
+    """Hand the heap pages freed so far back to the OS.
+
+    glibc keeps freed blocks below its adaptive mmap threshold (which
+    grows up to 32 MiB as large blocks are freed) in the heap.  Without
+    this, the next phase's arrays land in whichever of those holes fit,
+    and the peak RSS of an ingest depends on where earlier temporaries
+    happened to fall rather than on the data: 140 to 161 MB on one
+    corpus for the same code run from differently named checkouts.
+    """
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
+
+
 def _merged(shards: Sequence[_Columns], column: int) -> np.ndarray:
     """One column of every shard's rows, in one array.
 
@@ -443,6 +457,75 @@ def _merge(shards: Sequence[_Columns], table: _TokenTable, stats: IngestStats) -
     return tuple(_merged(shards, column) for column in range(3)), vocabulary
 
 
+def group_sum(key: np.ndarray, *values: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Sum parallel count columns over equal keys; returns (unique_keys, sums...).
+
+    Works in place: ``key`` (a writable int64 column) and each of
+    ``values`` (writable columns of counts of one length, uint32 or
+    int64) are reordered as a stable sort on ``key`` would order them,
+    then the unique keys and each column's sums overwrite their first
+    rows and come back as views of them.  Where ``key << b | row`` fits
+    in an int64 for every row, ``b`` the width of a row index, the key
+    column itself is packed so and sorted, and each block's rows are
+    masked back out of it as the other columns are gathered; otherwise a
+    stable argsort gives the order.  Groups are found and summed a block
+    of rows at a time, in int64; a uint32 column takes an int64 copy the
+    first time a sum does not fit in it, and that copy comes back.
+    Beside its arguments it holds one spare column, of the dtype of the
+    column being gathered, the argsort's order where that runs, and one
+    block's temporaries.  Sums are exact where each column totals below
+    2**63.
+    """
+    columns = [key, *values]
+    n = len(key)
+    b = max(n - 1, 1).bit_length()
+    blocks = row_blocks(n)
+    packed = n > 0 and -(1 << (63 - b)) <= int(key.min()) and int(key.max()) < 1 << (63 - b)
+    if packed:
+        key <<= b
+        for block in blocks:
+            key[block] |= np.arange(block.start, block.stop)
+        key.sort()  # packed rows are distinct, so any sort orders them by key, then row
+        order = None
+    else:
+        order = np.argsort(key, kind="stable")
+    for column in values if packed else columns:
+        spare = np.empty(n, dtype=column.dtype)
+        for block in blocks:
+            rows = key[block] & ((1 << b) - 1) if packed else order[block]
+            # mode="clip" gathers straight into the spare, where "raise" would buffer a copy.
+            np.take(column, rows, out=spare[block], mode="clip")
+        column[...] = spare
+        del spare
+    del order
+    if packed:
+        key >>= b  # the keys, sorted
+    # Group g is written to row g, at or before its first row, so no row
+    # is overwritten before it is read.  A group that runs on from the
+    # block before adds its rows here to the sum written there.
+    groups = 0
+    for block in blocks:
+        keys = key[block]
+        first = np.empty(len(keys), dtype=bool)
+        first[0] = block.start == 0 or keys[0] != key[block.start - 1]
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        if groups == block.start and first.all():
+            groups = block.stop  # no key has repeated yet: each sum is its one count
+            continue
+        starts = np.flatnonzero(first)
+        at, edges = (groups, starts) if first[0] else (groups - 1, np.append(0, starts))
+        key[groups : groups + len(starts)] = keys[starts]
+        for i, column in enumerate(columns[1:], 1):
+            sums = np.add.reduceat(column[block].astype(np.int64, copy=False), edges)
+            if not first[0]:
+                sums[0] += column[at]
+            if sums.max() > np.iinfo(column.dtype).max:
+                column = columns[i] = column.astype(np.int64)
+            column[at : at + len(sums)] = sums
+        groups += len(starts)
+    return tuple(column[:groups] for column in columns)
+
+
 def _compacted(rows: _Rows, blocks: Sequence[slice], keep: Callable[[slice], np.ndarray]) -> _Rows:
     """The rows that ``keep(block)`` marks, moved forward in place a block at a time; views of the first rows.
 
@@ -497,6 +580,46 @@ def _pos_rule(rows: _Rows, span: int, stats: IngestStats) -> _Rows:
         return lookup[slot]
 
     return _compacted(rows, [slice(a, b) for a, b in zip(edges, edges[1:])], keep)
+
+
+def read_volume_sidecar(path: str | Path) -> dict[int, int]:
+    """Read per-year total volume counts from a metadata sidecar.
+
+    Two layouts are accepted: plain ``year<TAB>total_volumes`` rows, and
+    the total-counts layout of tab-separated ``year,match,page,volume``
+    entries (possibly all on one line).  Totals are integers in [0, 2**63),
+    and each year is given once.
+    """
+    out: dict[int, int] = {}
+    line_of: dict[int, int] = {}
+    text = Path(path).read_text(encoding="utf-8")
+    for lineno, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        chunks = [c for c in line.split("\t") if c.strip()]
+        if "," in line:
+            pairs = []
+            for chunk in chunks:
+                fields = chunk.strip().split(",")
+                if len(fields) != 4:
+                    raise ConfigInvalid(f"{path}:{lineno}: expected year,match,page,volume entries")
+                pairs.append((fields[0], fields[3]))
+        elif len(chunks) == 2:
+            pairs = [(chunks[0], chunks[1])]
+        else:
+            raise ConfigInvalid(f"{path}:{lineno}: expected 'year<TAB>total_volumes'")
+        for year_s, vol_s in pairs:
+            try:
+                year, total = int(year_s), int(vol_s)
+            except ValueError:
+                raise ConfigInvalid(f"{path}:{lineno}: non-integer field {year_s!r}/{vol_s!r}") from None
+            if not 0 <= total < 2**63:
+                raise ConfigInvalid(f"{path}:{lineno}: volume total {vol_s!r} outside [0, 2**63)")
+            if year in line_of:
+                raise ConfigInvalid(f"{path}:{lineno}: year {year} already given on line {line_of[year]}")
+            out[year], line_of[year] = total, lineno
+    return out
 
 
 def build_store(

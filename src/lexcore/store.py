@@ -1,4 +1,4 @@
-"""Compact year-by-word count store with checksummed persistence.
+"""Compact year-by-word count store: its format, its contract and its checksummed save and load.
 
 The store is immutable after construction and safe for unrestricted
 concurrent reads.  Its words are strictly ascending, so word id order
@@ -25,7 +25,8 @@ The rows fall into word-aligned blocks of about 65,536 rows, each from
 a word's first row (:attr:`CorpusStore.blocks`).  The store's check
 and its queries walk the rows a block at a time, so none of them holds
 a temporary as long as a column: a query holds its outputs plus one
-block's temporaries.
+block's temporaries.  The helpers at the end of this module, shared by
+ingest and the queries, walk blocks and runs of rows and sum counts.
 
 On-disk layout, format version 4 (little-endian)::
 
@@ -82,13 +83,13 @@ import operator
 import os
 import struct
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
-from .errors import ChecksumMismatch, ConfigInvalid, CountOverflow, FormatVersionMismatch
+from .errors import ChecksumMismatch, CountOverflow, FormatVersionMismatch
 from .postags import POS_COUNT
 from .serialize import replacing
 
@@ -105,7 +106,6 @@ __all__ = [
     "CorpusStore",
     "save_store",
     "load_store",
-    "read_volume_sidecar",
 ]
 
 
@@ -465,102 +465,6 @@ def check_count_total(count: str, counts: np.ndarray, slots: np.ndarray | None =
         raise CountOverflow(f"the {count} counts total {total}, 2**63 or more: lexcore sums counts in int64")
 
 
-@cache
-def _malloc_trim():
-    """The C library's ``malloc_trim``, or None where it has none (it is glibc's)."""
-    import ctypes
-
-    try:
-        return ctypes.CDLL(None).malloc_trim
-    except (AttributeError, OSError, TypeError):
-        return None
-
-
-def release_freed_memory() -> None:
-    """Hand the heap pages freed so far back to the OS.
-
-    glibc keeps freed blocks below its adaptive mmap threshold (which
-    grows up to 32 MiB as large blocks are freed) in the heap.  Without
-    this, the next phase's arrays land in whichever of those holes fit,
-    and the peak RSS of an ingest depends on where earlier temporaries
-    happened to fall rather than on the data: 140 to 161 MB on one
-    corpus for the same code run from differently named checkouts.
-    """
-    trim = _malloc_trim()
-    if trim is not None:
-        trim(0)
-
-
-def group_sum(key: np.ndarray, *values: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Sum parallel count columns over equal keys; returns (unique_keys, sums...).
-
-    Works in place: ``key`` (a writable int64 column) and each of
-    ``values`` (writable columns of counts of one length, uint32 or
-    int64) are reordered as a stable sort on ``key`` would order them,
-    then the unique keys and each column's sums overwrite their first
-    rows and come back as views of them.  Where ``key << b | row`` fits
-    in an int64 for every row, ``b`` the width of a row index, the key
-    column itself is packed so and sorted, and each block's rows are
-    masked back out of it as the other columns are gathered; otherwise a
-    stable argsort gives the order.  Groups are found and summed a block
-    of rows at a time, in int64; a uint32 column takes an int64 copy the
-    first time a sum does not fit in it, and that copy comes back.
-    Beside its arguments it holds one spare column, of the dtype of the
-    column being gathered, the argsort's order where that runs, and one
-    block's temporaries.  Sums are exact where each column totals below
-    2**63.
-    """
-    columns = [key, *values]
-    n = len(key)
-    b = max(n - 1, 1).bit_length()
-    blocks = row_blocks(n)
-    packed = n > 0 and -(1 << (63 - b)) <= int(key.min()) and int(key.max()) < 1 << (63 - b)
-    if packed:
-        key <<= b
-        for block in blocks:
-            key[block] |= np.arange(block.start, block.stop)
-        key.sort()  # packed rows are distinct, so any sort orders them by key, then row
-        order = None
-    else:
-        order = np.argsort(key, kind="stable")
-    release_freed_memory()  # the sort's scratch, so where it fell does not set the gathers' peak
-    for column in values if packed else columns:
-        spare = np.empty(n, dtype=column.dtype)
-        for block in blocks:
-            rows = key[block] & ((1 << b) - 1) if packed else order[block]
-            # mode="clip" gathers straight into the spare, where "raise" would buffer a copy.
-            np.take(column, rows, out=spare[block], mode="clip")
-        column[...] = spare
-        del spare
-    del order
-    if packed:
-        key >>= b  # the keys, sorted
-    # Group g is written to row g, at or before its first row, so no row
-    # is overwritten before it is read.  A group that runs on from the
-    # block before adds its rows here to the sum written there.
-    groups = 0
-    for block in blocks:
-        keys = key[block]
-        first = np.empty(len(keys), dtype=bool)
-        first[0] = block.start == 0 or keys[0] != key[block.start - 1]
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        if groups == block.start and first.all():
-            groups = block.stop  # no key has repeated yet: each sum is its one count
-            continue
-        starts = np.flatnonzero(first)
-        at, edges = (groups, starts) if first[0] else (groups - 1, np.append(0, starts))
-        key[groups : groups + len(starts)] = keys[starts]
-        for i, column in enumerate(columns[1:], 1):
-            sums = np.add.reduceat(column[block].astype(np.int64, copy=False), edges)
-            if not first[0]:
-                sums[0] += column[at]
-            if sums.max() > np.iinfo(column.dtype).max:
-                column = columns[i] = column.astype(np.int64)
-            column[at : at + len(sums)] = sums
-        groups += len(starts)
-    return tuple(column[:groups] for column in columns)
-
-
 def block_edges(offsets: np.ndarray) -> np.ndarray:
     """The edges of word-aligned blocks of about ``_BLOCK_ROWS`` rows, as word ids.
 
@@ -617,43 +521,3 @@ def pos_totals(slot: np.ndarray, counts: np.ndarray, n_words: int) -> tuple[np.n
     present[slot] = True
     dominant = np.where(present, totals, -1).reshape(n_words, POS_COUNT).argmax(axis=1)
     return totals, present, dominant
-
-
-def read_volume_sidecar(path: str | Path) -> dict[int, int]:
-    """Read per-year total volume counts from a metadata sidecar.
-
-    Two layouts are accepted: plain ``year<TAB>total_volumes`` rows, and
-    the total-counts layout of tab-separated ``year,match,page,volume``
-    entries (possibly all on one line).  Totals are integers in [0, 2**63),
-    and each year is given once.
-    """
-    out: dict[int, int] = {}
-    line_of: dict[int, int] = {}
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        chunks = [c for c in line.split("\t") if c.strip()]
-        if "," in line:
-            pairs = []
-            for chunk in chunks:
-                fields = chunk.strip().split(",")
-                if len(fields) != 4:
-                    raise ConfigInvalid(f"{path}:{lineno}: expected year,match,page,volume entries")
-                pairs.append((fields[0], fields[3]))
-        elif len(chunks) == 2:
-            pairs = [(chunks[0], chunks[1])]
-        else:
-            raise ConfigInvalid(f"{path}:{lineno}: expected 'year<TAB>total_volumes'")
-        for year_s, vol_s in pairs:
-            try:
-                year, total = int(year_s), int(vol_s)
-            except ValueError:
-                raise ConfigInvalid(f"{path}:{lineno}: non-integer field {year_s!r}/{vol_s!r}") from None
-            if not 0 <= total < 2**63:
-                raise ConfigInvalid(f"{path}:{lineno}: volume total {vol_s!r} outside [0, 2**63)")
-            if year in line_of:
-                raise ConfigInvalid(f"{path}:{lineno}: year {year} already given on line {line_of[year]}")
-            out[year], line_of[year] = total, lineno
-    return out

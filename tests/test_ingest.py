@@ -21,9 +21,9 @@ from lexcore import ingest
 from lexcore.alphabets import PRESETS, AlphabetSpec, alphabet_preset
 from lexcore.config import RunConfig
 from lexcore.errors import CountOverflow
-from lexcore.ingest import IngestStats, build_store
+from lexcore.ingest import IngestStats, build_store, group_sum
 from lexcore.postags import POS_COUNT, SUFFIX_TAGS, PosTag
-from lexcore.store import group_sum, save_store
+from lexcore.store import save_store
 
 from conftest import (
     HAND_LINES,
@@ -393,14 +393,22 @@ class TestBuildStore:
         config = english_config(1900, 1904)
         shards = write_shards(tmp_path, HAND_LINES, n_shards=2)
         calls = []
-        with mock.patch("lexcore.store._malloc_trim", return_value=lambda pad: calls.append(pad)):
+        with mock.patch("lexcore.ingest._malloc_trim", return_value=lambda pad: calls.append(pad)):
             s1, _ = build_store(shards, config)
-        with mock.patch("lexcore.store._malloc_trim", return_value=None):
+        with mock.patch("lexcore.ingest._malloc_trim", return_value=None):
             s2, _ = build_store(shards, config)
-        # Once per shard for each of the three merged columns, once after
-        # the collapse's sort, then at the end of each of the five stages.
-        assert calls == [0] * (3 * len(shards) + 1 + 5)
+        # Once per shard for each of the three merged columns, then at the
+        # end of each of the five stages.
+        assert calls == [0] * (3 * len(shards) + 5)
         assert _same_store(s1, s2)
+
+    @pytest.mark.parametrize("platform, maxrss", [("linux", 300 << 10), ("darwin", 300 << 20), ("freebsd14", 300 << 10)])
+    def test_peak_rss_in_mb_on_each_platform(self, platform, maxrss):
+        """ru_maxrss is in KiB on Linux and the BSDs but in bytes on macOS; the stats read MB on each."""
+        stats = IngestStats()
+        with mock.patch("resource.getrusage", return_value=mock.Mock(ru_maxrss=maxrss)), mock.patch("sys.platform", platform):
+            stats.record("parse", 1.5)
+        assert (stats.peak_rss_mb, stats.stage_peak_rss_mb, stats.timings) == (300.0, {"parse": 300.0}, {"parse": 1.5})
 
     def test_conservation_per_year(self, hand_store):
         store, _ = hand_store

@@ -11,27 +11,41 @@ import os
 import re
 import stat
 import struct
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from lexcore.errors import ChecksumMismatch, CountOverflow, EmptyWindow, EmptyYearError, FormatVersionMismatch
-from lexcore.ingest import build_store
-from lexcore.metrics import core_size_for_coverage, coverage_series, group_frequency_series, turnover_series
+from lexcore.cli import main
+from lexcore.errors import (
+    ChecksumMismatch,
+    CountOverflow,
+    EmptyWindow,
+    EmptyYearError,
+    FormatVersionMismatch,
+    LexcoreError,
+)
+from lexcore.ingest import build_store, group_sum, read_volume_sidecar
+from lexcore.metrics import (
+    core_size_for_coverage,
+    coverage_series,
+    group_frequency_series,
+    pearson_correlation,
+    turnover_series,
+)
 from lexcore.postags import POS_COUNT, PosTag
 from lexcore.serialize import replacing, write_text_atomic
 from lexcore.store import (
     FORMAT_VERSION,
     CorpusStore,
     check_count_total,
-    group_sum,
     index_sum,
     load_store,
     pos_totals,
-    read_volume_sidecar,
     save_store,
 )
 from lexcore.windows import WindowSpec, aggregate_window, bookshare_core, frequency_core, standard_windows
@@ -45,6 +59,7 @@ from conftest import (
     row_keys,
     store_layout,
     table_words,
+    tiny_store,
     wide_store,
     write_shards,
     year_slice,
@@ -697,6 +712,83 @@ class TestCorruption:
             path.write_bytes(blob[:cut])
             with pytest.raises((ChecksumMismatch, FormatVersionMismatch)):
                 load_store(path)
+
+
+@pytest.fixture(scope="module")
+def signed_stores(tmp_path_factory) -> dict[str, tuple[bytes, str]]:
+    """The files of the fixtures/tiny store and of conftest.wide_store, each with its whole span as a CLI window."""
+    directory = tmp_path_factory.mktemp("signed")
+    wide = directory / "wide.lxst"
+    save_store(wide_store(), wide)
+    return {"tiny": (tiny_store(directory).read_bytes(), "1900:1904"), "wide": (wide.read_bytes(), "1900:1901")}
+
+
+def _signed_edit(draw, blob: bytes) -> bytes:
+    """``blob`` with one byte, one column value or one header field changed by ``draw``, and signed anew.
+
+    A header field takes a value near its own or any JSON scalar, and the
+    zero padding after the word list takes up the header's change of
+    length, so the columns stay where they were.
+    """
+    payload = bytearray(blob[:-32])
+    layout = store_layout(payload)
+    kind = draw(st.sampled_from(["byte", "column", "header"]))
+    if kind == "byte":
+        at = draw(st.integers(0, len(payload) - 1))
+        payload[at] = draw(st.integers(0, 255).filter(lambda byte: byte != payload[at]))
+    elif kind == "column":
+        dtype, length, offset = layout[draw(st.sampled_from([name for name, spec in layout.items() if spec[1]]))]
+        values = np.frombuffer(payload, dtype=dtype, count=length, offset=offset)
+        row, low, high = draw(st.integers(0, length - 1)), int(np.iinfo(dtype).min), int(np.iinfo(dtype).max)
+        old = int(values[row])
+        edges = st.sampled_from(sorted({low, 0, min(high, 0xFFFF), high}))  # 0xFFFF: the count slots' sentinel
+        values[row] = draw(st.one_of(st.integers(max(low, old - 2), min(high, old + 2)), edges, st.integers(low, high)))
+    else:
+        (header_len,) = struct.unpack_from("<I", payload, 8)
+        header = json.loads(payload[12 : 12 + header_len])
+        words = payload[12 + header_len : 12 + header_len + header["words_bytes"]]
+        key = draw(st.sampled_from(sorted(header)))
+        near = st.integers(-2, 2).map(lambda d: header[key] + d) if type(header[key]) is int else st.nothing()
+        header[key] = draw(st.one_of(near, st.integers(), st.text(max_size=4), st.none(), st.booleans(), st.floats()))
+        encoded = json.dumps(header, sort_keys=True).encode("utf-8")
+        prefix = payload[:8] + struct.pack("<I", len(encoded)) + encoded + words
+        payload = prefix + bytes(-len(prefix) % 4096) + payload[min(offset for *_, offset in layout.values()) :]
+    return bytes(payload) + hashlib.sha256(payload).digest()
+
+
+def _query_every_window(store: CorpusStore) -> None:
+    """Run the queries on each one-year window and on the whole span; each may raise only what the CLI maps to exit 1."""
+    for spec in [*(WindowSpec(year, year) for year in store.years), WindowSpec(store.year_start, store.year_end)]:
+        try:
+            table = aggregate_window(store, spec)
+        except (LexcoreError, ValueError):
+            continue
+        for query in (
+            lambda: frequency_core(table, 3).pos,
+            lambda: coverage_series(frequency_core(table, 3), store, store.years),
+            lambda: bookshare_core(table, 0.5),
+            lambda: pearson_correlation(table.rel_freq.tolist(), table.volume_share.tolist()),
+            lambda: core_size_for_coverage(table, 0.5),
+        ):
+            with contextlib.suppress(LexcoreError, ValueError):
+                query()
+
+
+class TestSignedEdits:
+    """A store file edited and signed anew, as a fuzzed input: the loader is the store contract's only guard."""
+
+    @seed(1)
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data())
+    def test_edit_is_refused_or_loads_and_queries_fail_only_as_data_errors(self, signed_stores, data):
+        """load_store refuses the file as a data error or loads it; queries on it and ``lexcore core`` then fail only so."""
+        blob, window = signed_stores[data.draw(st.sampled_from(sorted(signed_stores)))]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "edited.lxst"
+            path.write_bytes(_signed_edit(data.draw, blob))
+            with contextlib.suppress(ChecksumMismatch, FormatVersionMismatch):
+                _query_every_window(load_store(path))
+            assert main(["core", "--store", str(path), "--window", window, "--k", "3", "--out", f"{tmp}/out"]) in (0, 1)
 
 
 class TestGroupSum:
